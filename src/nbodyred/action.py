@@ -25,7 +25,10 @@ from .geometry import (
     COLLISION_FLOOR,
     Configuration,
     State,
+    closest_distance,
     interaction_matrix_from_s,
+    potential_from_s,
+    squared_distances,
 )
 
 
@@ -276,6 +279,22 @@ def invariant_basis(sym, sys, T, n_modes):
 # action functional
 
 
+def _node_action(loop, n_quad, collision_floor):
+    """Nodes, positions, velocities, squared distances and the action on
+    n_quad equispaced nodes; raises CollisionAtNode below the floor."""
+    sys = loop.sys
+    ts = loop.nodes(n_quad)
+    x = loop.positions(ts)   # (q, d, n)
+    v = loop.velocities(ts)
+    s = squared_distances(x)
+    rmin = closest_distance(s, sys)
+    if rmin < collision_floor:
+        raise CollisionAtNode(f"minimal node distance {rmin:.3e} below the collision floor")
+    K = np.einsum("i,qci,qci->q", sys.m, v, v)
+    S = float(loop.T / n_quad * (0.5 * K + potential_from_s(s, sys)).sum())
+    return ts, x, v, s, S
+
+
 def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR):
     """Action  integral of (K/2 + U)  and its coefficient gradient.
 
@@ -286,31 +305,11 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR
     sys = loop.sys
     if n_quad is None:
         n_quad = max(256, 8 * loop.n_modes)
-    ts = loop.nodes(n_quad)
-    x = loop.positions(ts)   # (q, d, n)
-    v = loop.velocities(ts)
+    ts, x, v, s, S = _node_action(loop, n_quad, collision_floor)
     w = loop.T / n_quad
 
-    diff = x[:, :, :, None] - x[:, :, None, :]
-    s = np.einsum("qcij,qcij->qij", diff, diff)
-    iu = np.triu_indices(sys.n, 1)
-    spairs = s[:, iu[0], iu[1]]
-    if spairs.min() < collision_floor**2:
-        raise CollisionAtNode(
-            f"minimal node distance {np.sqrt(max(spairs.min(), 0.0)):.3e} "
-            "below the collision floor"
-        )
-    mm = sys.m[iu[0]] * sys.m[iu[1]]
-    U = (mm * sys.phi(spairs)).sum(axis=1)
-    K = np.einsum("i,qci,qci->q", sys.m, v, v)
-    S = float(w * (0.5 * K + U).sum())
-
-    # dU/dx at each node: m_j m_l Phi'(s) 2 (x_j - x_l) summed over partners
-    dphi = np.zeros_like(s)
-    off = ~np.eye(sys.n, dtype=bool)
-    dphi[:, off] = sys.dphi(s[:, off])
-    wgt = dphi * np.outer(sys.m, sys.m)[None, :, :]
-    fx = 2.0 * (np.einsum("qij,qci->qci", wgt, x) - np.einsum("qij,qcj->qci", wgt, x))
+    # dU/dx at each node: the forces m_i (2 x A)_i
+    fx = 2.0 * (x @ interaction_matrix_from_s(s, sys, collision_floor)) * sys.m
     mv = sys.m[None, None, :] * v
 
     cos, sin = _trig(loop.n_modes, loop.T, ts)
@@ -335,20 +334,10 @@ class MinimizeOptions:
     seed: int = 0
 
 
-def _min_node_distance(loop, n_quad):
-    x = loop.positions(loop.nodes(n_quad))
-    diff = x[:, :, :, None] - x[:, :, None, :]
-    s = np.einsum("qcij,qcij->qij", diff, diff)
-    iu = np.triu_indices(loop.n, 1)
-    return float(np.sqrt(s[:, iu[0], iu[1]].min()))
-
-
-def _mean_distance(loop, n_quad):
-    x = loop.positions(loop.nodes(n_quad))
-    diff = x[:, :, :, None] - x[:, :, None, :]
-    s = np.einsum("qcij,qcij->qij", diff, diff)
-    iu = np.triu_indices(loop.n, 1)
-    return float(np.sqrt(s[:, iu[0], iu[1]]).mean())
+def _node_distances(loop, n_quad):
+    """Mutual distances of every pair at n_quad equispaced nodes, (q, pairs)."""
+    s = squared_distances(loop.positions(loop.nodes(n_quad)))
+    return np.sqrt(s[:, loop.sys.pairs[0], loop.sys.pairs[1]])
 
 
 def minimize_action(seed_loop, sym, opts=None):
@@ -365,14 +354,14 @@ def minimize_action(seed_loop, sym, opts=None):
     Z, template = invariant_basis(sym, seed_loop.sys, seed_loop.T, seed_loop.n_modes)
     floor = opts.dist_floor
     if floor is None:
-        floor = 1e-3 * _mean_distance(seed_loop, 64)
+        floor = 1e-3 * float(_node_distances(seed_loop, 64).mean())
 
     proj_seed = project_symmetry(seed_loop, sym)
     xi = Z.T @ proj_seed.params()
 
     def evaluate(xi_vec):
         loop = template.with_params(Z @ xi_vec)
-        if _min_node_distance(loop, opts.n_quad) < floor:
+        if _node_distances(loop, opts.n_quad).min() < floor:
             return np.inf, None
         S, g = action_value_and_gradient(loop, opts.n_quad)
         return S, Z.T @ g
@@ -457,13 +446,12 @@ TETRA_PATTERN = np.ones(6)
 
 
 def shape_distance(x, pattern):
-    """Distance of the sorted normalized mutual-distance vector to a pattern."""
-    diff = x[:, :, None] - x[:, None, :]
-    n = x.shape[1]
-    iu = np.triu_indices(n, 1)
-    dists = np.sort(np.sqrt(np.einsum("cij,cij->ij", diff, diff)[iu]))
-    p = pattern / np.linalg.norm(pattern)
-    return float(np.linalg.norm(dists / np.linalg.norm(dists) - p))
+    """Distance of the sorted normalized mutual-distance vector to a pattern,
+    for (..., d, n) coordinates."""
+    i, j = np.triu_indices(x.shape[-1], 1)
+    dists = np.sort(np.sqrt(squared_distances(x)[..., i, j]), axis=-1)
+    dists = dists / np.linalg.norm(dists, axis=-1, keepdims=True)
+    return np.linalg.norm(dists - pattern / np.linalg.norm(pattern), axis=-1)
 
 
 @dataclass
@@ -497,8 +485,8 @@ def _square_tetra_events(loop, n_scan, tol):
     """
     ts = loop.nodes(n_scan)
     x = loop.positions(ts)
-    d_sq = np.array([shape_distance(x[q], SQUARE_PATTERN) for q in range(n_scan)])
-    d_te = np.array([shape_distance(x[q], TETRA_PATTERN) for q in range(n_scan)])
+    d_sq = shape_distance(x, SQUARE_PATTERN)
+    d_te = shape_distance(x, TETRA_PATTERN)
     sq_idx = _local_minima_below(ts, d_sq, tol)
     squares = [float(ts[q]) for q in sq_idx]
     tetras = []
@@ -528,20 +516,10 @@ def verify_loop(loop, sym=None, n_quad=None, shape_tol=1e-2, n_scan=2048):
     sys = loop.sys
     if n_quad is None:
         n_quad = max(256, 8 * loop.n_modes)
-    ts = loop.nodes(n_quad)
-    x = loop.positions(ts)
+    ts, x, _, s, S = _node_action(loop, n_quad, COLLISION_FLOOR)
     acc = loop.accelerations(ts)
-    scale = np.abs(acc).max()
-    resid = 0.0
-    for q in range(n_quad):
-        diff = x[q][:, :, None] - x[q][:, None, :]
-        s = np.einsum("cij,cij->ij", diff, diff)
-        A = interaction_matrix_from_s(s, sys)
-        resid = max(resid, np.abs(acc[q] - 2.0 * x[q] @ A).max())
-    eom = resid / scale
-
-    S, _ = action_value_and_gradient(loop, n_quad)
-    min_dist = _min_node_distance(loop, n_quad)
+    eom = np.abs(acc - 2.0 * (x @ interaction_matrix_from_s(s, sys))).max() / np.abs(acc).max()
+    min_dist = closest_distance(s, sys)
 
     defect = None
     if sym is not None:

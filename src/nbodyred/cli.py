@@ -25,7 +25,6 @@ from .configurations import classify, find_balanced, find_central, shape_sphere
 from .motions import HomographicMotion, KeplerOrbit, kepler_state, relative_equilibrium
 from .action import (
     MinimizeOptions,
-    action_value_and_gradient,
     minimize_action,
     square_relative_equilibrium_loop,
     symmetry_by_label,
@@ -181,9 +180,8 @@ def _cmd_hiphop(args, config=None, suffix=""):
     serialize.write_json(_outpath(args, "loop.json", suffix),
                          serialize.loop_to_dict(loop))
     report = verify_loop(loop, sym=sym)
-    action, _ = action_value_and_gradient(loop)
     serialize.write_json(_outpath(args, "hiphop_report.json", suffix), {
-        "action": action,
+        "action": report.action,
         "eom_residual": report.eom_residual,
         "min_distance": report.min_distance,
         "symmetry_defect": report.symmetry_defect,

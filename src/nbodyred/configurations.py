@@ -25,10 +25,13 @@ from .errors import (
 )
 from .geometry import (
     Configuration,
+    beta_to_distances,
     gram_form,
     inertia,
+    interaction_matrix_from_s,
     mass_dot,
     potential_and_gradient,
+    potential_from_s,
     wintner_conley,
 )
 
@@ -159,11 +162,6 @@ def _beta_from_rotation(Q, W, spec_full, sqm):
     return b_sym / np.outer(sqm, sqm)
 
 
-def _distances_from_beta(beta):
-    diag = np.diag(beta)
-    return np.maximum(diag[:, None] + diag[None, :] - 2.0 * beta, 0.0)
-
-
 def _hat(xi, k):
     w = np.zeros((k, k))
     iu = np.triu_indices(k, 1)
@@ -175,16 +173,12 @@ def _orbit_cost_grad(Q, W, spec_full, sqm, sys):
     """U on the fixed-spectrum orbit and its gradient in the rotation
     generators E_ab - E_ba (exact at the base point Q)."""
     beta = _beta_from_rotation(Q, W, spec_full, sqm)
-    s = _distances_from_beta(beta)
-    iu = np.triu_indices(sys.n, 1)
-    svals = s[iu]
-    if svals.min() <= 0.0:
+    s = beta_to_distances(beta)
+    if s[sys.pairs].min() <= 0.0:
         return np.inf, None
-    U = float(np.sum(sys.m[iu[0]] * sys.m[iu[1]] * sys.phi(svals)))
-    du = np.zeros_like(s)
-    off = ~np.eye(sys.n, dtype=bool)
-    du[off] = np.outer(sys.m, sys.m)[off] * sys.dphi(s[off])
-    X = np.diag(du.sum(axis=1)) - du          # dU = <X, dbeta>
+    U = float(potential_from_s(s, sys))
+    # dU = <X, dbeta>; the distances are positive, so no collision floor
+    X = interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m
     WQ = W @ Q
     Y = WQ.T @ ((X / np.outer(sqm, sqm)) @ WQ)
     M = Y * spec_full[None, :] - spec_full[:, None] * Y  # Y L - L Y
@@ -279,18 +273,10 @@ def _as_s_array(s, n):
     return 0.5 * (arr + arr.T)
 
 
-def _dU_table(s, sys):
-    """dU/ds_ij = m_i m_j Phi'(s_ij) (zero diagonal)."""
-    du = np.zeros_like(s)
-    off = ~np.eye(sys.n, dtype=bool)
-    du[off] = np.outer(sys.m, sys.m)[off] * sys.dphi(s[off])
-    return du
-
-
 def p_matrix(s, sys):
     """P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj."""
     n = sys.n
-    du = _dU_table(s, sys)
+    du = -interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
     P = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -340,7 +326,7 @@ def balanced_residuals_pijk(s, sys, embed_tol=1e-9):
     if np.any(s[~np.eye(n, dtype=bool)] <= 0.0):
         raise ValidationError("off-diagonal squared distances must be positive")
 
-    du = _dU_table(s, sys)
+    du = -interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
     P = p_matrix(s, sys)
     W = P - P.T
 

@@ -29,11 +29,13 @@ from .geometry import (
     beta_to_distances,
     bivector_component,
     bivector_norm_and_frequencies,
+    closest_distance,
     hermitian_from_bivector,
     interaction_matrix_from_s,
     mass_dot,
     matrix_rank,
     potential,
+    squared_distances,
 )
 
 
@@ -64,15 +66,55 @@ class InvariantReport:
     series: dict
 
 
-def _min_distance(xr):
-    diff = xr[:, :, None] - xr[:, None, :]
-    s = np.einsum("cij,cij->ij", diff, diff)
-    n = xr.shape[1]
-    return float(np.sqrt(s[np.triu_indices(n, 1)].min()))
+# ---------------------------------------------------------------------------
+# sample grid, DOP853 run and collision rule shared by both integrators
+
+
+def _sample_times(horizon, samples):
+    # written so that a NaN horizon fails it
+    if not 0.0 < horizon < np.inf:
+        raise ValidationError("horizon must be finite and positive")
+    if samples < 2:
+        raise ValidationError("need at least two samples")
+    return np.linspace(0.0, float(horizon), int(samples))
+
+
+def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
+    """DOP853 states at the times ts, one row per sample.
+
+    Raises CollisionError when min_distance(u) falls below twice the
+    collision floor, or when a step stalls with the last minimal distance
+    below max(1e3 floor, 1e-6 initial); any other stall is a StepFailure.
+    """
+    def too_close(t, u):
+        return min_distance(u) - 2.0 * collision_floor
+    too_close.terminal = True
+    too_close.direction = -1
+
+    sol = solve_ivp(rhs, (0.0, ts[-1]), u0, method="DOP853", t_eval=ts,
+                    rtol=tol, atol=tol, events=too_close, dense_output=True)
+    if sol.status == 1:
+        raise CollisionError(f"collision at t = {sol.t_events[0][0]:.6g}")
+    if sol.status != 0:
+        # a stalled step during a near-collapse is a collision, not a
+        # generic failure
+        t_last = sol.sol.t_max if sol.sol is not None else 0.0
+        mind = min_distance(sol.sol(t_last)) if sol.sol is not None else np.inf
+        if mind < max(1e3 * collision_floor, 1e-6 * min_distance(u0)):
+            raise CollisionError(
+                f"collapse at t = {t_last:.6g} (min distance {mind:.3e})"
+            )
+        raise StepFailure(sol.message)
+    return sol.y.T
 
 
 # ---------------------------------------------------------------------------
 # absolute integration
+
+
+def _acceleration(xr, sys, collision_floor):
+    """x_ddot = 2 x A."""
+    return 2.0 * (xr @ interaction_matrix_from_s(squared_distances(xr), sys, collision_floor))
 
 
 def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
@@ -85,85 +127,45 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
     Raises CollisionError when a mutual distance falls below the collision
     floor, StepFailure when the step size underflows.
     """
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
+    ts = _sample_times(horizon, samples)
     d, n = z0.d, z0.n
-    ts = np.linspace(0.0, float(horizon), int(samples))
-
-    def unpack(u):
-        return u[: d * n].reshape(d, n), u[d * n :].reshape(d, n)
-
-    def rhs(t, u):
-        xr, yr = unpack(u)
-        A = interaction_matrix_from_s(squared_distances_arr(xr), sys, collision_floor)
-        return np.concatenate([yr.ravel(), (2.0 * (xr @ A)).ravel()])
-
-    u0 = np.concatenate([z0.x.r.ravel(), z0.y.r.ravel()])
+    dn = d * n
 
     if method == "rk8":
-        def too_close(t, u):
-            xr, _ = unpack(u)
-            return _min_distance(xr) - 2.0 * collision_floor
-        too_close.terminal = True
-        too_close.direction = -1
+        u0 = np.concatenate([z0.x.r.ravel(), z0.y.r.ravel()])
 
-        sol = solve_ivp(rhs, (0.0, float(horizon)), u0, method="DOP853",
-                        t_eval=ts, rtol=tol, atol=tol, events=too_close,
-                        dense_output=True)
-        if sol.status == 1:
-            raise CollisionError(f"collision at t = {sol.t_events[0][0]:.6g}")
-        if sol.status != 0:
-            # a stalled step during a near-collapse is a collision, not a
-            # generic failure
-            t_last = sol.sol.t_max if sol.sol is not None else 0.0
-            mind = _min_distance(unpack(sol.sol(t_last))[0]) if sol.sol is not None else np.inf
-            mind0 = _min_distance(z0.x.r)
-            if mind < max(1e3 * collision_floor, 1e-6 * mind0):
-                raise CollisionError(
-                    f"collapse at t = {t_last:.6g} (min distance {mind:.3e})"
-                )
-            raise StepFailure(sol.message)
-        us = sol.y.T
+        def rhs(t, u):
+            accel = _acceleration(u[:dn].reshape(d, n), sys, collision_floor)
+            return np.concatenate([u[dn:], accel.ravel()])
+
+        def min_distance(u):
+            return closest_distance(squared_distances(u[:dn].reshape(d, n)), sys)
+
+        us = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
     elif method == "leapfrog":
-        us = _leapfrog(rhs_accel_factory(sys, d, n, collision_floor), u0, ts,
-                       dt if dt is not None else horizon / 8192.0, d, n)
+        us = _leapfrog(z0, sys, ts, dt if dt is not None else horizon / 8192.0,
+                       collision_floor)
     else:
         raise ValidationError(f"unknown integrator {method!r}")
 
-    states = []
-    for u in us:
-        xr, yr = unpack(u)
-        states.append(State(Configuration(xr, sys), Configuration(yr, sys)))
+    states = [State(Configuration(u[:dn].reshape(d, n), sys),
+                    Configuration(u[dn:].reshape(d, n), sys)) for u in us]
     return Trajectory(ts, states, {"integrator": method, "tol": tol})
 
 
-def squared_distances_arr(xr):
-    diff = xr[:, :, None] - xr[:, None, :]
-    return np.einsum("cij,cij->ij", diff, diff)
-
-
-def rhs_accel_factory(sys, d, n, collision_floor):
-    def accel(xr):
-        A = interaction_matrix_from_s(squared_distances_arr(xr), sys, collision_floor)
-        return 2.0 * (xr @ A)
-    return accel
-
-
-def _leapfrog(accel, u0, ts, dt, d, n):
+def _leapfrog(z0, sys, ts, dt, collision_floor):
     """Fixed-step kick-drift-kick between the requested sample times."""
-    x = u0[: d * n].reshape(d, n).copy()
-    v = u0[d * n :].reshape(d, n).copy()
-    out = np.empty((ts.size, u0.size))
-    out[0] = u0
+    x = z0.x.r.copy()
+    v = z0.y.r.copy()
+    out = np.empty((ts.size, 2 * x.size))
     t = ts[0]
-    a = accel(x)
-    for k in range(1, ts.size):
-        target = ts[k]
+    a = _acceleration(x, sys, collision_floor)
+    for k, target in enumerate(ts):
         while t < target - 1e-15:
             h = min(dt, target - t)
             v += 0.5 * h * a
             x += h * v
-            a = accel(x)
+            a = _acceleration(x, sys, collision_floor)
             v += 0.5 * h * a
             t += h
         out[k] = np.concatenate([x.ravel(), v.ravel()])
@@ -174,83 +176,49 @@ def _leapfrog(accel, u0, ts, dt, d, n):
 # reduced integration
 
 
-def reduced_rhs(rel, sys, collision_floor=COLLISION_FLOOR):
-    """Right-hand side of the reduced system.
+def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
+    """Right-hand side of the reduced system on the stacked (4, n, n) tables
+    (beta, gamma, delta, rho), returned stacked the same way.
 
     beta_dot = 2 gamma, gamma_dot = A^T beta + beta A + delta,
     delta_dot = 2 (A^T gamma + gamma A) - 2 (A^T rho - rho A),
     rho_dot = A^T beta - beta A,
-    with A recomputed from beta through the squared distances.  The result
-    is returned in the double-centered representation (the class evolves
-    autonomously there because A kills the mass vector on one side and the
-    ones vector on the other).
+    with A recomputed from beta through the squared distances.  The tables
+    are first made exactly (anti)symmetric.  The class of the result on the
+    mean-zero hyperplane evolves autonomously (A kills the mass vector on
+    one side and the ones vector on the other); RelativeState(*result) is
+    its double-centred representative.
     """
-    s = beta_to_distances(rel.beta)
-    A = interaction_matrix_from_s(s, sys, collision_floor)
+    beta, gamma, delta, rho = tables
+    beta = 0.5 * (beta + beta.T)
+    gamma = 0.5 * (gamma + gamma.T)
+    delta = 0.5 * (delta + delta.T)
+    rho = 0.5 * (rho - rho.T)
+    A = interaction_matrix_from_s(beta_to_distances(beta, tol=1e-6), sys, collision_floor)
     At = A.T
-    db = 2.0 * rel.gamma
-    dg = At @ rel.beta + rel.beta @ A + rel.delta
-    dd = 2.0 * (At @ rel.gamma + rel.gamma @ A) - 2.0 * (At @ rel.rho - rel.rho @ A)
-    dr = At @ rel.beta - rel.beta @ A
-    return RelativeState(db, dg, dd, dr)
+    return np.array([
+        2.0 * gamma,
+        At @ beta + beta @ A + delta,
+        2.0 * (At @ gamma + gamma @ A) - 2.0 * (At @ rho - rho @ A),
+        At @ beta - beta @ A,
+    ])
 
 
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
                       collision_floor=COLLISION_FLOOR):
     """Integrate the reduced quadruple; same contract as integrate_absolute."""
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
+    ts = _sample_times(horizon, samples)
     n = rel0.n
-    nn = n * n
-    ts = np.linspace(0.0, float(horizon), int(samples))
-
-    def pack(rel):
-        return np.concatenate([rel.beta.ravel(), rel.gamma.ravel(),
-                               rel.delta.ravel(), rel.rho.ravel()])
-
-    def unpack(u):
-        return (u[0:nn].reshape(n, n), u[nn:2 * nn].reshape(n, n),
-                u[2 * nn:3 * nn].reshape(n, n), u[3 * nn:].reshape(n, n))
+    u0 = np.array([rel0.beta, rel0.gamma, rel0.delta, rel0.rho]).ravel()
 
     def rhs(t, u):
-        beta, gamma, delta, rho = unpack(u)
-        beta = 0.5 * (beta + beta.T)
-        gamma = 0.5 * (gamma + gamma.T)
-        delta = 0.5 * (delta + delta.T)
-        rho = 0.5 * (rho - rho.T)
-        s = beta_to_distances(beta, tol=1e-6)
-        A = interaction_matrix_from_s(s, sys, collision_floor)
-        At = A.T
-        db = 2.0 * gamma
-        dg = At @ beta + beta @ A + delta
-        dd = 2.0 * (At @ gamma + gamma @ A) - 2.0 * (At @ rho - rho @ A)
-        dr = At @ beta - beta @ A
-        return np.concatenate([db.ravel(), dg.ravel(), dd.ravel(), dr.ravel()])
+        return reduced_rhs(u.reshape(4, n, n), sys, collision_floor).ravel()
 
-    def too_close(t, u):
-        beta = unpack(u)[0]
-        diag = np.diag(beta)
-        s = diag[:, None] + diag[None, :] - 2.0 * beta
-        return s[np.triu_indices(n, 1)].min() - (2.0 * collision_floor) ** 2
-    too_close.terminal = True
-    too_close.direction = -1
+    def min_distance(u):
+        return closest_distance(beta_to_distances(u[:n * n].reshape(n, n), tol=1e-6), sys)
 
-    sol = solve_ivp(rhs, (0.0, float(horizon)), pack(rel0), method="DOP853",
-                    t_eval=ts, rtol=tol, atol=tol, events=too_close,
-                    dense_output=True)
-    if sol.status == 1:
-        raise CollisionError(f"collision at t = {sol.t_events[0][0]:.6g}")
-    if sol.status != 0:
-        s0_min = beta_to_distances(rel0.beta)[np.triu_indices(n, 1)].min()
-        if sol.sol is not None:
-            beta_last = unpack(sol.sol(sol.sol.t_max))[0]
-            diag = np.diag(beta_last)
-            s_last = diag[:, None] + diag[None, :] - 2.0 * beta_last
-            if s_last[np.triu_indices(n, 1)].min() < 1e-12 * s0_min:
-                raise CollisionError(f"collapse at t = {sol.sol.t_max:.6g}")
-        raise StepFailure(sol.message)
-
-    states = [RelativeState(*unpack(u)) for u in sol.y.T]
+    us = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
+    states = [RelativeState(*u.reshape(4, n, n)) for u in us]
     return Trajectory(ts, states, {"integrator": "rk8", "tol": tol})
 
 
@@ -350,7 +318,7 @@ def _check_degenerate_hermitian(omega, tol=1e-10):
     sv = np.linalg.svd(c, compute_uv=False)
     if sv.size and sv[0] > 1.0 + tol:
         raise InvalidStructure(f"largest singular value {sv[0]:.3e} exceeds 1")
-    _, _, F = hermitian_from_bivector(omega)
+    _, F = hermitian_from_bivector(omega)
     if F.shape[1]:
         resid = np.abs(c @ c @ F + F).max()
         if resid > tol:
@@ -374,7 +342,7 @@ def complex_schwarz_gap(z, omega, sys, equality_tol=1e-10):
     equality = bool(gap <= equality_tol * max(I * K, 1e-300))
     mismatch = None
     if equality:
-        _, omega_c, F = hermitian_from_bivector(C)
+        omega_c, F = hermitian_from_bivector(C)
         if F.shape[1]:
             mismatch = float(np.abs(F.T @ (omega.c - omega_c) @ F).max())
         else:

@@ -41,15 +41,20 @@ class MassSystem:
             raise ValidationError("masses must be positive")
         if not np.isfinite(m).all():
             raise ValidationError("masses must be finite")
-        if G <= 0:
-            raise ValidationError("G must be positive")
-        if kappa >= 0:
-            raise ValidationError("kappa must be negative (attractive potential)")
+        # written so that NaN fails them
+        if not 0.0 < G < np.inf:
+            raise ValidationError("G must be positive and finite")
+        if not -np.inf < kappa < 0.0:
+            raise ValidationError("kappa must be negative and finite (attractive potential)")
         self.m = _readonly(m)
         self.n = m.size
         self.M = float(m.sum())
         self.G = float(G)
         self.kappa = float(kappa)
+        self.pairs = np.triu_indices(self.n, 1)   # (i, j) index arrays, i < j
+        # added to a squared-distance table: the diagonal never counts as a
+        # collision and Phi'(inf) = 0 leaves it out of every pair sum
+        self._inf_diagonal = _readonly(np.diag(np.full(self.n, np.inf)))
 
     def phi(self, s):
         """Pair potential profile Phi(s) = G s^kappa (s = squared distance)."""
@@ -219,10 +224,15 @@ def beta_to_distances(beta, tol=1e-9):
     return s
 
 
-def squared_distances(x):
-    """Squared mutual distances straight from coordinates."""
-    diff = x.r[:, :, None] - x.r[:, None, :]
-    return np.einsum("cij,cij->ij", diff, diff)
+def squared_distances(r):
+    """Squared mutual distances s_ij = |r_i - r_j|^2 of (..., d, n) coordinates."""
+    diff = r[..., :, None] - r[..., None, :]
+    return np.einsum("...cij,...cij->...ij", diff, diff)
+
+
+def closest_distance(s, sys):
+    """Smallest mutual distance of (..., n, n) squared distances."""
+    return float(np.sqrt(s[..., sys.pairs[0], sys.pairs[1]].min()))
 
 
 def inertia(x, sys):
@@ -242,7 +252,7 @@ def inertia(x, sys):
 
 def inertia_pairwise(x, sys):
     """I via (1/M) sum_{i<j} m_i m_j r_ij^2 (cross-check route)."""
-    s = squared_distances(x)
+    s = squared_distances(x.r)
     mm = np.outer(sys.m, sys.m)
     return float(np.triu(mm * s, 1).sum() / sys.M)
 
@@ -275,45 +285,53 @@ def elementary_symmetric(values, kmax):
 
 
 def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
-    """The n x n interaction table A from squared distances.
+    """The interaction table A from (..., n, n) squared distances.
 
     A_ij = -m_i Phi'(s_ij) off-diagonal, A_ii = sum_{l!=i} m_l Phi'(s_il);
     Newtonian entries are m_i / (2 r_ij^3).  A annihilates the mass vector
     and its columns sum to zero, so it maps mean-zero covectors to mean-zero
-    covectors.
+    covectors.  Every other Phi' quantity is a line of A: the accelerations
+    2 x A, the forces m_i (2 x A)_i and dU/ds_ij = -A_ij m_j.
     """
-    n = sys.n
-    off = ~np.eye(n, dtype=bool)
-    if np.any(s[off] < collision_floor**2):
-        rmin = float(np.sqrt(max(s[off].min(), 0.0)))
+    s = s + sys._inf_diagonal
+    smin = s.min()
+    if smin < collision_floor**2:
+        rmin = float(np.sqrt(max(smin, 0.0)))
         raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
-    dphi = np.zeros_like(s)
-    dphi[off] = sys.dphi(s[off])
+    dphi = sys.dphi(s)
     A = -sys.m[:, None] * dphi
-    np.fill_diagonal(A, (dphi * sys.m[None, :]).sum(axis=1))
+    np.einsum("...ii->...i", A)[...] = (dphi * sys.m).sum(axis=-1)
     return A
+
+
+def potential_from_s(s, sys):
+    """Force function U = sum_{i<j} m_i m_j Phi(s_ij) of (..., n, n) squared
+    distances (no collision check)."""
+    i, j = sys.pairs
+    return (sys.m[i] * sys.m[j] * sys.phi(s[..., i, j])).sum(axis=-1)
 
 
 def wintner_conley(x, sys, collision_floor=COLLISION_FLOOR):
     """Interaction matrix A of a configuration; Newton's equations read
     x_ddot = 2 x A."""
-    return interaction_matrix_from_s(squared_distances(x), sys, collision_floor)
+    return interaction_matrix_from_s(squared_distances(x.r), sys, collision_floor)
+
+
+def _checked_potential(s, sys, collision_floor):
+    if s[sys.pairs].min() < collision_floor**2:
+        raise CollisionError("collision in potential evaluation")
+    return float(potential_from_s(s, sys))
 
 
 def potential(x, sys, collision_floor=COLLISION_FLOOR):
-    s = squared_distances(x)
-    off_ij = np.triu_indices(sys.n, 1)
-    svals = s[off_ij]
-    if svals.min() < collision_floor**2:
-        raise CollisionError("collision in potential evaluation")
-    return float(np.sum(sys.m[off_ij[0]] * sys.m[off_ij[1]] * sys.phi(svals)))
+    return _checked_potential(squared_distances(x.r), sys, collision_floor)
 
 
 def potential_and_gradient(x, sys, collision_floor=COLLISION_FLOOR):
     """Force function U > 0 and its mass-metric gradient 2 x A (= accelerations)."""
-    U = potential(x, sys, collision_floor)
-    A = wintner_conley(x, sys, collision_floor)
-    return U, 2.0 * (x.r @ A)
+    s = squared_distances(x.r)
+    U = _checked_potential(s, sys, collision_floor)
+    return U, 2.0 * (x.r @ interaction_matrix_from_s(s, sys, collision_floor))
 
 
 def mass_dot(u, v, m):
@@ -354,10 +372,10 @@ def bivector_norm_and_frequencies(C, rtol=RANK_RTOL):
 def hermitian_from_bivector(C, rtol=RANK_RTOL):
     """Hermitian structure induced by a bivector.
 
-    Returns (J, Omega, F) with J the degenerate complex structure
-    sqrt(-C^2)^+ C (orthogonal projection onto the fixed space F = Im C
-    followed by the quarter-turn of each invariant plane), Omega = J in an
-    orthonormal basis, and F an orthonormal basis of the fixed space
+    Returns (J, F) with J the degenerate complex structure sqrt(-C^2)^+ C
+    (orthogonal projection onto the fixed space F = Im C followed by the
+    quarter-turn of each invariant plane), written in the orthonormal basis
+    of the coordinates, and F an orthonormal basis of the fixed space
     (d x rank array).  A zero bivector yields J = 0 and an empty F.
 
     Computed as the rank-truncated polar factor u v^T of the singular value
@@ -370,7 +388,7 @@ def hermitian_from_bivector(C, rtol=RANK_RTOL):
     upper = np.triu(0.5 * (J - J.T), 1)
     J = upper - upper.T  # exact antisymmetry
     F = u[:, keep]
-    return J, J.copy(), F
+    return J, F
 
 
 def bivector_component(C, Omega):

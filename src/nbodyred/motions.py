@@ -305,9 +305,3 @@ def relative_equilibrium(x0, sys, tol=1e-8):
                                [float(w) for w in omega],
                                _coeff=coeff, _amp=amp, _sys=sys)
 
-
-def sundman_profile(traj, sys):
-    """Series of I K - J^2 - |C|^2 along an absolute trajectory."""
-    from .dynamics import sundman_gap
-
-    return np.array([sundman_gap(z, sys) for z in traj.states])

@@ -60,6 +60,24 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "positive" in err["message"]
 
 
+@pytest.mark.parametrize("argv, scenario", [
+    (["simulate", "--horizon", "nan"], CIRCULAR),
+    (["simulate", "--samples", "0"], CIRCULAR),
+    (["simulate", "--samples", "1"], CIRCULAR),
+    (["reduce", "--horizon", "nan"], CIRCULAR),
+    (["simulate"], dict(CIRCULAR, G=float("nan"))),
+    (["simulate"], dict(CIRCULAR, kappa=float("nan"))),
+], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan"])
+def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))  # written as NaN, which json reads back
+    out = tmp_path / "out"
+    rc = main(argv + ["--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not out.exists()
+
+
 def test_numerical_error_exit_code(tmp_path, capsys):
     collapse = {
         "masses": [1.0, 1.0, 1.0],

@@ -88,7 +88,7 @@ def test_find_central_three_bodies_is_equilateral():
         I, _, _ = inertia(x, sys)
         assert I == pytest.approx(1.0, abs=1e-12)
         assert classify(x, sys, tol=1e-10).central_residual < 1e-10
-        r = np.sqrt(squared_distances(x))
+        r = np.sqrt(squared_distances(x.r))
         dists = [r[0, 1], r[0, 2], r[1, 2]]
         assert max(dists) - min(dists) < 1e-10
 
@@ -137,7 +137,7 @@ def test_find_central_collinear_matches_euler_oracle(order):
     pos[i], pos[j], pos[k] = 0.0, 1.0, 1.0 + rho_star
     seed_cfg = Configuration(pos[None, :], sys)
     x = find_central(sys, 1, seed=0, x0=seed_cfg)
-    r = np.sqrt(squared_distances(x))
+    r = np.sqrt(squared_distances(x.r))
     rho_found = r[j, k] / r[i, j]
     assert rho_found == pytest.approx(rho_star, abs=1e-10)
     assert classify(x, sys, tol=1e-10).central_residual < 1e-10
@@ -151,7 +151,7 @@ def test_find_balanced_equal_masses_isosceles():
     x = find_balanced(SYS_EQ, [0.7, 0.3], seed=0)
     cls = classify(x, SYS_EQ, tol=1e-8)
     assert cls.balanced_residual < 1e-8
-    r = np.sort(np.sqrt(squared_distances(x))[np.triu_indices(3, 1)])
+    r = np.sort(np.sqrt(squared_distances(x.r))[np.triu_indices(3, 1)])
     assert (abs(r[0] - r[1]) < 1e-7) or (abs(r[1] - r[2]) < 1e-7)
     # spectrum is reproduced
     sqm = np.sqrt(SYS_EQ.m)
@@ -180,7 +180,7 @@ def test_find_balanced_z4_tetrahedron():
     x = find_balanced(sys, spec, seed=0, x0=seed_cfg)
     cls = classify(x, sys, tol=1e-8)
     assert cls.balanced_residual < 1e-8
-    s = squared_distances(x)
+    s = squared_distances(x.r)
     sides = [s[0, 1], s[1, 2], s[2, 3], s[0, 3]]
     assert max(sides) - min(sides) < 1e-6  # Z/4 symmetry survives
     assert s[0, 2] == pytest.approx(s[1, 3], abs=1e-6)

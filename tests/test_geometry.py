@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import equilateral, random_state
-from nbodyred.errors import NegativeSquaredDistance
+from nbodyred.errors import CollisionError, NegativeSquaredDistance, ValidationError
 from nbodyred.geometry import (
     Bivector,
     Configuration,
@@ -22,6 +22,7 @@ from nbodyred.geometry import (
     inertia,
     inertia_operator_apply,
     inertia_pairwise,
+    interaction_matrix_from_s,
     mass_dot,
     potential_and_gradient,
     squared_distances,
@@ -36,6 +37,13 @@ SYS3 = MassSystem([1.0, 1.0, 1.0])
 def two_body_circular():
     y = Configuration([[0.0, 0.0], [-np.sqrt(0.5), np.sqrt(0.5)]], SYS2)
     return State(X2, y)
+
+
+@pytest.mark.parametrize("constants", [{"G": np.nan}, {"kappa": np.nan}, {"G": np.inf},
+                                       {"kappa": -np.inf}, {"G": 0.0}, {"kappa": 0.0}])
+def test_mass_system_rejects_bad_constants(constants):
+    with pytest.raises(ValidationError):
+        MassSystem([1.0, 1.0], **constants)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +80,7 @@ def test_gram_mean_zero_contraction_matches_distance_table():
     rng = np.random.default_rng(1)
     _, z = random_state(rng, 5, 3)
     beta = gram_form(z.x)
-    s = squared_distances(z.x)
+    s = squared_distances(z.x.r)
     for _ in range(20):
         xi = rng.normal(size=5)
         xi -= xi.mean()
@@ -140,7 +148,7 @@ def cayley_menger_parallelotope_sq(s, subset):
 
 
 def eta_oracle(x, sys):
-    s = squared_distances(x)
+    s = squared_distances(x.r)
     out = []
     for k in range(2, sys.n + 1):
         tot = 0.0
@@ -225,6 +233,43 @@ def test_equations_of_motion_match_pairwise_oracle():
         A = wintner_conley(z.x, sys)
         oracle = newton_acceleration_oracle(z.x, sys)
         assert np.allclose(2.0 * (z.x.r @ A), oracle, rtol=1e-12, atol=1e-14)
+
+
+def pair_loop_oracle(r, sys):
+    """Squared distances and interaction table by a double loop over pairs."""
+    s = np.zeros((sys.n, sys.n))
+    A = np.zeros((sys.n, sys.n))
+    for i in range(sys.n):
+        for j in range(sys.n):
+            if i != j:
+                s[i, j] = np.sum((r[:, i] - r[:, j]) ** 2)
+                A[i, j] = -sys.m[i] * sys.dphi(s[i, j])
+                A[i, i] += sys.m[j] * sys.dphi(s[i, j])
+    return s, A
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -1.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 32])
+def test_pair_kernel_matches_pair_loop(n, kappa):
+    rng = np.random.default_rng(n)
+    sys = MassSystem(rng.uniform(0.5, 2.0, n), kappa=kappa)
+    r = rng.normal(size=(4, 3, n))  # four configurations in R^3
+    s = squared_distances(r)
+    A = interaction_matrix_from_s(s, sys)
+    assert s.shape == A.shape == (4, n, n)
+    for q in range(4):
+        s_ref, A_ref = pair_loop_oracle(r[q], sys)
+        s_one = squared_distances(r[q])
+        A_one = interaction_matrix_from_s(s_one, sys)
+        assert np.allclose(s_one, s_ref, rtol=1e-14, atol=0.0)
+        assert np.allclose(A_one, A_ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(s[q], s_one) and np.array_equal(A[q], A_one)
+
+    r[2, :, 1] = r[2, :, 0] + 1e-11  # one member of the batch collides
+    with pytest.raises(CollisionError):
+        interaction_matrix_from_s(squared_distances(r), sys)
+    with pytest.raises(CollisionError):
+        interaction_matrix_from_s(squared_distances(r[2]), sys)
 
 
 def test_wintner_conley_structure():
@@ -323,15 +368,15 @@ def test_bivector_norm():
 
 def test_hermitian_planar():
     # under the adopted coefficient sign, c_12 < 0 is the +pi/2 turn
-    J, _, F = hermitian_from_bivector(Bivector([[0.0, -1.3], [1.3, 0.0]]))
+    J, F = hermitian_from_bivector(Bivector([[0.0, -1.3], [1.3, 0.0]]))
     assert np.allclose(J, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
-    Jp, _, _ = hermitian_from_bivector(Bivector([[0.0, 1.3], [-1.3, 0.0]]))
+    Jp, _ = hermitian_from_bivector(Bivector([[0.0, 1.3], [-1.3, 0.0]]))
     assert np.allclose(Jp, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
     assert F.shape == (2, 2)
 
 
 def test_hermitian_zero():
-    J, _, F = hermitian_from_bivector(Bivector(np.zeros((3, 3))))
+    J, F = hermitian_from_bivector(Bivector(np.zeros((3, 3))))
     assert np.all(J == 0.0)
     assert F.shape == (3, 0)
 
@@ -340,17 +385,16 @@ def test_hermitian_full_rank_four():
     rng = np.random.default_rng(14)
     for _ in range(20):
         C = Bivector(rng.normal(size=(4, 4)))
-        J, om, F = hermitian_from_bivector(C)
+        J, F = hermitian_from_bivector(C)
         assert np.allclose(J @ J, -np.eye(4), atol=1e-10)
         assert np.allclose(J.T @ J, np.eye(4), atol=1e-10)  # isometry
-        assert np.allclose(om, J)
 
 
 def test_hermitian_degenerate_contraction():
     rng = np.random.default_rng(15)
     c = np.zeros((5, 5))
     c[0, 1], c[1, 0] = -1.0, 1.0  # rank 2 in d = 5
-    J, _, F = hermitian_from_bivector(Bivector(c))
+    J, F = hermitian_from_bivector(Bivector(c))
     assert F.shape == (5, 2)
     for _ in range(10):
         v = rng.normal(size=5)
@@ -389,7 +433,7 @@ def test_bivector_component():
     W = Bivector(rng.normal(size=(4, 4)))
     assert bivector_component(C, W) == pytest.approx(0.5 * np.trace(C.c @ W.c.T), rel=1e-14)
     # component along the induced structure is the norm
-    _, omega_c, _ = hermitian_from_bivector(C)
+    omega_c, _ = hermitian_from_bivector(C)
     norm, _ = bivector_norm_and_frequencies(C)
     assert bivector_component(C, Bivector(omega_c)) == pytest.approx(norm, rel=1e-12)
     # orthogonal planar blocks
@@ -401,7 +445,7 @@ def test_bivector_component():
 def test_omega_c_has_unit_frequencies():
     rng = np.random.default_rng(19)
     C = Bivector(rng.normal(size=(5, 5)))
-    _, omega_c, _ = hermitian_from_bivector(C)
+    omega_c, _ = hermitian_from_bivector(C)
     _, om = bivector_norm_and_frequencies(Bivector(omega_c))
     assert np.allclose(om, 1.0, atol=1e-10)
 
@@ -421,7 +465,7 @@ def test_relative_state_from_state():
     assert np.abs(rel.rho + rel.rho.T).max() == 0.0
     assert rel.check_positive()
     # squared distances survive the double-centering
-    s_direct = squared_distances(z.x)
+    s_direct = squared_distances(z.x.r)
     assert np.allclose(beta_to_distances(rel.beta), s_direct, atol=1e-12)
 
 

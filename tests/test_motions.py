@@ -10,7 +10,7 @@ from nbodyred.geometry import (
     gram_form,
     wintner_conley,
 )
-from nbodyred.dynamics import integrate_absolute, scalar_invariants, sundman_gap
+from nbodyred.dynamics import audit_invariants, integrate_absolute, scalar_invariants, sundman_gap
 from nbodyred.configurations import find_central
 from nbodyred.motions import (
     HomographicMotion,
@@ -20,7 +20,6 @@ from nbodyred.motions import (
     kepler_radius_true_anomaly,
     kepler_state,
     relative_equilibrium,
-    sundman_profile,
 )
 
 SYS_EQ = MassSystem([1.0, 1.0, 1.0])
@@ -311,14 +310,14 @@ def test_sundman_profile_motions():
     from nbodyred.dynamics import Trajectory
 
     traj_h = Trajectory(ts, hm.sample(ts))
-    prof_h = sundman_profile(traj_h, SYS_EQ)
+    prof_h = audit_invariants(traj_h, SYS_EQ).series["sundman_gap"]
     scale = max(scalar_invariants(hm.state(t), SYS_EQ)[0] *
                 scalar_invariants(hm.state(t), SYS_EQ)[2] for t in ts)
     assert np.abs(prof_h).max() < 1e-9 * scale
 
     re = relative_equilibrium(isosceles(SYS_EQ), SYS_EQ)
     traj_r = Trajectory(ts, [re.state(t) for t in ts])
-    prof_r = sundman_profile(traj_r, SYS_EQ)
+    prof_r = audit_invariants(traj_r, SYS_EQ).series["sundman_gap"]
     assert prof_r.min() > 0.0
     assert (prof_r.max() - prof_r.min()) < 1e-8 * prof_r.max()
 
@@ -326,7 +325,7 @@ def test_sundman_profile_motions():
     sys = SYS_EQ
     z0 = State(equilateral(sys), Configuration(np.zeros((2, 3)), sys))
     traj_c = integrate_absolute(z0, sys, 0.5, tol=1e-12, samples=17)
-    prof_c = sundman_profile(traj_c, sys)
+    prof_c = audit_invariants(traj_c, sys).series["sundman_gap"]
     assert np.abs(prof_c).max() < 1e-10
 
 
