@@ -23,8 +23,8 @@ from .errors import (
 )
 from .geometry import (
     COLLISION_FLOOR,
-    Configuration,
-    State,
+    Trajectory,
+    centred,
     closest_distance,
     interaction_matrix_from_s,
     potential_from_s,
@@ -84,10 +84,14 @@ class Loop:
         return -np.einsum("cik,qk->qci", self.cos_modes * kw2, cos) - \
             np.einsum("cik,qk->qci", self.sin_modes * kw2, sin)
 
+    def sample(self, ts):
+        """The loop at the times ts, as an absolute Trajectory."""
+        samples = np.stack([self.positions(ts), self.velocities(ts)], axis=1)
+        return Trajectory(ts, centred(samples, self.sys), "absolute",
+                          {"integrator": "spectral", "tol": 0.0})
+
     def state(self, t):
-        x = self.positions([t])[0]
-        v = self.velocities([t])[0]
-        return State(Configuration(x, self.sys), Configuration(v, self.sys))
+        return self.sample([t]).states[0]
 
     def nodes(self, n_quad):
         return self.T * np.arange(n_quad) / n_quad

@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .errors import NumericalError, ValidationError
 from .geometry import MassSystem, RelativeState, State
-from .dynamics import Trajectory, audit_invariants, integrate_absolute, integrate_reduced
+from .dynamics import _sample_times, audit_invariants, integrate_absolute, integrate_reduced
 from .configurations import classify, find_balanced, find_central, shape_sphere
 from .motions import HomographicMotion, KeplerOrbit, kepler_state, relative_equilibrium
 from .action import (
@@ -59,10 +59,12 @@ def _need_configuration(path):
 
 
 def _cmd_simulate(args, config, suffix=""):
+    """simulate writes trajectory.csv and audit.json, audit only audit.json."""
     sys, z0 = _need_state(config)
     traj = integrate_absolute(z0, sys, args.horizon, tol=args.tol,
                               method=args.integrator, samples=args.samples)
-    serialize.trajectory_to_csv(_outpath(args, "trajectory.csv", suffix), traj)
+    if args.command == "simulate":
+        serialize.trajectory_to_csv(_outpath(args, "trajectory.csv", suffix), traj)
     report = audit_invariants(traj, sys)
     serialize.write_json(_outpath(args, "audit.json", suffix),
                          serialize.report_to_dict(report))
@@ -77,16 +79,6 @@ def _cmd_reduce(args, config, suffix=""):
     traj = integrate_reduced(rel0, sys, args.horizon, tol=args.tol,
                              samples=args.samples)
     serialize.reduced_trajectory_to_csv(_outpath(args, "reduced.csv", suffix), traj)
-    return 0
-
-
-def _cmd_audit(args, config, suffix=""):
-    sys, z0 = _need_state(config)
-    traj = integrate_absolute(z0, sys, args.horizon, tol=args.tol,
-                              method=args.integrator, samples=args.samples)
-    report = audit_invariants(traj, sys)
-    serialize.write_json(_outpath(args, "audit.json", suffix),
-                         serialize.report_to_dict(report))
     return 0
 
 
@@ -130,23 +122,18 @@ def _cmd_find_balanced(args, config=None, suffix=""):
 
 def _cmd_kepler(args, config=None, suffix=""):
     orbit = KeplerOrbit.from_elements(args.k, args.a, args.e)
-    ts = np.linspace(0.0, orbit.period, args.samples)
+    ts = _sample_times(orbit.period, args.samples)
     zeta, zdot = kepler_state(orbit, ts)
-    rows = ([t, zeta[0, q], zeta[1, q], zdot[0, q], zdot[1, q]]
-            for q, t in enumerate(ts))
-    path = _outpath(args, "kepler.csv", suffix)
-    with open(path, "w") as fh:
-        fh.write("t[time],xi[length],eta[length],xidot[length/time],etadot[length/time]\n")
-        for row in rows:
-            fh.write(",".join(serialize.fmt(v) for v in row) + "\n")
+    serialize.write_csv(_outpath(args, "kepler.csv", suffix),
+                        ["t[time]", "xi[length]", "eta[length]", "xidot[length/time]",
+                         "etadot[length/time]"], np.column_stack([ts, zeta.T, zdot.T]))
     return 0
 
 
 def _cmd_homographic(args, config, suffix=""):
     sys, x0 = _need_configuration(config)
     motion = HomographicMotion(x0, sys, e=args.e, scale=args.scale)
-    ts = np.linspace(0.0, motion.period, args.samples)
-    traj = Trajectory(ts, motion.sample(ts), {"integrator": "analytic", "tol": 0.0})
+    traj = motion.sample(_sample_times(motion.period, args.samples))
     serialize.trajectory_to_csv(_outpath(args, "homographic.csv", suffix), traj)
     return 0
 
@@ -154,16 +141,15 @@ def _cmd_homographic(args, config, suffix=""):
 def _cmd_relequil(args, config, suffix=""):
     sys, x0 = _need_configuration(config)
     re = relative_equilibrium(x0, sys)
+    if args.samples:
+        traj = re.sample(_sample_times(2.0 * re.slow_period, args.samples))
     serialize.write_json(_outpath(args, "relequil.json", suffix), {
         "masses": list(sys.m), "G": sys.G, "kappa": sys.kappa,
         "x0": re.x0.r.tolist(),
         "Omega": re.Omega.c.tolist(),
         "frequencies": re.frequencies,
     })
-    if args.samples > 0:
-        ts = np.linspace(0.0, 2.0 * re.slow_period, args.samples)
-        traj = Trajectory(ts, [re.state(t) for t in ts],
-                          {"integrator": "analytic", "tol": 0.0})
+    if args.samples:
         serialize.trajectory_to_csv(_outpath(args, "relequil.csv", suffix), traj)
     return 0
 
@@ -171,6 +157,7 @@ def _cmd_relequil(args, config, suffix=""):
 def _cmd_hiphop(args, config=None, suffix=""):
     if args.bodies != 4:
         raise ValidationError("the square/tetrahedron class is built for 4 bodies")
+    ts = _sample_times(args.period, args.samples)
     sys = MassSystem([args.mass] * args.bodies, G=args.G)
     sym = symmetry_by_label(args.symmetry, n=args.bodies, d=3)
     seed_loop = square_relative_equilibrium_loop(args.period, sys, args.modes,
@@ -179,20 +166,9 @@ def _cmd_hiphop(args, config=None, suffix=""):
     loop = minimize_action(seed_loop, sym, opts)
     serialize.write_json(_outpath(args, "loop.json", suffix),
                          serialize.loop_to_dict(loop))
-    report = verify_loop(loop, sym=sym)
-    serialize.write_json(_outpath(args, "hiphop_report.json", suffix), {
-        "action": report.action,
-        "eom_residual": report.eom_residual,
-        "min_distance": report.min_distance,
-        "symmetry_defect": report.symmetry_defect,
-        "square_events": report.square_events,
-        "tetra_events": report.tetra_events,
-        "planarity": report.planarity,
-    })
-    ts = np.linspace(0.0, loop.T, args.samples)
-    traj = Trajectory(ts, [loop.state(t) for t in ts],
-                      {"integrator": "spectral", "tol": 0.0})
-    serialize.trajectory_to_csv(_outpath(args, "hiphop.csv", suffix), traj)
+    serialize.write_json(_outpath(args, "hiphop_report.json", suffix),
+                         vars(verify_loop(loop, sym=sym)))
+    serialize.trajectory_to_csv(_outpath(args, "hiphop.csv", suffix), loop.sample(ts))
     return 0
 
 
@@ -202,9 +178,8 @@ def _cmd_shape_sphere(args, config, suffix=""):
         raise ValidationError("scenario needs positions")
     points = []
     if isinstance(z, State) and args.horizon > 0:
-        traj = integrate_absolute(z, sys, args.horizon, tol=args.tol,
-                                  samples=args.samples)
-        configs = [s.x for s in traj.states]
+        traj = integrate_absolute(z, sys, args.horizon, tol=args.tol, samples=args.samples)
+        configs = (s.x for s in traj.states)
     else:
         configs = [z.x if isinstance(z, State) else z]
     for x in configs:
@@ -223,7 +198,7 @@ def _cmd_shape_sphere(args, config, suffix=""):
 _CONFIG_COMMANDS = {
     "simulate": _cmd_simulate,
     "reduce": _cmd_reduce,
-    "audit": _cmd_audit,
+    "audit": _cmd_simulate,
     "homographic": _cmd_homographic,
     "relequil": _cmd_relequil,
     "shape-sphere": _cmd_shape_sphere,
@@ -248,19 +223,14 @@ def build_parser():
             p.add_argument("--config", action="append", required=True,
                            help="scenario JSON (repeatable)")
 
-    for name in ("simulate", "audit"):
+    for name in ("simulate", "audit", "reduce"):
         p = sub.add_parser(name)
         common(p, config=True)
         p.add_argument("--horizon", type=float, default=10.0)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--samples", type=int, default=513)
-        p.add_argument("--integrator", choices=("rk8", "leapfrog"), default="rk8")
-
-    p = sub.add_parser("reduce")
-    common(p, config=True)
-    p.add_argument("--horizon", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=513)
+        if name != "reduce":
+            p.add_argument("--integrator", choices=("rk8", "leapfrog"), default="rk8")
 
     p = sub.add_parser("find-central")
     common(p)
@@ -294,7 +264,7 @@ def build_parser():
     p = sub.add_parser("relequil")
     common(p, config=True)
     p.add_argument("--samples", type=int, default=0,
-                   help="also write a sampled trajectory when > 0")
+                   help="also write a sampled trajectory when not 0")
 
     p = sub.add_parser("hiphop")
     common(p)

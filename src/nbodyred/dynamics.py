@@ -7,7 +7,7 @@ energy, angular momentum, the virial (Lagrange-Jacobi) relation and the
 Sundman gap I K - J^2 - |C|^2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -22,38 +22,22 @@ from .errors import (
 )
 from .geometry import (
     COLLISION_FLOOR,
-    Configuration,
-    RelativeState,
-    State,
+    REDUCED_SIGNS,
+    Trajectory,
     angular_momentum,
     beta_to_distances,
     bivector_component,
-    bivector_norm_and_frequencies,
+    centred,
+    checked_potential,
     closest_distance,
+    exact_antisymmetric,
     hermitian_from_bivector,
     interaction_matrix_from_s,
     mass_dot,
     matrix_rank,
-    potential,
+    reduced_tables,
     squared_distances,
 )
-
-
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: list
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def kind(self):
-        return "reduced" if isinstance(self.states[0], RelativeState) else "absolute"
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or np.any(np.diff(t) <= 0):
-            raise ValidationError("times must be strictly increasing")
-        self.times = t
 
 
 @dataclass
@@ -70,10 +54,13 @@ class InvariantReport:
 # sample grid, DOP853 run and collision rule shared by both integrators
 
 
-def _sample_times(horizon, samples):
-    # written so that a NaN horizon fails it
+def _sample_times(horizon, samples, tol=1.0):
+    """`samples` equally spaced times on [0, horizon], after checking the run's
+    inputs (so that NaN fails): finite positive horizon and tol, samples >= 2."""
     if not 0.0 < horizon < np.inf:
-        raise ValidationError("horizon must be finite and positive")
+        raise ValidationError("horizon (or period) must be finite and positive")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("tol must be finite and positive")
     if samples < 2:
         raise ValidationError("need at least two samples")
     return np.linspace(0.0, float(horizon), int(samples))
@@ -82,24 +69,26 @@ def _sample_times(horizon, samples):
 def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
     """DOP853 states at the times ts, one row per sample.
 
-    Raises CollisionError when min_distance(u) falls below twice the
-    collision floor, or when a step stalls with the last minimal distance
-    below max(1e3 floor, 1e-6 initial); any other stall is a StepFailure.
+    Raises CollisionError when min_distance(u) falls below twice the collision
+    floor, or when a step stalls with the minimal distance at the last accepted
+    step below max(1e3 floor, 1e-6 initial); any other stall is a StepFailure.
     """
+    last = [0.0, np.inf]   # (t, min distance) at t0 and every accepted step
+
     def too_close(t, u):
-        return min_distance(u) - 2.0 * collision_floor
+        last[:] = t, min_distance(u)
+        return last[1] - 2.0 * collision_floor
     too_close.terminal = True
     too_close.direction = -1
 
     sol = solve_ivp(rhs, (0.0, ts[-1]), u0, method="DOP853", t_eval=ts,
-                    rtol=tol, atol=tol, events=too_close, dense_output=True)
+                    rtol=tol, atol=tol, events=too_close)
     if sol.status == 1:
         raise CollisionError(f"collision at t = {sol.t_events[0][0]:.6g}")
     if sol.status != 0:
         # a stalled step during a near-collapse is a collision, not a
         # generic failure
-        t_last = sol.sol.t_max if sol.sol is not None else 0.0
-        mind = min_distance(sol.sol(t_last)) if sol.sol is not None else np.inf
+        t_last, mind = last
         if mind < max(1e3 * collision_floor, 1e-6 * min_distance(u0)):
             raise CollisionError(
                 f"collapse at t = {t_last:.6g} (min distance {mind:.3e})"
@@ -127,7 +116,7 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
     Raises CollisionError when a mutual distance falls below the collision
     floor, StepFailure when the step size underflows.
     """
-    ts = _sample_times(horizon, samples)
+    ts = _sample_times(horizon, samples, tol)
     d, n = z0.d, z0.n
     dn = d * n
 
@@ -148,16 +137,15 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
     else:
         raise ValidationError(f"unknown integrator {method!r}")
 
-    states = [State(Configuration(u[:dn].reshape(d, n), sys),
-                    Configuration(u[dn:].reshape(d, n), sys)) for u in us]
-    return Trajectory(ts, states, {"integrator": method, "tol": tol})
+    return Trajectory(ts, centred(us.reshape(ts.size, 2, d, n), sys), "absolute",
+                      {"integrator": method, "tol": tol})
 
 
 def _leapfrog(z0, sys, ts, dt, collision_floor):
     """Fixed-step kick-drift-kick between the requested sample times."""
     x = z0.x.r.copy()
     v = z0.y.r.copy()
-    out = np.empty((ts.size, 2 * x.size))
+    out = np.empty((ts.size, 2) + x.shape)
     t = ts[0]
     a = _acceleration(x, sys, collision_floor)
     for k, target in enumerate(ts):
@@ -168,7 +156,7 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
             a = _acceleration(x, sys, collision_floor)
             v += 0.5 * h * a
             t += h
-        out[k] = np.concatenate([x.ravel(), v.ravel()])
+        out[k] = x, v
     return out
 
 
@@ -189,11 +177,7 @@ def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
     one side and the ones vector on the other); RelativeState(*result) is
     its double-centred representative.
     """
-    beta, gamma, delta, rho = tables
-    beta = 0.5 * (beta + beta.T)
-    gamma = 0.5 * (gamma + gamma.T)
-    delta = 0.5 * (delta + delta.T)
-    rho = 0.5 * (rho - rho.T)
+    beta, gamma, delta, rho = 0.5 * (tables + REDUCED_SIGNS * np.swapaxes(tables, -1, -2))
     A = interaction_matrix_from_s(beta_to_distances(beta, tol=1e-6), sys, collision_floor)
     At = A.T
     return np.array([
@@ -207,7 +191,7 @@ def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
                       collision_floor=COLLISION_FLOOR):
     """Integrate the reduced quadruple; same contract as integrate_absolute."""
-    ts = _sample_times(horizon, samples)
+    ts = _sample_times(horizon, samples, tol)
     n = rel0.n
     u0 = np.array([rel0.beta, rel0.gamma, rel0.delta, rel0.rho]).ravel()
 
@@ -218,36 +202,47 @@ def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
         return closest_distance(beta_to_distances(u[:n * n].reshape(n, n), tol=1e-6), sys)
 
     us = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
-    states = [RelativeState(*u.reshape(4, n, n)) for u in us]
-    return Trajectory(ts, states, {"integrator": "rk8", "tol": tol})
+    return Trajectory(ts, reduced_tables(us.reshape(ts.size, 4, n, n)), "reduced",
+                      {"integrator": "rk8", "tol": tol})
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
 
+def _invariants(x, y, sys):
+    """(I, J, K, U, H, C, |C|) of (..., d, n) positions x and velocities y, one
+    value (C: one d x d angular-momentum table) per leading index; |C| is half
+    the sum of the singular values.  Raises CollisionError below the floor."""
+    I = np.einsum("i,...ci,...ci->...", sys.m, x, x)
+    J = np.einsum("i,...ci,...ci->...", sys.m, x, y)
+    K = np.einsum("i,...ci,...ci->...", sys.m, y, y)
+    U = checked_potential(squared_distances(x), sys)
+    xm = x * sys.m
+    C = exact_antisymmetric(y @ np.swapaxes(xm, -1, -2) - xm @ np.swapaxes(y, -1, -2))
+    normC = np.linalg.svd(C, compute_uv=False).sum(axis=-1) / 2.0
+    return I, J, K, U, 0.5 * K - U, C, normC
+
+
+def _sundman(I, J, K, U, H, C, normC):
+    """Sundman's gap I K - J^2 - |C|^2 and function I^{-1/2}(J^2 + |C|^2) - 2 I^{1/2} H."""
+    return (I * K - J * J - normC * normC,
+            (J * J + normC * normC) / np.sqrt(I) - 2.0 * np.sqrt(I) * H)
+
+
 def scalar_invariants(z, sys):
     """(I, J, K, U, H) of an absolute state."""
-    I = mass_dot(z.x.r, z.x.r, sys.m)
-    J = mass_dot(z.x.r, z.y.r, sys.m)
-    K = mass_dot(z.y.r, z.y.r, sys.m)
-    U = potential(z.x, sys)
-    H = 0.5 * K - U
-    return I, J, K, U, H
+    return tuple(float(v) for v in _invariants(z.x.r, z.y.r, sys)[:5])
 
 
 def sundman_gap(z, sys):
     """I K - J^2 - |C|^2 (nonnegative; zero exactly for complex-homothetic states)."""
-    I, J, K, _, _ = scalar_invariants(z, sys)
-    normC, _ = bivector_norm_and_frequencies(angular_momentum(z, sys))
-    return I * K - J * J - normC * normC
+    return float(_sundman(*_invariants(z.x.r, z.y.r, sys))[0])
 
 
 def sundman_function(z, sys):
     """Sundman's function I^{-1/2}(J^2 + |C|^2) - 2 I^{1/2} H."""
-    I, J, K, _, H = scalar_invariants(z, sys)
-    normC, _ = bivector_norm_and_frequencies(angular_momentum(z, sys))
-    return (J * J + normC * normC) / np.sqrt(I) - 2.0 * np.sqrt(I) * H
+    return float(_sundman(*_invariants(z.x.r, z.y.r, sys))[1])
 
 
 def audit_invariants(traj, sys):
@@ -260,17 +255,9 @@ def audit_invariants(traj, sys):
     """
     if traj.kind != "absolute":
         raise ValidationError("audit expects an absolute trajectory")
-    m = len(traj.states)
-    I = np.empty(m); J = np.empty(m); K = np.empty(m); U = np.empty(m)
-    H = np.empty(m); normC = np.empty(m); Sfun = np.empty(m)
-    c_tables = []
-    for k, z in enumerate(traj.states):
-        I[k], J[k], K[k], U[k], H[k] = scalar_invariants(z, sys)
-        C = angular_momentum(z, sys)
-        c_tables.append(C.c)
-        normC[k], _ = bivector_norm_and_frequencies(C)
-        Sfun[k] = (J[k] ** 2 + normC[k] ** 2) / np.sqrt(I[k]) - 2.0 * np.sqrt(I[k]) * H[k]
-    c_tables = np.array(c_tables)
+    invariants = _invariants(traj.samples[:, 0], traj.samples[:, 1], sys)
+    I, J, K, U, H, c_tables, normC = invariants
+    gap, Sfun = _sundman(*invariants)
 
     h_scale = max(abs(H[0]), 1e-30)
     energy_drift = float(np.max(np.abs(H - H[0])) / h_scale)
@@ -284,10 +271,9 @@ def audit_invariants(traj, sys):
 
     jdot = CubicSpline(traj.times, J).derivative()(traj.times)
     virial = 2.0 * H + 2.0 * (sys.kappa + 1.0) * U
-    interior = slice(2, -2) if m > 8 else slice(None)
+    interior = slice(2, -2) if traj.times.size > 8 else slice(None)
     lj_residual = float(np.max(np.abs(jdot - virial)[interior]))
 
-    gap = I * K - J ** 2 - normC ** 2
     sundman_min_gap = float(gap.min())
 
     scaling_drift = None

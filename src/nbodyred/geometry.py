@@ -8,6 +8,8 @@ Antisymmetric d x d tables ("bivectors") carry angular momenta and
 instantaneous rotations.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import (
@@ -24,6 +26,25 @@ def _readonly(a):
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.setflags(write=False)
     return a
+
+
+def _bare(cls, *arrays):
+    """A cls object over already projected arrays, which its constructor
+    would project again, changing their last bits."""
+    obj = cls.__new__(cls)
+    obj._set(*arrays)
+    return obj
+
+
+def centred(r, sys):
+    """(..., d, n) coordinates minus their mass-weighted centroid."""
+    return r - (r @ sys.m / sys.M)[..., None]
+
+
+def exact_antisymmetric(c):
+    """0.5 (c - c^T) of (..., k, k) tables, rebuilt from its upper triangle."""
+    upper = np.triu(0.5 * (c - np.swapaxes(c, -1, -2)), 1)
+    return upper - np.swapaxes(upper, -1, -2)
 
 
 class MassSystem:
@@ -85,12 +106,11 @@ class Configuration:
             )
         if not np.isfinite(r).all():
             raise ValidationError("coordinates must be finite")
-        centroid = r @ sys.m / sys.M
-        self.r = _readonly(r - centroid[:, None])
-        self.d, self.n = self.r.shape
+        self._set(centred(r, sys))
 
-    def scaled(self, factor, sys):
-        return Configuration(factor * self.r, sys)
+    def _set(self, r):
+        self.r = _readonly(r)
+        self.d, self.n = self.r.shape
 
     def __repr__(self):
         return f"Configuration(d={self.d}, n={self.n})"
@@ -111,11 +131,22 @@ class State:
         return f"State(d={self.d}, n={self.n})"
 
 
-def _double_center(a):
-    """Project an n x n table so rows and columns sum to zero."""
-    row = a.mean(axis=0, keepdims=True)
-    col = a.mean(axis=1, keepdims=True)
-    return a - row - col + a.mean()
+# +1 for the symmetric beta, gamma, delta; -1 for the antisymmetric rho
+REDUCED_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])[:, None, None]
+
+
+def reduced_tables(tables):
+    """Double-centred representatives of (..., 4, n, n) stacked tables
+    (beta, gamma, delta, rho): the first three made symmetric, rho
+    antisymmetric (rebuilt from its strict upper triangle, so exactly),
+    and every row and column summing to zero."""
+    a = 0.5 * (tables + REDUCED_SIGNS * np.swapaxes(tables, -1, -2))
+    a = a - a.mean(axis=-2, keepdims=True) - a.mean(axis=-1, keepdims=True) \
+        + a.mean(axis=(-2, -1), keepdims=True)
+    out = 0.5 * (a + np.swapaxes(a, -1, -2))
+    upper = np.triu(a[..., 3, :, :], 1)
+    out[..., 3, :, :] = upper - np.swapaxes(upper, -1, -2)
+    return out
 
 
 class RelativeState:
@@ -127,24 +158,15 @@ class RelativeState:
     """
 
     def __init__(self, beta, gamma, delta, rho):
-        beta, gamma, delta, rho = (np.asarray(a, dtype=float) for a in (beta, gamma, delta, rho))
-        n = beta.shape[0]
-        for a in (beta, gamma, delta, rho):
-            if a.shape != (n, n):
-                raise ValidationError("the four tables must share one n x n shape")
-        def sym(a):
-            a = _double_center(a)
-            return 0.5 * (a + a.T)
+        tables = [np.asarray(a, dtype=float) for a in (beta, gamma, delta, rho)]
+        n = tables[0].shape[0]
+        if any(a.shape != (n, n) for a in tables):
+            raise ValidationError("the four tables must share one n x n shape")
+        self._set(reduced_tables(np.array(tables)))
 
-        def antisym(a):
-            upper = np.triu(_double_center(0.5 * (a - a.T)), 1)
-            return upper - upper.T
-
-        self.beta = _readonly(sym(0.5 * (beta + beta.T)))
-        self.gamma = _readonly(sym(0.5 * (gamma + gamma.T)))
-        self.delta = _readonly(sym(0.5 * (delta + delta.T)))
-        self.rho = _readonly(antisym(rho))
-        self.n = n
+    def _set(self, tables):
+        self.beta, self.gamma, self.delta, self.rho = (_readonly(a) for a in tables)
+        self.n = self.beta.shape[0]
 
     @classmethod
     def from_state(cls, z):
@@ -173,6 +195,39 @@ class RelativeState:
         return f"RelativeState(n={self.n})"
 
 
+@dataclass
+class Trajectory:
+    """Samples of a motion at strictly increasing times.
+
+    kind "absolute": `samples` has shape (q, 2, d, n), the mass-centred
+    positions and velocities at each of the q times.  kind "reduced": shape
+    (q, 4, n, n), the double-centred tables beta, gamma, delta (symmetric)
+    and rho (antisymmetric).  The array is read-only; `states` gives its
+    rows as State or RelativeState objects, built when it is read.
+    """
+    times: np.ndarray
+    samples: np.ndarray
+    kind: str
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        if t.ndim != 1 or np.any(np.diff(t) <= 0):
+            raise ValidationError("times must be strictly increasing")
+        width = {"absolute": 2, "reduced": 4}.get(self.kind)
+        samples = _readonly(self.samples)
+        if width is None or samples.ndim != 4 or samples.shape[:2] != (t.size, width):
+            raise ValidationError(f"{self.kind!r} samples of shape {samples.shape}")
+        self.times, self.samples = t, samples
+
+    @property
+    def states(self):
+        if self.kind == "reduced":
+            return [_bare(RelativeState, row) for row in self.samples]
+        return [State(_bare(Configuration, x), _bare(Configuration, y))
+                for x, y in self.samples]
+
+
 class Bivector:
     """Antisymmetric d x d table.
 
@@ -184,8 +239,7 @@ class Bivector:
         c = np.atleast_2d(np.asarray(c, dtype=float))
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValidationError("bivector table must be square")
-        upper = np.triu(0.5 * (c - c.T), 1)
-        self.c = _readonly(upper - upper.T)
+        self.c = _readonly(exact_antisymmetric(c))
         self.d = c.shape[0]
 
     @classmethod
@@ -308,7 +362,9 @@ def potential_from_s(s, sys):
     """Force function U = sum_{i<j} m_i m_j Phi(s_ij) of (..., n, n) squared
     distances (no collision check)."""
     i, j = sys.pairs
-    return (sys.m[i] * sys.m[j] * sys.phi(s[..., i, j])).sum(axis=-1)
+    # contiguous rows: a stack of tables sums each row as a single table does
+    s_pairs = np.ascontiguousarray(s[..., i, j])
+    return (sys.m[i] * sys.m[j] * sys.phi(s_pairs)).sum(axis=-1)
 
 
 def wintner_conley(x, sys, collision_floor=COLLISION_FLOOR):
@@ -317,20 +373,22 @@ def wintner_conley(x, sys, collision_floor=COLLISION_FLOOR):
     return interaction_matrix_from_s(squared_distances(x.r), sys, collision_floor)
 
 
-def _checked_potential(s, sys, collision_floor):
-    if s[sys.pairs].min() < collision_floor**2:
+def checked_potential(s, sys, collision_floor=COLLISION_FLOOR):
+    """potential_from_s, raising CollisionError when some mutual distance is
+    below the collision floor."""
+    if s[..., sys.pairs[0], sys.pairs[1]].min() < collision_floor**2:
         raise CollisionError("collision in potential evaluation")
-    return float(potential_from_s(s, sys))
+    return potential_from_s(s, sys)
 
 
 def potential(x, sys, collision_floor=COLLISION_FLOOR):
-    return _checked_potential(squared_distances(x.r), sys, collision_floor)
+    return float(checked_potential(squared_distances(x.r), sys, collision_floor))
 
 
 def potential_and_gradient(x, sys, collision_floor=COLLISION_FLOOR):
     """Force function U > 0 and its mass-metric gradient 2 x A (= accelerations)."""
     s = squared_distances(x.r)
-    U = _checked_potential(s, sys, collision_floor)
+    U = float(checked_potential(s, sys, collision_floor))
     return U, 2.0 * (x.r @ interaction_matrix_from_s(s, sys, collision_floor))
 
 
@@ -384,11 +442,7 @@ def hermitian_from_bivector(C, rtol=RANK_RTOL):
     c = C.c
     u, sv, vt = np.linalg.svd(c)
     keep = sv > rtol * sv[0] if (sv.size and sv[0] > 0.0) else np.zeros_like(sv, dtype=bool)
-    J = u[:, keep] @ vt[keep]
-    upper = np.triu(0.5 * (J - J.T), 1)
-    J = upper - upper.T  # exact antisymmetry
-    F = u[:, keep]
-    return J, F
+    return exact_antisymmetric(u[:, keep] @ vt[keep]), u[:, keep]
 
 
 def bivector_component(C, Omega):

@@ -15,7 +15,8 @@ from .errors import NotAttractive, NotBalanced, NotCentral, ValidationError
 from .geometry import (
     Bivector,
     Configuration,
-    State,
+    Trajectory,
+    centred,
     gram_form,
     inertia,
     matrix_rank,
@@ -191,15 +192,16 @@ class HomographicMotion:
     def period(self):
         return self.orbit.period
 
-    def state(self, t):
-        zeta, zdot = kepler_state(self.orbit, t)
-        X0, J = self.x0.r, self.quarter_turn
-        xr = zeta[0] * X0 + zeta[1] * (J @ X0)
-        yr = zdot[0] * X0 + zdot[1] * (J @ X0)
-        return State(Configuration(xr, self.sys), Configuration(yr, self.sys))
-
     def sample(self, ts):
-        return [self.state(t) for t in np.asarray(ts, dtype=float)]
+        """The motion at the times ts, as an absolute Trajectory."""
+        # [zeta component][sample, position or velocity]
+        coef = np.stack(kepler_state(self.orbit, ts), axis=-1)[..., None, None]
+        samples = coef[0] * self.x0.r + coef[1] * (self.quarter_turn @ self.x0.r)
+        return Trajectory(ts, centred(samples, self.sys), "absolute",
+                          {"integrator": "analytic", "tol": 0.0})
+
+    def state(self, t):
+        return self.sample([t]).states[0]
 
 
 def homographic_motion(x0, sys, e=0.0, scale=1.0, t=0.0, tol=1e-8):
@@ -220,18 +222,22 @@ class RelativeEquilibrium:
     _amp: np.ndarray = field(repr=False, default=None)     # sqrt(b_i)
     _sys: object = field(repr=False, default=None)
 
-    def state(self, t):
-        """Absolute state at time t (plane i rotates at omega_i)."""
+    def sample(self, ts):
+        """The motion at the times ts, plane i rotating at omega_i."""
+        ts = np.asarray(ts, dtype=float)
         om = np.asarray(self.frequencies)
-        cos, sin = np.cos(om * t), np.sin(om * t)
+        cos, sin = np.cos(om * ts[:, None]), np.sin(om * ts[:, None])
         r = self._amp[:, None] * self._coeff
-        xr = np.empty((2 * om.size, self._coeff.shape[1]))
-        yr = np.empty_like(xr)
-        xr[0::2] = cos[:, None] * r
-        xr[1::2] = sin[:, None] * r
-        yr[0::2] = (-om * sin)[:, None] * r
-        yr[1::2] = (om * cos)[:, None] * r
-        return State(Configuration(xr, self._sys), Configuration(yr, self._sys))
+        out = np.empty((ts.size, 2, 2 * om.size, r.shape[1]))
+        out[:, 0, 0::2] = cos[..., None] * r
+        out[:, 0, 1::2] = sin[..., None] * r
+        out[:, 1, 0::2] = (-om * sin)[..., None] * r
+        out[:, 1, 1::2] = (om * cos)[..., None] * r
+        return Trajectory(ts, centred(out, self._sys), "absolute",
+                          {"integrator": "analytic", "tol": 0.0})
+
+    def state(self, t):
+        return self.sample([t]).states[0]
 
     @property
     def slow_period(self):

@@ -51,16 +51,6 @@ def write_json(path, obj):
 # scenarios (mass system + state)
 
 
-def scenario_to_dict(sys, state=None, x=None):
-    out = {"masses": list(sys.m), "G": sys.G, "kappa": sys.kappa}
-    if state is not None:
-        out["positions"] = state.x.r.tolist()
-        out["velocities"] = state.y.r.tolist()
-    elif x is not None:
-        out["positions"] = x.r.tolist()
-    return out
-
-
 def scenario_from_dict(data):
     """(MassSystem, State or Configuration or None) from a scenario mapping."""
     if not isinstance(data, dict):
@@ -114,7 +104,7 @@ def loop_from_dict(data):
 # CSV writers
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -123,44 +113,30 @@ def _write_csv(path, header, rows):
 
 def trajectory_to_csv(path, traj):
     """Absolute trajectory: time, positions row-major, velocities row-major."""
-    z0 = traj.states[0]
-    d, n = z0.d, z0.n
+    d, n = traj.samples.shape[-2:]
     header = ["t[time]"]
     header += [f"r{c}_{i}[length]" for c in range(d) for i in range(n)]
     header += [f"v{c}_{i}[length/time]" for c in range(d) for i in range(n)]
-    rows = (
-        [t, *z.x.r.ravel(), *z.y.r.ravel()]
-        for t, z in zip(traj.times, traj.states)
-    )
-    _write_csv(path, header, rows)
+    rows = traj.samples.reshape(traj.times.size, -1)   # positions, then velocities
+    write_csv(path, header, np.column_stack([traj.times, rows]))
 
 
 def reduced_trajectory_to_csv(path, traj):
     """Reduced trajectory: time then beta, gamma, delta, rho row-major."""
-    n = traj.states[0].n
+    n = traj.samples.shape[-1]
     header = ["t[time]"]
     units = {"beta": "length^2", "gamma": "length^2/time",
              "delta": "length^2/time^2", "rho": "length^2/time"}
     for name in ("beta", "gamma", "delta", "rho"):
         header += [f"{name}_{i}_{j}[{units[name]}]" for i in range(n) for j in range(n)]
-    rows = (
-        [t, *rel.beta.ravel(), *rel.gamma.ravel(), *rel.delta.ravel(), *rel.rho.ravel()]
-        for t, rel in zip(traj.times, traj.states)
-    )
-    _write_csv(path, header, rows)
+    rows = traj.samples.reshape(traj.times.size, -1)   # beta, gamma, delta, rho
+    write_csv(path, header, np.column_stack([traj.times, rows]))
 
 
 def report_to_dict(report):
-    return {
-        "energy_drift": report.energy_drift,
-        "momentum_drift": report.momentum_drift,
-        "lagrange_jacobi_residual": report.lagrange_jacobi_residual,
-        "sundman_min_gap": report.sundman_min_gap,
-        "scaling_integral_drift": report.scaling_integral_drift,
-        "series": {k: np.asarray(v).tolist() for k, v in report.series.items()},
-    }
+    return dict(vars(report), series={k: np.asarray(v).tolist() for k, v in report.series.items()})
 
 
 def shape_points_to_csv(path, points):
     """Rows (longitude[rad], latitude[rad], I)."""
-    _write_csv(path, ["longitude[rad]", "latitude[rad]", "I[mass*length^2]"], points)
+    write_csv(path, ["longitude[rad]", "latitude[rad]", "I[mass*length^2]"], points)

@@ -17,6 +17,25 @@ CIRCULAR = {
     "velocities": [[0.0, 0.0], [-0.7071067811865476, 0.7071067811865476]],
 }
 
+EQUILATERAL = {
+    "masses": [1.0, 1.0, 1.0],
+    "positions": [[0.0, 1.0, 0.5], [0.0, 0.0, 0.8660254037844386]],
+}
+
+ISOSCELES = {
+    "masses": [1.0, 1.0, 1.0],
+    "positions": [[-0.6, 0.6, 0.0], [0.0, 0.0, 0.9]],
+}
+
+
+def config_args(tmp_path, scenario):
+    """--config of a scenario written to tmp_path; none for scenario None."""
+    if scenario is None:
+        return []
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))  # a NaN is written as NaN, which json reads back
+    return ["--config", str(path)]
+
 
 @pytest.fixture
 def circ_config(tmp_path):
@@ -37,15 +56,20 @@ def test_simulate_writes_trajectory_and_audit(tmp_path, circ_config):
     assert header.startswith("t[time],r0_0[length]")
 
 
-def test_simulate_deterministic(tmp_path, circ_config):
+@pytest.mark.parametrize("argv, scenario", [
+    (["simulate", "--horizon", "3"], CIRCULAR),
+    (["reduce", "--horizon", "3"], CIRCULAR),
+    (["homographic", "--e", "0.5", "--samples", "17"], EQUILATERAL),
+    (["relequil", "--samples", "65"], ISOSCELES),
+    (["hiphop", "--seed", "0", "--modes", "4"], None),
+], ids=["simulate", "reduce", "homographic", "relequil", "hiphop"])
+def test_simulate_deterministic(tmp_path, argv, scenario):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["simulate", "--config", circ_config, "--out", str(out),
-                     "--horizon", "3"]) == 0
-        outs.append(((out / "trajectory.csv").read_bytes(),
-                     (out / "audit.json").read_bytes()))
-    assert outs[0] == outs[1]
+        assert main(argv + config_args(tmp_path, scenario) + ["--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -67,12 +91,24 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["reduce", "--horizon", "nan"], CIRCULAR),
     (["simulate"], dict(CIRCULAR, G=float("nan"))),
     (["simulate"], dict(CIRCULAR, kappa=float("nan"))),
-], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan"])
+    (["simulate", "--tol", "nan", "--horizon", "1"], CIRCULAR),
+    (["simulate", "--tol", "0"], CIRCULAR),
+    (["simulate", "--tol", "-1"], CIRCULAR),
+    (["kepler", "--e", "0.5", "--samples", "0"], None),
+    (["kepler", "--e", "0.5", "--samples", "1"], None),
+    (["homographic", "--samples", "0"], EQUILATERAL),
+    (["homographic", "--samples", "1"], EQUILATERAL),
+    (["relequil", "--samples", "1"], ISOSCELES),
+    (["relequil", "--samples", "-3"], ISOSCELES),
+    (["hiphop", "--seed", "0", "--samples", "0"], None),
+    (["hiphop", "--seed", "0", "--samples", "1"], None),
+], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan",
+        "tol-nan", "tol-0", "tol-negative", "kepler-samples-0", "kepler-samples-1",
+        "homographic-samples-0", "homographic-samples-1", "relequil-samples-1",
+        "relequil-samples-negative", "hiphop-samples-0", "hiphop-samples-1"])
 def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenario):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))  # written as NaN, which json reads back
     out = tmp_path / "out"
-    rc = main(argv + ["--config", str(path), "--out", str(out)])
+    rc = main(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
     assert not out.exists()
@@ -188,23 +224,15 @@ def test_audit_leapfrog(tmp_path, circ_config):
 
 
 def test_homographic_and_relequil(tmp_path):
-    central = {
-        "masses": [1.0, 1.0, 1.0],
-        "positions": [[0.0, 1.0, 0.5], [0.0, 0.0, 0.8660254037844386]],
-    }
     path = tmp_path / "central.json"
-    path.write_text(json.dumps(central))
+    path.write_text(json.dumps(EQUILATERAL))
     rc = main(["homographic", "--config", str(path), "--e", "0.5",
                "--samples", "17", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "homographic.csv").exists()
 
-    iso = {
-        "masses": [1.0, 1.0, 1.0],
-        "positions": [[-0.6, 0.6, 0.0], [0.0, 0.0, 0.9]],
-    }
     path2 = tmp_path / "iso.json"
-    path2.write_text(json.dumps(iso))
+    path2.write_text(json.dumps(ISOSCELES))
     rc = main(["relequil", "--config", str(path2), "--samples", "9",
                "--out", str(tmp_path)])
     assert rc == 0

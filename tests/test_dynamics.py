@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import equilateral, isosceles, random_state, tame_scenario
-from nbodyred.errors import CollisionError, InvalidStructure
+from nbodyred.errors import CollisionError, InvalidStructure, ValidationError
 from nbodyred.geometry import (
+    COLLISION_FLOOR,
     Bivector,
     Configuration,
     MassSystem,
     RelativeState,
     State,
+    Trajectory,
     angular_momentum,
     bivector_norm_and_frequencies,
+    centred,
     gram_form,
     hermitian_from_bivector,
     mass_dot,
+    matrix_rank,
     wintner_conley,
 )
 from nbodyred.dynamics import (
@@ -229,6 +233,52 @@ def test_audit_homothetic_motion_sundman_zero():
         I, J, K, _, _ = scalar_invariants(z, sys)
         assert bivector_norm_and_frequencies(angular_momentum(z, sys))[0] < 1e-12
         assert abs(I * K - J * J) < 1e-10 * max(I * K, 1.0)
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -1.0])
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (5, 4)])
+def test_audit_series_match_per_sample_invariants(n, d, kappa):
+    # the audit and the one-state functions share one batched implementation
+    rng = np.random.default_rng(10 * n + d)
+    sys = MassSystem(rng.uniform(0.5, 2.0, n), kappa=kappa)
+    samples = centred(rng.normal(size=(9, 2, d, n)), sys)
+    traj = Trajectory(np.linspace(0.0, 1.0, 9), samples, "absolute")
+    series = audit_invariants(traj, sys).series
+    if d == 4:
+        assert matrix_rank(angular_momentum(traj.states[0], sys).c) == 4
+    for k, z in enumerate(traj.states):
+        for name, value in zip("IJKUH", scalar_invariants(z, sys)):
+            assert series[name][k] == value
+        assert series["normC"][k] == bivector_norm_and_frequencies(angular_momentum(z, sys))[0]
+        assert series["sundman_gap"][k] == sundman_gap(z, sys)
+        assert series["sundman_function"][k] == sundman_function(z, sys)
+
+
+def test_trajectory_states_view_reproduces_rows():
+    rng = np.random.default_rng(11)
+    sys, z0 = tame_scenario(rng, 3, 2, 1.0)
+    ta = integrate_absolute(z0, sys, 1.0, samples=5)
+    tr = integrate_reduced(RelativeState.from_state(z0), sys, 1.0, samples=5)
+    assert ta.samples.shape == (5, 2, 2, 3) and tr.samples.shape == (5, 4, 3, 3)
+    assert not ta.samples.flags.writeable and not tr.samples.flags.writeable
+    assert len(ta.states) == len(tr.states) == 5
+    for k in range(5):
+        z, rel = ta.states[k], tr.states[k]
+        assert np.array_equal(z.x.r, ta.samples[k, 0]) and np.array_equal(z.y.r, ta.samples[k, 1])
+        for i, name in enumerate(("beta", "gamma", "delta", "rho")):
+            assert np.array_equal(getattr(rel, name), tr.samples[k, i])
+    with pytest.raises(ValidationError):
+        audit_invariants(tr, sys)
+
+
+def test_audit_raises_below_collision_floor():
+    sys = MassSystem([1.0, 1.0, 1.0])
+    samples = np.zeros((3, 2, 2, 3))
+    samples[:, 0] = equilateral(sys).r
+    samples[1, 0, 0, 1] = samples[1, 0, 0, 0] + 0.5 * COLLISION_FLOOR
+    samples[1, 0, 1, 1] = samples[1, 0, 1, 0]
+    with pytest.raises(CollisionError):
+        audit_invariants(Trajectory(np.arange(3.0), samples, "absolute"), sys)
 
 
 def test_sundman_function_formula():

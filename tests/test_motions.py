@@ -186,7 +186,7 @@ def fit_conic_eccentricity(points):
 def test_homographic_bodies_on_similar_conics():
     hm = HomographicMotion(equilateral(SYS_EQ), SYS_EQ, e=0.5)
     ts = np.linspace(0.0, hm.period, 200, endpoint=False)
-    states = hm.sample(ts)
+    states = hm.sample(ts).states
     for body in range(3):
         pts = np.array([[z.x.r[0, body], z.x.r[1, body]] for z in states]).T
         ecc, resid = fit_conic_eccentricity(pts)
@@ -307,16 +307,14 @@ def test_sundman_profile_motions():
     # homographic: identically zero; balanced non-central: constant positive
     hm = HomographicMotion(equilateral(SYS_EQ), SYS_EQ, e=0.5)
     ts = np.linspace(0.0, hm.period, 33)
-    from nbodyred.dynamics import Trajectory
-
-    traj_h = Trajectory(ts, hm.sample(ts))
+    traj_h = hm.sample(ts)
     prof_h = audit_invariants(traj_h, SYS_EQ).series["sundman_gap"]
     scale = max(scalar_invariants(hm.state(t), SYS_EQ)[0] *
                 scalar_invariants(hm.state(t), SYS_EQ)[2] for t in ts)
     assert np.abs(prof_h).max() < 1e-9 * scale
 
     re = relative_equilibrium(isosceles(SYS_EQ), SYS_EQ)
-    traj_r = Trajectory(ts, [re.state(t) for t in ts])
+    traj_r = re.sample(ts)
     prof_r = audit_invariants(traj_r, SYS_EQ).series["sundman_gap"]
     assert prof_r.min() > 0.0
     assert (prof_r.max() - prof_r.min()) < 1e-8 * prof_r.max()
@@ -333,7 +331,7 @@ def test_per_body_kepler_energies_coincide():
     # all bodies of a non-circular homographic motion share one energy scale
     hm = HomographicMotion(equilateral(SYS_EQ), SYS_EQ, e=0.4)
     ts = np.linspace(0.0, hm.period, 400, endpoint=False)
-    states = hm.sample(ts)
+    states = hm.sample(ts).states
     ratios = []
     for body in range(3):
         pts = np.array([[z.x.r[0, body], z.x.r[1, body]] for z in states]).T
