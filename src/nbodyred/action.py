@@ -1,15 +1,27 @@
 """Variational construction of symmetric periodic orbits.
 
-T-periodic paths of configurations are trigonometric polynomials; the
-Lagrangian action  integral of (K/2 + U)  is evaluated by the rectangle
-rule on equispaced nodes (spectrally accurate for smooth loops) with an
-analytic gradient in the Fourier coefficients.  Symmetry classes (the
-antipodal "italian" constraint, the square/tetrahedron oscillation class of
-four bodies, a triangle-plus-axis variant) are linear subspaces of
-coefficient space; minimization runs in an orthonormal basis of the class,
-so constraints hold to machine precision rather than by penalty.
+T-periodic paths of configurations are trigonometric polynomials with the
+modes k = 0..K (K = n_modes); the Lagrangian action  integral of
+(sum m_i |x_i'|^2 / 2 + U)  is evaluated by the rectangle rule on
+n_quad > 2K equispaced nodes (spectrally accurate for smooth loops) with an
+analytic gradient in the Fourier coefficients.  At the nodes one inverse
+real FFT gives positions, velocities (and accelerations), and one real FFT
+the cosine and sine sums of the gradient: with n_quad > 2K no mode aliases,
+so these are the rectangle-rule sums.  The trigonometric tables of
+Loop.positions serve arbitrary sample times only.
+
+Symmetry classes (the antipodal "italian" constraint, the square/
+tetrahedron oscillation class of four bodies, a triangle-plus-axis variant)
+are linear subspaces of coefficient space; minimization runs in an
+orthonormal basis of the class, so constraints hold to machine precision
+rather than by penalty.  A group element with time shift p/q T rotates the
+cosine/sine pair of mode k by the angle 2 pi (p k mod q) / q, so the group
+acts on mode k only through k mod L, L the lcm of the shift denominators.
+The basis is therefore built from one 2dn x 2dn projector for the constant
+mode and one per residue class, whatever K is.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,11 +90,23 @@ class Loop:
         return np.einsum("cik,qk->qci", self.sin_modes * kw, cos) - \
             np.einsum("cik,qk->qci", self.cos_modes * kw, sin)
 
-    def accelerations(self, ts):
-        cos, sin = _trig(self.n_modes, self.T, np.asarray(ts, dtype=float))
-        kw2 = (np.arange(self.n_modes + 1) * (2.0 * np.pi / self.T)) ** 2
-        return -np.einsum("cik,qk->qci", self.cos_modes * kw2, cos) - \
-            np.einsum("cik,qk->qci", self.sin_modes * kw2, sin)
+    def at_nodes(self, n_quad, order=1):
+        """The path and its time derivatives up to order at the n_quad
+        equispaced nodes, (order + 1, q, d, n), by one inverse real FFT.
+
+        Equal to positions/velocities at loop.nodes(n_quad) up to rounding;
+        n_quad must exceed 2 K, or the top modes would alias.
+        """
+        K = self.n_modes
+        if n_quad <= 2 * K:
+            raise ValidationError(f"n_quad = {n_quad} must exceed 2 K = {2 * K}")
+        # x(t_j) = sum_k Re(c_k e^{2 pi i j k / q}) with c_k = a_k - i b_k,
+        # and d/dt multiplies c_k by i k w
+        c = self.cos_modes - 1j * self.sin_modes
+        c[..., 1:] *= 0.5   # irfft doubles every mode above the constant one
+        ikw = 1j * np.arange(K + 1) * (2.0 * np.pi / self.T)
+        derivs = np.stack([c * ikw**p for p in range(order + 1)])
+        return np.moveaxis(np.fft.irfft(derivs, n_quad, norm="forward"), -1, 1)
 
     def sample(self, ts):
         """The loop at the times ts, as an absolute Trajectory."""
@@ -194,19 +218,23 @@ def _compose(a, b):
     return _Element(perm, b.matrix @ a.matrix, (a.shift + b.shift) % 1)
 
 
-def _apply_element(cos_modes, sin_modes, el, T):
-    """Coefficients of  t -> Q^T x(t + shift T) P_perm  (fixed points = invariance)."""
-    Q = el.matrix
-    K = cos_modes.shape[2] - 1
-    k = np.arange(K + 1)
-    ang = 2.0 * np.pi * float(el.shift) * k
-    ck, sk = np.cos(ang), np.sin(ang)
-    a = cos_modes * ck + sin_modes * sk
-    b = -cos_modes * sk + sin_modes * ck
-    a = np.einsum("dc,cik->dik", Q.T, a)
-    b = np.einsum("dc,cik->dik", Q.T, b)
-    perm = list(el.perm)
-    return a[:, perm, :], b[:, perm, :]
+def _group_average(cos_modes, sin_modes, sym, k):
+    """Group average of (..., d, n, len(k)) coefficients of the modes k.
+
+    Each element maps the coefficients to those of  t -> Q^T x(t + shift T)
+    P_perm  (fixed points = invariance); its shift p/q turns mode k by the
+    angle 2 pi (p k mod q) / q, taken on the exact residue.
+    """
+    acc_a = np.zeros_like(cos_modes)
+    acc_b = np.zeros_like(sin_modes)
+    for el in sym.elements:
+        p, q = el.shift.numerator, el.shift.denominator
+        ang = 2.0 * np.pi * ((p * k) % q) / q
+        ck, sk = np.cos(ang), np.sin(ang)
+        QT, perm = el.matrix.T, list(el.perm)
+        acc_a += np.einsum("dc,...cik->...dik", QT, cos_modes * ck + sin_modes * sk)[..., perm, :]
+        acc_b += np.einsum("dc,...cik->...dik", QT, sin_modes * ck - cos_modes * sk)[..., perm, :]
+    return acc_a / sym.order, acc_b / sym.order
 
 
 def project_symmetry(loop, sym):
@@ -214,13 +242,8 @@ def project_symmetry(loop, sym):
     if (sym.n, sym.d) != (loop.n, loop.d):
         raise ValidationError("symmetry and loop shapes differ")
     sym.check_masses(loop.sys)
-    acc_a = np.zeros_like(loop.cos_modes)
-    acc_b = np.zeros_like(loop.sin_modes)
-    for el in sym.elements:
-        a, b = _apply_element(loop.cos_modes, loop.sin_modes, el, loop.T)
-        acc_a += a
-        acc_b += b
-    return Loop(loop.T, acc_a / sym.order, acc_b / sym.order, loop.sys)
+    a, b = _group_average(loop.cos_modes, loop.sin_modes, sym, np.arange(loop.n_modes + 1))
+    return Loop(loop.T, a, b, loop.sys)
 
 
 def italian(n, d):
@@ -259,23 +282,36 @@ def symmetry_by_label(label, n=4, d=3):
     raise ValidationError(f"unknown symmetry label {label!r}")
 
 
+def _mode_basis(sym, sys, k):
+    """Orthonormal basis (columns over the 2 d n cos, then sin, entries) of
+    the invariant, centroid-free coefficients of mode k."""
+    dn = sym.d * sym.n
+    e = np.eye(2 * dn).reshape(2 * dn, 2, sym.d, sym.n, 1)
+    e[:, 1] *= k > 0   # no constant sine mode
+    e -= (e * sys.m[:, None]).sum(axis=-2, keepdims=True) / sys.M
+    a, b = _group_average(e[:, 0], e[:, 1], sym, np.array([k]))
+    u, sv, _ = np.linalg.svd(np.stack([a, b], axis=1).reshape(2 * dn, 2 * dn).T)
+    return u[:, sv > 0.5]
+
+
 def invariant_basis(sym, sys, T, n_modes):
-    """Orthonormal basis of the invariant, centroid-free coefficient space."""
+    """Orthonormal basis of the invariant, centroid-free coefficient space.
+
+    The columns of Z are grouped by mode; mode k > 0 takes the basis of its
+    residue class k mod L, the constant mode a basis of its own.
+    """
     sym.check_masses(sys)
     template = Loop(T, np.zeros((sym.d, sym.n, n_modes + 1)),
                     np.zeros((sym.d, sym.n, n_modes + 1)), sys)
-    N = 2 * sym.d * sym.n * (n_modes + 1)
-
-    def apply(p):
-        loop = template.with_params(p)  # centroid projection happens here
-        return project_symmetry(loop, sym).params()
-
-    P = np.empty((N, N))
-    eye = np.eye(N)
-    for j in range(N):
-        P[:, j] = apply(eye[j])
-    u, sv, _ = np.linalg.svd(P)
-    Z = u[:, sv > 0.5]
+    L = math.lcm(*(el.shift.denominator for el in sym.elements))
+    blocks = [_mode_basis(sym, sys, r) for r in range(min(L, n_modes) + 1)]
+    mode_blocks = [blocks[(k - 1) % L + 1 if k else 0] for k in range(n_modes + 1)]
+    entries = np.arange(2 * sym.d * sym.n) * (n_modes + 1)   # params index of mode 0
+    Z = np.zeros((entries.size * (n_modes + 1), sum(u.shape[1] for u in mode_blocks)))
+    col = 0
+    for k, u in enumerate(mode_blocks):
+        Z[entries + k, col:col + u.shape[1]] = u
+        col += u.shape[1]
     return Z, template
 
 
@@ -283,43 +319,42 @@ def invariant_basis(sym, sys, T, n_modes):
 # action functional
 
 
-def _node_action(loop, n_quad, collision_floor):
-    """Nodes, positions, velocities, squared distances and the action on
-    n_quad equispaced nodes; raises CollisionAtNode below the floor."""
+def _node_action(loop, n_quad, collision_floor, order=1):
+    """Path derivatives up to order at n_quad equispaced nodes, (order + 1,
+    q, d, n), their squared distances and the action; raises
+    CollisionAtNode below the floor."""
     sys = loop.sys
-    ts = loop.nodes(n_quad)
-    x = loop.positions(ts)   # (q, d, n)
-    v = loop.velocities(ts)
-    s = squared_distances(x)
+    xv = loop.at_nodes(n_quad, order)
+    s = squared_distances(xv[0])
     rmin = closest_distance(s, sys)
     if rmin < collision_floor:
         raise CollisionAtNode(f"minimal node distance {rmin:.3e} below the collision floor")
-    K = np.einsum("i,qci,qci->q", sys.m, v, v)
+    K = np.einsum("i,qci,qci->q", sys.m, xv[1], xv[1])
     S = float(loop.T / n_quad * (0.5 * K + potential_from_s(s, sys)).sum())
-    return ts, x, v, s, S
+    return xv, s, S
 
 
 def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR):
     """Action  integral of (K/2 + U)  and its coefficient gradient.
 
-    Rectangle rule on n_quad equispaced nodes (default max(256, 8 K));
+    Rectangle rule on n_quad > 2 K equispaced nodes (default max(256, 8 K));
     raises CollisionAtNode below the collision floor.  The gradient is the
     exact derivative of the quadrature, ordered like Loop.params().
     """
     sys = loop.sys
     if n_quad is None:
         n_quad = max(256, 8 * loop.n_modes)
-    ts, x, v, s, S = _node_action(loop, n_quad, collision_floor)
-    w = loop.T / n_quad
+    (x, v), s, S = _node_action(loop, n_quad, collision_floor)
 
-    # dU/dx at each node: the forces m_i (2 x A)_i
+    # dU/dx at each node: the forces m_i (2 x A)_i; their cosine and sine
+    # sums over the nodes are the real and minus the imaginary part of an rfft
     fx = 2.0 * (x @ interaction_matrix_from_s(s, sys, collision_floor)) * sys.m
-    mv = sys.m[None, None, :] * v
-
-    cos, sin = _trig(loop.n_modes, loop.T, ts)
+    F = np.fft.rfft(np.stack([fx, sys.m * v]), axis=1)[:, :loop.n_modes + 1]
+    fx_hat, mv_hat = np.moveaxis(F, 1, -1)   # (d, n, K + 1) each
     kw = np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T)
-    g_cos = w * (np.einsum("qci,qk->cik", fx, cos) - np.einsum("qci,qk->cik", mv, sin) * kw)
-    g_sin = w * (np.einsum("qci,qk->cik", fx, sin) + np.einsum("qci,qk->cik", mv, cos) * kw)
+    w = loop.T / n_quad
+    g_cos = w * (fx_hat.real + kw * mv_hat.imag)
+    g_sin = w * (kw * mv_hat.real - fx_hat.imag)
     return S, np.concatenate([g_cos.ravel(), g_sin.ravel()])
 
 
@@ -331,17 +366,11 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR
 class MinimizeOptions:
     gtol: float = 1e-6
     max_iter: int = 4000
-    n_quad: int = 256
+    n_quad: int = None         # default: max(256, 4 K)
     dist_floor: float = None   # default: 1e-3 of the seed's mean distance
     memory: int = 12
     restarts: int = 3
     seed: int = 0
-
-
-def _node_distances(loop, n_quad):
-    """Mutual distances of every pair at n_quad equispaced nodes, (q, pairs)."""
-    s = squared_distances(loop.positions(loop.nodes(n_quad)))
-    return np.sqrt(s[:, loop.sys.pairs[0], loop.sys.pairs[1]])
 
 
 def minimize_action(seed_loop, sym, opts=None):
@@ -355,20 +384,32 @@ def minimize_action(seed_loop, sym, opts=None):
     floor blocks every step.
     """
     opts = opts or MinimizeOptions()
-    Z, template = invariant_basis(sym, seed_loop.sys, seed_loop.T, seed_loop.n_modes)
+    sys, K = seed_loop.sys, seed_loop.n_modes
+    n_quad = opts.n_quad if opts.n_quad is not None else max(256, 4 * K)
+    Z, template = invariant_basis(sym, sys, seed_loop.T, K)
     floor = opts.dist_floor
     if floor is None:
-        floor = 1e-3 * float(_node_distances(seed_loop, 64).mean())
+        s = squared_distances(seed_loop.positions(seed_loop.nodes(64)))
+        floor = 1e-3 * float(np.sqrt(s[:, sys.pairs[0], sys.pairs[1]]).mean())
+
+    # Z is block-sparse by mode: multiply through its nonzero entries only
+    rows, cols = np.nonzero(Z)
+    vals = Z[rows, cols]
+    N, dim = Z.shape
+
+    def loop_at(xi_vec):
+        return template.with_params(np.bincount(rows, vals * xi_vec[cols], N))
 
     proj_seed = project_symmetry(seed_loop, sym)
-    xi = Z.T @ proj_seed.params()
+    xi = np.bincount(cols, vals * proj_seed.params()[rows], dim)
 
     def evaluate(xi_vec):
-        loop = template.with_params(Z @ xi_vec)
-        if _node_distances(loop, opts.n_quad).min() < floor:
+        loop = loop_at(xi_vec)
+        try:
+            S, g = action_value_and_gradient(loop, n_quad, collision_floor=floor)
+        except CollisionAtNode:
             return np.inf, None
-        S, g = action_value_and_gradient(loop, opts.n_quad)
-        return S, Z.T @ g
+        return S, np.bincount(cols, vals * g[rows], dim)
 
     f, g = evaluate(xi)
     if not np.isfinite(f):
@@ -380,7 +421,7 @@ def minimize_action(seed_loop, sym, opts=None):
     for _ in range(opts.max_iter):
         gnorm = np.linalg.norm(g)
         if gnorm <= opts.gtol:
-            return template.with_params(Z @ xi)
+            return loop_at(xi)
 
         # two-loop recursion
         q = g.copy()
@@ -520,8 +561,7 @@ def verify_loop(loop, sym=None, n_quad=None, shape_tol=1e-2, n_scan=2048):
     sys = loop.sys
     if n_quad is None:
         n_quad = max(256, 8 * loop.n_modes)
-    ts, x, _, s, S = _node_action(loop, n_quad, COLLISION_FLOOR)
-    acc = loop.accelerations(ts)
+    (x, _, acc), s, S = _node_action(loop, n_quad, COLLISION_FLOOR, order=2)
     eom = np.abs(acc - 2.0 * (x @ interaction_matrix_from_s(s, sys))).max() / np.abs(acc).max()
     min_dist = closest_distance(s, sys)
 
@@ -547,6 +587,13 @@ def verify_loop(loop, sym=None, n_quad=None, shape_tol=1e-2, n_scan=2048):
 # seeds
 
 
+def _seed_coefficients(d, n, n_modes):
+    """Zero (cos, sin) coefficients of a seed built on the first harmonic."""
+    if n_modes < 1:
+        raise ValidationError(f"n_modes = {n_modes}: a seed loop needs n_modes >= 1")
+    return np.zeros((d, n, n_modes + 1)), np.zeros((d, n, n_modes + 1))
+
+
 def square_relative_equilibrium_loop(T, sys, n_modes, vertical_kick=0.0):
     """Four equal masses on a rotating square, one revolution per period.
 
@@ -563,8 +610,7 @@ def square_relative_equilibrium_loop(T, sys, n_modes, vertical_kick=0.0):
     w = 2.0 * np.pi / T
     # radius from the central-configuration multiplier: w^2 = U / I
     R = (sys.G * m * (2.0 * np.sqrt(2.0) + 1.0) / (4.0 * w**2)) ** (1.0 / 3.0)
-    a = np.zeros((3, 4, n_modes + 1))
-    b = np.zeros((3, 4, n_modes + 1))
+    a, b = _seed_coefficients(3, 4, n_modes)
     for i in range(4):
         phase = 0.5 * np.pi * i
         # R cos(wt + phase), R sin(wt + phase)
@@ -582,8 +628,7 @@ def circular_two_body_loop(T, sys, n_modes):
         raise ValidationError("two bodies required")
     w = 2.0 * np.pi / T
     rho = (sys.G * sys.M / w**2) ** (1.0 / 3.0)  # separation
-    a = np.zeros((2, 2, n_modes + 1))
-    b = np.zeros((2, 2, n_modes + 1))
+    a, b = _seed_coefficients(2, 2, n_modes)
     r1 = rho * sys.m[1] / sys.M
     r2 = -rho * sys.m[0] / sys.M
     for i, r in enumerate((r1, r2)):

@@ -176,18 +176,16 @@ def _cmd_shape_sphere(args, config, suffix=""):
     sys, z = serialize.load_scenario(config)
     if z is None:
         raise ValidationError("scenario needs positions")
-    points = []
     if isinstance(z, State) and args.horizon > 0:
         traj = integrate_absolute(z, sys, args.horizon, tol=args.tol, samples=args.samples)
-        configs = (s.x for s in traj.states)
+        r = traj.samples[:, 0]
     else:
-        configs = [z.x if isinstance(z, State) else z]
-    for x in configs:
-        w, I = shape_sphere(x, sys)
-        lon = float(np.arctan2(w[1], w[0]))
-        lat = float(np.arcsin(np.clip(w[2], -1.0, 1.0)))
-        points.append([lon, lat, I])
-    serialize.shape_points_to_csv(_outpath(args, "shape.csv", suffix), points)
+        r = (z.x if isinstance(z, State) else z).r[None]
+    w, I = shape_sphere(r, sys)
+    lon = np.arctan2(w[:, 1], w[:, 0])
+    lat = np.arcsin(np.clip(w[:, 2], -1.0, 1.0))
+    serialize.shape_points_to_csv(_outpath(args, "shape.csv", suffix),
+                                  np.column_stack([lon, lat, I]))
     return 0
 
 

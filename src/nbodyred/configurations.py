@@ -367,26 +367,30 @@ def balanced_residuals_pijk(s, sys, embed_tol=1e-9):
 
 
 def shape_sphere(x, sys):
-    """Map a planar 3-body configuration to the shape sphere.
+    """Map planar 3-body configurations to the shape sphere.
 
+    x is a Configuration or a (..., 2, 3) array of mass-centred positions.
     Mass-weighted Jacobi coordinates (z1, z2) feed the Hopf-type map
     w = (|z1|^2 - |z2|^2, 2 Re(conj(z1) z2), 2 Im(conj(z1) z2)); then
     |w| = I and w/I is a rotation-invariant point of S^2 whose equator
     carries the collinear shapes (w3 is proportional to the oriented area).
-    Returns (w/I, I).
+    Returns (w/I, I), of shapes (..., 3) and (...).
     """
-    if x.n != 3 or x.d != 2:
+    r = np.asarray(x.r if isinstance(x, Configuration) else x, dtype=float)
+    if r.shape[-2:] != (2, 3):
         raise ValidationError("shape sphere requires 3 bodies in the plane")
     m1, m2, m3 = sys.m
-    r = x.r
-    I, _, _ = inertia(x, sys)
-    if I < 1e-300:
+    I = np.einsum("i,...ci,...ci->...", sys.m, r, r)
+    if np.min(I) < 1e-300:
         raise DegenerateConfiguration("triple collision")
     mu1 = m1 * m2 / (m1 + m2)
     mu2 = m3 * (m1 + m2) / sys.M
-    z1 = np.sqrt(mu1) * complex(r[0, 1] - r[0, 0], r[1, 1] - r[1, 0])
-    c12 = (m1 * r[:, 0] + m2 * r[:, 1]) / (m1 + m2)
-    z2 = np.sqrt(mu2) * complex(r[0, 2] - c12[0], r[1, 2] - c12[1])
-    cross = np.conj(z1) * z2
-    w = np.array([abs(z1) ** 2 - abs(z2) ** 2, 2.0 * cross.real, 2.0 * cross.imag])
-    return w / I, I
+    # real arithmetic, in the order of the complex scalar formulas; r[..., i]
+    # holds the (x, y) of body i
+    z1 = np.sqrt(mu1) * (r[..., 1] - r[..., 0])
+    c12 = (m1 * r[..., 0] + m2 * r[..., 1]) / (m1 + m2)
+    z2 = np.sqrt(mu2) * (r[..., 2] - c12)
+    x1, y1, x2, y2 = z1[..., 0], z1[..., 1], z2[..., 0], z2[..., 1]
+    w = np.stack([np.hypot(x1, y1) ** 2 - np.hypot(x2, y2) ** 2,
+                  2.0 * (x1 * x2 + y1 * y2), 2.0 * (x1 * y2 - y1 * x2)], axis=-1)
+    return w / I[..., None], I

@@ -25,12 +25,12 @@ from .geometry import (
     REDUCED_SIGNS,
     Trajectory,
     angular_momentum,
+    angular_momentum_tables,
     beta_to_distances,
     bivector_component,
     centred,
     checked_potential,
     closest_distance,
-    exact_antisymmetric,
     hermitian_from_bivector,
     interaction_matrix_from_s,
     mass_dot,
@@ -218,8 +218,7 @@ def _invariants(x, y, sys):
     J = np.einsum("i,...ci,...ci->...", sys.m, x, y)
     K = np.einsum("i,...ci,...ci->...", sys.m, y, y)
     U = checked_potential(squared_distances(x), sys)
-    xm = x * sys.m
-    C = exact_antisymmetric(y @ np.swapaxes(xm, -1, -2) - xm @ np.swapaxes(y, -1, -2))
+    C = angular_momentum_tables(x, y, sys)
     normC = np.linalg.svd(C, compute_uv=False).sum(axis=-1) / 2.0
     return I, J, K, U, 0.5 * K - U, C, normC
 

@@ -401,11 +401,16 @@ def mass_dot(u, v, m):
 # angular momentum and hermitian structures
 
 
+def angular_momentum_tables(x, y, sys):
+    """Angular momentum tables c_ij = sum_k m_k (-x_ik y_jk + x_jk y_ik) of
+    (..., d, n) positions x and velocities y, exactly antisymmetric."""
+    xm = x * sys.m
+    return exact_antisymmetric(y @ np.swapaxes(xm, -1, -2) - xm @ np.swapaxes(y, -1, -2))
+
+
 def angular_momentum(z, sys):
-    """Angular momentum bivector, coefficients c_ij = sum_k m_k (-x_ik y_jk + x_jk y_ik)."""
-    xm = z.x.r * sys.m
-    c = z.y.r @ xm.T - xm @ z.y.r.T
-    return Bivector(c)
+    """Angular momentum bivector of a state."""
+    return Bivector(angular_momentum_tables(z.x.r, z.y.r, sys))
 
 
 def bivector_norm_and_frequencies(C, rtol=RANK_RTOL):

@@ -5,6 +5,7 @@ from nbodyred.errors import CollisionAtNode, ValidationError
 from nbodyred.geometry import MassSystem
 from nbodyred.action import (
     Loop,
+    _trig,
     MinimizeOptions,
     SQUARE_PATTERN,
     SymmetryAction,
@@ -68,6 +69,44 @@ def test_loop_collision_at_node_raises():
     loop = Loop(T, a, b, SYS2)
     with pytest.raises(CollisionAtNode):
         action_value_and_gradient(loop)
+
+
+def test_node_values_match_trig_path():
+    # one inverse FFT at the nodes against the trigonometric tables
+    rng = np.random.default_rng(13)
+    loop = random_loop(rng, SYS4)
+    kw2 = (np.arange(loop.n_modes + 1) * (2.0 * np.pi / T)) ** 2
+    for n_quad in (17, 64, 256, 257):
+        ts = loop.nodes(n_quad)
+        cos, sin = _trig(loop.n_modes, T, ts)
+        acc = -np.einsum("cik,qk->qci", loop.cos_modes * kw2, cos) - \
+            np.einsum("cik,qk->qci", loop.sin_modes * kw2, sin)
+        x, v, a = loop.at_nodes(n_quad, order=2)
+        for got, ref in ((x, loop.positions(ts)), (v, loop.velocities(ts)), (a, acc)):
+            assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()
+    assert loop.at_nodes(64).shape == (2, 64, 3, 4)
+
+
+def test_quadrature_must_resolve_every_mode():
+    # the node sums are the rectangle rule only when no mode aliases
+    loop = random_loop(np.random.default_rng(14), SYS4)
+    with pytest.raises(ValidationError):
+        loop.at_nodes(2 * loop.n_modes)
+    with pytest.raises(ValidationError):
+        action_value_and_gradient(loop, n_quad=2 * loop.n_modes)
+    with pytest.raises(ValidationError):
+        minimize_action(square_relative_equilibrium_loop(T, SYS4, 8, vertical_kick=0.3),
+                        hiphop_z2z4(), MinimizeOptions(n_quad=16))
+    S, _ = action_value_and_gradient(loop, n_quad=2 * loop.n_modes + 1)
+    assert np.isfinite(S)
+
+
+def test_seed_loops_need_a_first_harmonic():
+    for n_modes in (0, -1):
+        with pytest.raises(ValidationError):
+            square_relative_equilibrium_loop(T, SYS4, n_modes)
+        with pytest.raises(ValidationError):
+            circular_two_body_loop(T, SYS2, n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +252,22 @@ def test_invariant_basis_spans_projector_range():
     assert np.abs(proj - Z @ (Z.T @ proj)).max() < 1e-12
 
 
+@pytest.mark.parametrize("sym, sys", [
+    (hiphop_z2z4(), SYS4), (italian(4, 3), SYS4), (hiphop_z3(), SYS4),
+    (italian(2, 2), MassSystem([1.0, 2.0])),
+], ids=["z2z4", "italian", "z3", "italian-2-body"])
+def test_invariant_basis_matches_dense_projector(sym, sys):
+    # oracle: the range of the full N x N projector, one column per unit vector
+    Z, template = invariant_basis(sym, sys, T, 8)
+    N = Z.shape[0]
+    P = np.stack([project_symmetry(template.with_params(e), sym).params() for e in np.eye(N)],
+                 axis=1)
+    u, sv, _ = np.linalg.svd(P)
+    ref = u[:, sv > 0.5]
+    assert Z.shape == ref.shape
+    assert np.abs(Z @ Z.T - ref @ ref.T).max() < 1e-13
+
+
 def test_symmetry_by_label():
     assert symmetry_by_label("italian", 3, 2).order == 2
     assert symmetry_by_label("z2z4").label == "hiphop_Z2xZ4"
@@ -313,6 +368,19 @@ def test_hiphop_mode_convergence():
     a16, _ = action_value_and_gradient(s16, 512)
     a32, _ = action_value_and_gradient(s32, 512)
     assert abs(a16 - a32) < 1e-6 * abs(a16)
+
+
+def test_hiphop_converges_at_128_modes():
+    sym = hiphop_z2z4()
+    s16 = minimize_action(square_relative_equilibrium_loop(T, SYS4, 16, 0.3), sym,
+                          MinimizeOptions(gtol=1e-6))
+    s128 = minimize_action(square_relative_equilibrium_loop(T, SYS4, 128, 0.3), sym,
+                           MinimizeOptions(gtol=1e-6))
+    rep = verify_loop(s128, sym=sym)
+    assert rep.eom_residual < 1e-3
+    assert rep.symmetry_defect < 1e-12
+    a16 = verify_loop(s16).action
+    assert abs(rep.action - a16) < 1e-6 * abs(a16)
 
 
 def test_kepler_action_oracle_for_circular_loop():

@@ -102,10 +102,13 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["relequil", "--samples", "-3"], ISOSCELES),
     (["hiphop", "--seed", "0", "--samples", "0"], None),
     (["hiphop", "--seed", "0", "--samples", "1"], None),
+    (["hiphop", "--seed", "0", "--modes", "0"], None),
+    (["hiphop", "--seed", "0", "--modes", "-1"], None),
 ], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan",
         "tol-nan", "tol-0", "tol-negative", "kepler-samples-0", "kepler-samples-1",
         "homographic-samples-0", "homographic-samples-1", "relequil-samples-1",
-        "relequil-samples-negative", "hiphop-samples-0", "hiphop-samples-1"])
+        "relequil-samples-negative", "hiphop-samples-0", "hiphop-samples-1",
+        "hiphop-modes-0", "hiphop-modes-negative"])
 def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenario):
     out = tmp_path / "out"
     rc = main(argv + config_args(tmp_path, scenario) + ["--out", str(out)])

@@ -309,6 +309,18 @@ def test_shape_sphere_reflection_flips_latitude():
     assert np.allclose(w2[:2], w1[:2], atol=1e-13)
 
 
+def test_shape_sphere_batched_matches_single():
+    rng = np.random.default_rng(9)
+    sys = MassSystem([1.0, 1.3, 0.7])
+    configs = [Configuration(r, sys) for r in rng.normal(size=(12, 2, 3))]
+    w, I = shape_sphere(np.stack([x.r for x in configs]).reshape(3, 4, 2, 3), sys)
+    assert w.shape == (3, 4, 3) and I.shape == (3, 4)
+    for k, x in enumerate(configs):
+        w1, I1 = shape_sphere(x, sys)
+        assert np.array_equal(w.reshape(12, 3)[k], w1) and I.ravel()[k] == I1
+        assert np.linalg.norm(w1) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_shape_sphere_requires_planar_three_bodies():
     with pytest.raises(ValidationError):
         shape_sphere(Configuration(np.zeros((3, 3)), SYS_EQ), SYS_EQ)

@@ -12,6 +12,7 @@ from nbodyred.geometry import (
     RelativeState,
     State,
     angular_momentum,
+    angular_momentum_tables,
     beta_to_distances,
     bivector_component,
     bivector_norm_and_frequencies,
@@ -349,6 +350,19 @@ def test_angular_momentum_rotation_equivariance():
     c = angular_momentum(z, sys).c
     cq = angular_momentum(zq, sys).c
     assert np.allclose(cq, q @ c @ q.T, atol=1e-12 * np.abs(c).max())
+
+
+def test_angular_momentum_tables_batched():
+    rng = np.random.default_rng(13)
+    sys = MassSystem([1.0, 2.0, 0.5, 1.5])
+    states = [State(Configuration(rng.normal(size=(3, 4)), sys),
+                    Configuration(rng.normal(size=(3, 4)), sys)) for _ in range(5)]
+    x = np.stack([z.x.r for z in states])
+    y = np.stack([z.y.r for z in states])
+    c = angular_momentum_tables(x, y, sys)
+    for k, z in enumerate(states):
+        assert np.array_equal(c[k], angular_momentum(z, sys).c)
+    assert np.array_equal(c, -np.swapaxes(c, -1, -2))
 
 
 def test_bivector_norm():
