@@ -4,10 +4,11 @@ T-periodic paths of configurations are trigonometric polynomials with the
 modes k = 0..K (K = n_modes); the Lagrangian action  integral of
 (sum m_i |x_i'|^2 / 2 + U)  is evaluated by the rectangle rule on
 n_quad > 2K equispaced nodes (spectrally accurate for smooth loops) with an
-analytic gradient in the Fourier coefficients.  At the nodes one inverse
-real FFT gives positions, velocities (and accelerations), and one real FFT
-the cosine and sine sums of the gradient: with n_quad > 2K no mode aliases,
-so these are the rectangle-rule sums.  The trigonometric tables of
+analytic gradient in the Fourier coefficients.  Every node grid, those of
+the minimizer and of verify_loop alike, goes through Loop.at_nodes: one
+inverse real FFT gives positions, velocities (and accelerations), and one
+real FFT the cosine and sine sums of the gradient; with n_quad > 2K no mode
+aliases, so these are the rectangle-rule sums.  The trigonometric tables of
 Loop.positions serve arbitrary sample times only.
 
 Symmetry classes (the antipodal "italian" constraint, the square/
@@ -17,8 +18,9 @@ orthonormal basis of the class, so constraints hold to machine precision
 rather than by penalty.  A group element with time shift p/q T rotates the
 cosine/sine pair of mode k by the angle 2 pi (p k mod q) / q, so the group
 acts on mode k only through k mod L, L the lcm of the shift denominators.
-The basis is therefore built from one 2dn x 2dn projector for the constant
-mode and one per residue class, whatever K is.
+The basis is therefore one 2dn x m block for the constant mode and one per
+residue class, whatever K is, and the minimizer maps its coordinates to
+coefficients by one matrix product per class.
 """
 
 import math
@@ -294,25 +296,17 @@ def _mode_basis(sym, sys, k):
     return u[:, sv > 0.5]
 
 
-def invariant_basis(sym, sys, T, n_modes):
+def invariant_basis(sym, sys, n_modes):
     """Orthonormal basis of the invariant, centroid-free coefficient space.
 
-    The columns of Z are grouped by mode; mode k > 0 takes the basis of its
-    residue class k mod L, the constant mode a basis of its own.
+    Blockwise: one (modes, U) pair for the constant mode and one per
+    residue class r = 1..L of k mod L.  The columns of U (2 d n x m_r) span
+    the invariant cos-then-sin entries shared by every mode in modes.
     """
     sym.check_masses(sys)
-    template = Loop(T, np.zeros((sym.d, sym.n, n_modes + 1)),
-                    np.zeros((sym.d, sym.n, n_modes + 1)), sys)
     L = math.lcm(*(el.shift.denominator for el in sym.elements))
-    blocks = [_mode_basis(sym, sys, r) for r in range(min(L, n_modes) + 1)]
-    mode_blocks = [blocks[(k - 1) % L + 1 if k else 0] for k in range(n_modes + 1)]
-    entries = np.arange(2 * sym.d * sym.n) * (n_modes + 1)   # params index of mode 0
-    Z = np.zeros((entries.size * (n_modes + 1), sum(u.shape[1] for u in mode_blocks)))
-    col = 0
-    for k, u in enumerate(mode_blocks):
-        Z[entries + k, col:col + u.shape[1]] = u
-        col += u.shape[1]
-    return Z, template
+    return [(np.arange(r, n_modes + 1, L) if r else np.array([0]), _mode_basis(sym, sys, r))
+            for r in range(min(L, n_modes) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,60 +359,60 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR
 @dataclass
 class MinimizeOptions:
     gtol: float = 1e-6
-    max_iter: int = 4000
     n_quad: int = None         # default: max(256, 4 K)
-    dist_floor: float = None   # default: 1e-3 of the seed's mean distance
-    memory: int = 12
-    restarts: int = 3
     seed: int = 0
 
 
 def minimize_action(seed_loop, sym, opts=None):
     """Minimize the action over the symmetry class of the seed.
 
-    Limited-memory quasi-Newton on the invariant coefficient vector with
-    backtracking line search; steps whose minimal node distance falls below
-    the distance floor are rejected.  On stall the memory is dropped and the
-    iterate jittered (deterministically); raises NoConvergence when the
+    Limited-memory quasi-Newton (12 correction pairs, at most 4000
+    iterations) on the invariant coordinates, one block Xi per residue class
+    with coefficients U Xi, and backtracking line search; steps whose minimal
+    node distance falls below 1e-3 of the seed's mean node distance are
+    rejected.  On stall the memory is dropped and the iterate jittered
+    (deterministically, at most 3 times); raises NoConvergence when the
     projected-gradient norm never reaches gtol, CollisionApproach when the
     floor blocks every step.
     """
     opts = opts or MinimizeOptions()
     sys, K = seed_loop.sys, seed_loop.n_modes
     n_quad = opts.n_quad if opts.n_quad is not None else max(256, 4 * K)
-    Z, template = invariant_basis(sym, sys, seed_loop.T, K)
-    floor = opts.dist_floor
-    if floor is None:
-        s = squared_distances(seed_loop.positions(seed_loop.nodes(64)))
-        floor = 1e-3 * float(np.sqrt(s[:, sys.pairs[0], sys.pairs[1]]).mean())
-
-    # Z is block-sparse by mode: multiply through its nonzero entries only
-    rows, cols = np.nonzero(Z)
-    vals = Z[rows, cols]
-    N, dim = Z.shape
+    blocks = invariant_basis(sym, sys, K)
+    splits = np.cumsum([U.shape[1] * modes.size for modes, U in blocks])[:-1]
+    s = squared_distances(seed_loop.at_nodes(n_quad, 0)[0])
+    floor = 1e-3 * float(np.sqrt(s[:, sys.pairs[0], sys.pairs[1]]).mean())
+    shape = (2, seed_loop.d, seed_loop.n, K + 1)   # Loop.params() as (cos/sin, d, n, k)
 
     def loop_at(xi_vec):
-        return template.with_params(np.bincount(rows, vals * xi_vec[cols], N))
+        c = np.zeros(shape).reshape(-1, K + 1)
+        for (modes, U), Xi in zip(blocks, np.split(xi_vec, splits)):
+            c[:, modes] = U @ Xi.reshape(U.shape[1], modes.size)
+        c = c.reshape(shape)
+        return Loop(seed_loop.T, c[0], c[1], sys)
 
-    proj_seed = project_symmetry(seed_loop, sym)
-    xi = np.bincount(cols, vals * proj_seed.params()[rows], dim)
+    def coordinates(params):
+        c = params.reshape(-1, K + 1)
+        return np.concatenate([(U.T @ c[:, modes]).ravel() for modes, U in blocks])
 
     def evaluate(xi_vec):
-        loop = loop_at(xi_vec)
         try:
-            S, g = action_value_and_gradient(loop, n_quad, collision_floor=floor)
+            S, g = action_value_and_gradient(loop_at(xi_vec), n_quad, collision_floor=floor)
         except CollisionAtNode:
             return np.inf, None
-        return S, np.bincount(cols, vals * g[rows], dim)
+        return S, coordinates(g)
 
+    # U^T of the centroid-free seed equals U^T of its group average (an
+    # orthogonal projector), so the seed needs no projection
+    xi = coordinates(seed_loop.params())
     f, g = evaluate(xi)
     if not np.isfinite(f):
         raise CollisionApproach("seed loop is below the distance floor")
 
     rng = np.random.default_rng(opts.seed)
     s_hist, y_hist = [], []
-    restarts_left = opts.restarts
-    for _ in range(opts.max_iter):
+    restarts_left = 3
+    for _ in range(4000):
         gnorm = np.linalg.norm(g)
         if gnorm <= opts.gtol:
             return loop_at(xi)
@@ -473,13 +467,13 @@ def minimize_action(seed_loop, sym, opts=None):
         if s_k @ y_k > 1e-12 * np.linalg.norm(s_k) * np.linalg.norm(y_k):
             s_hist.append(s_k)
             y_hist.append(y_k)
-            if len(s_hist) > opts.memory:
+            if len(s_hist) > 12:
                 s_hist.pop(0)
                 y_hist.pop(0)
         xi = xi + s_k
         f, g = f_new, g_new
 
-    raise NoConvergence(f"gradient norm {np.linalg.norm(g):.3e} after max_iter")
+    raise NoConvergence(f"gradient norm {np.linalg.norm(g):.3e} after 4000 iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +513,19 @@ def _local_minima_below(ts, vals, tol):
     return events
 
 
-def _square_tetra_events(loop, n_scan, tol):
-    """Alternating square/tetrahedron passages of a 4-body loop.
+def _square_tetra_events(ts, x, tol):
+    """Alternating square/tetrahedron passages of a 4-body loop, scanned at
+    the equispaced times ts with positions x, (q, d, 4).
 
     Square events are the local minima of the square shape distance below
     tol.  The oscillation visits the tetrahedral shape between consecutive
     square passages (a visit may cross the exactly-regular shape more than
     once); each visit is reported once, at its closest approach, provided
-    that approach is below tol.
+    that approach is below tol.  Mirror-image approaches tie to rounding, so
+    the closest approach is the earliest node of the window within 1e-9
+    relative of the window's minimum.
     """
-    ts = loop.nodes(n_scan)
-    x = loop.positions(ts)
+    n_scan = ts.size
     d_sq = shape_distance(x, SQUARE_PATTERN)
     d_te = shape_distance(x, TETRA_PATTERN)
     sq_idx = _local_minima_below(ts, d_sq, tol)
@@ -541,7 +537,8 @@ def _square_tetra_events(loop, n_scan, tol):
             window = np.arange(a + 1, b) % n_scan
             if window.size == 0:
                 continue
-            q_best = window[np.argmin(d_te[window])]
+            d_win = d_te[window]
+            q_best = window[np.argmax(d_win <= d_win.min() * (1.0 + 1e-9))]
             if d_te[q_best] < tol:
                 tetras.append(float(ts[q_best]))
     else:
@@ -549,18 +546,18 @@ def _square_tetra_events(loop, n_scan, tol):
     return squares, tetras
 
 
-def verify_loop(loop, sym=None, n_quad=None, shape_tol=1e-2, n_scan=2048):
+def verify_loop(loop, sym=None):
     """Residual report for a loop.
 
     EOM residual compares the spectral second derivative with 2 x A at the
-    quadrature nodes (relative to the acceleration scale); for four bodies
-    the square passages are the local minima of the square shape distance
-    below shape_tol and each tetrahedral visit between consecutive squares
-    is reported at its closest approach.
+    max(256, 8 K) quadrature nodes (relative to the acceleration scale).
+    One scan of max(2048, n_quad) nodes gives the planarity and, for four
+    bodies, the square passages (local minima of the square shape distance
+    below 1e-2) and each tetrahedral visit between consecutive squares, at
+    its closest approach.
     """
     sys = loop.sys
-    if n_quad is None:
-        n_quad = max(256, 8 * loop.n_modes)
+    n_quad = max(256, 8 * loop.n_modes)
     (x, _, acc), s, S = _node_action(loop, n_quad, COLLISION_FLOOR, order=2)
     eom = np.abs(acc - 2.0 * (x @ interaction_matrix_from_s(s, sys))).max() / np.abs(acc).max()
     min_dist = closest_distance(s, sys)
@@ -571,11 +568,12 @@ def verify_loop(loop, sym=None, n_quad=None, shape_tol=1e-2, n_scan=2048):
         defect = float(max(np.abs(proj.cos_modes - loop.cos_modes).max(),
                            np.abs(proj.sin_modes - loop.sin_modes).max()))
 
+    n_scan = max(2048, n_quad)
+    xs = loop.at_nodes(n_scan, 0)[0]
     squares, tetras = [], []
     if loop.n == 4:
-        squares, tetras = _square_tetra_events(loop, n_scan, shape_tol)
+        squares, tetras = _square_tetra_events(loop.nodes(n_scan), xs, 1e-2)
 
-    xs = loop.positions(loop.nodes(min(n_scan, 512)))
     flat = xs.transpose(1, 0, 2).reshape(loop.d, -1)
     sv = np.linalg.svd(flat - flat.mean(axis=1, keepdims=True), compute_uv=False)
     planarity = float(sv[-1] / sv[0]) if loop.d > 2 else 0.0

@@ -215,9 +215,9 @@ def build_parser():
 
     def common(p, config=False):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel jobs over repeated --config")
         if config:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel jobs over repeated --config")
             p.add_argument("--config", action="append", required=True,
                            help="scenario JSON (repeatable)")
 
@@ -297,11 +297,14 @@ def _dispatch(args):
     if args.command in _PLAIN_COMMANDS:
         return _PLAIN_COMMANDS[args.command](args)
     configs = args.config
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs = {args.jobs} must be at least 1")
     if len(configs) == 1:
         return _CONFIG_COMMANDS[args.command](args, configs[0])
     suffixes = [f"_job{k}" for k in range(len(configs))]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_job,
                                   [(args, c, s) for c, s in zip(configs, suffixes)]))
     else:
@@ -316,14 +319,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
+    except (NumericalError, np.linalg.LinAlgError) as exc:   # LinAlgError is a ValueError
+        _sys.stderr.write(json.dumps(
+            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 3
     except (ValidationError, ValueError) as exc:
         _sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
-    except NumericalError as exc:
-        _sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
 
 
 if __name__ == "__main__":

@@ -275,19 +275,10 @@ def _as_s_array(s, n):
 
 def p_matrix(s, sys):
     """P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj."""
-    n = sys.n
     du = -interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
-    P = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            acc = 0.0
-            for l in range(n):
-                if l == j:
-                    continue
-                acc += (s[i, l] - s[i, j]) * du[l, j]
-            P[i, j] = acc / (2.0 * sys.m[j])
+    # sum over all l: the l = j term is (s_ij - s_ij) du_jj = 0
+    P = (s @ du - s * du.sum(axis=0)) / (2.0 * sys.m)
+    np.fill_diagonal(P, 0.0)
     return P
 
 

@@ -77,3 +77,16 @@ def equilateral(sys, side=1.0):
 def isosceles(sys, half_base=0.6, height=0.9):
     pts = np.array([[-half_base, half_base, 0.0], [0.0, 0.0, height]])
     return Configuration(pts, sys)
+
+
+def dense_basis(blocks, n_modes):
+    """The dense N x m matrix Z, N = 2 d n (n_modes + 1), of a blockwise
+    invariant basis: the columns of each block U placed at the params index
+    of every mode in its class, ordered like Loop.params()."""
+    cols = []
+    for modes, U in blocks:
+        for k in modes:
+            Z_k = np.zeros((U.shape[0], n_modes + 1, U.shape[1]))
+            Z_k[:, k] = U
+            cols.append(Z_k.reshape(U.shape[0] * (n_modes + 1), U.shape[1]))
+    return np.concatenate(cols, axis=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense_basis
 from nbodyred.errors import CollisionAtNode, ValidationError
 from nbodyred.geometry import MassSystem
 from nbodyred.action import (
@@ -243,7 +244,8 @@ def test_z2z4_forces_square_projection_always():
 
 
 def test_invariant_basis_spans_projector_range():
-    Z, template = invariant_basis(hiphop_z2z4(), SYS4, T, 8)
+    Z = dense_basis(invariant_basis(hiphop_z2z4(), SYS4, 8), 8)
+    template = Loop(T, np.zeros((3, 4, 9)), np.zeros((3, 4, 9)), SYS4)
     assert np.allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-12)
     rng = np.random.default_rng(9)
     p = rng.normal(size=Z.shape[0])
@@ -258,7 +260,8 @@ def test_invariant_basis_spans_projector_range():
 ], ids=["z2z4", "italian", "z3", "italian-2-body"])
 def test_invariant_basis_matches_dense_projector(sym, sys):
     # oracle: the range of the full N x N projector, one column per unit vector
-    Z, template = invariant_basis(sym, sys, T, 8)
+    Z = dense_basis(invariant_basis(sym, sys, 8), 8)
+    template = Loop(T, np.zeros((sym.d, sym.n, 9)), np.zeros((sym.d, sym.n, 9)), sys)
     N = Z.shape[0]
     P = np.stack([project_symmetry(template.with_params(e), sym).params() for e in np.eye(N)],
                  axis=1)
@@ -357,6 +360,22 @@ def test_hiphop_minimizer_full_properties():
     S_hip, _ = action_value_and_gradient(out)
     S_sq, _ = action_value_and_gradient(square_relative_equilibrium_loop(T, SYS4, 16))
     assert S_hip < S_sq - 1e-3
+
+
+def test_tetra_events_stable_under_last_bit_perturbations():
+    # the visit between the square passages at 0 and pi reaches the
+    # tetrahedral shape at t and at its mirror image pi - t, tied to
+    # rounding: the report takes the earlier one whatever the last bits say
+    seed = square_relative_equilibrium_loop(T, SYS4, 8, vertical_kick=0.3)
+    out = minimize_action(seed, hiphop_z2z4(), MinimizeOptions(gtol=1e-6))
+    ref = verify_loop(out)
+    assert ref.square_events == [0.0, np.pi]
+    assert len(ref.tetra_events) == 2 and 0.0 < ref.tetra_events[0] < np.pi / 2
+    rng = np.random.default_rng(15)
+    for _ in range(8):
+        p = out.params() * (1.0 + 1e-15 * rng.standard_normal(out.params().size))
+        rep = verify_loop(out.with_params(p))
+        assert (rep.square_events, rep.tetra_events) == (ref.square_events, ref.tetra_events)
 
 
 def test_hiphop_mode_convergence():

@@ -29,12 +29,15 @@ ISOSCELES = {
 
 
 def config_args(tmp_path, scenario):
-    """--config of a scenario written to tmp_path; none for scenario None."""
-    if scenario is None:
-        return []
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))  # a NaN is written as NaN, which json reads back
-    return ["--config", str(path)]
+    """--config of a scenario, or of each in a list, written to tmp_path;
+    none for scenario None."""
+    args = []
+    for k, sc in enumerate([] if scenario is None else
+                           scenario if isinstance(scenario, list) else [scenario]):
+        path = tmp_path / f"scenario{k}.json"
+        path.write_text(json.dumps(sc))  # a NaN is written as NaN, which json reads back
+        args += ["--config", str(path)]
+    return args
 
 
 @pytest.fixture
@@ -104,11 +107,13 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["hiphop", "--seed", "0", "--samples", "1"], None),
     (["hiphop", "--seed", "0", "--modes", "0"], None),
     (["hiphop", "--seed", "0", "--modes", "-1"], None),
+    (["simulate", "--jobs", "0"], [CIRCULAR, CIRCULAR]),
+    (["simulate", "--jobs", "-2"], [CIRCULAR, CIRCULAR]),
 ], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan",
         "tol-nan", "tol-0", "tol-negative", "kepler-samples-0", "kepler-samples-1",
         "homographic-samples-0", "homographic-samples-1", "relequil-samples-1",
         "relequil-samples-negative", "hiphop-samples-0", "hiphop-samples-1",
-        "hiphop-modes-0", "hiphop-modes-negative"])
+        "hiphop-modes-0", "hiphop-modes-negative", "jobs-0", "jobs-negative"])
 def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenario):
     out = tmp_path / "out"
     rc = main(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
@@ -130,6 +135,19 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CollisionError"
+
+
+def test_linear_algebra_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, but a numerical failure, not bad input
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("nbodyred.cli.find_central", singular)
+    out = tmp_path / "out"
+    rc = main(["find-central", "--masses", "1,1,1", "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
+    assert not out.exists()
 
 
 def test_find_central_json(tmp_path):

@@ -9,6 +9,7 @@ from nbodyred.geometry import (
     MassSystem,
     gram_form,
     inertia,
+    interaction_matrix_from_s,
     squared_distances,
 )
 from nbodyred.configurations import (
@@ -16,6 +17,7 @@ from nbodyred.configurations import (
     classify,
     find_balanced,
     find_central,
+    p_matrix,
     shape_sphere,
 )
 
@@ -24,6 +26,23 @@ SYS_EQ = MassSystem([1.0, 1.0, 1.0])
 
 # ---------------------------------------------------------------------------
 # classification
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+@pytest.mark.parametrize("kappa", [-0.3, -0.5, -1.0])
+def test_p_matrix_matches_loop(n, kappa):
+    # oracle: P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj, term by term
+    rng = np.random.default_rng(n)
+    sys = MassSystem(rng.uniform(0.5, 2.0, n), kappa=kappa)
+    s = squared_distances(rng.normal(size=(3, n)))
+    du = -interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m
+    ref = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ref[i, j] = sum((s[i, l] - s[i, j]) * du[l, j]
+                                for l in range(n) if l != j) / (2.0 * sys.m[j])
+    assert np.abs(p_matrix(s, sys) - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def test_equilateral_is_central_for_any_masses():
