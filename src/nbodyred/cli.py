@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys as _sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -63,9 +62,9 @@ def _cmd_simulate(args, config, suffix=""):
     sys, z0 = _need_state(config)
     traj = integrate_absolute(z0, sys, args.horizon, tol=args.tol,
                               method=args.integrator, samples=args.samples)
+    report = audit_invariants(traj, sys)
     if args.command == "simulate":
         serialize.trajectory_to_csv(_outpath(args, "trajectory.csv", suffix), traj)
-    report = audit_invariants(traj, sys)
     serialize.write_json(_outpath(args, "audit.json", suffix),
                          serialize.report_to_dict(report))
     log.info("energy drift %.3e, momentum drift %.3e",
@@ -164,11 +163,12 @@ def _cmd_hiphop(args, config=None, suffix=""):
                                                  vertical_kick=args.kick)
     opts = MinimizeOptions(gtol=args.gtol, seed=args.seed)
     loop = minimize_action(seed_loop, sym, opts)
+    report = verify_loop(loop, sym=sym)
+    traj = loop.sample(ts)
     serialize.write_json(_outpath(args, "loop.json", suffix),
                          serialize.loop_to_dict(loop))
-    serialize.write_json(_outpath(args, "hiphop_report.json", suffix),
-                         vars(verify_loop(loop, sym=sym)))
-    serialize.trajectory_to_csv(_outpath(args, "hiphop.csv", suffix), loop.sample(ts))
+    serialize.write_json(_outpath(args, "hiphop_report.json", suffix), vars(report))
+    serialize.trajectory_to_csv(_outpath(args, "hiphop.csv", suffix), traj)
     return 0
 
 
@@ -287,29 +287,47 @@ def build_parser():
     return top
 
 
+_FAILURES = (NumericalError, ValidationError, ValueError)
+
+
+def _failure(exc):
+    """Exit code and JSON error line of a failed run (one of _FAILURES)."""
+    # LinAlgError is a ValueError, but a numerical failure, not bad input
+    code = 3 if isinstance(exc, (NumericalError, np.linalg.LinAlgError)) else 2
+    return code, json.dumps({"error": type(exc).__name__, "message": str(exc)})
+
+
 def _run_job(payload):
+    """One config run to its own end: (exit code, JSON error line or None)."""
     args, config, suffix = payload
-    handler = _CONFIG_COMMANDS[args.command]
-    return handler(args, config, suffix)
+    try:
+        return _CONFIG_COMMANDS[args.command](args, config, suffix), None
+    except _FAILURES as exc:
+        return _failure(exc)
 
 
 def _dispatch(args):
+    """Exit code of the command; with several configs every one runs, each
+    failure goes to stderr and the largest code is returned."""
     if args.command in _PLAIN_COMMANDS:
         return _PLAIN_COMMANDS[args.command](args)
     configs = args.config
     if args.jobs < 1:
         raise ValidationError(f"--jobs = {args.jobs} must be at least 1")
-    if len(configs) == 1:
-        return _CONFIG_COMMANDS[args.command](args, configs[0])
-    suffixes = [f"_job{k}" for k in range(len(configs))]
+    suffixes = [""] if len(configs) == 1 else [f"_job{k}" for k in range(len(configs))]
+    payloads = [(args, c, s) for c, s in zip(configs, suffixes)]
     workers = min(args.jobs, len(configs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_run_job,
-                                  [(args, c, s) for c, s in zip(configs, suffixes)]))
+            results = list(pool.map(_run_job, payloads))
     else:
-        codes = [_run_job((args, c, s)) for c, s in zip(configs, suffixes)]
-    return max(codes)
+        results = [_run_job(p) for p in payloads]
+    for _, error in results:
+        if error is not None:
+            _sys.stderr.write(error + "\n")
+    return max(code for code, _ in results)
 
 
 def main(argv=None):
@@ -319,14 +337,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (NumericalError, np.linalg.LinAlgError) as exc:   # LinAlgError is a ValueError
-        _sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
-    except (ValidationError, ValueError) as exc:
-        _sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
+    except _FAILURES as exc:
+        code, error = _failure(exc)
+        _sys.stderr.write(error + "\n")
+        return code
 
 
 if __name__ == "__main__":

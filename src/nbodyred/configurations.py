@@ -7,14 +7,15 @@ point of U at fixed inertia spectrum).  Besides residual classification,
 this module finds both kinds numerically and evaluates the mass-linear
 determinant equations P_ijk for balance in terms of the squared mutual
 distances alone.
+
+scipy (`expm`, `minimize`) is imported on first use by `find_balanced`, so
+importing this module does not load it.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .errors import (
     DegenerateConfiguration,
@@ -195,6 +196,9 @@ def find_balanced(sys, spectrum, seed=None, x0=None, tol=1e-8, max_rounds=40):
     dimensions as the spectrum has positive entries; which critical point is
     reached depends on the seed (or the optional seed configuration x0).
     """
+    from scipy.linalg import expm
+    from scipy.optimize import minimize
+
     spec = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     if spec.size > sys.n - 1:
         raise InfeasibleSpectrum(f"spectrum rank {spec.size} exceeds n-1 = {sys.n - 1}")

@@ -5,13 +5,14 @@ on coordinates, and the reduced system on the quadruple (beta, gamma, delta,
 rho), where A is recomputed from beta at every evaluation.  Audits check
 energy, angular momentum, the virial (Lagrange-Jacobi) relation and the
 Sundman gap I K - J^2 - |C|^2.
+
+scipy is imported on first use (`solve_ivp` by the integrators,
+`CubicSpline` by the audit), so importing this module does not load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     CollisionError,
@@ -73,6 +74,8 @@ def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
     floor, or when a step stalls with the minimal distance at the last accepted
     step below max(1e3 floor, 1e-6 initial); any other stall is a StepFailure.
     """
+    from scipy.integrate import solve_ivp
+
     last = [0.0, np.inf]   # (t, min distance) at t0 and every accepted step
 
     def too_close(t, u):
@@ -252,6 +255,8 @@ def audit_invariants(traj, sys):
     differentiated by cubic spline, the minimum Sundman gap, and for
     kappa = -1 the drift of the scaling integral 2 I H - J^2.
     """
+    from scipy.interpolate import CubicSpline
+
     if traj.kind != "absolute":
         raise ValidationError("audit expects an absolute trajectory")
     invariants = _invariants(traj.samples[:, 0], traj.samples[:, 1], sys)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import nbodyred
 from nbodyred.cli import main
+from nbodyred.errors import NumericalError
 from nbodyred.serialize import dumps, loop_from_dict, loop_to_dict, scenario_from_dict
 from nbodyred.geometry import MassSystem
 from nbodyred.action import circular_two_body_loop
@@ -150,6 +156,23 @@ def test_linear_algebra_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, scenario, target", [
+    (["simulate", "--horizon", "1"], CIRCULAR, "audit_invariants"),
+    (["hiphop", "--seed", "0", "--modes", "4"], None, "verify_loop"),
+], ids=["simulate", "hiphop"])
+def test_failed_command_leaves_no_outputs(tmp_path, capsys, monkeypatch, argv, scenario, target):
+    # every result is computed before the first file is written
+    def fail(*args, **kwargs):
+        raise NumericalError("injected failure")
+
+    monkeypatch.setattr(f"nbodyred.cli.{target}", fail)
+    out = tmp_path / "out"
+    rc = main(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "NumericalError"
+    assert not out.exists()
+
+
 def test_find_central_json(tmp_path):
     rc = main(["find-central", "--masses", "1,2,3", "--dim", "2",
                "--seed", "7", "--out", str(tmp_path)])
@@ -188,6 +211,18 @@ def test_jobs_suffix(tmp_path, circ_config):
     assert rc == 0
     assert (tmp_path / "trajectory_job0.csv").exists()
     assert (tmp_path / "audit_job1.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_every_config_runs_to_its_own_end(tmp_path, capsys, jobs):
+    bad = dict(CIRCULAR, masses=[1.0, -1.0])
+    out = tmp_path / "out"
+    rc = main(["simulate", "--horizon", "1", "--jobs", jobs, "--out", str(out)]
+              + config_args(tmp_path, [bad, CIRCULAR]))
+    assert rc == 2
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["error"] for e in errors] == ["ValidationError"]
+    assert sorted(p.name for p in out.iterdir()) == ["audit_job1.json", "trajectory_job1.csv"]
 
 
 def test_shape_sphere_csv(tmp_path):
@@ -260,3 +295,36 @@ def test_homographic_and_relequil(tmp_path):
     data = json.loads((tmp_path / "relequil.json").read_text())
     assert len(data["frequencies"]) == 2
     assert (tmp_path / "relequil.csv").exists()
+
+
+def test_closed_form_commands_do_not_import_scipy(tmp_path):
+    # the test process has scipy loaded already, so check in a fresh one
+    for name, scenario in [("central", EQUILATERAL), ("iso", ISOSCELES),
+                           ("bad", dict(CIRCULAR, masses=[1.0, -1.0]))]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
+    script = textwrap.dedent(f"""
+        import sys
+        import nbodyred.cli, nbodyred.dynamics, nbodyred.configurations
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        assert not loaded(), "import"
+        out = {str(tmp_path / "out")!r}
+        for argv, code in [
+            (["kepler", "--e", "0.5"], 0),
+            (["find-central", "--masses", "1,2,3", "--seed", "7"], 0),
+            (["homographic", "--config", {str(tmp_path / "central.json")!r}], 0),
+            (["relequil", "--config", {str(tmp_path / "iso.json")!r}, "--samples", "9"], 0),
+            (["hiphop", "--seed", "0", "--modes", "4"], 0),
+            (["simulate", "--config", {str(tmp_path / "bad.json")!r}], 2),
+        ]:
+            assert nbodyred.cli.main(argv + ["--out", out]) == code, argv
+            assert not loaded(), argv
+    """)
+    src = os.path.dirname(os.path.dirname(nbodyred.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
