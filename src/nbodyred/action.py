@@ -362,6 +362,10 @@ class MinimizeOptions:
     n_quad: int = None         # default: max(256, 4 K)
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.gtol < np.inf:   # written so that NaN fails it
+            raise ValidationError("gtol must be finite and positive")
+
 
 def minimize_action(seed_loop, sym, opts=None):
     """Minimize the action over the symmetry class of the seed.
@@ -602,6 +606,8 @@ def square_relative_equilibrium_loop(T, sys, n_modes, vertical_kick=0.0):
     """
     if sys.n != 4:
         raise ValidationError("square seed needs four bodies")
+    if not np.isfinite(vertical_kick):
+        raise ValidationError("vertical kick must be finite")
     m = sys.m[0]
     if np.abs(sys.m - m).max() > 1e-12 * m:
         raise ValidationError("square seed needs equal masses")

@@ -28,6 +28,7 @@ from .geometry import (
     Configuration,
     beta_to_distances,
     gram_form,
+    hyperplane_basis,
     inertia,
     interaction_matrix_from_s,
     mass_dot,
@@ -152,12 +153,6 @@ def find_central(sys, d, seed=None, x0=None, gtol=1e-12, max_iter=400):
 # balanced configurations
 
 
-def _perp_basis(sqm):
-    """Orthonormal basis of the hyperplane orthogonal to sqrt(m) in R^n."""
-    u, _, _ = np.linalg.svd(sqm[:, None], full_matrices=True)
-    return u[:, 1:]
-
-
 def _beta_from_rotation(Q, W, spec_full, sqm):
     b_sym = (W @ Q * spec_full) @ (W @ Q).T
     return b_sym / np.outer(sqm, sqm)
@@ -196,17 +191,18 @@ def find_balanced(sys, spectrum, seed=None, x0=None, tol=1e-8, max_rounds=40):
     dimensions as the spectrum has positive entries; which critical point is
     reached depends on the seed (or the optional seed configuration x0).
     """
-    from scipy.linalg import expm
-    from scipy.optimize import minimize
-
     spec = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     if spec.size > sys.n - 1:
         raise InfeasibleSpectrum(f"spectrum rank {spec.size} exceeds n-1 = {sys.n - 1}")
-    if spec.size == 0 or np.any(spec < 0) or spec[0] <= 0:
-        raise ValidationError("spectrum must be nonnegative with a positive leading entry")
+    if spec.size == 0 or not np.isfinite(spec).all() or np.any(spec < 0) or spec[0] <= 0:
+        raise ValidationError("spectrum must be finite and nonnegative with a positive leading entry")
+
+    from scipy.linalg import expm
+    from scipy.optimize import minimize
+
     spec_full = np.concatenate([spec, np.zeros(sys.n - 1 - spec.size)])
     sqm = np.sqrt(sys.m)
-    W = _perp_basis(sqm)
+    W = hyperplane_basis(sys)
     k = sys.n - 1
 
     if x0 is not None:

@@ -1,10 +1,19 @@
 """Time integration and invariant audits.
 
-Two routes are integrated: the absolute equations  x_dot = y, y_dot = 2 x A
-on coordinates, and the reduced system on the quadruple (beta, gamma, delta,
-rho), where A is recomputed from beta at every evaluation.  Audits check
-energy, angular momentum, the virial (Lagrange-Jacobi) relation and the
-Sundman gap I K - J^2 - |C|^2.
+The absolute equations x_dot = y, y_dot = 2 x A are integrated on
+coordinates, with the accelerations summed over the pair list.  The reduced
+system is integrated on D*, the mean-zero hyperplane: with x_hat = x M Q
+(Q = M^{-1/2} V, V from `hyperplane_basis`, k = n - 1 columns) the state is
+the upper triangle of the 2k x 2k Gram table G = [[b, g - r], [g + r, e]]
+of (x_hat, y_hat), the forms (beta, gamma, delta, rho) on D*, and
+
+    G_dot = L^T G + G L,   L = [[0, 2 A_hat], [I, 0]],   A_hat = W^T diag(c) W,
+
+with W = D Q, c_p = m_i m_j Phi'(s_p) and s_p = w_p^T b w_p.  Samples are
+stored as double-centred n x n tables.  Both integrators stop with
+StepFailure after MAX_RHS_EVALS evaluations and report `rhs_evals` in the
+trajectory metadata.  Audits check energy, angular momentum, the virial
+(Lagrange-Jacobi) relation and the Sundman gap I K - J^2 - |C|^2.
 
 scipy is imported on first use (`solve_ivp` by the integrators,
 `CubicSpline` by the audit), so importing this module does not load it.
@@ -23,7 +32,7 @@ from .errors import (
 )
 from .geometry import (
     COLLISION_FLOOR,
-    REDUCED_SIGNS,
+    RelativeState,
     Trajectory,
     angular_momentum,
     angular_momentum_tables,
@@ -33,12 +42,16 @@ from .geometry import (
     checked_potential,
     closest_distance,
     hermitian_from_bivector,
-    interaction_matrix_from_s,
+    hyperplane_basis,
     mass_dot,
     matrix_rank,
+    pair_accelerations,
+    pair_coefficients,
     reduced_tables,
     squared_distances,
 )
+
+MAX_RHS_EVALS = 250_000   # over ten times the largest run in the tests and the benchmark
 
 
 @dataclass
@@ -67,16 +80,30 @@ def _sample_times(horizon, samples, tol=1.0):
     return np.linspace(0.0, float(horizon), int(samples))
 
 
+def _budget_exhausted(t):
+    return StepFailure(f"right-hand side budget of {MAX_RHS_EVALS} evaluations "
+                       f"exhausted at t = {t:.6g}")
+
+
 def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
-    """DOP853 states at the times ts, one row per sample.
+    """DOP853 states at the times ts, one row per sample, and the number of
+    right-hand-side evaluations.
 
     Raises CollisionError when min_distance(u) falls below twice the collision
     floor, or when a step stalls with the minimal distance at the last accepted
-    step below max(1e3 floor, 1e-6 initial); any other stall is a StepFailure.
+    step below max(1e3 floor, 1e-6 initial); any other stall, and a run that
+    needs more than MAX_RHS_EVALS evaluations, is a StepFailure.
     """
     from scipy.integrate import solve_ivp
 
     last = [0.0, np.inf]   # (t, min distance) at t0 and every accepted step
+    evals = [0]
+
+    def counted(t, u):
+        evals[0] += 1
+        if evals[0] > MAX_RHS_EVALS:
+            raise _budget_exhausted(last[0])
+        return rhs(t, u)
 
     def too_close(t, u):
         last[:] = t, min_distance(u)
@@ -84,7 +111,7 @@ def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
     too_close.terminal = True
     too_close.direction = -1
 
-    sol = solve_ivp(rhs, (0.0, ts[-1]), u0, method="DOP853", t_eval=ts,
+    sol = solve_ivp(counted, (0.0, ts[-1]), u0, method="DOP853", t_eval=ts,
                     rtol=tol, atol=tol, events=too_close)
     if sol.status == 1:
         raise CollisionError(f"collision at t = {sol.t_events[0][0]:.6g}")
@@ -97,16 +124,11 @@ def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
                 f"collapse at t = {t_last:.6g} (min distance {mind:.3e})"
             )
         raise StepFailure(sol.message)
-    return sol.y.T
+    return sol.y.T, sol.nfev
 
 
 # ---------------------------------------------------------------------------
 # absolute integration
-
-
-def _acceleration(xr, sys, collision_floor):
-    """x_ddot = 2 x A."""
-    return 2.0 * (xr @ interaction_matrix_from_s(squared_distances(xr), sys, collision_floor))
 
 
 def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
@@ -117,7 +139,9 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
     absolute tolerance `tol`; "leapfrog" is a fixed-step kick-drift-kick
     scheme (step `dt`, default horizon/8192) for long conservation audits.
     Raises CollisionError when a mutual distance falls below the collision
-    floor, StepFailure when the step size underflows.
+    floor, StepFailure when the step size underflows or the run exhausts
+    MAX_RHS_EVALS.  The metadata hold the integrator, tol and rhs_evals
+    (acceleration evaluations for leapfrog).
     """
     ts = _sample_times(horizon, samples, tol)
     d, n = z0.d, z0.n
@@ -127,86 +151,127 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
         u0 = np.concatenate([z0.x.r.ravel(), z0.y.r.ravel()])
 
         def rhs(t, u):
-            accel = _acceleration(u[:dn].reshape(d, n), sys, collision_floor)
+            accel = pair_accelerations(u[:dn].reshape(d, n), sys, collision_floor)
             return np.concatenate([u[dn:], accel.ravel()])
 
         def min_distance(u):
             return closest_distance(squared_distances(u[:dn].reshape(d, n)), sys)
 
-        us = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
+        us, evals = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
     elif method == "leapfrog":
-        us = _leapfrog(z0, sys, ts, dt if dt is not None else horizon / 8192.0,
-                       collision_floor)
+        us, evals = _leapfrog(z0, sys, ts, dt if dt is not None else horizon / 8192.0,
+                              collision_floor)
     else:
         raise ValidationError(f"unknown integrator {method!r}")
 
     return Trajectory(ts, centred(us.reshape(ts.size, 2, d, n), sys), "absolute",
-                      {"integrator": method, "tol": tol})
+                      {"integrator": method, "tol": tol, "rhs_evals": evals})
 
 
 def _leapfrog(z0, sys, ts, dt, collision_floor):
-    """Fixed-step kick-drift-kick between the requested sample times."""
+    """Fixed-step kick-drift-kick between the requested sample times; the
+    states and the number of acceleration evaluations."""
     x = z0.x.r.copy()
     v = z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
     t = ts[0]
-    a = _acceleration(x, sys, collision_floor)
+    a = pair_accelerations(x, sys, collision_floor)
+    evals = 1
     for k, target in enumerate(ts):
         while t < target - 1e-15:
+            if evals >= MAX_RHS_EVALS:
+                raise _budget_exhausted(t)
             h = min(dt, target - t)
             v += 0.5 * h * a
             x += h * v
-            a = _acceleration(x, sys, collision_floor)
+            a = pair_accelerations(x, sys, collision_floor)
+            evals += 1
             v += 0.5 * h * a
             t += h
         out[k] = x, v
-    return out
+    return out, evals
 
 
 # ---------------------------------------------------------------------------
 # reduced integration
 
 
+class _GramTable:
+    """The reduced state as the packed upper triangle u of the Gram table G
+    on D* (module docstring)."""
+
+    def __init__(self, sys):
+        self.sys, self.k = sys, sys.n - 1
+        k = self.k
+        Q = hyperplane_basis(sys) / np.sqrt(sys.m)[:, None]
+        # x_hat = x M Q and x = x_hat Q^T, for positions and velocities alike
+        self.Q, self.MQ2 = Q, np.kron(np.eye(2), sys.m[:, None] * Q)
+        iu = np.triu_indices(2 * k)
+        self.index = np.empty((2 * k, 2 * k), dtype=int)   # G = u[index]
+        self.index[iu] = self.index[iu[::-1]] = np.arange(iu[0].size)
+        self.flat = [np.ravel_multi_index(ij, self.index.shape) for ij in (iu, iu[::-1])]
+        self.blocks = np.stack([self.index[:k, :k], self.index[:k, k:],   # u[..., blocks]: the
+                                self.index[k:, k:], self.index[k:, :k]])  # b, g - r, e, g + r of G
+        self.b = self.index[:k, :k].ravel()   # u[b] = b.ravel()
+        # rows w_p (x) w_p of W = D Q: s = WW u[b] and A_hat = c WW; their
+        # P (n - 1)^2 numbers (0.5 MB at n = 20, 49 MB at n = 60) suit few bodies
+        W = sys.D @ Q
+        self.WW = np.einsum("pa,pb->pab", W, W).reshape(W.shape[0], k * k)
+
+    def _upper_of_sum(self, X):
+        """Upper triangle of X + X^T."""
+        X = X.ravel()
+        return X[self.flat[0]] + X[self.flat[1]]
+
+    def pack(self, rel):
+        """u of a RelativeState (of any representatives of its forms on D*)."""
+        return 0.5 * self._upper_of_sum(self.MQ2.T @ rel.block_matrix() @ self.MQ2)
+
+    def unpack(self, u):
+        """Double-centred (..., 4, n, n) tables of packed states u."""
+        return reduced_tables(self.Q @ u[..., self.blocks] @ self.Q.T)
+
+    def min_distance(self, u):
+        return float(np.sqrt(max((self.WW @ u[self.b]).min(), 0.0)))
+
+    def rhs(self, u, collision_floor):
+        """Packed G_dot = X + X^T with X = G L."""
+        k = self.k
+        try:
+            c = pair_coefficients(self.WW @ u[self.b], self.sys, collision_floor)
+        except CollisionError:
+            beta_to_distances(self.unpack(u)[0], tol=1e-6)   # a non-Gram b raises
+            raise
+        G = u[self.index]
+        return self._upper_of_sum(np.concatenate(
+            [G[:, k:], 2.0 * G[:, :k] @ (c @ self.WW).reshape(k, k)], axis=1))
+
+
 def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
     """Right-hand side of the reduced system on the stacked (4, n, n) tables
-    (beta, gamma, delta, rho), returned stacked the same way.
+    (beta, gamma, delta, rho), returned as double-centred tables.
 
+    The packed flow G_dot = L^T G + G L of the module docstring, read from
+    and written to tables; on D* it is
     beta_dot = 2 gamma, gamma_dot = A^T beta + beta A + delta,
     delta_dot = 2 (A^T gamma + gamma A) - 2 (A^T rho - rho A),
-    rho_dot = A^T beta - beta A,
-    with A recomputed from beta through the squared distances.  The tables
-    are first made exactly (anti)symmetric.  The class of the result on the
-    mean-zero hyperplane evolves autonomously (A kills the mass vector on
-    one side and the ones vector on the other); RelativeState(*result) is
-    its double-centred representative.
+    rho_dot = A^T beta - beta A.
     """
-    beta, gamma, delta, rho = 0.5 * (tables + REDUCED_SIGNS * np.swapaxes(tables, -1, -2))
-    A = interaction_matrix_from_s(beta_to_distances(beta, tol=1e-6), sys, collision_floor)
-    At = A.T
-    return np.array([
-        2.0 * gamma,
-        At @ beta + beta @ A + delta,
-        2.0 * (At @ gamma + gamma @ A) - 2.0 * (At @ rho - rho @ A),
-        At @ beta - beta @ A,
-    ])
+    gram = _GramTable(sys)
+    return gram.unpack(gram.rhs(gram.pack(RelativeState(*tables)), collision_floor))
 
 
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
                       collision_floor=COLLISION_FLOOR):
-    """Integrate the reduced quadruple; same contract as integrate_absolute."""
+    """Integrate the reduced system on the packed Gram table; same contract
+    as integrate_absolute, with double-centred (beta, gamma, delta, rho)
+    samples."""
     ts = _sample_times(horizon, samples, tol)
-    n = rel0.n
-    u0 = np.array([rel0.beta, rel0.gamma, rel0.delta, rel0.rho]).ravel()
-
-    def rhs(t, u):
-        return reduced_rhs(u.reshape(4, n, n), sys, collision_floor).ravel()
-
-    def min_distance(u):
-        return closest_distance(beta_to_distances(u[:n * n].reshape(n, n), tol=1e-6), sys)
-
-    us = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
-    return Trajectory(ts, reduced_tables(us.reshape(ts.size, 4, n, n)), "reduced",
-                      {"integrator": "rk8", "tol": tol})
+    gram = _GramTable(sys)
+    us, evals = _drive(lambda t, u: gram.rhs(u, collision_floor), gram.pack(rel0), ts, tol,
+                       gram.min_distance, collision_floor)
+    return Trajectory(ts, gram.unpack(us), "reduced",
+                      {"integrator": "rk8", "tol": tol, "rhs_evals": evals})
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ instantaneous rotations.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,16 +74,26 @@ class MassSystem:
         self.G = float(G)
         self.kappa = float(kappa)
         self.pairs = np.triu_indices(self.n, 1)   # (i, j) index arrays, i < j
+        self.pair_masses = _readonly(m[self.pairs[0]] * m[self.pairs[1]])
         # added to a squared-distance table: the diagonal never counts as a
         # collision and Phi'(inf) = 0 leaves it out of every pair sum
         self._inf_diagonal = _readonly(np.diag(np.full(self.n, np.inf)))
+
+    @cached_property
+    def D(self):
+        """Pair incidence, n(n-1)/2 x n: row p is e_i - e_j, so x D^T holds the
+        pair differences (built on first use: its size grows as n^3)."""
+        i, j = self.pairs
+        return _readonly(np.eye(self.n)[i] - np.eye(self.n)[j])
 
     def phi(self, s):
         """Pair potential profile Phi(s) = G s^kappa (s = squared distance)."""
         return self.G * np.power(s, self.kappa)
 
     def dphi(self, s):
-        """Phi'(s) = G kappa s^(kappa-1)."""
+        """Phi'(s) = G kappa s^(kappa-1); G kappa / (s sqrt s) when kappa = -1/2."""
+        if self.kappa == -0.5:
+            return self.G * self.kappa / (s * np.sqrt(s))
         return self.G * self.kappa * np.power(s, self.kappa - 1.0)
 
     def __repr__(self):
@@ -278,6 +289,16 @@ def beta_to_distances(beta, tol=1e-9):
     return s
 
 
+def hyperplane_basis(sys):
+    """Orthonormal basis V (n x (n-1)) of the hyperplane orthogonal to sqrt(m).
+
+    With Q = M^{-1/2} V, x_hat = x M Q are coordinates of a mass-centred
+    configuration x on the mean-zero hyperplane D* (x = x_hat Q^T), in which
+    the mass metric is the euclidean one."""
+    u, _, _ = np.linalg.svd(np.sqrt(sys.m)[:, None], full_matrices=True)
+    return u[:, 1:]
+
+
 def squared_distances(r):
     """Squared mutual distances s_ij = |r_i - r_j|^2 of (..., d, n) coordinates."""
     diff = r[..., :, None] - r[..., None, :]
@@ -338,20 +359,43 @@ def elementary_symmetric(values, kmax):
 # interaction matrix and potential
 
 
+def _check_floor(smin, collision_floor):
+    if smin < collision_floor**2:
+        rmin = float(np.sqrt(max(smin, 0.0)))
+        raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
+
+
+def pair_coefficients(s, sys, collision_floor=COLLISION_FLOOR):
+    """c_p = m_i m_j Phi'(s_p) of squared distances s on the pair list
+    sys.pairs; raises CollisionError below the collision floor.
+
+    With the incidence D = sys.D, A M = D^T diag(c) D: the accelerations are
+    2 (x D^T * c) D / m, and the interaction form on x_hat coordinates is
+    W^T diag(c) W with W = D Q.
+    """
+    _check_floor(s.min(), collision_floor)
+    return sys.pair_masses * sys.dphi(s)
+
+
+def pair_accelerations(r, sys, collision_floor=COLLISION_FLOOR):
+    """Accelerations 2 x A = 2 (x D^T * c) D / m of (d, n) coordinates, summed
+    over the pair list; raises CollisionError below the collision floor."""
+    diff = r @ sys.D.T
+    c = pair_coefficients((diff * diff).sum(axis=0), sys, collision_floor)
+    return 2.0 * (diff * c) @ sys.D / sys.m
+
+
 def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
     """The interaction table A from (..., n, n) squared distances.
 
     A_ij = -m_i Phi'(s_ij) off-diagonal, A_ii = sum_{l!=i} m_l Phi'(s_il);
     Newtonian entries are m_i / (2 r_ij^3).  A annihilates the mass vector
     and its columns sum to zero, so it maps mean-zero covectors to mean-zero
-    covectors.  Every other Phi' quantity is a line of A: the accelerations
-    2 x A, the forces m_i (2 x A)_i and dU/ds_ij = -A_ij m_j.
+    covectors.  A M = D^T diag(c) D with the pair coefficients c of
+    `pair_coefficients`, which the integrators use in place of the table.
     """
     s = s + sys._inf_diagonal
-    smin = s.min()
-    if smin < collision_floor**2:
-        rmin = float(np.sqrt(max(smin, 0.0)))
-        raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
+    _check_floor(s.min(), collision_floor)
     dphi = sys.dphi(s)
     A = -sys.m[:, None] * dphi
     np.einsum("...ii->...i", A)[...] = (dphi * sys.m).sum(axis=-1)

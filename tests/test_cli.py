@@ -115,11 +115,20 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["hiphop", "--seed", "0", "--modes", "-1"], None),
     (["simulate", "--jobs", "0"], [CIRCULAR, CIRCULAR]),
     (["simulate", "--jobs", "-2"], [CIRCULAR, CIRCULAR]),
+    (["find-balanced", "--masses", "1,1,1,1", "--spectrum=nan,1", "--seed", "1"], None),
+    (["find-balanced", "--masses", "1,1,1,1", "--spectrum=inf,1", "--seed", "1"], None),
+    (["hiphop", "--seed", "0", "--gtol", "nan"], None),
+    (["hiphop", "--seed", "0", "--gtol", "0"], None),
+    (["hiphop", "--seed", "0", "--gtol=-1e-6"], None),
+    (["hiphop", "--seed", "0", "--kick", "nan"], None),
+    (["hiphop", "--seed", "0", "--kick", "inf"], None),
 ], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan",
         "tol-nan", "tol-0", "tol-negative", "kepler-samples-0", "kepler-samples-1",
         "homographic-samples-0", "homographic-samples-1", "relequil-samples-1",
         "relequil-samples-negative", "hiphop-samples-0", "hiphop-samples-1",
-        "hiphop-modes-0", "hiphop-modes-negative", "jobs-0", "jobs-negative"])
+        "hiphop-modes-0", "hiphop-modes-negative", "jobs-0", "jobs-negative",
+        "spectrum-nan", "spectrum-inf", "gtol-nan", "gtol-0", "gtol-negative", "kick-nan",
+        "kick-inf"])
 def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenario):
     out = tmp_path / "out"
     rc = main(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
@@ -141,6 +150,16 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CollisionError"
+
+
+def test_rhs_budget_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("nbodyred.dynamics.MAX_RHS_EVALS", 100)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--horizon", "5"] + config_args(tmp_path, CIRCULAR) + ["--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StepFailure" and "budget of 100 evaluations" in err["message"]
+    assert not out.exists()
 
 
 def test_linear_algebra_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -318,6 +337,7 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path):
             (["relequil", "--config", {str(tmp_path / "iso.json")!r}, "--samples", "9"], 0),
             (["hiphop", "--seed", "0", "--modes", "4"], 0),
             (["simulate", "--config", {str(tmp_path / "bad.json")!r}], 2),
+            (["find-balanced", "--masses", "1,1,1,1", "--spectrum=nan,1", "--seed", "1"], 2),
         ]:
             assert nbodyred.cli.main(argv + ["--out", out]) == code, argv
             assert not loaded(), argv

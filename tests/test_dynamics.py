@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import equilateral, isosceles, random_state, tame_scenario
-from nbodyred.errors import CollisionError, InvalidStructure, ValidationError
+from nbodyred import dynamics
+from nbodyred.errors import (
+    CollisionError,
+    InvalidStructure,
+    NegativeSquaredDistance,
+    StepFailure,
+    ValidationError,
+)
 from nbodyred.geometry import (
     COLLISION_FLOOR,
+    REDUCED_SIGNS,
+    _bare,
     Bivector,
     Configuration,
     MassSystem,
@@ -12,12 +21,15 @@ from nbodyred.geometry import (
     State,
     Trajectory,
     angular_momentum,
+    beta_to_distances,
     bivector_norm_and_frequencies,
     centred,
     gram_form,
     hermitian_from_bivector,
+    interaction_matrix_from_s,
     mass_dot,
     matrix_rank,
+    reduced_tables,
     wintner_conley,
 )
 from nbodyred.dynamics import (
@@ -160,6 +172,65 @@ def test_reduced_rhs_scaled_beta_only():
     assert np.abs(drv.beta).max() == 0.0  # beta_dot = 2 gamma = 0
 
 
+def reduced_rhs_oracle(tables, sys, collision_floor=COLLISION_FLOOR):
+    """The reduced right-hand side on (4, n, n) tables, written with the
+    interaction table A (the formula before the packed Gram flow)."""
+    beta, gamma, delta, rho = 0.5 * (tables + REDUCED_SIGNS * np.swapaxes(tables, -1, -2))
+    A = interaction_matrix_from_s(beta_to_distances(beta, tol=1e-6), sys, collision_floor)
+    At = A.T
+    return np.array([
+        2.0 * gamma,
+        At @ beta + beta @ A + delta,
+        2.0 * (At @ gamma + gamma @ A) - 2.0 * (At @ rho - rho @ A),
+        At @ beta - beta @ A,
+    ])
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -1.0])
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (5, 4)])
+def test_packed_reduced_rhs_matches_table_formula(n, d, kappa):
+    rng = np.random.default_rng(100 * n + d)
+    for _ in range(5):
+        sys, z = random_state(rng, n, d)
+        sys = MassSystem(sys.m, kappa=kappa)
+        t = tables(RelativeState.from_state(z))
+        ref = reduced_tables(reduced_rhs_oracle(t, sys))
+        got = reduced_rhs(t, sys)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (5, 4)])
+def test_gram_table_pack_unpack_round_trip(n, d):
+    rng = np.random.default_rng(n + d)
+    sys, z = random_state(rng, n, d)
+    gram = dynamics._GramTable(sys)
+    rel = RelativeState.from_state(z)
+    t = tables(rel)
+    u = gram.pack(rel)
+    assert u.shape == ((n - 1) * (2 * n - 1),)   # 10 numbers at n = 3, 36 at n = 5
+    assert np.abs(gram.unpack(u) - t).max() <= 1e-14 * np.abs(t).max()
+    # any representative of the forms on D* packs to the same state
+    shift = rng.normal(size=n)[:, None] * np.ones(n)
+    other = _bare(RelativeState, t + np.array([shift + shift.T, shift + shift.T,
+                                               shift + shift.T, shift - shift.T]))
+    assert np.abs(gram.pack(other) - u).max() <= 1e-13 * np.abs(u).max()
+    # a batch unpacks row by row
+    us = np.stack([u, 2.0 * u])
+    assert np.array_equal(gram.unpack(us)[1], gram.unpack(2.0 * u))
+
+
+def test_reduced_rhs_rejects_non_gram_beta_and_collisions():
+    sys = MassSystem([1.0, 1.0, 1.0])
+    zero = np.zeros((3, 3))
+    beta = -gram_form(equilateral(sys))   # negative squared distances
+    with pytest.raises(NegativeSquaredDistance):
+        reduced_rhs(np.array([beta, zero, zero, zero]), sys)
+    # every mutual distance 1e-11, below the collision floor
+    beta = gram_form(equilateral(sys, side=1e-11))
+    with pytest.raises(CollisionError):
+        reduced_rhs(np.array([beta, zero, zero, zero]), sys)
+
+
 def test_reduced_matches_absolute_run():
     rng = np.random.default_rng(3)
     sys, z0 = tame_scenario(rng, 3, 3, 5.0)
@@ -172,6 +243,16 @@ def test_reduced_matches_absolute_run():
         for field in ("beta", "gamma", "delta", "rho"):
             err = max(err, np.abs(getattr(ra, field) - getattr(rel, field)).max())
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (5, 4)])
+def test_reduced_matches_absolute_run_one_and_four_dimensional_hyperplanes(n, d):
+    rng = np.random.default_rng(30 + n)
+    sys, z0 = tame_scenario(rng, n, d, 3.0)
+    ta = integrate_absolute(z0, sys, 3.0, tol=1e-12, samples=25)
+    tr = integrate_reduced(RelativeState.from_state(z0), sys, 3.0, tol=1e-12, samples=25)
+    ref = np.array([tables(RelativeState.from_state(z)) for z in ta.states])
+    assert np.abs(tr.samples - ref).max() < 1e-6 * np.abs(ref).max()
 
 
 def test_reduced_circular_beta_constant():
@@ -191,6 +272,32 @@ def test_reduced_relative_equilibrium_is_fixed_point():
     for rel in traj.states:
         for field in ("beta", "gamma", "delta", "rho"):
             assert np.abs(getattr(rel, field) - getattr(rel0, field)).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# work counts and the evaluation budget
+
+
+def test_trajectories_report_rhs_evaluations():
+    z0 = circular_two_body()
+    rk8 = integrate_absolute(z0, SYS2, 1.0, tol=1e-10, samples=5)
+    red = integrate_reduced(RelativeState.from_state(z0), SYS2, 1.0, tol=1e-10, samples=5)
+    assert rk8.metadata["rhs_evals"] > 0 and red.metadata["rhs_evals"] > 0
+    # leapfrog: one acceleration per step, 16 steps per sample interval, plus the first
+    lf = integrate_absolute(z0, SYS2, 1.0, method="leapfrog", dt=1.0 / 64.0, samples=5)
+    assert lf.metadata["rhs_evals"] == 4 * 16 + 1
+
+
+@pytest.mark.parametrize("route", ["rk8", "leapfrog", "reduced"])
+def test_rhs_budget_stops_the_run(monkeypatch, route):
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 200)
+    circ = circular_two_body()
+    z0 = State(circ.x, Configuration(0.8 * circ.y.r, SYS2))   # eccentric: the reduced state moves
+    with pytest.raises(StepFailure, match=r"budget of 200 evaluations exhausted at t = "):
+        if route == "reduced":
+            integrate_reduced(RelativeState.from_state(z0), SYS2, CIRC_PERIOD, tol=1e-12)
+        else:
+            integrate_absolute(z0, SYS2, CIRC_PERIOD, tol=1e-12, method=route, dt=1e-3)
 
 
 # ---------------------------------------------------------------------------

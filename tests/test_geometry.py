@@ -25,6 +25,7 @@ from nbodyred.geometry import (
     inertia_pairwise,
     interaction_matrix_from_s,
     mass_dot,
+    pair_accelerations,
     potential_and_gradient,
     squared_distances,
     wintner_conley,
@@ -213,6 +214,11 @@ def test_wintner_conley_scaling():
     assert np.allclose(A2, A1 / lam**3, rtol=1e-12)
 
 
+def dphi_oracle(s, sys):
+    """Phi'(s) = G kappa s^(kappa - 1) by the power law, for every kappa."""
+    return sys.G * sys.kappa * s ** (sys.kappa - 1.0)
+
+
 def newton_acceleration_oracle(x, sys):
     """Direct pairwise summation of the power-law force."""
     acc = np.zeros_like(x.r)
@@ -222,7 +228,7 @@ def newton_acceleration_oracle(x, sys):
                 continue
             dr = x.r[:, i] - x.r[:, j]
             s = dr @ dr
-            acc[:, i] += 2.0 * sys.m[j] * sys.dphi(s) * dr
+            acc[:, i] += 2.0 * sys.m[j] * dphi_oracle(s, sys) * dr
     return acc
 
 
@@ -244,8 +250,8 @@ def pair_loop_oracle(r, sys):
         for j in range(sys.n):
             if i != j:
                 s[i, j] = np.sum((r[:, i] - r[:, j]) ** 2)
-                A[i, j] = -sys.m[i] * sys.dphi(s[i, j])
-                A[i, i] += sys.m[j] * sys.dphi(s[i, j])
+                A[i, j] = -sys.m[i] * dphi_oracle(s[i, j], sys)
+                A[i, i] += sys.m[j] * dphi_oracle(s[i, j], sys)
     return s, A
 
 
@@ -271,6 +277,23 @@ def test_pair_kernel_matches_pair_loop(n, kappa):
         interaction_matrix_from_s(squared_distances(r), sys)
     with pytest.raises(CollisionError):
         interaction_matrix_from_s(squared_distances(r[2]), sys)
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -1.0, -0.75])
+@pytest.mark.parametrize("n", [2, 3, 5, 32])
+def test_pair_list_accelerations_match_pair_loop(n, kappa):
+    rng = np.random.default_rng(40 + n)
+    sys = MassSystem(rng.uniform(0.5, 2.0, n), G=1.3, kappa=kappa)
+    s = rng.uniform(0.01, 4.0, 50)
+    assert np.allclose(sys.dphi(s), dphi_oracle(s, sys), rtol=1e-15, atol=0.0)
+    for _ in range(4):
+        x = Configuration(rng.normal(size=(3, n)), sys)
+        acc = pair_accelerations(x.r, sys)
+        assert np.allclose(acc, newton_acceleration_oracle(x, sys), rtol=1e-12, atol=1e-14)
+    r = x.r.copy()
+    r[:, 1] = r[:, 0] + 1e-11
+    with pytest.raises(CollisionError):
+        pair_accelerations(r, sys)
 
 
 def test_wintner_conley_structure():
