@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     CollisionApproach,
     CollisionAtNode,
+    CollisionError,
     NoConvergence,
     ValidationError,
 )
@@ -39,8 +40,7 @@ from .geometry import (
     COLLISION_FLOOR,
     Trajectory,
     centred,
-    closest_distance,
-    interaction_matrix_from_s,
+    pair_forces,
     potential_from_s,
     squared_distances,
 )
@@ -315,17 +315,17 @@ def invariant_basis(sym, sys, n_modes):
 
 def _node_action(loop, n_quad, collision_floor, order=1):
     """Path derivatives up to order at n_quad equispaced nodes, (order + 1,
-    q, d, n), their squared distances and the action; raises
-    CollisionAtNode below the floor."""
+    q, d, n), their (q, P) squared distances, the (q, d, n) forces dU/dx and
+    the action; raises CollisionAtNode below the floor."""
     sys = loop.sys
     xv = loop.at_nodes(n_quad, order)
-    s = squared_distances(xv[0])
-    rmin = closest_distance(s, sys)
-    if rmin < collision_floor:
-        raise CollisionAtNode(f"minimal node distance {rmin:.3e} below the collision floor")
+    try:
+        s, f = pair_forces(xv[0], sys, collision_floor)
+    except CollisionError as exc:
+        raise CollisionAtNode(f"{exc} at a quadrature node") from None
     K = np.einsum("i,qci,qci->q", sys.m, xv[1], xv[1])
     S = float(loop.T / n_quad * (0.5 * K + potential_from_s(s, sys)).sum())
-    return xv, s, S
+    return xv, s, f, S
 
 
 def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR):
@@ -338,11 +338,10 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR
     sys = loop.sys
     if n_quad is None:
         n_quad = max(256, 8 * loop.n_modes)
-    (x, v), s, S = _node_action(loop, n_quad, collision_floor)
+    (_, v), _, fx, S = _node_action(loop, n_quad, collision_floor)
 
-    # dU/dx at each node: the forces m_i (2 x A)_i; their cosine and sine
-    # sums over the nodes are the real and minus the imaginary part of an rfft
-    fx = 2.0 * (x @ interaction_matrix_from_s(s, sys, collision_floor)) * sys.m
+    # the cosine and sine sums of the node forces dU/dx over the nodes are
+    # the real and minus the imaginary part of an rfft
     F = np.fft.rfft(np.stack([fx, sys.m * v]), axis=1)[:, :loop.n_modes + 1]
     fx_hat, mv_hat = np.moveaxis(F, 1, -1)   # (d, n, K + 1) each
     kw = np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T)
@@ -384,8 +383,8 @@ def minimize_action(seed_loop, sym, opts=None):
     n_quad = opts.n_quad if opts.n_quad is not None else max(256, 4 * K)
     blocks = invariant_basis(sym, sys, K)
     splits = np.cumsum([U.shape[1] * modes.size for modes, U in blocks])[:-1]
-    s = squared_distances(seed_loop.at_nodes(n_quad, 0)[0])
-    floor = 1e-3 * float(np.sqrt(s[:, sys.pairs[0], sys.pairs[1]]).mean())
+    s = squared_distances(seed_loop.at_nodes(n_quad, 0)[0], sys)
+    floor = 1e-3 * float(np.sqrt(s).mean())
     shape = (2, seed_loop.d, seed_loop.n, K + 1)   # Loop.params() as (cos/sin, d, n, k)
 
     def loop_at(xi_vec):
@@ -488,11 +487,10 @@ SQUARE_PATTERN = np.sort(np.array([1.0, 1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0
 TETRA_PATTERN = np.ones(6)
 
 
-def shape_distance(x, pattern):
+def shape_distance(s, pattern):
     """Distance of the sorted normalized mutual-distance vector to a pattern,
-    for (..., d, n) coordinates."""
-    i, j = np.triu_indices(x.shape[-1], 1)
-    dists = np.sort(np.sqrt(squared_distances(x)[..., i, j]), axis=-1)
+    for (..., P) squared distances on the pair list."""
+    dists = np.sort(np.sqrt(s), axis=-1)
     dists = dists / np.linalg.norm(dists, axis=-1, keepdims=True)
     return np.linalg.norm(dists - pattern / np.linalg.norm(pattern), axis=-1)
 
@@ -517,9 +515,9 @@ def _local_minima_below(ts, vals, tol):
     return events
 
 
-def _square_tetra_events(ts, x, tol):
+def _square_tetra_events(ts, s, tol):
     """Alternating square/tetrahedron passages of a 4-body loop, scanned at
-    the equispaced times ts with positions x, (q, d, 4).
+    the equispaced times ts with squared distances s, (q, 6).
 
     Square events are the local minima of the square shape distance below
     tol.  The oscillation visits the tetrahedral shape between consecutive
@@ -530,8 +528,8 @@ def _square_tetra_events(ts, x, tol):
     relative of the window's minimum.
     """
     n_scan = ts.size
-    d_sq = shape_distance(x, SQUARE_PATTERN)
-    d_te = shape_distance(x, TETRA_PATTERN)
+    d_sq = shape_distance(s, SQUARE_PATTERN)
+    d_te = shape_distance(s, TETRA_PATTERN)
     sq_idx = _local_minima_below(ts, d_sq, tol)
     squares = [float(ts[q]) for q in sq_idx]
     tetras = []
@@ -562,9 +560,9 @@ def verify_loop(loop, sym=None):
     """
     sys = loop.sys
     n_quad = max(256, 8 * loop.n_modes)
-    (x, _, acc), s, S = _node_action(loop, n_quad, COLLISION_FLOOR, order=2)
-    eom = np.abs(acc - 2.0 * (x @ interaction_matrix_from_s(s, sys))).max() / np.abs(acc).max()
-    min_dist = closest_distance(s, sys)
+    (_, _, acc), s, f, S = _node_action(loop, n_quad, COLLISION_FLOOR, order=2)
+    eom = np.abs(acc - f / sys.m).max() / np.abs(acc).max()
+    min_dist = float(np.sqrt(s.min()))
 
     defect = None
     if sym is not None:
@@ -576,7 +574,7 @@ def verify_loop(loop, sym=None):
     xs = loop.at_nodes(n_scan, 0)[0]
     squares, tetras = [], []
     if loop.n == 4:
-        squares, tetras = _square_tetra_events(loop.nodes(n_scan), xs, 1e-2)
+        squares, tetras = _square_tetra_events(loop.nodes(n_scan), squared_distances(xs, sys), 1e-2)
 
     flat = xs.transpose(1, 0, 2).reshape(loop.d, -1)
     sv = np.linalg.svd(flat - flat.mean(axis=1, keepdims=True), compute_uv=False)

@@ -87,7 +87,8 @@ def find_central(sys, d, seed=None, x0=None, gtol=1e-12, max_iter=400):
     Projected gradient descent of U on the sphere I = 1 followed by Newton
     refinement of  grad U - (2 kappa U / I) x = 0.  Deterministic given the
     seed; only local convergence is promised.  Raises NoConvergence when the
-    residual fails to reach gtol.
+    residual fails to reach gtol.  The positions are R of the complete QR
+    factorization x = Q R with diag R >= 0, which fixes the orientation.
     """
     if d < 1:
         raise ValidationError("dimension must be >= 1")
@@ -143,7 +144,9 @@ def find_central(sys, d, seed=None, x0=None, gtol=1e-12, max_iter=400):
     else:
         raise NoConvergence("central-configuration Newton refinement stalled")
 
-    out = _normalize_inertia(r, sys)
+    R = np.linalg.qr(_normalize_inertia(r, sys).r, mode="complete")[1]
+    R[np.flatnonzero(np.diag(R) < 0.0)] *= -1.0
+    out = Configuration(R, sys)
     if np.linalg.norm(F(out.r)) > 10.0 * gtol * scale:
         raise NoConvergence("central-configuration residual above tolerance")
     return out
@@ -169,8 +172,8 @@ def _orbit_cost_grad(Q, W, spec_full, sqm, sys):
     """U on the fixed-spectrum orbit and its gradient in the rotation
     generators E_ab - E_ba (exact at the base point Q)."""
     beta = _beta_from_rotation(Q, W, spec_full, sqm)
-    s = beta_to_distances(beta)
-    if s[sys.pairs].min() <= 0.0:
+    s = beta_to_distances(beta)[sys.pairs]
+    if s.min() <= 0.0:
         return np.inf, None
     U = float(potential_from_s(s, sys))
     # dU = <X, dbeta>; the distances are positive, so no collision floor
@@ -275,7 +278,7 @@ def _as_s_array(s, n):
 
 def p_matrix(s, sys):
     """P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj."""
-    du = -interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
+    du = -interaction_matrix_from_s(s[sys.pairs], sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
     # sum over all l: the l = j term is (s_ij - s_ij) du_jj = 0
     P = (s @ du - s * du.sum(axis=0)) / (2.0 * sys.m)
     np.fill_diagonal(P, 0.0)
@@ -317,7 +320,7 @@ def balanced_residuals_pijk(s, sys, embed_tol=1e-9):
     if np.any(s[~np.eye(n, dtype=bool)] <= 0.0):
         raise ValidationError("off-diagonal squared distances must be positive")
 
-    du = -interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
+    du = -interaction_matrix_from_s(s[sys.pairs], sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
     P = p_matrix(s, sys)
     W = P - P.T
 

@@ -7,9 +7,9 @@ system is integrated on D*, the mean-zero hyperplane: with x_hat = x M Q
 the upper triangle of the 2k x 2k Gram table G = [[b, g - r], [g + r, e]]
 of (x_hat, y_hat), the forms (beta, gamma, delta, rho) on D*, and
 
-    G_dot = L^T G + G L,   L = [[0, 2 A_hat], [I, 0]],   A_hat = W^T diag(c) W,
+    G_dot = L^T G + G L,   L = [[0, 2 A_hat], [I, 0]],   2 A_hat = W^T diag(c) W,
 
-with W = D Q, c_p = m_i m_j Phi'(s_p) and s_p = w_p^T b w_p.  Samples are
+with W = D Q, c_p = 2 m_i m_j Phi'(s_p) and s_p = w_p^T b w_p.  Samples are
 stored as double-centred n x n tables.  Both integrators stop with
 StepFailure after MAX_RHS_EVALS evaluations and report `rhs_evals` in the
 trajectory metadata.  Audits check energy, angular momentum, the virial
@@ -39,14 +39,14 @@ from .geometry import (
     beta_to_distances,
     bivector_component,
     centred,
-    checked_potential,
-    closest_distance,
     hermitian_from_bivector,
     hyperplane_basis,
     mass_dot,
     matrix_rank,
     pair_accelerations,
     pair_coefficients,
+    pair_forces,
+    potential_from_s,
     reduced_tables,
     squared_distances,
 )
@@ -155,7 +155,7 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
             return np.concatenate([u[dn:], accel.ravel()])
 
         def min_distance(u):
-            return closest_distance(squared_distances(u[:dn].reshape(d, n)), sys)
+            return float(np.sqrt(squared_distances(u[:dn].reshape(d, n), sys).min()))
 
         us, evals = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
     elif method == "leapfrog":
@@ -213,10 +213,15 @@ class _GramTable:
         self.blocks = np.stack([self.index[:k, :k], self.index[:k, k:],   # u[..., blocks]: the
                                 self.index[k:, k:], self.index[k:, :k]])  # b, g - r, e, g + r of G
         self.b = self.index[:k, :k].ravel()   # u[b] = b.ravel()
-        # rows w_p (x) w_p of W = D Q: s = WW u[b] and A_hat = c WW; their
+        # rows w_p (x) w_p of W = D Q: s = WW u[b] and 2 A_hat = c WW; their
         # P (n - 1)^2 numbers (0.5 MB at n = 20, 49 MB at n = 60) suit few bodies
         W = sys.D @ Q
         self.WW = np.einsum("pa,pb->pab", W, W).reshape(W.shape[0], k * k)
+        # s_rows u[b] holds s and, last, tr b.  s_p is rounded by up to about
+        # 0.32 eps |w_p|^2 tr b, |w_p|^2 = 1/m_i + 1/m_j, and below four times
+        # that level a collision cannot be told from rounding
+        self.s_rows = np.vstack([self.WW, np.eye(k).ravel()])
+        self.root_rounding = np.sqrt(4.0 * np.finfo(float).eps * (W * W).sum(axis=1))
 
     def _upper_of_sum(self, X):
         """Upper triangle of X + X^T."""
@@ -235,16 +240,19 @@ class _GramTable:
         return float(np.sqrt(max((self.WW @ u[self.b]).min(), 0.0)))
 
     def rhs(self, u, collision_floor):
-        """Packed G_dot = X + X^T with X = G L."""
+        """Packed G_dot = X + X^T with X = G L; raises CollisionError below
+        the collision floor or the rounding floor of the table."""
         k = self.k
+        s_tr = self.s_rows @ u[self.b]
+        rounding = self.root_rounding * max(s_tr[-1], 0.0) ** 0.5
         try:
-            c = pair_coefficients(self.WW @ u[self.b], self.sys, collision_floor)
+            c = pair_coefficients(s_tr[:-1], self.sys, np.maximum(collision_floor, rounding))
         except CollisionError:
             beta_to_distances(self.unpack(u)[0], tol=1e-6)   # a non-Gram b raises
             raise
         G = u[self.index]
         return self._upper_of_sum(np.concatenate(
-            [G[:, k:], 2.0 * G[:, :k] @ (c @ self.WW).reshape(k, k)], axis=1))
+            [G[:, k:], G[:, :k] @ (c @ self.WW).reshape(k, k)], axis=1))
 
 
 def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
@@ -285,7 +293,7 @@ def _invariants(x, y, sys):
     I = np.einsum("i,...ci,...ci->...", sys.m, x, x)
     J = np.einsum("i,...ci,...ci->...", sys.m, x, y)
     K = np.einsum("i,...ci,...ci->...", sys.m, y, y)
-    U = checked_potential(squared_distances(x), sys)
+    U = potential_from_s(pair_forces(x, sys)[0], sys)   # the kernel checks the floor
     C = angular_momentum_tables(x, y, sys)
     normC = np.linalg.svd(C, compute_uv=False).sum(axis=-1) / 2.0
     return I, J, K, U, 0.5 * K - U, C, normC

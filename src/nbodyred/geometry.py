@@ -6,6 +6,11 @@ tables; the representation ambiguity of forms on the mean-zero hyperplane is
 resolved by double-centering (rows and columns sum to zero exactly).
 Antisymmetric d x d tables ("bivectors") carry angular momenta and
 instantaneous rotations.
+
+Pair quantities go through the pair list sys.pairs (P = n(n-1)/2 pairs i < j)
+and its incidence sys.D only: (..., P) squared distances, Phi and Phi' once
+per pair, the collision floor compared in `pair_coefficients`, forces as the
+scatter (x D^T * c) D, and the n x n table A built from the same c.
 """
 
 from dataclasses import dataclass, field
@@ -75,9 +80,7 @@ class MassSystem:
         self.kappa = float(kappa)
         self.pairs = np.triu_indices(self.n, 1)   # (i, j) index arrays, i < j
         self.pair_masses = _readonly(m[self.pairs[0]] * m[self.pairs[1]])
-        # added to a squared-distance table: the diagonal never counts as a
-        # collision and Phi'(inf) = 0 leaves it out of every pair sum
-        self._inf_diagonal = _readonly(np.diag(np.full(self.n, np.inf)))
+        self.twice_pair_masses = _readonly(2.0 * self.pair_masses)
 
     @cached_property
     def D(self):
@@ -299,15 +302,20 @@ def hyperplane_basis(sys):
     return u[:, 1:]
 
 
-def squared_distances(r):
-    """Squared mutual distances s_ij = |r_i - r_j|^2 of (..., d, n) coordinates."""
-    diff = r[..., :, None] - r[..., None, :]
-    return np.einsum("...cij,...cij->...ij", diff, diff)
+def _rows_product(a, b):
+    """a @ b for a (..., k) stack a: a stack goes through one product with its
+    leading axes flattened (numpy's product matrix by matrix is several times
+    slower); a single matrix skips the reshapes, which cost as much as it."""
+    if a.ndim == 2:
+        return a @ b
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + (-1,))
 
 
-def closest_distance(s, sys):
-    """Smallest mutual distance of (..., n, n) squared distances."""
-    return float(np.sqrt(s[..., sys.pairs[0], sys.pairs[1]].min()))
+def squared_distances(r, sys):
+    """Squared mutual distances s_p = |r_i - r_j|^2 over the pair list,
+    (..., P), of (..., d, n) coordinates."""
+    diff = _rows_product(r, sys.D.T)
+    return (diff * diff).sum(axis=-2)
 
 
 def inertia(x, sys):
@@ -327,9 +335,7 @@ def inertia(x, sys):
 
 def inertia_pairwise(x, sys):
     """I via (1/M) sum_{i<j} m_i m_j r_ij^2 (cross-check route)."""
-    s = squared_distances(x.r)
-    mm = np.outer(sys.m, sys.m)
-    return float(np.triu(mm * s, 1).sum() / sys.M)
+    return float((sys.pair_masses * squared_distances(x.r, sys)).sum() / sys.M)
 
 
 def characteristic_coefficients(x, sys):
@@ -359,81 +365,65 @@ def elementary_symmetric(values, kmax):
 # interaction matrix and potential
 
 
-def _check_floor(smin, collision_floor):
-    if smin < collision_floor**2:
-        rmin = float(np.sqrt(max(smin, 0.0)))
-        raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
-
-
 def pair_coefficients(s, sys, collision_floor=COLLISION_FLOOR):
-    """c_p = m_i m_j Phi'(s_p) of squared distances s on the pair list
-    sys.pairs; raises CollisionError below the collision floor.
+    """c_p = 2 m_i m_j Phi'(s_p) of (..., P) squared distances, so that
+    dU/dr_i = sum_j c_ij (r_i - r_j) and 2 A M = D^T diag(c) D; raises
+    CollisionError when some s_p is below the square of the collision floor
+    (one distance, or one per pair), the only comparison with it."""
+    if np.count_nonzero(s < collision_floor**2):
+        rmin = float(np.sqrt(max(s.min(), 0.0)))
+        raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
+    return sys.twice_pair_masses * sys.dphi(s)
 
-    With the incidence D = sys.D, A M = D^T diag(c) D: the accelerations are
-    2 (x D^T * c) D / m, and the interaction form on x_hat coordinates is
-    W^T diag(c) W with W = D Q.
-    """
-    _check_floor(s.min(), collision_floor)
-    return sys.pair_masses * sys.dphi(s)
+
+def pair_forces(r, sys, collision_floor=COLLISION_FLOOR):
+    """Squared distances s, (..., P), and forces dU/dx = (x D^T * c) D,
+    (..., d, n), of (..., d, n) coordinates; raises CollisionError below the
+    collision floor."""
+    diff = _rows_product(r, sys.D.T)
+    s = (diff * diff).sum(axis=-2)
+    c = pair_coefficients(s, sys, collision_floor)
+    return s, _rows_product(diff * c[..., None, :], sys.D)
 
 
 def pair_accelerations(r, sys, collision_floor=COLLISION_FLOOR):
-    """Accelerations 2 x A = 2 (x D^T * c) D / m of (d, n) coordinates, summed
-    over the pair list; raises CollisionError below the collision floor."""
-    diff = r @ sys.D.T
-    c = pair_coefficients((diff * diff).sum(axis=0), sys, collision_floor)
-    return 2.0 * (diff * c) @ sys.D / sys.m
-
-
-def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
-    """The interaction table A from (..., n, n) squared distances.
-
-    A_ij = -m_i Phi'(s_ij) off-diagonal, A_ii = sum_{l!=i} m_l Phi'(s_il);
-    Newtonian entries are m_i / (2 r_ij^3).  A annihilates the mass vector
-    and its columns sum to zero, so it maps mean-zero covectors to mean-zero
-    covectors.  A M = D^T diag(c) D with the pair coefficients c of
-    `pair_coefficients`, which the integrators use in place of the table.
-    """
-    s = s + sys._inf_diagonal
-    _check_floor(s.min(), collision_floor)
-    dphi = sys.dphi(s)
-    A = -sys.m[:, None] * dphi
-    np.einsum("...ii->...i", A)[...] = (dphi * sys.m).sum(axis=-1)
-    return A
+    """Accelerations 2 x A of (..., d, n) coordinates, summed over the pair
+    list; raises CollisionError below the collision floor."""
+    return pair_forces(r, sys, collision_floor)[1] / sys.m
 
 
 def potential_from_s(s, sys):
-    """Force function U = sum_{i<j} m_i m_j Phi(s_ij) of (..., n, n) squared
-    distances (no collision check)."""
+    """Force function U = sum_p m_i m_j Phi(s_p) of (..., P) squared
+    distances on the pair list (no collision check)."""
+    return (sys.pair_masses * sys.phi(s)).sum(axis=-1)
+
+
+def potential_and_gradient(x, sys, collision_floor=COLLISION_FLOOR):
+    """Force function U > 0 and its mass-metric gradient 2 x A (= accelerations)."""
+    s, f = pair_forces(x.r, sys, collision_floor)
+    return float(potential_from_s(s, sys)), f / sys.m
+
+
+def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
+    """The interaction table A from (..., P) squared distances on the pair list.
+
+    A_ij = -m_i Phi'(s_ij) = -c_p / (2 m_j) off the diagonal (Newtonian:
+    m_i / (2 r_ij^3)), and A_ii = sum_{l!=i} m_l Phi'(s_il), so that every
+    column sums to zero and A annihilates the mass vector.
+    """
     i, j = sys.pairs
-    # contiguous rows: a stack of tables sums each row as a single table does
-    s_pairs = np.ascontiguousarray(s[..., i, j])
-    return (sys.m[i] * sys.m[j] * sys.phi(s_pairs)).sum(axis=-1)
+    half_c = 0.5 * pair_coefficients(s, sys, collision_floor)
+    A = np.zeros(s.shape[:-1] + (sys.n, sys.n))
+    A[..., i, j] = -half_c / sys.m[j]
+    A[..., j, i] = -half_c / sys.m[i]
+    np.einsum("...ii->...i", A)[...] = -A.sum(axis=-2)
+    return A
 
 
 def wintner_conley(x, sys, collision_floor=COLLISION_FLOOR):
     """Interaction matrix A of a configuration; Newton's equations read
     x_ddot = 2 x A."""
-    return interaction_matrix_from_s(squared_distances(x.r), sys, collision_floor)
-
-
-def checked_potential(s, sys, collision_floor=COLLISION_FLOOR):
-    """potential_from_s, raising CollisionError when some mutual distance is
-    below the collision floor."""
-    if s[..., sys.pairs[0], sys.pairs[1]].min() < collision_floor**2:
-        raise CollisionError("collision in potential evaluation")
-    return potential_from_s(s, sys)
-
-
-def potential(x, sys, collision_floor=COLLISION_FLOOR):
-    return float(checked_potential(squared_distances(x.r), sys, collision_floor))
-
-
-def potential_and_gradient(x, sys, collision_floor=COLLISION_FLOOR):
-    """Force function U > 0 and its mass-metric gradient 2 x A (= accelerations)."""
-    s = squared_distances(x.r)
-    U = float(checked_potential(s, sys, collision_floor))
-    return U, 2.0 * (x.r @ interaction_matrix_from_s(s, sys, collision_floor))
+    return interaction_matrix_from_s(squared_distances(x.r, sys), sys, collision_floor)
 
 
 def mass_dot(u, v, m):

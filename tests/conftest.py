@@ -15,20 +15,35 @@ from nbodyred.geometry import (
     Configuration,
     MassSystem,
     State,
-    interaction_matrix_from_s,
 )
 from nbodyred.dynamics import scalar_invariants
 
 
 def min_distance(xr):
-    diff = xr[:, :, None] - xr[:, None, :]
-    s = np.einsum("cij,cij->ij", diff, diff)
+    s = squared_distance_table(xr)
     return float(np.sqrt(s[np.triu_indices(xr.shape[1], 1)].min()))
 
 
-def squared_distances_arr(xr):
-    diff = xr[:, :, None] - xr[:, None, :]
-    return np.einsum("cij,cij->ij", diff, diff)
+def squared_distance_table(r):
+    """Squared mutual distances s_ij = |r_i - r_j|^2, (..., n, n), of
+    (..., d, n) coordinates."""
+    diff = r[..., :, None] - r[..., None, :]
+    return np.einsum("...cij,...cij->...ij", diff, diff)
+
+
+def dphi_oracle(s, sys):
+    """Phi'(s) = G kappa s^(kappa - 1) by the power law, for every kappa."""
+    return sys.G * sys.kappa * s ** (sys.kappa - 1.0)
+
+
+def interaction_table_oracle(s, sys):
+    """The interaction table written out from an n x n squared-distance
+    table: A_ij = -m_i Phi'(s_ij) off the diagonal, and on it what makes
+    every column sum to zero."""
+    A = -sys.m[:, None] * dphi_oracle(s + np.eye(sys.n), sys)   # s_ii = 1: finite, then replaced
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=0))
+    return A
 
 
 def random_state(rng, n, d, spread=1.0):
@@ -45,7 +60,7 @@ def tame_scenario(rng, n, d, horizon, floor=0.5, hmin=0.25, kappa=-0.5):
         sys = MassSystem(rng.uniform(0.5, 1.5, n), kappa=kappa)
         r = rng.normal(size=(d, n))
         iu = np.triu_indices(n, 1)
-        r *= 1.8 / np.sqrt(squared_distances_arr(r)[iu].min())
+        r *= 1.8 / np.sqrt(squared_distance_table(r)[iu].min())
         v = 0.3 * r + 0.2 * rng.normal(size=(d, n))
         z = State(Configuration(r, sys), Configuration(v, sys))
         if abs(scalar_invariants(z, sys)[4]) < hmin:
@@ -54,7 +69,7 @@ def tame_scenario(rng, n, d, horizon, floor=0.5, hmin=0.25, kappa=-0.5):
         def rhs(t, u):
             xr = u[: d * n].reshape(d, n)
             yr = u[d * n :].reshape(d, n)
-            A = interaction_matrix_from_s(squared_distances_arr(xr), sys)
+            A = interaction_table_oracle(squared_distance_table(xr), sys)
             return np.concatenate([yr.ravel(), (2.0 * (xr @ A)).ravel()])
 
         def tight(t, u):

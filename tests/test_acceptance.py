@@ -9,7 +9,14 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from conftest import dense_basis, equilateral, isosceles, random_state, tame_scenario
+from conftest import (
+    dense_basis,
+    equilateral,
+    isosceles,
+    random_state,
+    squared_distance_table,
+    tame_scenario,
+)
 from nbodyred.geometry import (
     Configuration,
     MassSystem,
@@ -21,7 +28,6 @@ from nbodyred.geometry import (
     elementary_symmetric,
     gram_form,
     inertia,
-    squared_distances,
 )
 from nbodyred.dynamics import (
     audit_invariants,
@@ -216,7 +222,7 @@ def test_criterion_6_central_configurations():
         sys = MassSystem(rng.uniform(0.5, 2.0, 3))
         x = find_central(sys, 2, seed=seed)
         worst_res = max(worst_res, classify(x, sys, tol=1e-8).central_residual)
-        r = np.sqrt(squared_distances(x.r))
+        r = np.sqrt(squared_distance_table(x.r))
         dists = sorted([r[0, 1], r[0, 2], r[1, 2]])
         worst_spread = max(worst_spread, dists[-1] - dists[0])
     assert worst_res < 1e-10
@@ -230,7 +236,7 @@ def test_criterion_6_central_configurations():
         pos = np.zeros(3)
         pos[i], pos[j], pos[k] = 0.0, 1.0, 1.0 + rho_star
         x = find_central(sys, 1, seed=0, x0=Configuration(pos[None, :], sys))
-        r = np.sqrt(squared_distances(x.r))
+        r = np.sqrt(squared_distance_table(x.r))
         worst_euler = max(worst_euler, abs(r[j, k] / r[i, j] - rho_star))
     report(f"criterion 6: equilateral residual {worst_res:.1e}, distance spread "
            f"{worst_spread:.1e}, Euler-vs-oracle {worst_euler:.1e} -> "
@@ -247,7 +253,7 @@ def test_criterion_7_balanced_configurations():
     for spec in ([0.7, 0.3], [0.6, 0.4], [0.8, 0.2], [0.55, 0.45], [0.9, 0.1]):
         x = find_balanced(sys, spec, seed=0)
         worst_res = max(worst_res, classify(x, sys, tol=1e-6).balanced_residual)
-        r = np.sort(np.sqrt(squared_distances(x.r))[np.triu_indices(3, 1)])
+        r = np.sort(np.sqrt(squared_distance_table(x.r))[np.triu_indices(3, 1)])
         worst_iso = max(worst_iso, min(r[1] - r[0], r[2] - r[1]))
     assert worst_iso < 1e-7
     assert worst_res < 1e-8
@@ -403,7 +409,7 @@ def test_criterion_11_characteristic_coefficients():
     sys3 = MassSystem([1.0, 1.0, 1.0])
     x = equilateral(sys3)
     eta = characteristic_coefficients(x, sys3)
-    s = squared_distances(x.r)
+    s = squared_distance_table(x.r)
     oracle_eta2 = sum(
         np.prod(sys3.m[list(sub)]) * cayley_menger_parallelotope_sq(s, sub)
         for sub in itertools.combinations(range(3), 3)) / sys3.M

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import dense_basis
 from nbodyred.errors import CollisionAtNode, ValidationError
-from nbodyred.geometry import MassSystem
+from nbodyred.geometry import MassSystem, squared_distances
 from nbodyred.action import (
     Loop,
     _trig,
@@ -240,7 +240,8 @@ def test_z2z4_forces_square_projection_always():
         assert abs(h[2] + h[0]) < 1e-13
         assert abs(h[3] + 1j * h[0]) < 1e-13
         assert abs(z[1] + z[0]) < 1e-13 and abs(z[2] - z[0]) < 1e-13
-        assert shape_distance(x[:2], SQUARE_PATTERN) < 1e-10 or np.abs(h).max() < 1e-12
+        assert shape_distance(squared_distances(x[:2], SYS4), SQUARE_PATTERN) < 1e-10 \
+            or np.abs(h).max() < 1e-12
 
 
 def test_invariant_basis_spans_projector_range():

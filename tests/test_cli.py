@@ -71,7 +71,14 @@ def test_simulate_writes_trajectory_and_audit(tmp_path, circ_config):
     (["homographic", "--e", "0.5", "--samples", "17"], EQUILATERAL),
     (["relequil", "--samples", "65"], ISOSCELES),
     (["hiphop", "--seed", "0", "--modes", "4"], None),
-], ids=["simulate", "reduce", "homographic", "relequil", "hiphop"])
+    (["find-central", "--masses", "1,2,3", "--seed", "7"], None),
+    (["find-balanced", "--masses", "1,1,1", "--spectrum", "0.7,0.3", "--seed", "3"], None),
+    (["kepler", "--e", "0.5", "--samples", "33"], None),
+    (["audit", "--horizon", "3", "--integrator", "leapfrog"], CIRCULAR),
+    (["shape-sphere", "--horizon", "1", "--samples", "33"],
+     dict(ISOSCELES, velocities=[[0.0, 0.0, 0.0], [-0.4, 0.4, 0.0]])),
+], ids=["simulate", "reduce", "homographic", "relequil", "hiphop", "find-central",
+        "find-balanced", "kepler", "audit-leapfrog", "shape-sphere"])
 def test_simulate_deterministic(tmp_path, argv, scenario):
     outs = []
     for name in ("a", "b"):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import equilateral, isosceles
+from conftest import equilateral, interaction_table_oracle, isosceles, squared_distance_table
 from nbodyred.errors import InfeasibleSpectrum, NotEmbeddable, ValidationError
 from nbodyred.geometry import (
     Configuration,
     MassSystem,
     gram_form,
     inertia,
-    interaction_matrix_from_s,
-    squared_distances,
 )
 from nbodyred.configurations import (
     balanced_residuals_pijk,
@@ -34,8 +32,8 @@ def test_p_matrix_matches_loop(n, kappa):
     # oracle: P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj, term by term
     rng = np.random.default_rng(n)
     sys = MassSystem(rng.uniform(0.5, 2.0, n), kappa=kappa)
-    s = squared_distances(rng.normal(size=(3, n)))
-    du = -interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m
+    s = squared_distance_table(rng.normal(size=(3, n)))
+    du = -interaction_table_oracle(s, sys) * sys.m
     ref = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -107,7 +105,7 @@ def test_find_central_three_bodies_is_equilateral():
         I, _, _ = inertia(x, sys)
         assert I == pytest.approx(1.0, abs=1e-12)
         assert classify(x, sys, tol=1e-10).central_residual < 1e-10
-        r = np.sqrt(squared_distances(x.r))
+        r = np.sqrt(squared_distance_table(x.r))
         dists = [r[0, 1], r[0, 2], r[1, 2]]
         assert max(dists) - min(dists) < 1e-10
 
@@ -156,7 +154,7 @@ def test_find_central_collinear_matches_euler_oracle(order):
     pos[i], pos[j], pos[k] = 0.0, 1.0, 1.0 + rho_star
     seed_cfg = Configuration(pos[None, :], sys)
     x = find_central(sys, 1, seed=0, x0=seed_cfg)
-    r = np.sqrt(squared_distances(x.r))
+    r = np.sqrt(squared_distance_table(x.r))
     rho_found = r[j, k] / r[i, j]
     assert rho_found == pytest.approx(rho_star, abs=1e-10)
     assert classify(x, sys, tol=1e-10).central_residual < 1e-10
@@ -170,7 +168,7 @@ def test_find_balanced_equal_masses_isosceles():
     x = find_balanced(SYS_EQ, [0.7, 0.3], seed=0)
     cls = classify(x, SYS_EQ, tol=1e-8)
     assert cls.balanced_residual < 1e-8
-    r = np.sort(np.sqrt(squared_distances(x.r))[np.triu_indices(3, 1)])
+    r = np.sort(np.sqrt(squared_distance_table(x.r))[np.triu_indices(3, 1)])
     assert (abs(r[0] - r[1]) < 1e-7) or (abs(r[1] - r[2]) < 1e-7)
     # spectrum is reproduced
     sqm = np.sqrt(SYS_EQ.m)
@@ -199,10 +197,23 @@ def test_find_balanced_z4_tetrahedron():
     x = find_balanced(sys, spec, seed=0, x0=seed_cfg)
     cls = classify(x, sys, tol=1e-8)
     assert cls.balanced_residual < 1e-8
-    s = squared_distances(x.r)
+    s = squared_distance_table(x.r)
     sides = [s[0, 1], s[1, 2], s[2, 3], s[0, 3]]
     assert max(sides) - min(sides) < 1e-6  # Z/4 symmetry survives
     assert s[0, 2] == pytest.approx(s[1, 3], abs=1e-6)
+
+
+@pytest.mark.parametrize("masses, d", [([1.0, 2.0, 3.0], 2), ([1.0, 1.5, 2.0, 2.5], 3)])
+def test_find_central_orientation_is_fixed(masses, d):
+    # the positions are R of the QR factorization x = Q R with diag R >= 0,
+    # so a rotated seed gives the same positions
+    sys = MassSystem(masses)
+    x0 = Configuration(np.random.default_rng(4).normal(size=(d, sys.n)), sys)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(d, d)))
+    a = find_central(sys, d, x0=x0)
+    b = find_central(sys, d, x0=Configuration(Q @ x0.r, sys))
+    assert np.abs(a.r - b.r).max() < 1e-9
+    assert np.abs(np.tril(a.r, -1)).max() < 1e-15 and np.all(np.diag(a.r) >= 0.0)
 
 
 def test_find_balanced_rejects_long_spectrum():

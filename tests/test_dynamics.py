@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import equilateral, isosceles, random_state, tame_scenario
+from conftest import (
+    equilateral,
+    interaction_table_oracle,
+    isosceles,
+    random_state,
+    squared_distance_table,
+    tame_scenario,
+)
 from nbodyred import dynamics
 from nbodyred.errors import (
     CollisionError,
@@ -26,7 +33,6 @@ from nbodyred.geometry import (
     centred,
     gram_form,
     hermitian_from_bivector,
-    interaction_matrix_from_s,
     mass_dot,
     matrix_rank,
     reduced_tables,
@@ -172,11 +178,11 @@ def test_reduced_rhs_scaled_beta_only():
     assert np.abs(drv.beta).max() == 0.0  # beta_dot = 2 gamma = 0
 
 
-def reduced_rhs_oracle(tables, sys, collision_floor=COLLISION_FLOOR):
+def reduced_rhs_oracle(tables, sys):
     """The reduced right-hand side on (4, n, n) tables, written with the
     interaction table A (the formula before the packed Gram flow)."""
     beta, gamma, delta, rho = 0.5 * (tables + REDUCED_SIGNS * np.swapaxes(tables, -1, -2))
-    A = interaction_matrix_from_s(beta_to_distances(beta, tol=1e-6), sys, collision_floor)
+    A = interaction_table_oracle(beta_to_distances(beta, tol=1e-6), sys)
     At = A.T
     return np.array([
         2.0 * gamma,
@@ -229,6 +235,32 @@ def test_reduced_rhs_rejects_non_gram_beta_and_collisions():
     beta = gram_form(equilateral(sys, side=1e-11))
     with pytest.raises(CollisionError):
         reduced_rhs(np.array([beta, zero, zero, zero]), sys)
+
+
+def test_reduced_rhs_raises_at_the_rounding_of_its_table():
+    # body 1 within 1e-12 of body 0: s_01 is about 1e-24, but the Gram table
+    # resolves it only to its rounding, so below a few times that rounding
+    # the reduced route raises CollisionError as the absolute route does
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for _ in range(200):
+        sys = MassSystem(rng.uniform(0.5, 1.5, 3))
+        r = rng.normal(size=(2, 3))
+        r[:, 1] = r[:, 0] + 1e-12 * rng.normal(size=2)
+        z = State(Configuration(r, sys), Configuration(np.zeros((2, 3)), sys))
+        rel = RelativeState.from_state(z)
+        with pytest.raises(CollisionError):
+            integrate_absolute(z, sys, 1.0, samples=2)
+        with pytest.raises(CollisionError):
+            reduced_rhs(tables(rel), sys)
+        # pair (0, 1): the table's s_01 is its rounding alone
+        gram = dynamics._GramTable(sys)
+        u = gram.pack(rel)
+        s_01 = (gram.WW @ u[gram.b])[0]
+        level = eps * (1.0 / sys.m[0] + 1.0 / sys.m[1]) * mass_dot(z.x.r, z.x.r, sys.m)   # tr b = I
+        worst = max(worst, abs(s_01 - squared_distance_table(z.x.r)[0, 1]) / level)
+    assert worst <= 1.0   # a quarter of the floor
 
 
 def test_reduced_matches_absolute_run():

@@ -3,9 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import equilateral, random_state
+from conftest import (
+    dphi_oracle,
+    equilateral,
+    interaction_table_oracle,
+    random_state,
+    squared_distance_table,
+)
 from nbodyred.errors import CollisionError, NegativeSquaredDistance, ValidationError
 from nbodyred.geometry import (
+    COLLISION_FLOOR,
     Bivector,
     Configuration,
     MassSystem,
@@ -82,7 +89,7 @@ def test_gram_mean_zero_contraction_matches_distance_table():
     rng = np.random.default_rng(1)
     _, z = random_state(rng, 5, 3)
     beta = gram_form(z.x)
-    s = squared_distances(z.x.r)
+    s = squared_distance_table(z.x.r)
     for _ in range(20):
         xi = rng.normal(size=5)
         xi -= xi.mean()
@@ -150,7 +157,7 @@ def cayley_menger_parallelotope_sq(s, subset):
 
 
 def eta_oracle(x, sys):
-    s = squared_distances(x.r)
+    s = squared_distance_table(x.r)
     out = []
     for k in range(2, sys.n + 1):
         tot = 0.0
@@ -214,11 +221,6 @@ def test_wintner_conley_scaling():
     assert np.allclose(A2, A1 / lam**3, rtol=1e-12)
 
 
-def dphi_oracle(s, sys):
-    """Phi'(s) = G kappa s^(kappa - 1) by the power law, for every kappa."""
-    return sys.G * sys.kappa * s ** (sys.kappa - 1.0)
-
-
 def newton_acceleration_oracle(x, sys):
     """Direct pairwise summation of the power-law force."""
     acc = np.zeros_like(x.r)
@@ -261,22 +263,62 @@ def test_pair_kernel_matches_pair_loop(n, kappa):
     rng = np.random.default_rng(n)
     sys = MassSystem(rng.uniform(0.5, 2.0, n), kappa=kappa)
     r = rng.normal(size=(4, 3, n))  # four configurations in R^3
-    s = squared_distances(r)
+    s = squared_distances(r, sys)
     A = interaction_matrix_from_s(s, sys)
-    assert s.shape == A.shape == (4, n, n)
+    acc = pair_accelerations(r, sys)
+    assert s.shape == (4, n * (n - 1) // 2) and A.shape == (4, n, n) and acc.shape == r.shape
     for q in range(4):
         s_ref, A_ref = pair_loop_oracle(r[q], sys)
-        s_one = squared_distances(r[q])
+        s_one = squared_distances(r[q], sys)
         A_one = interaction_matrix_from_s(s_one, sys)
-        assert np.allclose(s_one, s_ref, rtol=1e-14, atol=0.0)
+        acc_one = pair_accelerations(r[q], sys)
+        assert np.allclose(s_one, s_ref[sys.pairs], rtol=1e-14, atol=0.0)
         assert np.allclose(A_one, A_ref, rtol=1e-12, atol=0.0)
         assert np.array_equal(s[q], s_one) and np.array_equal(A[q], A_one)
+        # the batch sums the forces in one product, which may round otherwise
+        assert np.abs(acc[q] - acc_one).max() <= 1e-14 * np.abs(acc_one).max()
 
     r[2, :, 1] = r[2, :, 0] + 1e-11  # one member of the batch collides
     with pytest.raises(CollisionError):
-        interaction_matrix_from_s(squared_distances(r), sys)
+        interaction_matrix_from_s(squared_distances(r, sys), sys)
     with pytest.raises(CollisionError):
-        interaction_matrix_from_s(squared_distances(r[2]), sys)
+        pair_accelerations(r, sys)
+    with pytest.raises(CollisionError):
+        pair_accelerations(r[2], sys)
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -1.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_kernel_matches_table_oracle(n, kappa):
+    # every caller of the pair kernel against the n x n formula, single and batched
+    from nbodyred.action import Loop, _node_action
+
+    rng = np.random.default_rng(60 + n)
+    sys = MassSystem(rng.uniform(0.5, 2.0, n), G=1.3, kappa=kappa)
+    xs = [Configuration(rng.normal(size=(3, n)), sys) for _ in range(5)]
+    r = np.stack([x.r for x in xs])
+    A_ref = np.array([interaction_table_oracle(s, sys) for s in squared_distance_table(r)])
+    acc_ref = 2.0 * r @ A_ref
+
+    def close(got, ref, rtol=1e-12):
+        return np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+    assert close(pair_accelerations(r, sys), acc_ref)
+    for x, A_q, acc_q in zip(xs, A_ref, acc_ref):
+        s = squared_distance_table(x.r)[sys.pairs]
+        U_ref = (sys.pair_masses * sys.G * s**sys.kappa).sum()
+        U, grad = potential_and_gradient(x, sys)
+        assert U == pytest.approx(U_ref, rel=1e-13)
+        assert close(grad, acc_q) and close(pair_accelerations(x.r, sys), acc_q)
+        assert close(wintner_conley(x, sys), A_q)
+
+    # the action's forces dU/dx = m (2 x A) at the quadrature nodes of a loop
+    loop = Loop(2.0 * np.pi, rng.normal(size=(3, n, 4)), rng.normal(size=(3, n, 4)), sys)
+    xv, _, forces, _ = _node_action(loop, 64, COLLISION_FLOOR)
+    nodes = xv[0]
+    A_nodes = np.array([interaction_table_oracle(s, sys) for s in squared_distance_table(nodes)])
+    assert forces.shape == nodes.shape
+    assert close(forces, 2.0 * nodes @ A_nodes * sys.m)
 
 
 @pytest.mark.parametrize("kappa", [-0.5, -1.0, -0.75])
@@ -502,7 +544,7 @@ def test_relative_state_from_state():
     assert np.abs(rel.rho + rel.rho.T).max() == 0.0
     assert rel.check_positive()
     # squared distances survive the double-centering
-    s_direct = squared_distances(z.x.r)
+    s_direct = squared_distance_table(z.x.r)
     assert np.allclose(beta_to_distances(rel.beta), s_direct, atol=1e-12)
 
 
