@@ -276,11 +276,11 @@ def _as_s_array(s, n):
     return 0.5 * (arr + arr.T)
 
 
-def p_matrix(s, sys):
-    """P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj."""
-    du = -interaction_matrix_from_s(s[sys.pairs], sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
+def p_matrix(s, du, m):
+    """P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj from the tables s
+    and du = dU/ds (its diagonal cancels)."""
     # sum over all l: the l = j term is (s_ij - s_ij) du_jj = 0
-    P = (s @ du - s * du.sum(axis=0)) / (2.0 * sys.m)
+    P = (s @ du - s * du.sum(axis=0)) / (2.0 * m)
     np.fill_diagonal(P, 0.0)
     return P
 
@@ -321,7 +321,7 @@ def balanced_residuals_pijk(s, sys, embed_tol=1e-9):
         raise ValidationError("off-diagonal squared distances must be positive")
 
     du = -interaction_matrix_from_s(s[sys.pairs], sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
-    P = p_matrix(s, sys)
+    P = p_matrix(s, du, sys.m)
     W = P - P.T
 
     p_ijk, nabla, Y = {}, {}, {}

@@ -12,17 +12,16 @@ of (x_hat, y_hat), the forms (beta, gamma, delta, rho) on D*, and
 with W = D Q, c_p = 2 m_i m_j Phi'(s_p) and s_p = w_p^T b w_p.  Samples are
 stored as double-centred n x n tables.  Both integrators stop with
 StepFailure after MAX_RHS_EVALS evaluations and report `rhs_evals` in the
-trajectory metadata.  Audits check energy, angular momentum, the virial
-(Lagrange-Jacobi) relation and the Sundman gap I K - J^2 - |C|^2.
-
-scipy is imported on first use (`solve_ivp` by the integrators,
-`CubicSpline` by the audit), so importing this module does not load it.
+trajectory metadata, rk8 runs also `accepted_steps` and `rejected_steps`.
+Audits check energy, angular momentum, the virial (Lagrange-Jacobi)
+relation and the Sundman gap I K - J^2 - |C|^2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dop853 import solve_ivp
 from .errors import (
     CollisionError,
     DegenerateConfiguration,
@@ -86,16 +85,14 @@ def _budget_exhausted(t):
 
 
 def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
-    """DOP853 states at the times ts, one row per sample, and the number of
-    right-hand-side evaluations.
+    """DOP853 states at the times ts, one row per sample, and the work counts
+    (rhs_evals, accepted_steps, rejected_steps).
 
     Raises CollisionError when min_distance(u) falls below twice the collision
     floor, or when a step stalls with the minimal distance at the last accepted
     step below max(1e3 floor, 1e-6 initial); any other stall, and a run that
     needs more than MAX_RHS_EVALS evaluations, is a StepFailure.
     """
-    from scipy.integrate import solve_ivp
-
     last = [0.0, np.inf]   # (t, min distance) at t0 and every accepted step
     evals = [0]
 
@@ -108,13 +105,10 @@ def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
     def too_close(t, u):
         last[:] = t, min_distance(u)
         return last[1] - 2.0 * collision_floor
-    too_close.terminal = True
-    too_close.direction = -1
 
-    sol = solve_ivp(counted, (0.0, ts[-1]), u0, method="DOP853", t_eval=ts,
-                    rtol=tol, atol=tol, events=too_close)
+    sol = solve_ivp(counted, ts, u0, tol, too_close)
     if sol.status == 1:
-        raise CollisionError(f"collision at t = {sol.t_events[0][0]:.6g}")
+        raise CollisionError(f"collision at t = {sol.t_event:.6g}")
     if sol.status != 0:
         # a stalled step during a near-collapse is a collision, not a
         # generic failure
@@ -123,8 +117,9 @@ def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
             raise CollisionError(
                 f"collapse at t = {t_last:.6g} (min distance {mind:.3e})"
             )
-        raise StepFailure(sol.message)
-    return sol.y.T, sol.nfev
+        raise StepFailure("Required step size is less than spacing between numbers.")
+    return sol.y, {"rhs_evals": sol.nfev, "accepted_steps": sol.accepted,
+                   "rejected_steps": sol.rejected}
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +136,7 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
     Raises CollisionError when a mutual distance falls below the collision
     floor, StepFailure when the step size underflows or the run exhausts
     MAX_RHS_EVALS.  The metadata hold the integrator, tol and rhs_evals
-    (acceleration evaluations for leapfrog).
+    (acceleration evaluations for leapfrog; rk8 adds its step counts).
     """
     ts = _sample_times(horizon, samples, tol)
     d, n = z0.d, z0.n
@@ -157,20 +152,20 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
         def min_distance(u):
             return float(np.sqrt(squared_distances(u[:dn].reshape(d, n), sys).min()))
 
-        us, evals = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
+        us, work = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
     elif method == "leapfrog":
-        us, evals = _leapfrog(z0, sys, ts, dt if dt is not None else horizon / 8192.0,
-                              collision_floor)
+        us, work = _leapfrog(z0, sys, ts, dt if dt is not None else horizon / 8192.0,
+                             collision_floor)
     else:
         raise ValidationError(f"unknown integrator {method!r}")
 
     return Trajectory(ts, centred(us.reshape(ts.size, 2, d, n), sys), "absolute",
-                      {"integrator": method, "tol": tol, "rhs_evals": evals})
+                      {"integrator": method, "tol": tol, **work})
 
 
 def _leapfrog(z0, sys, ts, dt, collision_floor):
     """Fixed-step kick-drift-kick between the requested sample times; the
-    states and the number of acceleration evaluations."""
+    states and the number of acceleration evaluations (as rhs_evals)."""
     x = z0.x.r.copy()
     v = z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
@@ -189,7 +184,7 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
             v += 0.5 * h * a
             t += h
         out[k] = x, v
-    return out, evals
+    return out, {"rhs_evals": evals}
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +271,9 @@ def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
     samples."""
     ts = _sample_times(horizon, samples, tol)
     gram = _GramTable(sys)
-    us, evals = _drive(lambda t, u: gram.rhs(u, collision_floor), gram.pack(rel0), ts, tol,
-                       gram.min_distance, collision_floor)
-    return Trajectory(ts, gram.unpack(us), "reduced",
-                      {"integrator": "rk8", "tol": tol, "rhs_evals": evals})
+    us, work = _drive(lambda t, u: gram.rhs(u, collision_floor), gram.pack(rel0), ts, tol,
+                      gram.min_distance, collision_floor)
+    return Trajectory(ts, gram.unpack(us), "reduced", {"integrator": "rk8", "tol": tol, **work})
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +314,38 @@ def sundman_function(z, sys):
     return float(_sundman(*_invariants(z.x.r, z.y.r, sys))[1])
 
 
+def spline_slopes(x, y):
+    """Knot slopes of the not-a-knot cubic spline through (x, y) by one Thomas
+    sweep of its tridiagonal system; through 2 or 3 knots, of the line or parabola."""
+    h, m = np.diff(x), np.diff(y) / np.diff(x)   # steps and secant slopes
+    if x.size < 4:
+        return m[0] + (m[-1] - m[0]) / (x[-1] - x[0]) * (2 * x - x[0] - x[1])
+    # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = b[i]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = np.concatenate([[0.0], h[1:], [d1]]).tolist()
+    diag = np.concatenate([[h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]]).tolist()
+    upper = np.concatenate([[d0], h[:-1]]).tolist()
+    b = np.concatenate([[((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0],
+                        3 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
+                        [(h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1]]).tolist()
+    for i in range(1, x.size):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        b[i] -= w * b[i - 1]
+    b[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    return np.array(b)
+
+
 def audit_invariants(traj, sys):
     """Drift and residual report along an absolute trajectory.
 
     Reports the max relative drift of H and of the angular momentum table,
     the sup-norm residual of  J_dot - (2H + 2(kappa+1)U)  with J
-    differentiated by cubic spline, the minimum Sundman gap, and for
+    differentiated by the not-a-knot cubic spline, the minimum Sundman gap, and for
     kappa = -1 the drift of the scaling integral 2 I H - J^2.
     """
-    from scipy.interpolate import CubicSpline
-
     if traj.kind != "absolute":
         raise ValidationError("audit expects an absolute trajectory")
     invariants = _invariants(traj.samples[:, 0], traj.samples[:, 1], sys)
@@ -346,7 +362,7 @@ def audit_invariants(traj, sys):
         c_scale = max(natural, 1e-30)
     momentum_drift = float(np.max(np.abs(c_tables - c0)) / c_scale)
 
-    jdot = CubicSpline(traj.times, J).derivative()(traj.times)
+    jdot = spline_slopes(traj.times, J)
     virial = 2.0 * H + 2.0 * (sys.kappa + 1.0) * U
     interior = slice(2, -2) if traj.times.size > 8 else slice(None)
     lj_residual = float(np.max(np.abs(jdot - virial)[interior]))

@@ -324,9 +324,16 @@ def test_homographic_and_relequil(tmp_path):
 
 
 def test_closed_form_commands_do_not_import_scipy(tmp_path):
-    # the test process has scipy loaded already, so check in a fresh one
-    for name, scenario in [("central", EQUILATERAL), ("iso", ISOSCELES),
-                           ("bad", dict(CIRCULAR, masses=[1.0, -1.0]))]:
+    # nor do the integrating commands: only find-balanced (past input checks)
+    # loads scipy.  The test process has scipy loaded already, so check in a
+    # fresh one
+    eight = {"masses": [1.0, 1.0, 1.0],
+             "positions": [[0.97000436, -0.97000436, 0.0], [-0.24308753, 0.24308753, 0.0]],
+             "velocities": [[0.466203685, 0.466203685, -0.93240737],
+                            [0.43236573, 0.43236573, -0.86473146]]}
+    for name, scenario in [("central", EQUILATERAL), ("iso", ISOSCELES), ("eight", eight),
+                           ("bad", dict(CIRCULAR, masses=[1.0, -1.0])),
+                           ("collapse", dict(EQUILATERAL, velocities=[[0.0] * 3] * 2))]:
         (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
     script = textwrap.dedent(f"""
         import sys
@@ -337,12 +344,18 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path):
 
         assert not loaded(), "import"
         out = {str(tmp_path / "out")!r}
+        eight = {str(tmp_path / "eight.json")!r}
         for argv, code in [
             (["kepler", "--e", "0.5"], 0),
             (["find-central", "--masses", "1,2,3", "--seed", "7"], 0),
             (["homographic", "--config", {str(tmp_path / "central.json")!r}], 0),
             (["relequil", "--config", {str(tmp_path / "iso.json")!r}, "--samples", "9"], 0),
             (["hiphop", "--seed", "0", "--modes", "4"], 0),
+            (["simulate", "--config", eight, "--horizon", "1"], 0),
+            (["reduce", "--config", eight, "--horizon", "1"], 0),
+            (["audit", "--config", eight, "--horizon", "1", "--integrator", "leapfrog"], 0),
+            (["shape-sphere", "--config", eight, "--horizon", "1", "--samples", "33"], 0),
+            (["simulate", "--config", {str(tmp_path / "collapse.json")!r}, "--horizon", "5"], 3),
             (["simulate", "--config", {str(tmp_path / "bad.json")!r}], 2),
             (["find-balanced", "--masses", "1,1,1,1", "--spectrum=nan,1", "--seed", "1"], 2),
         ]:

@@ -40,7 +40,7 @@ def test_p_matrix_matches_loop(n, kappa):
             if i != j:
                 ref[i, j] = sum((s[i, l] - s[i, j]) * du[l, j]
                                 for l in range(n) if l != j) / (2.0 * sys.m[j])
-    assert np.abs(p_matrix(s, sys) - ref).max() < 1e-13 * np.abs(ref).max()
+    assert np.abs(p_matrix(s, du, sys.m) - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def test_equilateral_is_central_for_any_masses():

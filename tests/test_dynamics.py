@@ -9,7 +9,7 @@ from conftest import (
     squared_distance_table,
     tame_scenario,
 )
-from nbodyred import dynamics
+from nbodyred import dop853, dynamics
 from nbodyred.errors import (
     CollisionError,
     InvalidStructure,
@@ -47,6 +47,7 @@ from nbodyred.dynamics import (
     reduced_rhs,
     saari_decomposition,
     scalar_invariants,
+    spline_slopes,
     sundman_function,
     sundman_gap,
 )
@@ -61,6 +62,14 @@ def circular_two_body():
 
 
 CIRC_PERIOD = 2.0 * np.pi / np.sqrt(2.0)  # separation 1, G M = 2
+EIGHT_PERIOD = 6.32591398
+
+
+def figure_eight():
+    sys = MassSystem([1.0, 1.0, 1.0])
+    p, v = np.array([0.97000436, -0.24308753]), np.array([-0.93240737, -0.86473146])
+    x = Configuration(np.stack([p, -p, np.zeros(2)], axis=1), sys)
+    return sys, State(x, Configuration(np.stack([-0.5 * v, -0.5 * v, v], axis=1), sys))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +339,105 @@ def test_rhs_budget_stops_the_run(monkeypatch, route):
             integrate_reduced(RelativeState.from_state(z0), SYS2, CIRC_PERIOD, tol=1e-12)
         else:
             integrate_absolute(z0, SYS2, CIRC_PERIOD, tol=1e-12, method=route, dt=1e-3)
+
+
+@pytest.mark.parametrize("route", ["rk8", "reduced"])
+def test_rk8_reports_steps(route):
+    # per step 12 evaluations, 3 more when it carries samples; 2 for the first step
+    sys, z0 = figure_eight()
+    if route == "rk8":
+        traj = integrate_absolute(z0, sys, EIGHT_PERIOD, tol=1e-10, samples=129)
+    else:
+        traj = integrate_reduced(RelativeState.from_state(z0), sys, EIGHT_PERIOD, tol=1e-10,
+                                 samples=129)
+    meta = traj.metadata
+    steps = meta["accepted_steps"] + meta["rejected_steps"]
+    assert meta["accepted_steps"] > 0
+    assert 2 + 12 * steps <= meta["rhs_evals"] <= 2 + 15 * steps
+
+
+# ---------------------------------------------------------------------------
+# the DOP853 stepper against scipy's
+
+
+@pytest.fixture
+def against_scipy(monkeypatch):
+    """Every stepper run of the integrators, repeated by scipy's DOP853 with
+    the same right-hand side and event; (ours, scipy's) per run."""
+    from scipy.integrate import solve_ivp
+
+    runs = []
+
+    def both(fun, ts, y0, tol, event):
+        ours = dop853.solve_ivp(fun, ts, y0, tol, event)
+
+        def crossing(t, y):
+            return event(t, y)
+        crossing.terminal, crossing.direction = True, -1
+        runs.append((ours, solve_ivp(fun, (ts[0], ts[-1]), y0, method="DOP853", t_eval=ts,
+                                     rtol=tol, atol=tol, events=crossing)))
+        return ours
+
+    monkeypatch.setattr(dynamics, "solve_ivp", both)
+    return runs
+
+
+def _kappa_minus_one_orbit():
+    rng = np.random.default_rng(11)
+    sys, z0 = tame_scenario(rng, 3, 2, 2.0, kappa=-1.0)
+    return sys, z0, 2.0
+
+
+def _lagrange_triangle():
+    sys = MassSystem([1.0, 2.0, 3.0])
+    x = equilateral(sys)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return sys, State(x, Configuration(0.8 * rot @ x.r, sys)), 3.0
+
+
+@pytest.mark.parametrize("case, route", [
+    ("eight", "rk8"), ("triangle", "reduced"), ("kappa-1", "rk8"), ("kappa-1", "reduced"),
+])
+def test_stepper_reproduces_scipy_dop853(against_scipy, case, route):
+    sys, z0, horizon = {"eight": lambda: figure_eight() + (EIGHT_PERIOD,),
+                        "triangle": _lagrange_triangle,
+                        "kappa-1": _kappa_minus_one_orbit}[case]()
+    if route == "rk8":
+        integrate_absolute(z0, sys, horizon, tol=1e-10, samples=129)
+    else:
+        integrate_reduced(RelativeState.from_state(z0), sys, horizon, tol=1e-10, samples=129)
+    (ours, ref), = against_scipy
+    assert ref.status == ours.status == 0
+    assert ours.nfev == ref.nfev
+    assert ours.y.shape == ref.y.T.shape
+    assert np.abs(ours.y - ref.y.T).max() <= 1e-14 * np.abs(ref.y).max()
+
+
+def test_stepper_locates_a_terminal_collision_like_scipy(against_scipy):
+    # a kappa = -1 collapse from rest meets a raised floor before the step stalls
+    sys = MassSystem([1.0, 2.0, 3.0], kappa=-1.0)
+    z0 = State(Configuration([[0.0, 1.0, 0.3], [0.0, 0.1, 0.9]], sys),
+               Configuration(np.zeros((2, 3)), sys))
+    with pytest.raises(CollisionError, match="collision at t = "):
+        integrate_absolute(z0, sys, 5.0, tol=1e-10, samples=33, collision_floor=1e-3)
+    (ours, ref), = against_scipy
+    assert ref.status == ours.status == 1
+    assert ours.nfev == ref.nfev
+    assert abs(ours.t_event - ref.t_events[0][0]) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [5, 9, 513])
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+def test_spline_slopes_match_scipy_cubic_spline(q, grid):
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(q)
+    x = np.linspace(0.0, 3.0, q)
+    if grid == "nonuniform":
+        x = np.sort(np.concatenate([[0.0, 3.0], rng.uniform(0.0, 3.0, q - 2)]))
+    y = np.sin(2.0 * x) + 0.1 * rng.normal(size=q)
+    ref = CubicSpline(x, y).derivative()(x)
+    assert np.abs(spline_slopes(x, y) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
