@@ -88,34 +88,20 @@ def _masses(text):
     return m
 
 
-def _cmd_find_central(args, config=None, suffix=""):
+def _cmd_find(args, config=None, suffix=""):
+    """find-central writes central.json, find-balanced balanced.json."""
     sys = MassSystem(_masses(args.masses), G=args.G, kappa=args.kappa)
-    x = find_central(sys, args.dim, seed=args.seed)
+    head = {"masses": list(sys.m), "G": sys.G, "kappa": sys.kappa}
+    if args.command == "find-central":
+        x = find_central(sys, args.dim, seed=args.seed)
+    else:
+        head["spectrum"] = [float(v) for v in args.spectrum.split(",") if v.strip()]
+        x = find_balanced(sys, head["spectrum"], seed=args.seed)
     cls = classify(x, sys, tol=1e-8)
-    serialize.write_json(_outpath(args, "central.json", suffix), {
-        "masses": list(sys.m), "G": sys.G, "kappa": sys.kappa,
-        "positions": x.r.tolist(),
-        "kind": cls.kind,
-        "multiplier": cls.multiplier,
-        "central_residual": cls.central_residual,
-        "balanced_residual": cls.balanced_residual,
-    })
-    return 0
-
-
-def _cmd_find_balanced(args, config=None, suffix=""):
-    sys = MassSystem(_masses(args.masses), G=args.G, kappa=args.kappa)
-    spectrum = [float(v) for v in args.spectrum.split(",") if v.strip()]
-    x = find_balanced(sys, spectrum, seed=args.seed)
-    cls = classify(x, sys, tol=1e-8)
-    serialize.write_json(_outpath(args, "balanced.json", suffix), {
-        "masses": list(sys.m), "G": sys.G, "kappa": sys.kappa,
-        "spectrum": spectrum,
-        "positions": x.r.tolist(),
-        "kind": cls.kind,
-        "central_residual": cls.central_residual,
-        "balanced_residual": cls.balanced_residual,
-    })
+    multiplier = {"multiplier": cls.multiplier} if args.command == "find-central" else {}
+    serialize.write_json(_outpath(args, args.command.removeprefix("find-") + ".json", suffix), {
+        **head, "positions": x.r.tolist(), "kind": cls.kind, **multiplier,
+        "central_residual": cls.central_residual, "balanced_residual": cls.balanced_residual})
     return 0
 
 
@@ -202,8 +188,8 @@ _CONFIG_COMMANDS = {
     "shape-sphere": _cmd_shape_sphere,
 }
 _PLAIN_COMMANDS = {
-    "find-central": _cmd_find_central,
-    "find-balanced": _cmd_find_balanced,
+    "find-central": _cmd_find,
+    "find-balanced": _cmd_find,
     "kepler": _cmd_kepler,
     "hiphop": _cmd_hiphop,
 }
@@ -230,21 +216,17 @@ def build_parser():
         if name != "reduce":
             p.add_argument("--integrator", choices=("rk8", "leapfrog"), default="rk8")
 
-    p = sub.add_parser("find-central")
-    common(p)
-    p.add_argument("--masses", required=True, help="comma-separated masses")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--G", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=-0.5)
-
-    p = sub.add_parser("find-balanced")
-    common(p)
-    p.add_argument("--masses", required=True)
-    p.add_argument("--spectrum", required=True, help="comma-separated inertia spectrum")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--G", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=-0.5)
+    for name in ("find-central", "find-balanced"):
+        p = sub.add_parser(name)
+        common(p)
+        p.add_argument("--masses", required=True, help="comma-separated masses")
+        if name == "find-central":
+            p.add_argument("--dim", type=int, default=2)
+        else:
+            p.add_argument("--spectrum", required=True, help="comma-separated inertia spectrum")
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--G", type=float, default=1.0)
+        p.add_argument("--kappa", type=float, default=-0.5)
 
     p = sub.add_parser("kepler")
     common(p)

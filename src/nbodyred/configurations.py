@@ -6,13 +6,11 @@ the interaction matrix commutes with the intrinsic inertia table (critical
 point of U at fixed inertia spectrum).  Besides residual classification,
 this module finds both kinds numerically and evaluates the mass-linear
 determinant equations P_ijk for balance in terms of the squared mutual
-distances alone.
-
-scipy (`expm`, `minimize`) is imported on first use by `find_balanced`, so
-importing this module does not load it.
+distances alone.  The searches are numpy only (no scipy).
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,12 +131,7 @@ def find_central(sys, d, seed=None, x0=None, gtol=1e-12, max_iter=400):
         if np.linalg.norm(f) <= gtol * scale:
             break
         h = 1e-7
-        jac = np.empty((f.size, r.size))
-        flat = r.ravel().copy()
-        for k in range(flat.size):
-            pert = flat.copy()
-            pert[k] += h
-            jac[:, k] = (F(pert.reshape(r.shape)) - f) / h
+        jac = np.column_stack([(F(r + h * e.reshape(r.shape)) - f) / h for e in np.eye(r.size)])
         delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         r = r + delta.reshape(r.shape)
     else:
@@ -155,6 +148,9 @@ def find_central(sys, d, seed=None, x0=None, gtol=1e-12, max_iter=400):
 # ---------------------------------------------------------------------------
 # balanced configurations
 
+BALANCED_TOL = 1e-8     # balance residual find_balanced must reach
+BFGS_MAX_ITER = 500     # iterations of its descent on the orbit
+
 
 def _beta_from_rotation(Q, W, spec_full, sqm):
     b_sym = (W @ Q * spec_full) @ (W @ Q).T
@@ -163,8 +159,7 @@ def _beta_from_rotation(Q, W, spec_full, sqm):
 
 def _hat(xi, k):
     w = np.zeros((k, k))
-    iu = np.triu_indices(k, 1)
-    w[iu] = xi
+    w[np.triu_indices(k, 1)] = xi
     return w - w.T
 
 
@@ -181,11 +176,46 @@ def _orbit_cost_grad(Q, W, spec_full, sqm, sys):
     WQ = W @ Q
     Y = WQ.T @ ((X / np.outer(sqm, sqm)) @ WQ)
     M = Y * spec_full[None, :] - spec_full[:, None] * Y  # Y L - L Y
-    k = Q.shape[0]
-    return U, 2.0 * M[np.triu_indices(k, 1)]
+    return U, 2.0 * M[np.triu_indices(Q.shape[0], 1)]
 
 
-def find_balanced(sys, spectrum, seed=None, x0=None, tol=1e-8, max_rounds=40):
+OrbitMinimum = namedtuple("OrbitMinimum", "Q nit gnorm")  # rotation, iterations, final |g|
+
+
+def minimize(Q, W, spec_full, sqm, sys):
+    """BFGS for U on the orbit Q -> Q cay(hat(xi)), cay(V) = (I - V/2)^-1 (I + V/2),
+    re-centred at every iterate, where the gradient of _orbit_cost_grad is exact.
+    The step -H g, cut to norm 1, is backtracked (Armijo; where U is flat to
+    rounding, a step that shrinks |g| also goes) and rejected where U or its
+    gradient is not finite.  Stops at |g| < 1e-13 max(|U|, 1), when no step is
+    taken, or after BFGS_MAX_ITER iterations."""
+    eye = np.eye(Q.shape[0])
+    U, g = _orbit_cost_grad(Q, W, spec_full, sqm, sys)
+    if not (np.isfinite(U) and np.isfinite(g).all()):
+        raise NoConvergence("potential not finite at the start of the orbit search")
+    H, nit = np.eye(g.size), 0
+    while nit < BFGS_MAX_ITER and np.linalg.norm(g) >= 1e-13 * max(abs(U), 1.0):
+        p = -H @ g
+        alpha = min(1.0, 1.0 / np.linalg.norm(p))
+        for _ in range(30):
+            V = _hat(0.5 * alpha * p, eye.shape[0])
+            Qn = Q @ np.linalg.solve(eye - V, eye + V)
+            Un, gn = _orbit_cost_grad(Qn, W, spec_full, sqm, sys)
+            if np.isfinite(Un) and np.isfinite(gn).all() and (Un < U + 1e-4 * alpha * (g @ p) or (
+                    Un <= U + 4e-16 * abs(U) and np.linalg.norm(gn) < np.linalg.norm(g))):
+                break
+            alpha *= 0.5
+        else:
+            break
+        s, y = alpha * p, gn - g
+        if s @ y > 0.0:
+            R = np.eye(g.size) - np.outer(s, y) / (s @ y)
+            H = R @ H @ R.T + np.outer(s, s) / (s @ y)
+        Q, U, g, nit = Qn, Un, gn, nit + 1
+    return OrbitMinimum(Q, nit, float(np.linalg.norm(g)))
+
+
+def find_balanced(sys, spectrum, seed=None, x0=None):
     """Find a balanced configuration whose intrinsic inertia spectrum is given.
 
     U is minimized over the orthogonal-conjugation orbit of tables with the
@@ -200,43 +230,17 @@ def find_balanced(sys, spectrum, seed=None, x0=None, tol=1e-8, max_rounds=40):
     if spec.size == 0 or not np.isfinite(spec).all() or np.any(spec < 0) or spec[0] <= 0:
         raise ValidationError("spectrum must be finite and nonnegative with a positive leading entry")
 
-    from scipy.linalg import expm
-    from scipy.optimize import minimize
-
     spec_full = np.concatenate([spec, np.zeros(sys.n - 1 - spec.size)])
     sqm = np.sqrt(sys.m)
     W = hyperplane_basis(sys)
-    k = sys.n - 1
-
     if x0 is not None:
         b_sym = np.outer(sqm, sqm) * gram_form(Configuration(x0.r, sys))
         w, V = np.linalg.eigh(W.T @ b_sym @ W)
         Q = V[:, ::-1]  # descending, aligned with spec_full
     else:
         rng = np.random.default_rng(seed)
-        Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
-
-    def cost(xi, Q0):
-        U, _ = _orbit_cost_grad(Q0 @ expm(_hat(xi, k)), W, spec_full, sqm, sys)
-        return U
-
-    def grad(xi, Q0):
-        # exact at xi = 0; the recentering rounds keep steps small
-        _, g = _orbit_cost_grad(Q0 @ expm(_hat(xi, k)), W, spec_full, sqm, sys)
-        return g
-
-    nxi = k * (k - 1) // 2
-    for _ in range(max_rounds):
-        if nxi == 0:
-            break
-        U0, g0 = _orbit_cost_grad(Q, W, spec_full, sqm, sys)
-        if np.linalg.norm(g0) < 1e-13 * max(abs(U0), 1.0):
-            break
-        res = minimize(cost, np.zeros(nxi), args=(Q,), jac=grad,
-                       method="BFGS", options={"gtol": 1e-14, "maxiter": 80})
-        Q = Q @ expm(_hat(res.x, k))
-        if np.linalg.norm(res.x) < 1e-14:
-            break
+        Q, _ = np.linalg.qr(rng.normal(size=(sys.n - 1, sys.n - 1)))
+    Q = minimize(Q, W, spec_full, sqm, sys).Q
 
     beta = _beta_from_rotation(Q, W, spec_full, sqm)
     w, V = np.linalg.eigh(beta)
@@ -244,8 +248,8 @@ def find_balanced(sys, spectrum, seed=None, x0=None, tol=1e-8, max_rounds=40):
     r = (V[:, keep] * np.sqrt(w[keep])).T
     out = Configuration(r[::-1], sys)  # leading eigendirection first
     _, balanced, _ = _residuals(out, sys)
-    if balanced > tol:
-        raise NoConvergence(f"balance residual {balanced:.3e} above {tol:.1e}")
+    if balanced > BALANCED_TOL:
+        raise NoConvergence(f"balance residual {balanced:.3e} above {BALANCED_TOL:.1e}")
     return out
 
 
@@ -332,14 +336,12 @@ def balanced_residuals_pijk(s, sys, embed_tol=1e-9):
         nabla[(i, j, k)] = _nabla_det(s, du, sys.m, i, j, k)
         for variant in ("corrected", "literal"):
             rec = -0.5 * nabla[(i, j, k)]
-            for l in range(n):
-                if l in (i, j, k):
-                    continue
-                rec += 0.5 * _y_det(s, du, sys.m, i, j, k, l, variant == "corrected")
+            for l in [l for l in range(n) if l not in (i, j, k)]:
+                y = _y_det(s, du, sys.m, i, j, k, l, variant == "corrected")
+                if variant == "corrected":
+                    Y[(i, j, k, l)] = y
+                rec += 0.5 * y
             err[variant] = max(err[variant], abs(rec - val))
-        for l in range(n):
-            if l not in (i, j, k):
-                Y[(i, j, k, l)] = _y_det(s, du, sys.m, i, j, k, l, True)
 
     variant = "corrected" if err["corrected"] <= err["literal"] else "literal"
 

@@ -2,10 +2,13 @@
 
 Floats are written with 17 significant digits so every value round-trips
 exactly; identical inputs therefore produce byte-identical files.  CSV uses
-a comma separator, '.' decimal and a header row carrying units.
+a comma separator, '.' decimal and a header row carrying units.  A file is
+written to a temporary beside it, renamed onto it only once complete.
 """
 
+import contextlib
 import json
+import os
 
 import numpy as np
 
@@ -42,8 +45,21 @@ def dumps(obj):
     return _encode(obj) + "\n"
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Text handle on a temporary beside path: renamed onto it on success, else removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_json(path, obj):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(dumps(obj))
 
 
@@ -105,7 +121,7 @@ def loop_from_dict(data):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")

@@ -15,8 +15,12 @@ from nbodyred.geometry import (
     Configuration,
     MassSystem,
     State,
+    gram_form,
+    hyperplane_basis,
 )
 from nbodyred.dynamics import scalar_invariants
+from nbodyred.configurations import _beta_from_rotation, _hat, _orbit_cost_grad, _residuals
+from nbodyred.errors import InfeasibleSpectrum, NoConvergence, ValidationError
 
 
 def min_distance(xr):
@@ -105,3 +109,62 @@ def dense_basis(blocks, n_modes):
             Z_k[:, k] = U
             cols.append(Z_k.reshape(U.shape[0] * (n_modes + 1), U.shape[1]))
     return np.concatenate(cols, axis=1)
+
+
+def find_balanced_oracle(sys, spectrum, seed=None, x0=None, tol=1e-8, max_rounds=40):
+    """The balanced finder as it was before the package had its own BFGS:
+    rounds of scipy's BFGS in the exponential coordinates xi -> Q0 expm(hat(xi)),
+    re-centred after each round (the gradient is exact at xi = 0 only)."""
+    spec = np.sort(np.asarray(spectrum, dtype=float))[::-1]
+    if spec.size > sys.n - 1:
+        raise InfeasibleSpectrum(f"spectrum rank {spec.size} exceeds n-1 = {sys.n - 1}")
+    if spec.size == 0 or not np.isfinite(spec).all() or np.any(spec < 0) or spec[0] <= 0:
+        raise ValidationError("spectrum must be finite and nonnegative with a positive leading entry")
+
+    from scipy.linalg import expm
+    from scipy.optimize import minimize
+
+    spec_full = np.concatenate([spec, np.zeros(sys.n - 1 - spec.size)])
+    sqm = np.sqrt(sys.m)
+    W = hyperplane_basis(sys)
+    k = sys.n - 1
+
+    if x0 is not None:
+        b_sym = np.outer(sqm, sqm) * gram_form(Configuration(x0.r, sys))
+        w, V = np.linalg.eigh(W.T @ b_sym @ W)
+        Q = V[:, ::-1]  # descending, aligned with spec_full
+    else:
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+
+    def cost(xi, Q0):
+        U, _ = _orbit_cost_grad(Q0 @ expm(_hat(xi, k)), W, spec_full, sqm, sys)
+        return U
+
+    def grad(xi, Q0):
+        # exact at xi = 0; the recentering rounds keep steps small
+        _, g = _orbit_cost_grad(Q0 @ expm(_hat(xi, k)), W, spec_full, sqm, sys)
+        return g
+
+    nxi = k * (k - 1) // 2
+    for _ in range(max_rounds):
+        if nxi == 0:
+            break
+        U0, g0 = _orbit_cost_grad(Q, W, spec_full, sqm, sys)
+        if np.linalg.norm(g0) < 1e-13 * max(abs(U0), 1.0):
+            break
+        res = minimize(cost, np.zeros(nxi), args=(Q,), jac=grad,
+                       method="BFGS", options={"gtol": 1e-14, "maxiter": 80})
+        Q = Q @ expm(_hat(res.x, k))
+        if np.linalg.norm(res.x) < 1e-14:
+            break
+
+    beta = _beta_from_rotation(Q, W, spec_full, sqm)
+    w, V = np.linalg.eigh(beta)
+    keep = w > 1e-12 * w.max()
+    r = (V[:, keep] * np.sqrt(w[keep])).T
+    out = Configuration(r[::-1], sys)  # leading eigendirection first
+    _, balanced, _ = _residuals(out, sys)
+    if balanced > tol:
+        raise NoConvergence(f"balance residual {balanced:.3e} above {tol:.1e}")
+    return out

@@ -182,6 +182,57 @@ def test_linear_algebra_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_balanced_search_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a potential that turns NaN inside the orbit search is a numerical
+    # failure (exit 3), not a validation error
+    from nbodyred import configurations
+
+    exact, calls = configurations._orbit_cost_grad, []
+
+    def nan_after_first(*args):
+        calls.append(args)
+        U, g = exact(*args)
+        return (U, g) if len(calls) == 1 else (np.nan, np.full_like(g, np.nan))
+
+    monkeypatch.setattr("nbodyred.configurations._orbit_cost_grad", nan_after_first)
+    out = tmp_path / "out"
+    rc = main(["find-balanced", "--masses", "1,1,1", "--spectrum", "0.7,0.3", "--seed", "3",
+               "--out", str(out)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "NoConvergence"
+    assert len(calls) > 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("writer", ["csv", "json"])
+def test_failed_write_leaves_neither_file_nor_temporary(tmp_path, monkeypatch, writer):
+    # a formatter failing partway through a file: the earlier file survives
+    # intact, and no partial file or temporary is left beside it
+    from nbodyred import serialize
+
+    rows = np.arange(60.0).reshape(20, 3)
+    write = {"csv": lambda path: serialize.write_csv(path, ["a", "b", "c"], rows),
+             "json": lambda path: serialize.write_json(path, {"rows": rows})}[writer]
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+    write(str(kept))
+    before = kept.read_bytes()
+    exact, calls = serialize.fmt, []
+
+    def failing(x):
+        calls.append(x)
+        if len(calls) == 25:
+            raise ValueError("injected formatter failure")
+        return exact(x)
+
+    monkeypatch.setattr(serialize, "fmt", failing)
+    for path in (kept, fresh):
+        calls.clear()
+        with pytest.raises(ValueError, match="injected"):
+            write(str(path))
+    assert kept.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+
+
 @pytest.mark.parametrize("argv, scenario, target", [
     (["simulate", "--horizon", "1"], CIRCULAR, "audit_invariants"),
     (["hiphop", "--seed", "0", "--modes", "4"], None, "verify_loop"),
@@ -324,9 +375,8 @@ def test_homographic_and_relequil(tmp_path):
 
 
 def test_closed_form_commands_do_not_import_scipy(tmp_path):
-    # nor do the integrating commands: only find-balanced (past input checks)
-    # loads scipy.  The test process has scipy loaded already, so check in a
-    # fresh one
+    # nor does any other command: scipy is blocked in a fresh process (this
+    # one has it loaded already), so any import of it raises
     eight = {"masses": [1.0, 1.0, 1.0],
              "positions": [[0.97000436, -0.97000436, 0.0], [-0.24308753, 0.24308753, 0.0]],
              "velocities": [[0.466203685, 0.466203685, -0.93240737],
@@ -337,10 +387,12 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
     script = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None
         import nbodyred.cli, nbodyred.dynamics, nbodyred.configurations
 
         def loaded():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            return sorted(m for m, mod in sys.modules.items()
+                          if mod is not None and m.split(".")[0] == "scipy")
 
         assert not loaded(), "import"
         out = {str(tmp_path / "out")!r}
@@ -358,6 +410,9 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path):
             (["simulate", "--config", {str(tmp_path / "collapse.json")!r}, "--horizon", "5"], 3),
             (["simulate", "--config", {str(tmp_path / "bad.json")!r}], 2),
             (["find-balanced", "--masses", "1,1,1,1", "--spectrum=nan,1", "--seed", "1"], 2),
+            (["find-balanced", "--masses", "1,1,1", "--spectrum", "0.7,0.3", "--seed", "3"], 0),
+            (["find-balanced", "--masses", "1,1.3,0.8,1.1", "--spectrum", "0.5,0.3,0.2",
+              "--seed", "5"], 0),
         ]:
             assert nbodyred.cli.main(argv + ["--out", out]) == code, argv
             assert not loaded(), argv

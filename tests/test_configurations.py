@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import equilateral, interaction_table_oracle, isosceles, squared_distance_table
+from conftest import (
+    equilateral,
+    find_balanced_oracle,
+    interaction_table_oracle,
+    isosceles,
+    squared_distance_table,
+)
 from nbodyred.errors import InfeasibleSpectrum, NotEmbeddable, ValidationError
 from nbodyred.geometry import (
     Configuration,
     MassSystem,
     gram_form,
     inertia,
+    potential_and_gradient,
 )
 from nbodyred.configurations import (
     balanced_residuals_pijk,
@@ -184,8 +191,9 @@ def test_find_balanced_rank_one_is_collinear_central():
     assert cls.central_residual < 1e-7
 
 
-def test_find_balanced_z4_tetrahedron():
-    # flattened Z/4-symmetric tetrahedron: square base, alternating heights
+def _z4_tetrahedron():
+    """(system, spectrum, seed, x0) of a flattened Z/4-symmetric tetrahedron:
+    square base, alternating heights."""
     sys = MassSystem([1.0] * 4)
     h = 0.4
     pts = np.array([[1.0, 0.0, -1.0, 0.0],
@@ -194,7 +202,12 @@ def test_find_balanced_z4_tetrahedron():
     seed_cfg = Configuration(pts, sys)
     sqm = np.sqrt(sys.m)
     spec = np.sort(np.linalg.eigvalsh(np.outer(sqm, sqm) * gram_form(seed_cfg)))[::-1][:3]
-    x = find_balanced(sys, spec, seed=0, x0=seed_cfg)
+    return sys, spec, 0, seed_cfg
+
+
+def test_find_balanced_z4_tetrahedron():
+    sys, spec, seed, seed_cfg = _z4_tetrahedron()
+    x = find_balanced(sys, spec, seed=seed, x0=seed_cfg)
     cls = classify(x, sys, tol=1e-8)
     assert cls.balanced_residual < 1e-8
     s = squared_distance_table(x.r)
@@ -225,6 +238,35 @@ def test_find_balanced_deterministic():
     x1 = find_balanced(SYS_EQ, [0.6, 0.4], seed=42)
     x2 = find_balanced(SYS_EQ, [0.6, 0.4], seed=42)
     assert np.array_equal(x1.r, x2.r)
+
+
+# every find_balanced input of the tests: criterion 7's spectra, the seeds
+# 0, 1, 3 and 42 on three bodies, test_motions' 4-body seed and the
+# tetrahedron seed configuration
+BALANCED_CASES = {
+    **{f"criterion7-{spec[0]}": (SYS_EQ, spec, 0, None)
+       for spec in ([0.7, 0.3], [0.6, 0.4], [0.8, 0.2], [0.55, 0.45], [0.9, 0.1])},
+    "seed0": (SYS_EQ, [0.7, 0.3], 0, None),
+    "seed1-rank-one": (SYS_EQ, [1.0], 1, None),
+    "seed3": (SYS_EQ, [0.7, 0.3], 3, None),
+    "seed42": (SYS_EQ, [0.6, 0.4], 42, None),
+    "4-body-seed5": (MassSystem([1.0, 1.3, 0.8, 1.1]), [0.5, 0.3, 0.2], 5, None),
+    "tetrahedron-x0": _z4_tetrahedron(),
+}
+
+
+@pytest.mark.parametrize("case", BALANCED_CASES)
+def test_find_balanced_matches_scipy_bfgs_oracle(case):
+    # the in-house BFGS reaches the critical point of the old scipy search
+    sys, spec, seed, x0 = BALANCED_CASES[case]
+    x = find_balanced(sys, spec, seed=seed, x0=x0)
+    ref = find_balanced_oracle(sys, spec, seed=seed, x0=x0)
+    iu = np.triu_indices(sys.n, 1)
+    s, s_ref = squared_distance_table(x.r)[iu], squared_distance_table(ref.r)[iu]
+    assert np.abs(s - s_ref).max() <= 1e-8 * s_ref.max()
+    U, U_ref = potential_and_gradient(x, sys)[0], potential_and_gradient(ref, sys)[0]
+    assert abs(U - U_ref) <= 1e-12 * U_ref
+    assert classify(x, sys).balanced_residual <= 1e-12
 
 
 # ---------------------------------------------------------------------------
