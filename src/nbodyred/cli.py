@@ -269,13 +269,14 @@ def build_parser():
     return top
 
 
-_FAILURES = (NumericalError, ValidationError, ValueError)
+# LinAlgError (a ValueError) and Python's own numerical failures are not bad input
+_NUMERICAL = (NumericalError, np.linalg.LinAlgError, MemoryError, FloatingPointError, OverflowError)
+_FAILURES = _NUMERICAL + (ValidationError, ValueError)
 
 
 def _failure(exc):
     """Exit code and JSON error line of a failed run (one of _FAILURES)."""
-    # LinAlgError is a ValueError, but a numerical failure, not bad input
-    code = 3 if isinstance(exc, (NumericalError, np.linalg.LinAlgError)) else 2
+    code = 3 if isinstance(exc, _NUMERICAL) else 2
     return code, json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 

@@ -42,7 +42,6 @@ from .geometry import (
     hyperplane_basis,
     mass_dot,
     matrix_rank,
-    pair_accelerations,
     pair_coefficients,
     pair_forces,
     potential_from_s,
@@ -146,8 +145,8 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
         u0 = np.concatenate([z0.x.r.ravel(), z0.y.r.ravel()])
 
         def rhs(t, u):
-            accel = pair_accelerations(u[:dn].reshape(d, n), sys, collision_floor)
-            return np.concatenate([u[dn:], accel.ravel()])
+            accel = pair_forces(u[:dn].reshape(d, n), sys, collision_floor, sys.DMinv)[1]
+            return np.concatenate((u[dn:], accel), axis=None)
 
         def min_distance(u):
             return float(np.sqrt(squared_distances(u[:dn].reshape(d, n), sys).min()))
@@ -170,7 +169,7 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
     v = z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
     t = ts[0]
-    a = pair_accelerations(x, sys, collision_floor)
+    a = pair_forces(x, sys, collision_floor, sys.DMinv)[1]
     evals = 1
     for k, target in enumerate(ts):
         while t < target - 1e-15:
@@ -179,7 +178,7 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
             h = min(dt, target - t)
             v += 0.5 * h * a
             x += h * v
-            a = pair_accelerations(x, sys, collision_floor)
+            a = pair_forces(x, sys, collision_floor, sys.DMinv)[1]
             evals += 1
             v += 0.5 * h * a
             t += h
@@ -208,15 +207,25 @@ class _GramTable:
         self.blocks = np.stack([self.index[:k, :k], self.index[:k, k:],   # u[..., blocks]: the
                                 self.index[k:, k:], self.index[k:, :k]])  # b, g - r, e, g + r of G
         self.b = self.index[:k, :k].ravel()   # u[b] = b.ravel()
-        # rows w_p (x) w_p of W = D Q: s = WW u[b] and 2 A_hat = c WW; their
-        # P (n - 1)^2 numbers (0.5 MB at n = 20, 49 MB at n = 60) suit few bodies
+        self.left = self.index[:, :k].ravel()   # u[left] = G[:, :k].ravel(), b.ravel() first
+        # X = G L = [G[:, k:], Y] with Y = G[:, :k] 2 A_hat is z[X] of
+        # z = (u, Y.ravel()); upper holds X at (i, j) and (j, i), i <= j
+        X = np.concatenate([self.index[:, k:],
+                            iu[0].size + np.arange(2 * k * k).reshape(2 * k, k)], axis=1)
+        self.upper = X[iu], X[iu[::-1]]
+        # rows w_p (x) w_p of W = D Q and, last, the row of tr b: s_rows u[b]
+        # holds s and tr b, and 2 A_hat = c WW.  The P (n - 1)^2 numbers of
+        # WW (0.5 MB at n = 20, 49 MB at n = 60) are stored once and suit few bodies
         W = sys.D @ Q
-        self.WW = np.einsum("pa,pb->pab", W, W).reshape(W.shape[0], k * k)
-        # s_rows u[b] holds s and, last, tr b.  s_p is rounded by up to about
-        # 0.32 eps |w_p|^2 tr b, |w_p|^2 = 1/m_i + 1/m_j, and below four times
-        # that level a collision cannot be told from rounding
-        self.s_rows = np.vstack([self.WW, np.eye(k).ravel()])
-        self.root_rounding = np.sqrt(4.0 * np.finfo(float).eps * (W * W).sum(axis=1))
+        self.s_rows = np.empty((len(W) + 1, k * k))
+        np.multiply(W[:, :, None], W[:, None, :], out=self.s_rows[:-1].reshape(-1, k, k))
+        self.s_rows[-1] = np.eye(k).ravel()
+        self.WW = self.s_rows[:-1]
+        # s_p is rounded by up to about 0.32 eps |w_p|^2 tr b, |w_p|^2 =
+        # 1/m_i + 1/m_j, and below four times that level (the squared floor
+        # rounding2 tr b) a collision cannot be told from rounding
+        self.rounding2 = 4.0 * np.finfo(float).eps * (W * W).sum(axis=1)
+        self.rounding2_min = float(self.rounding2.min())
 
     def _upper_of_sum(self, X):
         """Upper triangle of X + X^T."""
@@ -238,16 +247,19 @@ class _GramTable:
         """Packed G_dot = X + X^T with X = G L; raises CollisionError below
         the collision floor or the rounding floor of the table."""
         k = self.k
-        s_tr = self.s_rows @ u[self.b]
-        rounding = self.root_rounding * max(s_tr[-1], 0.0) ** 0.5
+        left = u[self.left]
+        s_tr = self.s_rows @ left[:k * k]
+        tr, cf2 = s_tr[-1], collision_floor * collision_floor
+        floor2 = self.rounding2 * tr
+        if tr * self.rounding2_min < cf2:   # else no rounding floor is below cf2
+            floor2 = np.maximum(floor2, cf2)
         try:
-            c = pair_coefficients(s_tr[:-1], self.sys, np.maximum(collision_floor, rounding))
+            c = pair_coefficients(s_tr[:-1], self.sys, floor2)
         except CollisionError:
             beta_to_distances(self.unpack(u)[0], tol=1e-6)   # a non-Gram b raises
             raise
-        G = u[self.index]
-        return self._upper_of_sum(np.concatenate(
-            [G[:, k:], G[:, :k] @ (c @ self.WW).reshape(k, k)], axis=1))
+        z = np.concatenate((u, left.reshape(2 * k, k) @ (c @ self.WW).reshape(k, k)), axis=None)
+        return z[self.upper[0]] + z[self.upper[1]]
 
 
 def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):

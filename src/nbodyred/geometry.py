@@ -10,7 +10,11 @@ instantaneous rotations.
 Pair quantities go through the pair list sys.pairs (P = n(n-1)/2 pairs i < j)
 and its incidence sys.D only: (..., P) squared distances, Phi and Phi' once
 per pair, the collision floor compared in `pair_coefficients`, forces as the
-scatter (x D^T * c) D, and the n x n table A built from the same c.
+scatter (x D^T * c) D, and the n x n table A built from the same c.  The
+kernel's per-system constants live on MassSystem: the pair factor
+2 m_i m_j G kappa (c_p = pair_factor s_p^(kappa-1)), and, built on first use
+beside D, a contiguous D^T and the acceleration scatter D M^{-1}, so that
+accelerations (x D^T * c) D M^{-1} take the same product as forces.
 """
 
 from dataclasses import dataclass, field
@@ -64,10 +68,10 @@ class MassSystem:
         m = np.asarray(m, dtype=float)
         if m.ndim != 1 or m.size < 2:
             raise ValidationError("need at least two masses")
-        if not np.all(m > 0):
-            raise ValidationError("masses must be positive")
         if not np.isfinite(m).all():
             raise ValidationError("masses must be finite")
+        if not np.all(m > 0):
+            raise ValidationError("masses must be positive")
         # written so that NaN fails them
         if not 0.0 < G < np.inf:
             raise ValidationError("G must be positive and finite")
@@ -80,24 +84,37 @@ class MassSystem:
         self.kappa = float(kappa)
         self.pairs = np.triu_indices(self.n, 1)   # (i, j) index arrays, i < j
         self.pair_masses = _readonly(m[self.pairs[0]] * m[self.pairs[1]])
-        self.twice_pair_masses = _readonly(2.0 * self.pair_masses)
+        self.pair_factor = _readonly(2.0 * self.pair_masses * (self.G * self.kappa))
 
     @cached_property
     def D(self):
-        """Pair incidence, n(n-1)/2 x n: row p is e_i - e_j, so x D^T holds the
-        pair differences (built on first use: its size grows as n^3)."""
+        """Pair incidence, n(n-1)/2 x n: row p is e_i - e_j, so x D^T holds the pair
+        differences and f D scatters pair vectors f onto the bodies (D, DT and
+        DMinv are built on first use: their sizes grow as n^3)."""
         i, j = self.pairs
         return _readonly(np.eye(self.n)[i] - np.eye(self.n)[j])
+
+    @cached_property
+    def DT(self):
+        """D^T, contiguous (the product x D^T reads it row by row)."""
+        return _readonly(self.D.T)
+
+    @cached_property
+    def DMinv(self):
+        """D M^{-1}: the scatter of pair forces onto accelerations."""
+        return _readonly(self.D / self.m)
 
     def phi(self, s):
         """Pair potential profile Phi(s) = G s^kappa (s = squared distance)."""
         return self.G * np.power(s, self.kappa)
 
-    def dphi(self, s):
-        """Phi'(s) = G kappa s^(kappa-1); G kappa / (s sqrt s) when kappa = -1/2."""
+    def dphi(self, s, scale=None):
+        """scale s^(kappa-1), by default Phi'(s) = G kappa s^(kappa-1); scale /
+        (s sqrt s) when kappa = -1/2."""
+        scale = self.G * self.kappa if scale is None else scale
         if self.kappa == -0.5:
-            return self.G * self.kappa / (s * np.sqrt(s))
-        return self.G * self.kappa * np.power(s, self.kappa - 1.0)
+            return scale / (s * np.sqrt(s))
+        return scale * np.power(s, self.kappa - 1.0)
 
     def __repr__(self):
         return f"MassSystem(n={self.n}, G={self.G}, kappa={self.kappa})"
@@ -314,7 +331,7 @@ def _rows_product(a, b):
 def squared_distances(r, sys):
     """Squared mutual distances s_p = |r_i - r_j|^2 over the pair list,
     (..., P), of (..., d, n) coordinates."""
-    diff = _rows_product(r, sys.D.T)
+    diff = _rows_product(r, sys.DT)
     return (diff * diff).sum(axis=-2)
 
 
@@ -365,31 +382,30 @@ def elementary_symmetric(values, kmax):
 # interaction matrix and potential
 
 
-def pair_coefficients(s, sys, collision_floor=COLLISION_FLOOR):
+def pair_coefficients(s, sys, floor2=COLLISION_FLOOR**2):
     """c_p = 2 m_i m_j Phi'(s_p) of (..., P) squared distances, so that
     dU/dr_i = sum_j c_ij (r_i - r_j) and 2 A M = D^T diag(c) D; raises
-    CollisionError when some s_p is below the square of the collision floor
-    (one distance, or one per pair), the only comparison with it."""
-    if np.count_nonzero(s < collision_floor**2):
+    CollisionError when some s_p is below the squared floor floor2 (one
+    value, or one per pair), the only comparison with the collision floor."""
+    if np.count_nonzero(s < floor2):
         rmin = float(np.sqrt(max(s.min(), 0.0)))
         raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
-    return sys.twice_pair_masses * sys.dphi(s)
+    return sys.dphi(s, sys.pair_factor)
 
 
-def pair_forces(r, sys, collision_floor=COLLISION_FLOOR):
-    """Squared distances s, (..., P), and forces dU/dx = (x D^T * c) D,
-    (..., d, n), of (..., d, n) coordinates; raises CollisionError below the
-    collision floor."""
-    diff = _rows_product(r, sys.D.T)
-    s = (diff * diff).sum(axis=-2)
-    c = pair_coefficients(s, sys, collision_floor)
-    return s, _rows_product(diff * c[..., None, :], sys.D)
+def pair_forces(r, sys, collision_floor=COLLISION_FLOOR, scatter=None):
+    """Squared distances s, (..., P), and forces dU/dx = (x D^T * c) D (with
+    scatter = sys.DMinv accelerations (x D^T * c) D M^{-1}), (..., d, n), of
+    (..., d, n) coordinates; raises CollisionError below the collision floor."""
+    diff = _rows_product(r, sys.DT)
+    s = np.add.reduce(diff * diff, axis=-2)   # sum() would add a Python layer
+    c = pair_coefficients(s, sys, collision_floor * collision_floor)
+    return s, _rows_product(diff * c[..., None, :], sys.D if scatter is None else scatter)
 
 
 def pair_accelerations(r, sys, collision_floor=COLLISION_FLOOR):
-    """Accelerations 2 x A of (..., d, n) coordinates, summed over the pair
-    list; raises CollisionError below the collision floor."""
-    return pair_forces(r, sys, collision_floor)[1] / sys.m
+    """Accelerations 2 x A of (..., d, n) coordinates: pair_forces with the D M^{-1} scatter."""
+    return pair_forces(r, sys, collision_floor, sys.DMinv)[1]
 
 
 def potential_from_s(s, sys):
@@ -400,8 +416,8 @@ def potential_from_s(s, sys):
 
 def potential_and_gradient(x, sys, collision_floor=COLLISION_FLOOR):
     """Force function U > 0 and its mass-metric gradient 2 x A (= accelerations)."""
-    s, f = pair_forces(x.r, sys, collision_floor)
-    return float(potential_from_s(s, sys)), f / sys.m
+    s, a = pair_forces(x.r, sys, collision_floor, sys.DMinv)
+    return float(potential_from_s(s, sys)), a
 
 
 def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
@@ -412,7 +428,7 @@ def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
     column sums to zero and A annihilates the mass vector.
     """
     i, j = sys.pairs
-    half_c = 0.5 * pair_coefficients(s, sys, collision_floor)
+    half_c = 0.5 * pair_coefficients(s, sys, collision_floor * collision_floor)
     A = np.zeros(s.shape[:-1] + (sys.n, sys.n))
     A[..., i, j] = -half_c / sys.m[j]
     A[..., j, i] = -half_c / sys.m[i]

@@ -40,6 +40,20 @@ def dphi_oracle(s, sys):
     return sys.G * sys.kappa * s ** (sys.kappa - 1.0)
 
 
+def newton_acceleration_oracle(r, sys):
+    """Accelerations of (d, n) coordinates by direct pairwise summation of
+    the power-law force."""
+    acc = np.zeros_like(r)
+    for i in range(sys.n):
+        for j in range(sys.n):
+            if i == j:
+                continue
+            dr = r[:, i] - r[:, j]
+            s = dr @ dr
+            acc[:, i] += 2.0 * sys.m[j] * dphi_oracle(s, sys) * dr
+    return acc
+
+
 def interaction_table_oracle(s, sys):
     """The interaction table written out from an n x n squared-distance
     table: A_ij = -m_i Phi'(s_ij) off the diagonal, and on it what makes

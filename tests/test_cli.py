@@ -182,6 +182,40 @@ def test_linear_algebra_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("error", [MemoryError, FloatingPointError, OverflowError])
+def test_foreign_numerical_failures_exit_code(tmp_path, capsys, monkeypatch, error, jobs):
+    # failures raised by numpy or Python rather than by the package are
+    # numerical too: exit 3 with a JSON error, no traceback and no output
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    # the pool's workers are forked, so they inherit the patch
+    monkeypatch.setattr("nbodyred.cli.integrate_absolute", fail)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--horizon", "1", "--jobs", jobs, "--out", str(out)]
+              + config_args(tmp_path, [CIRCULAR, CIRCULAR]))
+    assert rc == 3
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["error"] for e in errors] == [error.__name__] * 2
+    assert not out.exists()
+
+    monkeypatch.setattr("nbodyred.cli.find_central", fail)
+    rc = main(["find-central", "--masses", "1,1,1", "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == error.__name__
+    assert not out.exists()
+
+
+def test_nan_mass_is_reported_as_not_finite(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["find-central", "--masses", "1,1,nan", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ValidationError",
+                                                   "message": "masses must be finite"}
+    assert not out.exists()
+
+
 def test_balanced_search_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a potential that turns NaN inside the orbit search is a numerical
     # failure (exit 3), not a validation error

@@ -5,6 +5,7 @@ from conftest import (
     equilateral,
     interaction_table_oracle,
     isosceles,
+    newton_acceleration_oracle,
     random_state,
     squared_distance_table,
     tame_scenario,
@@ -35,6 +36,7 @@ from nbodyred.geometry import (
     hermitian_from_bivector,
     mass_dot,
     matrix_rank,
+    pair_forces,
     reduced_tables,
     wintner_conley,
 )
@@ -272,6 +274,15 @@ def test_reduced_rhs_raises_at_the_rounding_of_its_table():
     assert worst <= 1.0   # a quarter of the floor
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_gram_table_stores_its_pair_rows_once(n):
+    # WW, P x (n - 1)^2, is a view of s_rows, which adds the row of tr b
+    gram = dynamics._GramTable(MassSystem(np.arange(1.0, n + 1.0)))
+    assert np.shares_memory(gram.WW, gram.s_rows)
+    assert gram.WW.shape == (n * (n - 1) // 2, (n - 1) ** 2)
+    assert np.array_equal(gram.s_rows[-1], np.eye(n - 1).ravel())
+
+
 def test_reduced_matches_absolute_run():
     rng = np.random.default_rng(3)
     sys, z0 = tame_scenario(rng, 3, 3, 5.0)
@@ -354,6 +365,49 @@ def test_rk8_reports_steps(route):
     steps = meta["accepted_steps"] + meta["rejected_steps"]
     assert meta["accepted_steps"] > 0
     assert 2 + 12 * steps <= meta["rhs_evals"] <= 2 + 15 * steps
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -1.0, -0.3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_integrator_right_hand_sides_match_pair_loop(monkeypatch, n, d, kappa):
+    # the rk8 right-hand side handed to the stepper, and every acceleration
+    # that leapfrog kicks with, at unequal masses against the pair loop
+    rng = np.random.default_rng(100 * n + 10 * d + int(-10 * kappa))
+    sys = MassSystem(rng.uniform(0.3, 3.0, n), G=1.3, kappa=kappa)
+    r = rng.normal(size=(d, n))
+    r /= np.sqrt(squared_distance_table(r)[np.triu_indices(n, 1)].min())   # bodies 1 apart or more
+    z0 = State(Configuration(r, sys), Configuration(np.zeros((d, n)), sys))
+    funs, kicks = [], []
+
+    def capture(fun, ts, y0, tol, event):
+        funs.append(fun)
+        return dop853.solve_ivp(fun, ts, y0, tol, event)
+
+    def recorded(r, *args):
+        out = pair_forces(r, *args)
+        kicks.append((r.copy(), out[1]))
+        return out
+
+    def close(got, r):
+        ref = newton_acceleration_oracle(r, sys)
+        return np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    monkeypatch.setattr(dynamics, "solve_ivp", capture)
+    integrate_absolute(z0, sys, 1e-3, samples=2)
+    (fun,) = funs
+    dn = d * n
+    for _ in range(3):
+        u = rng.normal(size=2 * dn)
+        du = fun(0.0, u)
+        assert np.array_equal(du[:dn], u[dn:])
+        assert close(du[dn:].reshape(d, n), u[:dn].reshape(d, n))
+
+    monkeypatch.setattr(dynamics, "pair_forces", recorded)
+    integrate_absolute(z0, sys, 1e-3, method="leapfrog", samples=2, dt=2.5e-4)
+    assert len(kicks) == 5
+    for r, accel in kicks:
+        assert close(accel, r)
 
 
 # ---------------------------------------------------------------------------
