@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+import nbodyred.action
 from conftest import dense_basis
 from nbodyred.errors import CollisionAtNode, ValidationError
 from nbodyred.geometry import MassSystem, squared_distances
@@ -401,6 +404,59 @@ def test_hiphop_converges_at_128_modes():
     assert rep.symmetry_defect < 1e-12
     a16 = verify_loop(s16).action
     assert abs(rep.action - a16) < 1e-6 * abs(a16)
+
+
+def counted_minimize(monkeypatch, seed, sym, gtol):
+    """minimize_action with its action evaluations counted through the
+    module attribute that the minimizer looks up."""
+    calls = []
+    inner = nbodyred.action.action_value_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(nbodyred.action, "action_value_and_gradient", counted)
+    return minimize_action(seed, sym, MinimizeOptions(gtol=gtol)), len(calls)
+
+
+@pytest.mark.parametrize("label, K", [("z2z4", 16), ("z2z4", 64), ("z2z4", 200),
+                                      ("italian", 64), ("z3", 64)])
+def test_evaluation_count_does_not_depend_on_mode_count(monkeypatch, label, K):
+    # the mode-weighted initial inverse Hessian absorbs the (k w)^2 growth of
+    # the kinetic term: without it the count grows like K (3071 at K = 200)
+    sym = symmetry_by_label(label)
+    seed = square_relative_equilibrium_loop(T, SYS4, K, vertical_kick=0.3)
+    out, nfev = counted_minimize(monkeypatch, seed, sym, 1e-6)
+    assert nfev <= 40
+    assert verify_loop(out, sym=sym).symmetry_defect < 1e-12
+
+
+def test_hiphop_events_and_action_agree_across_mode_counts():
+    # the first tetrahedral passage and its mirror image lie 1.04 apart, so
+    # agreement to 1e-9 says every K lands on the same image of one loop
+    sym = hiphop_z2z4()
+    reps = {K: verify_loop(minimize_action(square_relative_equilibrium_loop(T, SYS4, K, 0.3),
+                                           sym, MinimizeOptions(gtol=1e-6)), sym=sym)
+            for K in (8, 16, 64, 128, 200)}
+    ref = reps[200]
+    assert len(ref.tetra_events) == 2 and 0.0 < ref.tetra_events[0] < np.pi / 2
+    for K, rep in reps.items():
+        assert np.abs(np.subtract(rep.tetra_events, ref.tetra_events)).max() < 1e-9, K
+        if K >= 16:
+            assert abs(rep.action - ref.action) < 1e-9 * abs(ref.action), K
+
+
+def test_minimizer_logs_its_work(monkeypatch, caplog):
+    seed = square_relative_equilibrium_loop(T, SYS4, 16, vertical_kick=0.3)
+    with caplog.at_level(logging.INFO, logger="nbodyred"):
+        _, nfev = counted_minimize(monkeypatch, seed, hiphop_z2z4(), 1e-6)
+    lines = [r for r in caplog.records if r.name == "nbodyred"]
+    assert len(lines) == 1 and lines[0].levelno == logging.INFO
+    evals, iters, restarts, gnorm = lines[0].args
+    assert (evals, restarts) == (nfev, 0)
+    assert 0 < iters < evals and gnorm <= 1e-6
+    assert f"{nfev} evaluations" in lines[0].getMessage()
 
 
 def test_kepler_action_oracle_for_circular_loop():

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -86,6 +87,18 @@ def test_simulate_deterministic(tmp_path, argv, scenario):
         assert main(argv + config_args(tmp_path, scenario) + ["--out", str(out)]) == 0
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_hiphop_log_says_what_ran_and_leaves_outputs_alone(tmp_path, caplog):
+    argv = ["hiphop", "--seed", "0", "--modes", "8"]
+    outs = []
+    for name, level in (("quiet", logging.WARNING), ("info", logging.INFO)):
+        caplog.clear()
+        with caplog.at_level(level, logger="nbodyred"):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert outs[0] and outs[0] == outs[1]
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["minimize_action"]
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
