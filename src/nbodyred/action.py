@@ -24,7 +24,6 @@ coefficients by one matrix product per class.
 """
 
 import math
-import sys as _sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +35,7 @@ from .errors import (
     CollisionError,
     NoConvergence,
     ValidationError,
+    log_info,
 )
 from .geometry import (
     COLLISION_FLOOR,
@@ -45,15 +45,6 @@ from .geometry import (
     potential_from_s,
     squared_distances,
 )
-
-
-def _log_info(msg, *args):
-    """INFO on the nbodyred logger.  logging is looked up, not imported: a
-    process that never imported it has no handler for the line, and the
-    import would cost the in-process action path about 4 ms and 0.6 MB."""
-    logging = _sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("nbodyred").info(msg, *args)
 
 
 def _trig(n_modes, T, ts):
@@ -441,8 +432,8 @@ def minimize_action(seed_loop, sym, opts=None):
     for nit in range(4000):
         gnorm = np.linalg.norm(g)
         if gnorm <= opts.gtol:
-            _log_info("minimize_action: %d evaluations, %d iterations, %d restarts, |g| %.3e",
-                      nfev, nit, 3 - restarts_left, gnorm)
+            log_info("minimize_action: %d evaluations, %d iterations, %d restarts, |g| %.3e",
+                     nfev, nit, 3 - restarts_left, gnorm)
             return loop_at(xi)
 
         # two-loop recursion

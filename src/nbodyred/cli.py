@@ -10,14 +10,13 @@ floats are written with fixed formatting.
 
 import argparse
 import json
-import logging
 import os
 import sys as _sys
 
 import numpy as np
 
 from . import serialize
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, log_info
 from .geometry import MassSystem, RelativeState, State
 from .dynamics import _sample_times, audit_invariants, integrate_absolute, integrate_reduced
 from .configurations import classify, find_balanced, find_central, shape_sphere
@@ -29,8 +28,6 @@ from .action import (
     symmetry_by_label,
     verify_loop,
 )
-
-log = logging.getLogger("nbodyred")
 
 
 def _outpath(args, name, suffix=""):
@@ -67,7 +64,7 @@ def _cmd_simulate(args, config, suffix=""):
         serialize.trajectory_to_csv(_outpath(args, "trajectory.csv", suffix), traj)
     serialize.write_json(_outpath(args, "audit.json", suffix),
                          serialize.report_to_dict(report))
-    log.info("energy drift %.3e, momentum drift %.3e",
+    log_info("energy drift %.3e, momentum drift %.3e",
              report.energy_drift, report.momentum_drift)
     return 0
 
@@ -314,8 +311,12 @@ def _dispatch(args):
 
 
 def main(argv=None):
-    level = os.environ.get("NBODY_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    """Run one command; returns its exit code."""
+    level = os.environ.get("NBODY_LOG")
+    if level:   # logging is loaded only when asked for
+        import logging
+
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -326,5 +327,16 @@ def main(argv=None):
         return code
 
 
+def run():
+    """The console entry point: main(), then the end of the process without
+    interpreter teardown (about 16 ms), which has nothing left to do: every
+    output file is closed and in place once main returns.  A parser exit or
+    an uncaught exception leaves through the normal path."""
+    code = main()
+    _sys.stdout.flush()
+    _sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -4,6 +4,8 @@ First step, step control and expression forms are scipy's (solve_ivp with
 method="DOP853"), whose states and evaluation counts a run reproduces.
 """
 
+import math
+from bisect import bisect_right
 from collections import namedtuple
 
 import numpy as np
@@ -12,9 +14,9 @@ EPS = np.finfo(float).eps
 
 # stages 0-11 make the step, 12 is the slope at its end, 13-15 feed the dense
 # output F[3:] = h D K; B = A[12, :12] are the 8th-order weights
-C = np.array([0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+C = [0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
     0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
-    1.0, 0.1, 0.2, 0.7777777777777778])
+    1.0, 0.1, 0.2, 0.7777777777777778]
 A = np.zeros((16, 16))
 A[np.tril_indices(16, -1)] = [0.05260015195876773, 0.0197250569845379, 0.0591751709536137,
     0.02958758547680685, 0, 0.08876275643042054, 0.2413651341592667, 0, -0.8845494793282861,
@@ -38,6 +40,7 @@ A[np.tril_indices(16, -1)] = [0.05260015195876773, 0.0197250569845379, 0.0591751
     -0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]
 B = A[12, :12]
+A_ROWS = [A[s, :s] for s in range(16)]   # the weights of stage s
 E3 = np.append(B, 0.0)
 E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
 E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
@@ -80,7 +83,8 @@ def solve_ivp(fun, ts, y0, tol, event):
     when the step size falls below ten ulps of t.
     """
     rtol, atol = max(tol, 100 * EPS), tol
-    t, t_end = ts[0], ts[-1]
+    times = ts.tolist()   # the step bookkeeping runs on Python floats
+    t, t_end = times[0], times[-1]
     y = np.asarray(y0, dtype=float)
     f = fun(t, y)
     scale, root_n = atol + np.abs(y) * rtol, y.size ** 0.5   # first step by Hairer's rule
@@ -88,30 +92,31 @@ def solve_ivp(fun, ts, y0, tol, event):
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
     d2 = np.linalg.norm((fun(t + h0, y + h0 * f) - f) / scale) / root_n / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, t_end - t)
+    h_abs = float(min(100 * h0, h1, t_end - t))
 
     nfev, accepted, rejected, filled, status, t_event = 2, 0, 0, 0, None, None
     K = np.empty((16, y.size))
     out = np.empty((len(ts), y.size))
     g = event(t, y)
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected_before = max(h_abs, min_step), rejected
         while True:
             if h_abs < min_step:
                 return Solution(out[:filled], nfev, -1, None, accepted, rejected)
             t_new = min(t + h_abs, t_end)
-            h_abs = np.abs(h := t_new - t)
+            h_abs = abs(h := t_new - t)
             K[0] = f
             for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+                K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A_ROWS[s]) * h)
             y_new = y + h * np.dot(K[:12].T, B)
             K[12] = f_new = fun(t + h, y_new)
             nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = np.linalg.norm(np.dot(K[:13].T, E5) / scale) ** 2
-            e3 = np.linalg.norm(np.dot(K[:13].T, E3) / scale) ** 2
-            error = 0.0 if e5 == e3 == 0 else h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
+            err5, err3 = np.dot(K[:13].T, E5) / scale, np.dot(K[:13].T, E3) / scale
+            # squared norms formed as np.linalg.norm forms a 1-D norm, to the bit
+            e5, e3 = float(np.sqrt(err5.dot(err5))) ** 2, float(np.sqrt(err3.dot(err3))) ** 2
+            error = 0.0 if e5 == e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
                 h_abs *= min(1, factor) if rejected > rejected_before else factor
@@ -123,10 +128,10 @@ def solve_ivp(fun, ts, y0, tol, event):
         status = 0 if t - t_end >= 0 else None
         g_old, g = g, event(t, y)
         crossing = g_old >= 0 >= g
-        stop = np.searchsorted(ts, t, side="right")
+        stop = bisect_right(times, t)
         if crossing or stop > filled:   # the dense output over the step
             for s in range(13, 16):
-                K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, A[s, :s]) * h)
+                K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, A_ROWS[s]) * h)
             nfev += 3
             dy = y - y_old
             F = np.vstack([dy, h * f_old - dy, 2 * dy - h * (f + f_old), h * np.dot(D, K)])
@@ -137,7 +142,7 @@ def solve_ivp(fun, ts, y0, tol, event):
                 above = event(mid, _dense(F, y_old, np.array([[(mid - t_old) / h]]))[0]) > 0
                 lo, hi = (mid, hi) if above else (lo, mid)
             t, t_event, status = hi, hi, 1
-            stop = np.searchsorted(ts, t, side="right")
+            stop = bisect_right(times, t)
         if stop > filled:
             out[filled:stop] = _dense(F, y_old, ((ts[filled:stop] - t_old) / h)[:, None])
             filled = stop

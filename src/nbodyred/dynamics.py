@@ -143,13 +143,18 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
 
     if method == "rk8":
         u0 = np.concatenate([z0.x.r.ravel(), z0.y.r.ravel()])
+        seen = [None, None]   # the state rhs last saw and its squared distances
 
         def rhs(t, u):
-            accel = pair_forces(u[:dn].reshape(d, n), sys, collision_floor, sys.DMinv)[1]
+            s, accel = pair_forces(u[:dn].reshape(d, n), sys, collision_floor, sys.DMinv)
+            seen[:] = u, s
             return np.concatenate((u[dn:], accel), axis=None)
 
         def min_distance(u):
-            return float(np.sqrt(squared_distances(u[:dn].reshape(d, n), sys).min()))
+            # the event after an accepted step sees the state of the step's
+            # FSAL slope, whose distances the kernel has just computed
+            s = seen[1] if u is seen[0] else squared_distances(u[:dn].reshape(d, n), sys)
+            return float(np.sqrt(s.min()))
 
         us, work = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
     elif method == "leapfrog":

@@ -1,10 +1,22 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the INFO line of the nbodyred logger.
 
 Validation errors (bad user input) derive from :class:`ValidationError`;
 numerical failures (collisions, non-convergence, ...) derive from
 :class:`NumericalError`.  The CLI maps the former to exit code 2 and the
 latter to exit code 3.
 """
+
+import sys as _sys
+
+
+def log_info(msg, *args):
+    """INFO on the nbodyred logger.  logging is looked up, not imported: a
+    process that never imported it has no handler for the line (the CLI
+    imports it only when NBODY_LOG is set), and the import would cost a
+    few ms and 0.6 MB."""
+    logging = _sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("nbodyred").info(msg, *args)
 
 
 class NBodyError(Exception):

@@ -470,3 +470,92 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: `python -m nbodyred.cli` ends through cli.run
+
+
+def fresh_env(**extra):
+    """The environment of a fresh process that imports this checkout's
+    nbodyred, with NBODY_LOG unset unless given."""
+    src = os.path.dirname(os.path.dirname(nbodyred.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "NBODY_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return dict(env, **extra)
+
+
+def run_cli(argv, **env):
+    """A `python -m nbodyred.cli` process with stdout and stderr on pipes."""
+    return subprocess.run([sys.executable, "-m", "nbodyred.cli", *argv], env=fresh_env(**env),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_fresh_process_writes_its_files(tmp_path, circ_config):
+    proc = run_cli(["simulate", "--config", circ_config, "--horizon", "1", "--samples", "9",
+                    "--out", str(tmp_path / "out")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["audit.json",
+                                                                    "trajectory.csv"]
+    header, *rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert header.startswith("t[time],") and len(rows) == 9
+    assert json.loads((tmp_path / "out" / "audit.json").read_text())["energy_drift"] < 1e-8
+
+
+@pytest.mark.parametrize("scenario, code, error", [
+    (dict(CIRCULAR, masses=[1.0, -1.0]), 2, "ValidationError"),
+    (dict(EQUILATERAL, velocities=[[0.0] * 3] * 2), 3, "CollisionError"),
+])
+def test_fresh_process_failure_line_is_complete(tmp_path, scenario, code, error):
+    out = tmp_path / "out"
+    proc = run_cli(["simulate", "--horizon", "5", "--out", str(out)]
+                   + config_args(tmp_path, scenario))
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == error
+    assert not out.exists()
+
+
+def test_fresh_process_parser_exit(tmp_path):
+    # argparse's own exit keeps the normal path: usage on stderr, code 2
+    proc = run_cli(["simulate", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: nbodyred simulate")
+    assert "--config" in proc.stderr.splitlines()[-1]
+
+
+def test_fresh_process_jobs_report_every_outcome(tmp_path):
+    bad = dict(CIRCULAR, masses=[1.0, -1.0])
+    out = tmp_path / "out"
+    proc = run_cli(["simulate", "--horizon", "1", "--samples", "9", "--jobs", "2",
+                    "--out", str(out)] + config_args(tmp_path, [CIRCULAR, bad]))
+    assert proc.returncode == 2
+    assert [json.loads(line)["error"] for line in proc.stderr.splitlines()] == ["ValidationError"]
+    assert sorted(p.name for p in out.iterdir()) == ["audit_job0.json", "trajectory_job0.csv"]
+
+
+def test_fresh_process_info_log(tmp_path):
+    proc = run_cli(["hiphop", "--seed", "0", "--modes", "8", "--samples", "9",
+                    "--out", str(tmp_path)], NBODY_LOG="INFO")
+    assert proc.returncode == 0
+    assert [line.split(":")[2] for line in proc.stderr.splitlines()] == ["minimize_action"]
+    assert proc.stderr.startswith("INFO:nbodyred:minimize_action: ")
+
+
+def test_commands_do_not_load_logging_unless_asked(tmp_path, circ_config):
+    # main imports and configures logging only when NBODY_LOG is set; run in
+    # process in a fresh interpreter (this one has logging loaded already)
+    script = textwrap.dedent(f"""
+        import sys
+        import nbodyred.cli
+
+        assert "logging" not in sys.modules, "import"
+        out = {str(tmp_path / "out")!r}
+        for argv in (["kepler", "--e", "0.5"],
+                     ["simulate", "--config", {circ_config!r}, "--horizon", "1"]):
+            assert nbodyred.cli.main(argv + ["--out", out]) == 0, argv
+            assert "logging" not in sys.modules, argv
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -38,6 +38,7 @@ from nbodyred.geometry import (
     matrix_rank,
     pair_forces,
     reduced_tables,
+    squared_distances,
     wintner_conley,
 )
 from nbodyred.dynamics import (
@@ -478,6 +479,47 @@ def test_stepper_locates_a_terminal_collision_like_scipy(against_scipy):
     assert ref.status == ours.status == 1
     assert ours.nfev == ref.nfev
     assert abs(ours.t_event - ref.t_events[0][0]) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["eight", "collision"])
+def test_collision_event_equals_recomputed_distance(monkeypatch, case):
+    # after an accepted step the event reads the squared distances of the
+    # step's FSAL evaluation; every value it returns, at the steps and in the
+    # bisection on the dense output, is the one recomputed from the state,
+    # to the bit
+    if case == "eight":
+        (sys, z0), horizon, floor = figure_eight(), EIGHT_PERIOD, COLLISION_FLOOR
+    else:
+        sys = MassSystem([1.0, 2.0, 3.0], kappa=-1.0)
+        z0 = State(Configuration([[0.0, 1.0, 0.3], [0.0, 0.1, 0.9]], sys),
+                   Configuration(np.zeros((2, 3)), sys))
+        horizon, floor = 5.0, 1e-3
+    dn = z0.d * z0.n
+    values, recomputed = [], []
+
+    def recompute(r, sys):
+        recomputed.append(None)
+        return squared_distances(r, sys)
+
+    def checked(fun, ts, y0, tol, event):
+        def compared(t, u):
+            g = event(t, u)
+            s = squared_distances(u[:dn].reshape(z0.d, z0.n), sys)
+            values.append((g, float(np.sqrt(s.min())) - 2.0 * floor))
+            return g
+        return dop853.solve_ivp(fun, ts, y0, tol, compared)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", checked)
+    monkeypatch.setattr(dynamics, "squared_distances", recompute)
+    if case == "eight":
+        traj = integrate_absolute(z0, sys, horizon, tol=1e-10, samples=33)
+        assert len(values) == traj.metadata["accepted_steps"] + 1
+        assert len(recomputed) == 1   # the event at t0 only
+    else:
+        with pytest.raises(CollisionError, match="collision at t = "):
+            integrate_absolute(z0, sys, horizon, tol=1e-10, samples=33, collision_floor=floor)
+        assert len(recomputed) > 1   # the bisection's dense states
+    assert all(g == ref for g, ref in values)
 
 
 @pytest.mark.parametrize("q", [5, 9, 513])
