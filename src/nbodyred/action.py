@@ -108,7 +108,7 @@ class Loop:
         c = self.cos_modes - 1j * self.sin_modes
         c[..., 1:] *= 0.5   # irfft doubles every mode above the constant one
         ikw = 1j * np.arange(K + 1) * (2.0 * np.pi / self.T)
-        derivs = np.stack([c * ikw**p for p in range(order + 1)])
+        derivs = c * ikw ** np.arange(order + 1)[:, None, None, None]
         return np.moveaxis(np.fft.irfft(derivs, n_quad, norm="forward"), -1, 1)
 
     def sample(self, ts):
@@ -188,8 +188,8 @@ class SymmetryAction:
             for a in frontier:
                 for g in gens:
                     c = _compose(a, g)
-                    if c.key() not in seen:
-                        seen[c.key()] = c
+                    if (key := c.key()) not in seen:
+                        seen[key] = c
                         nxt.append(c)
             frontier = nxt
             if len(seen) > max_order:
@@ -210,9 +210,9 @@ class SymmetryAction:
 
 
 def _mat_key(Q):
-    # entries of distinct elements differ by O(1); 9 digits survive the
-    # float drift of repeated composition
-    return tuple(tuple(round(v, 9) + 0.0 for v in row) for row in np.asarray(Q))
+    # entries of distinct elements differ by O(1); 9 digits survive the float
+    # drift of repeated composition; the flat tuple sorts as the rows would
+    return tuple(np.round(Q, 9).ravel().tolist())
 
 
 def _compose(a, b):
@@ -389,7 +389,8 @@ def minimize_action(seed_loop, sym, opts=None):
     sys, K = seed_loop.sys, seed_loop.n_modes
     n_quad = opts.n_quad if opts.n_quad is not None else max(256, 4 * K)
     blocks = invariant_basis(sym, sys, K)
-    splits = np.cumsum([U.shape[1] * modes.size for modes, U in blocks])[:-1]
+    ends = np.cumsum([U.shape[1] * modes.size for modes, U in blocks]).tolist()
+    slices = [slice(a, b) for a, b in zip([0] + ends, ends)]   # each block's coordinates
     # mode weights of the kinetic Hessian m (k w)^2 T / 2 (the H^1 metric),
     # one per coordinate; the constant m w^2 T / 2 is left to the scaling
     w2 = np.concatenate([np.tile(modes, U.shape[1]) for modes, U in blocks]).clip(1) ** 2.0
@@ -398,10 +399,10 @@ def minimize_action(seed_loop, sym, opts=None):
     shape = (2, seed_loop.d, seed_loop.n, K + 1)   # Loop.params() as (cos/sin, d, n, k)
 
     def loop_at(xi_vec):
-        c = np.zeros(shape).reshape(-1, K + 1)
-        for (modes, U), Xi in zip(blocks, np.split(xi_vec, splits)):
-            c[:, modes] = U @ Xi.reshape(U.shape[1], modes.size)
-        c = c.reshape(shape)
+        c = np.zeros(shape)
+        flat = c.reshape(-1, K + 1)
+        for (modes, U), sl in zip(blocks, slices):
+            flat[:, modes] = U @ xi_vec[sl].reshape(U.shape[1], modes.size)
         return Loop(seed_loop.T, c[0], c[1], sys)
 
     def coordinates(params):
@@ -427,7 +428,7 @@ def minimize_action(seed_loop, sym, opts=None):
         raise CollisionApproach("seed loop is below the distance floor")
 
     rng = np.random.default_rng(opts.seed)
-    s_hist, y_hist = [], []
+    hist = []   # correction pairs (s, y, s.y), oldest first
     restarts_left = 3
     for nit in range(4000):
         gnorm = np.linalg.norm(g)
@@ -439,34 +440,36 @@ def minimize_action(seed_loop, sym, opts=None):
         # two-loop recursion
         q = g.copy()
         alphas = []
-        for s_k, y_k in zip(reversed(s_hist), reversed(y_hist)):
-            a_k = (s_k @ q) / (y_k @ s_k)
+        for s_k, y_k, sy_k in reversed(hist):
+            a_k = (s_k @ q) / sy_k
             q -= a_k * y_k
             alphas.append(a_k)
-        if y_hist:
-            q *= (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ (y_hist[-1] / w2)) / w2
+        if hist:
+            _, y_k, sy_k = hist[-1]
+            q *= sy_k / (y_k @ (y_k / w2)) / w2
         else:
             q *= 1.0 / (w2 * max(gnorm, 1.0))
-        for (s_k, y_k), a_k in zip(zip(s_hist, y_hist), reversed(alphas)):
-            b_k = (y_k @ q) / (y_k @ s_k)
+        for (s_k, y_k, sy_k), a_k in zip(hist, reversed(alphas)):
+            b_k = (y_k @ q) / sy_k
             q += (a_k - b_k) * s_k
         direction = -q
         if direction @ g >= 0:
             direction = -g
-            s_hist, y_hist = [], []
+            hist = []
+        slope = direction @ g
 
         step = 1.0
         accepted = False
         for _ in range(40):
             f_new, g_new = evaluate(xi + step * direction)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * (direction @ g):
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             if restarts_left > 0:
                 restarts_left -= 1
-                s_hist, y_hist = [], []
+                hist = []
                 jitter = 1e-6 * max(np.linalg.norm(xi), 1.0)
                 for _ in range(20):
                     cand = xi + jitter * rng.standard_normal(xi.size)
@@ -483,12 +486,9 @@ def minimize_action(seed_loop, sym, opts=None):
 
         s_k = step * direction
         y_k = g_new - g
-        if s_k @ y_k > 1e-12 * np.linalg.norm(s_k) * np.linalg.norm(y_k):
-            s_hist.append(s_k)
-            y_hist.append(y_k)
-            if len(s_hist) > 12:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        sy_k = s_k @ y_k
+        if sy_k > 1e-12 * np.linalg.norm(s_k) * np.linalg.norm(y_k):
+            hist = hist[-11:] + [(s_k, y_k, sy_k)]
         xi = xi + s_k
         f, g = f_new, g_new
 
@@ -505,10 +505,12 @@ TETRA_PATTERN = np.ones(6)
 
 def shape_distance(s, pattern):
     """Distance of the sorted normalized mutual-distance vector to a pattern,
-    for (..., P) squared distances on the pair list."""
+    for (..., P) squared distances on the pair list.  Patterns broadcast like
+    (..., P) arrays, so one sort serves a stack of them."""
     dists = np.sort(np.sqrt(s), axis=-1)
     dists = dists / np.linalg.norm(dists, axis=-1, keepdims=True)
-    return np.linalg.norm(dists - pattern / np.linalg.norm(pattern), axis=-1)
+    unit = pattern / np.linalg.norm(pattern, axis=-1, keepdims=True)
+    return np.linalg.norm(dists - unit, axis=-1)
 
 
 @dataclass
@@ -522,13 +524,10 @@ class LoopReport:
     planarity: float = 0.0   # rms distance to the best-fitting fixed plane
 
 
-def _local_minima_below(ts, vals, tol):
-    events = []
-    for q in range(ts.size):
-        prev_v, next_v = vals[q - 1], vals[(q + 1) % ts.size]
-        if vals[q] < tol and vals[q] <= prev_v and vals[q] < next_v:
-            events.append(q)
-    return events
+def _local_minima_below(vals, tol):
+    """Nodes of a circular scan below tol, at most their predecessor and below their successor."""
+    below = (vals < tol) & (vals <= np.roll(vals, 1)) & (vals < np.roll(vals, -1))
+    return np.flatnonzero(below).tolist()
 
 
 def _square_tetra_events(ts, s, tol):
@@ -544,9 +543,8 @@ def _square_tetra_events(ts, s, tol):
     relative of the window's minimum.
     """
     n_scan = ts.size
-    d_sq = shape_distance(s, SQUARE_PATTERN)
-    d_te = shape_distance(s, TETRA_PATTERN)
-    sq_idx = _local_minima_below(ts, d_sq, tol)
+    d_sq, d_te = shape_distance(s, np.stack([SQUARE_PATTERN, TETRA_PATTERN])[:, None])
+    sq_idx = _local_minima_below(d_sq, tol)
     squares = [float(ts[q]) for q in sq_idx]
     tetras = []
     if len(sq_idx) >= 2:
@@ -560,7 +558,7 @@ def _square_tetra_events(ts, s, tol):
             if d_te[q_best] < tol:
                 tetras.append(float(ts[q_best]))
     else:
-        tetras = [float(ts[q]) for q in _local_minima_below(ts, d_te, tol)]
+        tetras = [float(ts[q]) for q in _local_minima_below(d_te, tol)]
     return squares, tetras
 
 

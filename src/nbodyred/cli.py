@@ -310,16 +310,31 @@ def _dispatch(args):
     return max(code for code, _ in results)
 
 
+# the values NBODY_LOG accepts, in any case (logging.getLevelNamesMapping
+# needs Python 3.11)
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+def _configure_logging():
+    """Load and configure logging when NBODY_LOG names a level; any other
+    non-empty value is a ValidationError."""
+    level = os.environ.get("NBODY_LOG")
+    if not level:
+        return
+    if level.upper() not in _LOG_LEVELS:
+        raise ValidationError(f"NBODY_LOG = {level!r} is not a level name; "
+                              f"use one of {', '.join(_LOG_LEVELS)}, in any case")
+    import logging
+
+    logging.basicConfig(level=getattr(logging, level.upper()))
+
+
 def main(argv=None):
     """Run one command; returns its exit code."""
-    level = os.environ.get("NBODY_LOG")
-    if level:   # logging is loaded only when asked for
-        import logging
-
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _configure_logging()
         return _dispatch(args)
     except _FAILURES as exc:
         code, error = _failure(exc)

@@ -1,0 +1,310 @@
+"""The array forms of the action layer's helpers against the loops they
+replaced.
+
+Each reference below is the earlier implementation, kept verbatim as the
+oracle: the scan for local minima, the shape distance to one pattern at a
+time, the group closure keyed by rounded matrix entries, the node
+evaluation by a stack of derivative spectra and the minimizer's
+bookkeeping (block splits at every evaluation, correction pairs in two
+lists).  The array forms must agree with them bit for bit.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import nbodyred.action
+from nbodyred.action import (
+    Loop,
+    SQUARE_PATTERN,
+    TETRA_PATTERN,
+    MinimizeOptions,
+    SymmetryAction,
+    _compose,
+    _Element,
+    _local_minima_below,
+    action_value_and_gradient,
+    hiphop_z2z4,
+    hiphop_z3,
+    invariant_basis,
+    italian,
+    minimize_action,
+    shape_distance,
+    square_relative_equilibrium_loop,
+)
+from nbodyred.errors import CollisionAtNode, CollisionApproach, NoConvergence, ValidationError
+from nbodyred.geometry import MassSystem, squared_distances
+
+SYS4 = MassSystem([1.0] * 4)
+T = 2.0 * np.pi
+
+
+# ---------------------------------------------------------------------------
+# local minima of a circular scan
+
+
+def local_minima_below_reference(ts, vals, tol):
+    events = []
+    for q in range(ts.size):
+        prev_v, next_v = vals[q - 1], vals[(q + 1) % ts.size]
+        if vals[q] < tol and vals[q] <= prev_v and vals[q] < next_v:
+            events.append(q)
+    return events
+
+
+def test_local_minima_match_the_loop_on_random_scans():
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 3, 5, 64, 2048):
+        for _ in range(20):
+            # coarse rounding makes plateaus, so ties on either side occur
+            vals = np.round(rng.uniform(0.0, 1.0, size), int(rng.integers(1, 4)))
+            tol = rng.uniform(0.0, 1.2)
+            ref = local_minima_below_reference(np.arange(size), vals, tol)
+            got = _local_minima_below(vals, tol)
+            assert got == ref
+            assert all(type(q) is int for q in got)
+
+
+@pytest.mark.parametrize("vals, tol, expected", [
+    ([0.1, 0.5, 0.9, 0.5], 1.0, [0]),              # a minimum at node 0
+    ([0.5, 0.9, 0.5, 0.1], 1.0, [3]),              # at the last node
+    ([0.5, 0.2, 0.2, 0.5], 1.0, [2]),              # equal predecessor counts
+    ([0.5, 0.2, 0.2, 0.2, 0.5], 1.0, [3]),         # a plateau reports its last node
+    ([0.2, 0.5, 0.9, 0.2], 1.0, [0]),              # ties across the wrap
+    ([0.3, 0.3, 0.3], 1.0, []),                    # flat: no strict successor
+    ([0.1, 0.5, 0.9, 0.5], 0.1, []),               # nothing below tol
+    ([0.1, 0.5, 0.05, 0.5], 0.1, [2]),
+    ([np.nan, 0.1, 0.5, 0.5], 1.0, []),            # NaN neighbours compare false
+])
+def test_local_minima_edge_cases(vals, tol, expected):
+    vals = np.array(vals)
+    assert _local_minima_below(vals, tol) == expected
+    assert local_minima_below_reference(np.arange(vals.size), vals, tol) == expected
+
+
+def shape_distance_reference(s, pattern):
+    dists = np.sort(np.sqrt(s), axis=-1)
+    dists = dists / np.linalg.norm(dists, axis=-1, keepdims=True)
+    return np.linalg.norm(dists - pattern / np.linalg.norm(pattern), axis=-1)
+
+
+def test_shape_distance_of_a_pattern_stack_matches_each_pattern():
+    rng = np.random.default_rng(4)
+    s = squared_distances(rng.standard_normal((300, 3, 4)), SYS4)
+    patterns = np.stack([SQUARE_PATTERN, TETRA_PATTERN])
+    both = shape_distance(s, patterns[:, None])
+    for p, got in zip(patterns, both):
+        ref = shape_distance_reference(s, p)
+        assert got.tobytes() == ref.tobytes()
+        assert shape_distance(s, p).tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# group closure
+
+
+def mat_key_reference(Q):
+    return tuple(tuple(round(v, 9) + 0.0 for v in row) for row in np.asarray(Q))
+
+
+def close_reference(gens, n, d, max_order):
+    ident = _Element(tuple(range(n)), np.eye(d), Fraction(0))
+    key = lambda el: (el.perm, mat_key_reference(el.matrix), el.shift)   # noqa: E731
+    seen = {key(ident): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = _compose(a, g)
+                if key(c) not in seen:
+                    seen[key(c)] = c
+                    nxt.append(c)
+        frontier = nxt
+        if len(seen) > max_order:
+            raise ValidationError("group does not close; check the generators")
+    return [seen[k] for k in sorted(seen, key=lambda k: (k[2], k[0], k[1]))]
+
+
+@pytest.mark.parametrize("make", [lambda: italian(4, 3), lambda: italian(3, 2),
+                                  hiphop_z2z4, hiphop_z3])
+def test_group_elements_unchanged(monkeypatch, make):
+    sym = make()
+    monkeypatch.setattr(SymmetryAction, "_close", staticmethod(close_reference))
+    ref = make()
+    assert len(sym.elements) == len(ref.elements)
+    for el, el_ref in zip(sym.elements, ref.elements):
+        assert el.perm == el_ref.perm
+        assert el.shift == el_ref.shift
+        assert el.matrix.tobytes() == el_ref.matrix.tobytes()
+
+
+def test_mat_key_deduplicates_like_the_rounded_rows():
+    # drift far below 1e-9 and signed zeros give the same key, a different
+    # entry a different one, and keys sort by their entries row by row
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    drift = Q + 1e-13 * rng.standard_normal((3, 3))
+    key = nbodyred.action._mat_key
+    assert key(drift) == key(Q)
+    assert key(-np.zeros((2, 2))) == key(np.zeros((2, 2)))
+    mats = [np.round(rng.standard_normal((3, 3)), 1) for _ in range(30)]
+    new = sorted(range(30), key=lambda i: key(mats[i]))
+    old = sorted(range(30), key=lambda i: mat_key_reference(mats[i]))
+    assert new == old
+
+
+# ---------------------------------------------------------------------------
+# node evaluation
+
+
+def at_nodes_reference(loop, n_quad, order=1):
+    K = loop.n_modes
+    c = loop.cos_modes - 1j * loop.sin_modes
+    c[..., 1:] *= 0.5
+    ikw = 1j * np.arange(K + 1) * (2.0 * np.pi / loop.T)
+    derivs = np.stack([c * ikw**p for p in range(order + 1)])
+    return np.moveaxis(np.fft.irfft(derivs, n_quad, norm="forward"), -1, 1)
+
+
+def test_at_nodes_matches_the_stacked_spectra_bitwise():
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        n, d, K = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        a, b = rng.standard_normal((2, d, n, K + 1))
+        a[rng.random(a.shape) < 0.2] = 0.0    # zeros of both signs
+        b[rng.random(b.shape) < 0.2] = -0.0
+        loop = Loop(rng.uniform(1.0, 10.0), a, b, MassSystem(rng.uniform(0.5, 2.0, n)))
+        for order in (0, 1, 2):
+            n_quad = 2 * K + 1 + int(rng.integers(0, 50))
+            got = loop.at_nodes(n_quad, order)
+            assert got.tobytes() == at_nodes_reference(loop, n_quad, order).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# minimizer bookkeeping
+
+
+def minimize_action_reference(seed_loop, sym, opts):
+    """The minimizer with its earlier bookkeeping; returns the loop and the
+    number of action evaluations."""
+    sys, K = seed_loop.sys, seed_loop.n_modes
+    n_quad = opts.n_quad if opts.n_quad is not None else max(256, 4 * K)
+    blocks = invariant_basis(sym, sys, K)
+    splits = np.cumsum([U.shape[1] * modes.size for modes, U in blocks])[:-1]
+    w2 = np.concatenate([np.tile(modes, U.shape[1]) for modes, U in blocks]).clip(1) ** 2.0
+    s = squared_distances(seed_loop.at_nodes(n_quad, 0)[0], sys)
+    floor = 1e-3 * float(np.sqrt(s).mean())
+    shape = (2, seed_loop.d, seed_loop.n, K + 1)
+
+    def loop_at(xi_vec):
+        c = np.zeros(shape).reshape(-1, K + 1)
+        for (modes, U), Xi in zip(blocks, np.split(xi_vec, splits)):
+            c[:, modes] = U @ Xi.reshape(U.shape[1], modes.size)
+        c = c.reshape(shape)
+        return Loop(seed_loop.T, c[0], c[1], sys)
+
+    def coordinates(params):
+        c = params.reshape(-1, K + 1)
+        return np.concatenate([(U.T @ c[:, modes]).ravel() for modes, U in blocks])
+
+    nfev = 0
+
+    def evaluate(xi_vec):
+        nonlocal nfev
+        nfev += 1
+        try:
+            S, g = action_value_and_gradient(loop_at(xi_vec), n_quad, collision_floor=floor)
+        except CollisionAtNode:
+            return np.inf, None
+        return S, coordinates(g)
+
+    xi = coordinates(seed_loop.params())
+    f, g = evaluate(xi)
+    if not np.isfinite(f):
+        raise CollisionApproach("seed loop is below the distance floor")
+
+    rng = np.random.default_rng(opts.seed)
+    s_hist, y_hist = [], []
+    restarts_left = 3
+    for nit in range(4000):
+        gnorm = np.linalg.norm(g)
+        if gnorm <= opts.gtol:
+            return loop_at(xi), nfev
+
+        q = g.copy()
+        alphas = []
+        for s_k, y_k in zip(reversed(s_hist), reversed(y_hist)):
+            a_k = (s_k @ q) / (y_k @ s_k)
+            q -= a_k * y_k
+            alphas.append(a_k)
+        if y_hist:
+            q *= (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ (y_hist[-1] / w2)) / w2
+        else:
+            q *= 1.0 / (w2 * max(gnorm, 1.0))
+        for (s_k, y_k), a_k in zip(zip(s_hist, y_hist), reversed(alphas)):
+            b_k = (y_k @ q) / (y_k @ s_k)
+            q += (a_k - b_k) * s_k
+        direction = -q
+        if direction @ g >= 0:
+            direction = -g
+            s_hist, y_hist = [], []
+
+        step = 1.0
+        accepted = False
+        for _ in range(40):
+            f_new, g_new = evaluate(xi + step * direction)
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * (direction @ g):
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            if restarts_left > 0:
+                restarts_left -= 1
+                s_hist, y_hist = [], []
+                jitter = 1e-6 * max(np.linalg.norm(xi), 1.0)
+                for _ in range(20):
+                    cand = xi + jitter * rng.standard_normal(xi.size)
+                    f_c, g_c = evaluate(cand)
+                    if np.isfinite(f_c):
+                        xi, f, g = cand, f_c, g_c
+                        break
+                else:
+                    raise CollisionApproach("distance floor blocks every restart")
+                continue
+            raise NoConvergence(f"line search stalled at gradient norm {np.linalg.norm(g):.3e}")
+
+        s_k = step * direction
+        y_k = g_new - g
+        if s_k @ y_k > 1e-12 * np.linalg.norm(s_k) * np.linalg.norm(y_k):
+            s_hist.append(s_k)
+            y_hist.append(y_k)
+            if len(s_hist) > 12:
+                s_hist.pop(0)
+                y_hist.pop(0)
+        xi = xi + s_k
+        f, g = f_new, g_new
+
+    raise NoConvergence(f"gradient norm {np.linalg.norm(g):.3e} after 4000 iterations")
+
+
+@pytest.mark.parametrize("label, K, gtol", [("z2z4", 16, 1e-6), ("z2z4", 16, 1e-9),
+                                            ("italian", 8, 1e-6), ("z3", 12, 1e-6)])
+def test_minimizer_repeats_the_reference_bitwise(monkeypatch, label, K, gtol):
+    sym = nbodyred.action.symmetry_by_label(label)
+    seed = square_relative_equilibrium_loop(T, SYS4, K, vertical_kick=0.3)
+    opts = MinimizeOptions(gtol=gtol)
+    ref, ref_nfev = minimize_action_reference(seed, sym, opts)
+
+    calls = []
+    inner = nbodyred.action.action_value_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(nbodyred.action, "action_value_and_gradient", counted)
+    out = minimize_action(seed, sym, opts)
+    assert len(calls) == ref_nfev
+    assert out.params().tobytes() == ref.params().tobytes()

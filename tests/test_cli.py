@@ -559,3 +559,26 @@ def test_commands_do_not_load_logging_unless_asked(tmp_path, circ_config):
     proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("value", ["basic_format", "verbose"])
+def test_fresh_process_rejects_unknown_log_level(tmp_path, value):
+    # a logging attribute that is no level used to crash the command with a
+    # traceback, and a misspelt level to run silently at WARNING
+    out = tmp_path / "out"
+    proc = run_cli(["kepler", "--e", "0.5", "--out", str(out)], NBODY_LOG=value)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    error = json.loads(proc.stderr)
+    assert error["error"] == "ValidationError" and repr(value) in error["message"]
+    assert all(name in error["message"] for name in ("DEBUG", "INFO", "WARNING", "ERROR",
+                                                     "CRITICAL"))
+    assert not out.exists()
+
+
+def test_fresh_process_log_level_in_any_case(tmp_path):
+    proc = run_cli(["hiphop", "--seed", "0", "--modes", "8", "--samples", "9",
+                    "--out", str(tmp_path)], NBODY_LOG="info")
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("INFO:nbodyred:minimize_action: ")
+    assert (tmp_path / "hiphop_report.json").exists()

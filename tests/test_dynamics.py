@@ -341,6 +341,22 @@ def test_trajectories_report_rhs_evaluations():
     assert lf.metadata["rhs_evals"] == 4 * 16 + 1
 
 
+@pytest.mark.parametrize("period", [EIGHT_PERIOD, 2.0 * np.pi])
+def test_leapfrog_takes_no_sliver_steps(period):
+    # three periods at dt = period / 4096 and 513 samples: 24 steps per
+    # interval, whose sum misses the sample time by a few ulps; such a
+    # remainder used to cost one more step of about 4e-15 (12,666
+    # evaluations at the figure-eight's period)
+    sys, z0 = figure_eight()
+    lf = integrate_absolute(z0, sys, 3.0 * period, method="leapfrog", dt=period / 4096.0,
+                            samples=513)
+    assert lf.metadata["rhs_evals"] == 12288 + 1
+    # a remainder that is real time is still stepped: 4096 / 3 steps per interval
+    lf = integrate_absolute(z0, sys, period, method="leapfrog", dt=3.0 / 4096.0 * period,
+                            samples=3)
+    assert lf.metadata["rhs_evals"] == 2 * 683 + 1
+
+
 @pytest.mark.parametrize("route", ["rk8", "leapfrog", "reduced"])
 def test_rhs_budget_stops_the_run(monkeypatch, route):
     monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 200)
