@@ -156,6 +156,8 @@ def _cmd_hiphop(args, config=None, suffix=""):
 
 
 def _cmd_shape_sphere(args, config, suffix=""):
+    if not 0.0 <= args.horizon < np.inf:   # written so that NaN fails it
+        raise ValidationError("--horizon must be finite and nonnegative (0: configuration only)")
     sys, z = serialize.load_scenario(config)
     if z is None:
         raise ValidationError("scenario needs positions")

@@ -96,6 +96,7 @@ def solve_ivp(fun, ts, y0, tol, event):
 
     nfev, accepted, rejected, filled, status, t_event = 2, 0, 0, 0, None, None
     K = np.empty((16, y.size))
+    KT = [K[:s].T for s in range(16)]   # the stage views: KT[s].dot(w) is np.dot(K[:s].T, w)
     out = np.empty((len(ts), y.size))
     g = event(t, y)
     while status is None:
@@ -108,12 +109,12 @@ def solve_ivp(fun, ts, y0, tol, event):
             h_abs = abs(h := t_new - t)
             K[0] = f
             for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A_ROWS[s]) * h)
-            y_new = y + h * np.dot(K[:12].T, B)
+                K[s] = fun(t + C[s] * h, y + KT[s].dot(A_ROWS[s]) * h)
+            y_new = y + h * KT[12].dot(B)
             K[12] = f_new = fun(t + h, y_new)
             nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5, err3 = np.dot(K[:13].T, E5) / scale, np.dot(K[:13].T, E3) / scale
+            err5, err3 = KT[13].dot(E5) / scale, KT[13].dot(E3) / scale
             # squared norms formed as np.linalg.norm forms a 1-D norm, to the bit
             e5, e3 = float(np.sqrt(err5.dot(err5))) ** 2, float(np.sqrt(err3.dot(err3))) ** 2
             error = 0.0 if e5 == e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
@@ -131,10 +132,10 @@ def solve_ivp(fun, ts, y0, tol, event):
         stop = bisect_right(times, t)
         if crossing or stop > filled:   # the dense output over the step
             for s in range(13, 16):
-                K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, A_ROWS[s]) * h)
+                K[s] = fun(t_old + C[s] * h, y_old + KT[s].dot(A_ROWS[s]) * h)
             nfev += 3
             dy = y - y_old
-            F = np.vstack([dy, h * f_old - dy, 2 * dy - h * (f + f_old), h * np.dot(D, K)])
+            F = np.vstack([dy, h * f_old - dy, 2 * dy - h * (f + f_old), h * D.dot(K)])
         if crossing:   # bisected with event >= 0 at lo, <= 0 at hi
             lo, hi = t_old, t
             while hi - lo > 4 * EPS * (1.0 + abs(hi)):

@@ -10,9 +10,10 @@ of (x_hat, y_hat), the forms (beta, gamma, delta, rho) on D*, and
     G_dot = L^T G + G L,   L = [[0, 2 A_hat], [I, 0]],   2 A_hat = W^T diag(c) W,
 
 with W = D Q, c_p = 2 m_i m_j Phi'(s_p) and s_p = w_p^T b w_p.  Samples are
-stored as double-centred n x n tables.  Both integrators stop with
-StepFailure after MAX_RHS_EVALS evaluations and report `rhs_evals` in the
-trajectory metadata, rk8 runs also `accepted_steps` and `rejected_steps`.
+stored as double-centred n x n tables.  The right-hand sides and the
+leapfrog kicks call a `pair_kernel` bound per run.  Each run stops with
+StepFailure after MAX_RHS_EVALS evaluations, which it counts itself, and
+reports `rhs_evals`, rk8 runs also `accepted_steps` and `rejected_steps`.
 Audits check energy, angular momentum, the virial (Lagrange-Jacobi)
 relation and the Sundman gap I K - J^2 - |C|^2.
 """
@@ -43,8 +44,8 @@ from .geometry import (
     hyperplane_basis,
     mass_dot,
     matrix_rank,
-    pair_coefficients,
     pair_forces,
+    pair_kernel,
     potential_from_s,
     reduced_tables,
     squared_distances,
@@ -84,29 +85,20 @@ def _budget_exhausted(t):
                        f"exhausted at t = {t:.6g}")
 
 
-def _drive(rhs, u0, ts, tol, min_distance, collision_floor):
+def _drive(rhs, u0, ts, tol, min_distance, collision_floor, last):
     """DOP853 states at the times ts, one row per sample, and the work counts
-    (rhs_evals, accepted_steps, rejected_steps).
+    (rhs_evals, accepted_steps, rejected_steps); last = [t, min distance] at
+    t0 and every accepted step, read by rhs when its budget runs out.
 
     Raises CollisionError when min_distance(u) falls below twice the collision
     floor, or when a step stalls with the minimal distance at the last accepted
-    step below max(1e3 floor, 1e-6 initial); any other stall, and a run that
-    needs more than MAX_RHS_EVALS evaluations, is a StepFailure.
+    step below max(1e3 floor, 1e-6 initial); any other stall is a StepFailure.
     """
-    last = [0.0, np.inf]   # (t, min distance) at t0 and every accepted step
-    evals = [0]
-
-    def counted(t, u):
-        evals[0] += 1
-        if evals[0] > MAX_RHS_EVALS:
-            raise _budget_exhausted(last[0])
-        return rhs(t, u)
-
     def too_close(t, u):
         last[:] = t, min_distance(u)
         return last[1] - 2.0 * collision_floor
 
-    sol = solve_ivp(counted, ts, u0, tol, too_close)
+    sol = solve_ivp(rhs, ts, u0, tol, too_close)
     if sol.status == 1:
         raise CollisionError(f"collision at t = {sol.t_event:.6g}")
     if sol.status != 0:
@@ -135,8 +127,9 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
     scheme (step `dt`, default horizon/8192) for long conservation audits.
     Raises CollisionError when a mutual distance falls below the collision
     floor, StepFailure when the step size underflows or the run exhausts
-    MAX_RHS_EVALS.  The metadata hold the integrator, tol and rhs_evals
-    (acceleration evaluations for leapfrog; rk8 adds its step counts).
+    MAX_RHS_EVALS, ValidationError unless 0 < dt < inf.  The metadata hold
+    the integrator, tol and rhs_evals (acceleration evaluations for
+    leapfrog; rk8 adds its step counts).
     """
     ts = _sample_times(horizon, samples, tol)
     d, n = z0.d, z0.n
@@ -144,12 +137,17 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
 
     if method == "rk8":
         u0 = np.concatenate([z0.x.r.ravel(), z0.y.r.ravel()])
+        accelerations = pair_kernel(sys, collision_floor)[1]
         seen = [None, None]   # the state rhs last saw and its squared distances
+        last, ticks = [0.0, np.inf], iter(range(MAX_RHS_EVALS))   # one tick per evaluation
 
         def rhs(t, u):
-            s, accel = pair_forces(u[:dn].reshape(d, n), sys, collision_floor, sys.DMinv)
-            seen[:] = u, s
-            return np.concatenate((u[dn:], accel), axis=None)
+            if next(ticks, None) is None:
+                raise _budget_exhausted(last[0])
+            du = np.empty(2 * dn)
+            du[:dn] = u[dn:]
+            seen[:] = u, accelerations(u[:dn].reshape(d, n), du[dn:].reshape(d, n))
+            return du
 
         def min_distance(u):
             # the event after an accepted step sees the state of the step's
@@ -157,10 +155,12 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
             s = seen[1] if u is seen[0] else squared_distances(u[:dn].reshape(d, n), sys)
             return float(np.sqrt(s.min()))
 
-        us, work = _drive(rhs, u0, ts, tol, min_distance, collision_floor)
+        us, work = _drive(rhs, u0, ts, tol, min_distance, collision_floor, last)
     elif method == "leapfrog":
-        us, work = _leapfrog(z0, sys, ts, dt if dt is not None else horizon / 8192.0,
-                             collision_floor)
+        dt = horizon / 8192.0 if dt is None else dt
+        if not 0.0 < dt < np.inf:   # written so that NaN fails it
+            raise ValidationError("leapfrog dt must be finite and positive")
+        us, work = _leapfrog(z0, sys, ts, dt, collision_floor)
     else:
         raise ValidationError(f"unknown integrator {method!r}")
 
@@ -175,11 +175,12 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
     Each t += h rounds by at most half an ulp of the sample time, so a
     remainder within one ulp per step of the interval is rounding, not time
     left: the sample is reached without a sliver step."""
+    accelerations = pair_kernel(sys, collision_floor)[1]
     x = z0.x.r.copy()
     v = z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
     t = ts[0]
-    a = pair_forces(x, sys, collision_floor, sys.DMinv)[1]
+    accelerations(x, a := np.empty_like(x))
     evals = 1
     for k, target in enumerate(ts):
         slack = math.ulp(target) * (1.0 + (target - t) / dt)
@@ -189,7 +190,7 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
             h = min(dt, target - t)
             v += 0.5 * h * a
             x += h * v
-            a = pair_forces(x, sys, collision_floor, sys.DMinv)[1]
+            accelerations(x, a)
             evals += 1
             v += 0.5 * h * a
             t += h
@@ -255,23 +256,34 @@ class _GramTable:
     def min_distance(self, u):
         return float(np.sqrt(max((self.WW @ u[self.b]).min(), 0.0)))
 
-    def rhs(self, u, collision_floor):
-        """Packed G_dot = X + X^T with X = G L; raises CollisionError below
-        the collision floor or the rounding floor of the table."""
-        k = self.k
-        left = u[self.left]
-        s_tr = self.s_rows @ left[:k * k]
-        tr, cf2 = s_tr[-1], collision_floor * collision_floor
-        floor2 = self.rounding2 * tr
-        if tr * self.rounding2_min < cf2:   # else no rounding floor is below cf2
-            floor2 = np.maximum(floor2, cf2)
-        try:
-            c = pair_coefficients(s_tr[:-1], self.sys, floor2)
-        except CollisionError:
-            beta_to_distances(self.unpack(u)[0], tol=1e-6)   # a non-Gram b raises
-            raise
-        z = np.concatenate((u, left.reshape(2 * k, k) @ (c @ self.WW).reshape(k, k)), axis=None)
-        return z[self.upper[0]] + z[self.upper[1]]
+    def rhs(self, collision_floor, last):
+        """rhs(t, u), the packed X + X^T with X = G L, its index maps bound;
+        raises CollisionError below the collision floor or the rounding floor
+        of the table, StepFailure (at time last[0]) after MAX_RHS_EVALS calls."""
+        k, kk, (upper0, upper1), left_of = self.k, self.k ** 2, self.upper, self.left
+        pair_c, cf2 = pair_kernel(self.sys, collision_floor)[0], collision_floor * collision_floor
+        ticks, z = iter(range(MAX_RHS_EVALS)), np.empty(k * (2 * k + 1) + 2 * kk)
+        z_u, Y = z[:-2 * kk], z[-2 * kk:].reshape(2 * k, k)   # z = (u, Y.ravel()) as above
+
+        def rhs(t, u):
+            if next(ticks, None) is None:
+                raise _budget_exhausted(last[0])
+            left = u[left_of]
+            s_tr = self.s_rows.dot(left[:kk])
+            tr = s_tr[-1]
+            floor2 = self.rounding2 * tr
+            if tr * self.rounding2_min < cf2:   # else no rounding floor is below cf2
+                floor2 = np.maximum(floor2, cf2)
+            try:
+                c = pair_c(s_tr[:-1], floor2)
+            except CollisionError:
+                beta_to_distances(self.unpack(u)[0], tol=1e-6)   # a non-Gram b raises
+                raise
+            z_u[:] = u
+            left.reshape(2 * k, k).dot(c.dot(self.WW).reshape(k, k), out=Y)
+            return z[upper0] + z[upper1]
+
+        return rhs
 
 
 def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
@@ -285,7 +297,7 @@ def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
     rho_dot = A^T beta - beta A.
     """
     gram = _GramTable(sys)
-    return gram.unpack(gram.rhs(gram.pack(RelativeState(*tables)), collision_floor))
+    return gram.unpack(gram.rhs(collision_floor, [0.0])(0.0, gram.pack(RelativeState(*tables))))
 
 
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
@@ -294,9 +306,9 @@ def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
     as integrate_absolute, with double-centred (beta, gamma, delta, rho)
     samples."""
     ts = _sample_times(horizon, samples, tol)
-    gram = _GramTable(sys)
-    us, work = _drive(lambda t, u: gram.rhs(u, collision_floor), gram.pack(rel0), ts, tol,
-                      gram.min_distance, collision_floor)
+    gram, last = _GramTable(sys), [0.0, np.inf]
+    us, work = _drive(gram.rhs(collision_floor, last), gram.pack(rel0), ts, tol,
+                      gram.min_distance, collision_floor, last)
     return Trajectory(ts, gram.unpack(us), "reduced", {"integrator": "rk8", "tol": tol, **work})
 
 

@@ -9,12 +9,12 @@ instantaneous rotations.
 
 Pair quantities go through the pair list sys.pairs (P = n(n-1)/2 pairs i < j)
 and its incidence sys.D only: (..., P) squared distances, Phi and Phi' once
-per pair, the collision floor compared in `pair_coefficients`, forces as the
-scatter (x D^T * c) D, and the n x n table A built from the same c.  The
-kernel's per-system constants live on MassSystem: the pair factor
-2 m_i m_j G kappa (c_p = pair_factor s_p^(kappa-1)), and, built on first use
-beside D, a contiguous D^T and the acceleration scatter D M^{-1}, so that
-accelerations (x D^T * c) D M^{-1} take the same product as forces.
+per pair, forces as the scatter (x D^T * c) D, and the n x n table A built
+from the same c.  The per-system constants live on MassSystem: the pair
+factor 2 m_i m_j G kappa (c_p = pair_factor s_p^(kappa-1)), and, built on
+first use beside D, a contiguous D^T and the acceleration scatter D M^{-1}.
+`pair_forces` takes (..., d, n) stacks, `pair_kernel` binds the constants
+once per run of an integrator; `pair_coefficients` words their collisions.
 """
 
 from dataclasses import dataclass, field
@@ -386,11 +386,34 @@ def pair_coefficients(s, sys, floor2=COLLISION_FLOOR**2):
     """c_p = 2 m_i m_j Phi'(s_p) of (..., P) squared distances, so that
     dU/dr_i = sum_j c_ij (r_i - r_j) and 2 A M = D^T diag(c) D; raises
     CollisionError when some s_p is below the squared floor floor2 (one
-    value, or one per pair), the only comparison with the collision floor."""
+    value, or one per pair); `pair_kernel` compares first and calls it then."""
     if np.count_nonzero(s < floor2):
         rmin = float(np.sqrt(max(s.min(), 0.0)))
         raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
     return sys.dphi(s, sys.pair_factor)
+
+
+def pair_kernel(sys, collision_floor=COLLISION_FLOOR):
+    """(c, accelerations) of one run, its constants and the kappa branch of
+    Phi' bound once: c(s, floor2) of (P,) squared distances and squared
+    floors, and accelerations(r, out), which writes (r D^T * c) D M^{-1} of
+    d x n coordinates r to out and returns their s.  The products are
+    ndarray.dot calls: @ to the bit, and cheaper at few bodies."""
+    DT, DMinv, factor, newton = sys.DT, sys.DMinv, sys.pair_factor, sys.kappa == -0.5
+    power, squared_floor = sys.kappa - 1.0, np.full(factor.size, collision_floor * collision_floor)
+
+    def c(s, floor2=squared_floor):
+        if np.count_nonzero(s < floor2):
+            pair_coefficients(s, sys, floor2)   # raises
+        return factor / (s * np.sqrt(s)) if newton else factor * np.power(s, power)
+
+    def accelerations(r, out):
+        diff = r.dot(DT)
+        s = np.add.reduce(diff * diff, axis=0)
+        (diff * c(s)).dot(DMinv, out=out)
+        return s
+
+    return c, accelerations
 
 
 def pair_forces(r, sys, collision_floor=COLLISION_FLOOR, scatter=None):

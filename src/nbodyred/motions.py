@@ -38,19 +38,25 @@ class KeplerOrbit:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.k <= 0 or self.a <= 0:
-            raise ValidationError("k and a must be positive")
-        if not 0.0 <= self.e < 1.0:
-            raise ValidationError("elliptic branch requires 0 <= e < 1")
+        self._check_elements(self.k, self.a, self.e)
         defect = self.k**2 - self.c**2 / self.a - (self.k * self.e) ** 2
         if abs(defect) > 1e-12 * self.k**2:
             raise ValidationError(
                 f"k^2 - c^2/a = k^2 e^2 violated by {defect:.3e}"
             )
 
+    @staticmethod
+    def _check_elements(k, a, e):   # written so that NaN fails them
+        if not (0.0 < k < np.inf and 0.0 < a < np.inf):
+            raise ValidationError("k and a must be positive and finite")
+        if not 0.0 <= e < 1.0:
+            raise ValidationError("elliptic branch requires 0 <= e < 1")
+
     @classmethod
     def from_elements(cls, k, a, e, t0=0.0):
-        """Orbit with c fixed by the energy relation (counterclockwise)."""
+        """Orbit with c fixed by the energy relation (counterclockwise); the
+        elements are checked before c is formed from them."""
+        cls._check_elements(k, a, e)
         c = k * np.sqrt(a * (1.0 - e * e))
         return cls(float(k), float(a), float(e), float(c), float(t0))
 

@@ -34,6 +34,8 @@ ISOSCELES = {
     "positions": [[-0.6, 0.6, 0.0], [0.0, 0.0, 0.9]],
 }
 
+ISOSCELES_MOVING = dict(ISOSCELES, velocities=[[0.0, 0.0, 0.0], [-0.4, 0.4, 0.0]])
+
 
 def config_args(tmp_path, scenario):
     """--config of a scenario, or of each in a list, written to tmp_path;
@@ -76,8 +78,7 @@ def test_simulate_writes_trajectory_and_audit(tmp_path, circ_config):
     (["find-balanced", "--masses", "1,1,1", "--spectrum", "0.7,0.3", "--seed", "3"], None),
     (["kepler", "--e", "0.5", "--samples", "33"], None),
     (["audit", "--horizon", "3", "--integrator", "leapfrog"], CIRCULAR),
-    (["shape-sphere", "--horizon", "1", "--samples", "33"],
-     dict(ISOSCELES, velocities=[[0.0, 0.0, 0.0], [-0.4, 0.4, 0.0]])),
+    (["shape-sphere", "--horizon", "1", "--samples", "33"], ISOSCELES_MOVING),
 ], ids=["simulate", "reduce", "homographic", "relequil", "hiphop", "find-central",
         "find-balanced", "kepler", "audit-leapfrog", "shape-sphere"])
 def test_simulate_deterministic(tmp_path, argv, scenario):
@@ -142,13 +143,20 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["hiphop", "--seed", "0", "--gtol=-1e-6"], None),
     (["hiphop", "--seed", "0", "--kick", "nan"], None),
     (["hiphop", "--seed", "0", "--kick", "inf"], None),
+    (["kepler", "--e", "1.5"], None),
+    (["kepler", "--e", "0.5", "--a=-1"], None),
+    (["kepler", "--e", "0.5", "--k", "nan"], None),
+    (["shape-sphere", "--horizon", "nan"], ISOSCELES_MOVING),
+    (["shape-sphere", "--horizon=-1"], ISOSCELES_MOVING),
+    (["shape-sphere", "--horizon", "inf"], ISOSCELES_MOVING),
 ], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan",
         "tol-nan", "tol-0", "tol-negative", "kepler-samples-0", "kepler-samples-1",
         "homographic-samples-0", "homographic-samples-1", "relequil-samples-1",
         "relequil-samples-negative", "hiphop-samples-0", "hiphop-samples-1",
         "hiphop-modes-0", "hiphop-modes-negative", "jobs-0", "jobs-negative",
         "spectrum-nan", "spectrum-inf", "gtol-nan", "gtol-0", "gtol-negative", "kick-nan",
-        "kick-inf"])
+        "kick-inf", "kepler-e-above-1", "kepler-a-negative", "kepler-k-nan",
+        "shape-sphere-horizon-nan", "shape-sphere-horizon-negative", "shape-sphere-horizon-inf"])
 def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenario):
     out = tmp_path / "out"
     rc = main(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
@@ -363,6 +371,12 @@ def test_shape_sphere_csv(tmp_path):
     assert lat == pytest.approx(np.pi / 2, abs=1e-6)  # equilateral at the pole
 
 
+def test_shape_sphere_horizon_zero_maps_the_configuration_only(tmp_path):
+    argv = ["shape-sphere", "--horizon", "0", "--samples", "33", "--out", str(tmp_path)]
+    assert main(argv + config_args(tmp_path, ISOSCELES_MOVING)) == 0
+    assert len((tmp_path / "shape.csv").read_text().splitlines()) == 2   # header, one point
+
+
 def test_hiphop_smoke(tmp_path):
     rc = main(["hiphop", "--seed", "0", "--modes", "6", "--gtol", "1e-4",
                "--samples", "17", "--out", str(tmp_path)])
@@ -513,6 +527,22 @@ def test_fresh_process_failure_line_is_complete(tmp_path, scenario, code, error)
     assert proc.returncode == code and proc.stdout == ""
     assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
     assert json.loads(proc.stderr)["error"] == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, scenario", [
+    (["kepler", "--e", "1.5"], None),
+    (["kepler", "--e", "0.5", "--a=-1"], None),
+    (["homographic", "--e", "1.5"], EQUILATERAL),
+], ids=["kepler-e", "kepler-a", "homographic-e"])
+def test_fresh_process_invalid_kepler_elements_print_one_line(tmp_path, argv, scenario):
+    # the elements are checked before sqrt(a (1 - e^2)) is formed, which used
+    # to print a numpy RuntimeWarning ahead of the JSON line
+    out = tmp_path / "out"
+    proc = run_cli(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == "ValidationError"
     assert not out.exists()
 
 

@@ -36,7 +36,7 @@ from nbodyred.geometry import (
     hermitian_from_bivector,
     mass_dot,
     matrix_rank,
-    pair_forces,
+    pair_kernel,
     reduced_tables,
     squared_distances,
     wintner_conley,
@@ -357,6 +357,19 @@ def test_leapfrog_takes_no_sliver_steps(period):
     assert lf.metadata["rhs_evals"] == 2 * 683 + 1
 
 
+@pytest.mark.parametrize("dt", [np.nan, 0.0, -1e-3, np.inf])
+def test_leapfrog_rejects_a_step_outside_zero_to_infinity(monkeypatch, dt):
+    # before any evaluation: NaN used to freeze the run at its initial state,
+    # 0 to warn and freeze, a negative step to burn the whole budget, and inf
+    # to step once per sample interval
+    def no_kernel(*args):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(dynamics, "pair_kernel", no_kernel)
+    with pytest.raises(ValidationError, match="dt must be finite and positive"):
+        integrate_absolute(circular_two_body(), SYS2, 1.0, method="leapfrog", dt=dt, samples=5)
+
+
 @pytest.mark.parametrize("route", ["rk8", "leapfrog", "reduced"])
 def test_rhs_budget_stops_the_run(monkeypatch, route):
     monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 200)
@@ -401,10 +414,14 @@ def test_integrator_right_hand_sides_match_pair_loop(monkeypatch, n, d, kappa):
         funs.append(fun)
         return dop853.solve_ivp(fun, ts, y0, tol, event)
 
-    def recorded(r, *args):
-        out = pair_forces(r, *args)
-        kicks.append((r.copy(), out[1]))
-        return out
+    def recorded(sys, *args):   # the kernel of the run, its kicks recorded
+        c, accelerations = pair_kernel(sys, *args)
+
+        def recording(r, out):
+            s = accelerations(r, out)
+            kicks.append((r.copy(), out.copy()))
+            return s
+        return c, recording
 
     def close(got, r):
         ref = newton_acceleration_oracle(r, sys)
@@ -420,7 +437,7 @@ def test_integrator_right_hand_sides_match_pair_loop(monkeypatch, n, d, kappa):
         assert np.array_equal(du[:dn], u[dn:])
         assert close(du[dn:].reshape(d, n), u[:dn].reshape(d, n))
 
-    monkeypatch.setattr(dynamics, "pair_forces", recorded)
+    monkeypatch.setattr(dynamics, "pair_kernel", recorded)
     integrate_absolute(z0, sys, 1e-3, method="leapfrog", samples=2, dt=2.5e-4)
     assert len(kicks) == 5
     for r, accel in kicks:

@@ -34,6 +34,7 @@ from nbodyred.geometry import (
     interaction_matrix_from_s,
     mass_dot,
     pair_accelerations,
+    pair_kernel,
     potential_and_gradient,
     squared_distances,
     wintner_conley,
@@ -313,6 +314,7 @@ def test_pair_kernel_matches_table_oracle(n, kappa):
         return np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
     assert close(pair_accelerations(r, sys), acc_ref)
+    accelerations, kicked = pair_kernel(sys)[1], np.empty((3, n))   # an integrator's kernel
     for x, A_q, acc_q in zip(xs, A_ref, acc_ref):
         s = squared_distance_table(x.r)[sys.pairs]
         U_ref = (sys.pair_masses * sys.G * s**sys.kappa).sum()
@@ -320,6 +322,8 @@ def test_pair_kernel_matches_table_oracle(n, kappa):
         assert U == pytest.approx(U_ref, rel=1e-13)
         assert close(grad, acc_q) and close(pair_accelerations(x.r, sys), acc_q)
         assert close(wintner_conley(x, sys), A_q)
+        assert np.array_equal(accelerations(x.r, kicked), squared_distances(x.r, sys))
+        assert close(kicked, acc_q)
 
     # the action's forces dU/dx = m (2 x A) at the quadrature nodes of a loop
     loop = Loop(2.0 * np.pi, rng.normal(size=(3, n, 4)), rng.normal(size=(3, n, 4)), sys)
