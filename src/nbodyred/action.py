@@ -23,6 +23,7 @@ residue class, whatever K is, and the minimizer maps its coordinates to
 coefficients by one matrix product per class.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,11 +145,14 @@ class Loop:
 # symmetry actions
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _Element:
     perm: tuple          # body i of the source appears as body perm[i]
-    matrix: np.ndarray   # orthogonal d x d map (full precision)
+    matrix: np.ndarray   # orthogonal d x d map (full precision), read-only
     shift: Fraction      # time shift as a fraction of T, in [0, 1)
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
 
     def key(self):
         return (self.perm, _mat_key(self.matrix), self.shift)
@@ -160,7 +164,9 @@ class SymmetryAction:
     A loop is invariant under the generator (perm, Q, s) when
     x_perm(i)(t + s T) = Q x_i(t) for all bodies and times.  The group is
     the closure of the generators; construction fails unless it closes
-    within max_order elements.
+    within max_order elements.  The group is immutable (elements is a tuple
+    of frozen elements with read-only maps) and carries its own cache of
+    invariant blocks per masses and residue, built on first use.
     """
 
     def __init__(self, label, n, d, generators, max_order=64):
@@ -172,11 +178,15 @@ class SymmetryAction:
             perm = tuple(int(p) for p in perm)
             if sorted(perm) != list(range(n)):
                 raise ValidationError(f"{perm} is not a permutation of 0..{n-1}")
-            Q = np.asarray(Q, dtype=float)
+            Q = np.array(Q, dtype=float)
             if Q.shape != (d, d) or np.abs(Q @ Q.T - np.eye(d)).max() > 1e-12:
                 raise ValidationError("generator map must be d x d orthogonal")
             gens.append(_Element(perm, Q, Fraction(shift) % 1))
-        self.elements = self._close(gens, n, d, max_order)
+        self.elements = tuple(self._close(gens, n, d, max_order))
+        # mode k meets the group through k mod L, L the lcm of the shift denominators
+        self.L = math.lcm(*(el.shift.denominator for el in self.elements))
+        self._masses_ok = set()   # sys.m.tobytes() of masses that passed check_masses
+        self._blocks = {}         # (sys.m.tobytes(), r) -> read-only U of residue r
 
     @staticmethod
     def _close(gens, n, d, max_order):
@@ -201,12 +211,26 @@ class SymmetryAction:
         return len(self.elements)
 
     def check_masses(self, sys):
+        key = sys.m.tobytes()
+        if key in self._masses_ok:
+            return
         for el in self.elements:
             for i, j in enumerate(el.perm):
                 if abs(sys.m[i] - sys.m[j]) > 1e-12 * sys.m[i]:
                     raise ValidationError(
                         "symmetry permutes bodies of unequal masses"
                     )
+        self._masses_ok.add(key)
+
+    def mode_block(self, sys, r):
+        """_mode_basis(self, sys, r), built once per masses and residue and
+        shared read-only."""
+        key = (sys.m.tobytes(), r)
+        U = self._blocks.get(key)
+        if U is None:
+            U = self._blocks[key] = _mode_basis(self, sys, r)
+            U.flags.writeable = False
+        return U
 
 
 def _mat_key(Q):
@@ -275,14 +299,29 @@ def hiphop_z3():
     ])
 
 
+_LABELS = {"italian": "italian", "z2z4": "hiphop_Z2xZ4", "hiphop_Z2xZ4": "hiphop_Z2xZ4",
+           "z3": "hiphop_Z3", "hiphop_Z3": "hiphop_Z3"}
+
+
 def symmetry_by_label(label, n=4, d=3):
+    """The group of a label, one shared instance per process.
+
+    "italian" acts on n bodies in R^d; the Hip-Hop classes ("z2z4" alias
+    "hiphop_Z2xZ4", "z3" alias "hiphop_Z3") are built for four bodies in R^3
+    whatever n and d are.  Aliases return the same object, built on first
+    use together with its cache of invariant blocks (see invariant_basis).
+    """
+    canonical = _LABELS.get(label)
+    if canonical is None:
+        raise ValidationError(f"unknown symmetry label {label!r}")
+    return _shared_symmetry(canonical, *((n, d) if canonical == "italian" else (4, 3)))
+
+
+@functools.cache
+def _shared_symmetry(label, n, d):
     if label == "italian":
         return italian(n, d)
-    if label in ("hiphop_Z2xZ4", "z2z4"):
-        return hiphop_z2z4()
-    if label in ("hiphop_Z3", "z3"):
-        return hiphop_z3()
-    raise ValidationError(f"unknown symmetry label {label!r}")
+    return hiphop_z2z4() if label == "hiphop_Z2xZ4" else hiphop_z3()
 
 
 def _mode_basis(sym, sys, k):
@@ -302,11 +341,14 @@ def invariant_basis(sym, sys, n_modes):
 
     Blockwise: one (modes, U) pair for the constant mode and one per
     residue class r = 1..L of k mod L.  The columns of U (2 d n x m_r) span
-    the invariant cos-then-sin entries shared by every mode in modes.
+    the invariant cos-then-sin entries shared by every mode in modes.  The
+    blocks U do not depend on n_modes: each group builds them once per
+    masses and residue and returns the same read-only arrays to every call;
+    only the modes ranges are built here.
     """
     sym.check_masses(sys)
-    L = math.lcm(*(el.shift.denominator for el in sym.elements))
-    return [(np.arange(r, n_modes + 1, L) if r else np.array([0]), _mode_basis(sym, sys, r))
+    L = sym.L
+    return [(np.arange(r, n_modes + 1, L) if r else np.array([0]), sym.mode_block(sys, r))
             for r in range(min(L, n_modes) + 1)]
 
 
@@ -427,7 +469,7 @@ def minimize_action(seed_loop, sym, opts=None):
     if not np.isfinite(f):
         raise CollisionApproach("seed loop is below the distance floor")
 
-    rng = np.random.default_rng(opts.seed)
+    rng = None   # built at the first restart
     hist = []   # correction pairs (s, y, s.y), oldest first
     restarts_left = 3
     for nit in range(4000):
@@ -470,6 +512,7 @@ def minimize_action(seed_loop, sym, opts=None):
             if restarts_left > 0:
                 restarts_left -= 1
                 hist = []
+                rng = rng or np.random.default_rng(opts.seed)
                 jitter = 1e-6 * max(np.linalg.norm(xi), 1.0)
                 for _ in range(20):
                     cand = xi + jitter * rng.standard_normal(xi.size)

@@ -52,6 +52,7 @@ from .geometry import (
 )
 
 MAX_RHS_EVALS = 250_000   # over ten times the largest run in the tests and the benchmark
+LEAPFROG_RESOLUTION = 1.0 / 64.0   # largest leapfrog step, in dynamical times of the closest pair
 
 
 @dataclass
@@ -126,10 +127,11 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
     absolute tolerance `tol`; "leapfrog" is a fixed-step kick-drift-kick
     scheme (step `dt`, default horizon/8192) for long conservation audits.
     Raises CollisionError when a mutual distance falls below the collision
-    floor, StepFailure when the step size underflows or the run exhausts
-    MAX_RHS_EVALS, ValidationError unless 0 < dt < inf.  The metadata hold
-    the integrator, tol and rhs_evals (acceleration evaluations for
-    leapfrog; rk8 adds its step counts).
+    floor or the leapfrog's steps no longer resolve the closest pair
+    (LEAPFROG_RESOLUTION), StepFailure when the step size underflows or the
+    run exhausts MAX_RHS_EVALS, ValidationError unless 0 < dt < inf.  The
+    metadata hold the integrator, tol and rhs_evals (acceleration
+    evaluations for leapfrog; rk8 adds its step counts).
     """
     ts = _sample_times(horizon, samples, tol)
     d, n = z0.d, z0.n
@@ -174,13 +176,23 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
 
     Each t += h rounds by at most half an ulp of the sample time, so a
     remainder within one ulp per step of the interval is rounding, not time
-    left: the sample is reached without a sliver step."""
+    left: the sample is reached without a sliver step.
+
+    Raises CollisionError once the steps exceed LEAPFROG_RESOLUTION of the
+    closest pair's dynamical time sqrt(s / |s''|): h h' |s''| > f^2 s, with
+    s'' the divided difference of that pair's squared distance over the last
+    two steps h', h.  Such steps no longer follow the pair and would jump over
+    the collision floor into unbounded energy error.  s'' vanishes on
+    circular motion, which any step follows; the product h h' keeps the
+    rounding of s over a short last step before a sample below f^2 s."""
     accelerations = pair_kernel(sys, collision_floor)[1]
     x = z0.x.r.copy()
     v = z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
     t = ts[0]
-    accelerations(x, a := np.empty_like(x))
+    s_now = accelerations(x, a := np.empty_like(x))
+    s_prev, h_prev = None, dt   # the squared distances one step back, and that step
+    half_f2 = 0.5 * LEAPFROG_RESOLUTION ** 2
     evals = 1
     for k, target in enumerate(ts):
         slack = math.ulp(target) * (1.0 + (target - t) / dt)
@@ -190,10 +202,20 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
             h = min(dt, target - t)
             v += 0.5 * h * a
             x += h * v
-            accelerations(x, a)
+            s = accelerations(x, a)
             evals += 1
             v += 0.5 * h * a
             t += h
+            if s_prev is not None:
+                p = s_now.argmin()
+                sp = s_now.item(p)
+                # h h_prev |s''| (h + h_prev) / 2 against f^2 s (h + h_prev) / 2
+                if abs((s.item(p) - sp) * h_prev - (sp - s_prev.item(p)) * h) > \
+                        half_f2 * (h + h_prev) * sp:
+                    raise CollisionError(
+                        f"leapfrog step {dt:.3g} does not resolve the closest pair "
+                        f"(distance {math.sqrt(sp):.3e}) at t = {t - h:.6g}")
+            s_prev, s_now, h_prev = s_now, s, h
         t = target
         out[k] = x, v
     return out, {"rhs_evals": evals}

@@ -282,6 +282,68 @@ def test_symmetry_by_label():
         symmetry_by_label("nope")
 
 
+@pytest.mark.parametrize("label", ["z2z4", "italian", "z3"])
+def test_cached_blocks_equal_fresh_ones_bitwise(label):
+    sym = symmetry_by_label(label)
+    for K in (8, 16, 64, 200):
+        blocks = invariant_basis(sym, SYS4, K)
+        assert len(blocks) == min(sym.L, K) + 1
+        for r, (modes, U) in enumerate(blocks):
+            assert modes.tolist() == ([0] if r == 0 else list(range(r, K + 1, sym.L)))
+            assert U.tobytes() == nbodyred.action._mode_basis(sym, SYS4, r).tobytes()
+            assert U is invariant_basis(sym, SYS4, 8 + K)[r][1]   # shared across K
+
+
+def test_groups_and_cached_blocks_are_read_only():
+    sym = symmetry_by_label("z2z4")
+    assert isinstance(sym.elements, tuple)
+    with pytest.raises(ValueError):
+        sym.elements[1].matrix[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        sym.elements[1].shift = 0
+    _, U = invariant_basis(sym, SYS4, 16)[1]
+    with pytest.raises(ValueError):
+        U[0, 0] = 2.0
+
+
+def test_labels_share_one_group_per_process():
+    assert symmetry_by_label("z2z4") is symmetry_by_label("hiphop_Z2xZ4")
+    assert symmetry_by_label("z3") is symmetry_by_label("hiphop_Z3", 4, 3)
+    assert symmetry_by_label("italian", 4, 3) is symmetry_by_label("italian")
+    assert symmetry_by_label("italian", 3, 2) is not symmetry_by_label("italian")
+    # the factories build a fresh group, with a cache of its own
+    assert hiphop_z2z4() is not symmetry_by_label("z2z4")
+
+
+def test_a_custom_group_keeps_its_own_blocks():
+    # the label of the shared z2z4 group, but the rotation by a third of a
+    # turn of z3: the cache belongs to the group, not to its label
+    shared = symmetry_by_label("z2z4")
+    c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    custom = SymmetryAction("hiphop_Z2xZ4", 4, 3, [((1, 2, 0, 3), rot, 0),
+                                                     ((0, 1, 2, 3), -np.eye(3), 0.5)])
+    invariant_basis(shared, SYS4, 8)   # the shared cache is filled first
+    dense = dense_basis(invariant_basis(custom, SYS4, 8), 8)
+    other = dense_basis(invariant_basis(shared, SYS4, 8), 8)
+    assert np.abs(dense @ dense.T - other @ other.T).max() > 0.1   # another subspace
+    assert dense.tobytes() == dense_basis(invariant_basis(hiphop_z3(), SYS4, 8), 8).tobytes()
+
+
+def test_other_masses_get_their_own_blocks():
+    sym = italian(2, 2)
+    light, heavy = MassSystem([1.0, 2.0]), MassSystem([1.0, 3.0])
+    for sys in (light, heavy, light):
+        for r, (_, U) in enumerate(invariant_basis(sym, sys, 8)):
+            assert U.tobytes() == nbodyred.action._mode_basis(sym, sys, r).tobytes()
+    assert not np.array_equal(invariant_basis(sym, light, 8)[1][1],
+                              invariant_basis(sym, heavy, 8)[1][1])
+    # a permutation of unequal masses fails every time, not only the first
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            invariant_basis(hiphop_z2z4(), MassSystem([1.0, 2.0, 1.0, 1.0]), 8)
+
+
 # ---------------------------------------------------------------------------
 # minimization
 
@@ -445,6 +507,15 @@ def test_hiphop_events_and_action_agree_across_mode_counts():
         assert np.abs(np.subtract(rep.tetra_events, ref.tetra_events)).max() < 1e-9, K
         if K >= 16:
             assert abs(rep.action - ref.action) < 1e-9 * abs(ref.action), K
+
+
+def test_minimizer_builds_no_generator_without_a_restart(monkeypatch):
+    def no_generator(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    seed = square_relative_equilibrium_loop(T, SYS4, 16, vertical_kick=0.3)
+    minimize_action(seed, hiphop_z2z4(), MinimizeOptions(gtol=1e-6, seed=7))
 
 
 def test_minimizer_logs_its_work(monkeypatch, caplog):

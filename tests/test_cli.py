@@ -180,6 +180,23 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert err["error"] == "CollisionError"
 
 
+def test_leapfrog_audit_of_a_collapse_exits_3(tmp_path, capsys):
+    # the leapfrog used to step through the kappa = -1 collapse and write an
+    # audit with energy drift 2.8e5
+    collapse = {"masses": [1.0, 1.0, 1.0], "kappa": -1.0,
+                "positions": [[0.0, 1.0, 0.5], [0.0, 0.0, 0.8660254]],
+                "velocities": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(collapse))
+    out = tmp_path / "out"
+    rc = main(["audit", "--integrator", "leapfrog", "--config", str(path), "--horizon", "5",
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "CollisionError"
+    assert not out.exists()
+
+
 def test_rhs_budget_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("nbodyred.dynamics.MAX_RHS_EVALS", 100)
     out = tmp_path / "out"

@@ -357,6 +357,52 @@ def test_leapfrog_takes_no_sliver_steps(period):
     assert lf.metadata["rhs_evals"] == 2 * 683 + 1
 
 
+def test_leapfrog_stops_at_the_collapse():
+    # the equilateral kappa = -1 collapse from rest: the leapfrog used to step
+    # through it and return energy drift 2.8e5 at the default step
+    sys = MassSystem([1.0, 1.0, 1.0], kappa=-1.0)
+    z0 = State(equilateral(sys), Configuration(np.zeros((2, 3)), sys))
+    with pytest.raises(CollisionError, match="does not resolve the closest pair"):
+        integrate_absolute(z0, sys, 5.0, method="leapfrog")
+    with pytest.raises(CollisionError):
+        integrate_absolute(z0, sys, 5.0)
+
+
+def kepler_pass(e, nu):
+    """Two unit masses on the ellipse a = 1 of eccentricity e, at true anomaly
+    -nu, and the time to reach +nu, passing the pericentre."""
+    p = 1.0 - e * e
+    r = p / (1.0 + e * np.cos(nu))
+    rel = r * np.array([np.cos(nu), -np.sin(nu)])
+    vel = np.sqrt(2.0 / p) * np.array([np.sin(nu), e + np.cos(nu)])
+    E = 2.0 * np.arctan(np.sqrt((1.0 - e) / (1.0 + e)) * np.tan(nu / 2.0))
+    x = Configuration(np.stack([-rel / 2.0, rel / 2.0], axis=1), SYS2)
+    y = Configuration(np.stack([-vel / 2.0, vel / 2.0], axis=1), SYS2)
+    return State(x, y), 2.0 * (E - e * np.sin(E)) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("e, nu", [(0.9, 3.0), (0.9, 1.5), (0.99, 2.5), (0.99, 1.5)])
+def test_leapfrog_completes_a_kepler_pass_accurately_or_raises(e, nu):
+    # over steps from a fraction of the pericentre time to far beyond it.
+    # The coarsest step the guard admits drifts by 3.2e-4 at e = 0.9 and by
+    # 3.06e-3 at e = 0.99 (found by bisection over the step): there |H| is
+    # 1/200 of the pericentre energies, and a resolution fine enough for 1e-3
+    # would also stop the figure-eight at 1365 steps per period
+    z0, horizon = kepler_pass(e, nu)
+    outcomes = []
+    for steps in 2 ** np.arange(7, 15):
+        try:
+            traj = integrate_absolute(z0, SYS2, horizon, method="leapfrog", dt=horizon / steps,
+                                      samples=65)
+        except CollisionError:
+            outcomes.append(None)
+            continue
+        outcomes.append(audit_invariants(traj, SYS2).energy_drift)
+        assert outcomes[-1] <= (1e-3 if e == 0.9 else 3.1e-3)
+    # coarse steps raise, fine steps complete
+    assert outcomes[0] is None and outcomes[-1] is not None
+
+
 @pytest.mark.parametrize("dt", [np.nan, 0.0, -1e-3, np.inf])
 def test_leapfrog_rejects_a_step_outside_zero_to_infinity(monkeypatch, dt):
     # before any evaluation: NaN used to freeze the run at its initial state,

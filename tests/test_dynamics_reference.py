@@ -6,7 +6,9 @@ oracle: the rk8 right-hand side through `pair_forces`, wrapped by the
 stage matrices K[:s].T at every stage; the packed reduced right-hand side
 as a method reached through a lambda; and the leapfrog loop kicking
 through `pair_forces`.  Samples, work counts and raised messages must agree
-with them bit for bit.
+with them bit for bit.  The leapfrog now also stops where its step no longer
+resolves the closest pair; that guard only raises, so a run it stops is
+compared with the reference with the guard switched off.
 """
 
 import math
@@ -248,6 +250,24 @@ def assert_same(got, ref):
     assert got.metadata == ref.metadata
 
 
+def unresolved(got):
+    """Whether a run stopped at the leapfrog's resolution guard."""
+    return isinstance(got, tuple) and got[0] is CollisionError and "does not resolve" in got[1]
+
+
+def assert_leapfrog_repeats(monkeypatch, z0, sys, horizon, **kwargs):
+    """The leapfrog repeats the reference run, or its guard stops it; with
+    the guard off it repeats the reference either way."""
+    ref = outcome(integrate_absolute_reference, z0, sys, horizon, **kwargs)
+    got = outcome(integrate_absolute, z0, sys, horizon, **kwargs)
+    if unresolved(got):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "LEAPFROG_RESOLUTION", np.inf)
+            got = outcome(integrate_absolute, z0, sys, horizon, **kwargs)
+    assert_same(got, ref)
+    return got
+
+
 def spread_state(rng, n, d, kappa, speed=0.3, spacing=1.0):
     """Unequal masses, bodies `spacing` apart or more, small velocities."""
     sys = MassSystem(rng.uniform(0.3, 3.0, n), G=1.3, kappa=kappa)
@@ -307,9 +327,8 @@ def test_integrators_repeat_the_reference_runs(monkeypatch, n, d, kappa):
         assert_same(outcome(integrate_reduced, rel0, sys, horizon, tol=tol, samples=17),
                     outcome(integrate_reduced_reference, rel0, sys, horizon, tol=tol,
                             samples=17))
-        kwargs = dict(method="leapfrog", samples=17, dt=horizon / 250.0)
-        assert_same(outcome(integrate_absolute, z0, sys, horizon, **kwargs),
-                    outcome(integrate_absolute_reference, z0, sys, horizon, **kwargs))
+        assert_leapfrog_repeats(monkeypatch, z0, sys, horizon, method="leapfrog", samples=17,
+                                dt=horizon / 250.0)
 
 
 def homothetic_collapse():
@@ -325,7 +344,7 @@ def raised_floor_collapse():
 
 @pytest.mark.parametrize("case, floor", [("homothetic", COLLISION_FLOOR),
                                          ("raised-floor", 1e-3)])
-def test_collisions_repeat_the_reference(case, floor):
+def test_collisions_repeat_the_reference(monkeypatch, case, floor):
     sys, z0 = {"homothetic": homothetic_collapse, "raised-floor": raised_floor_collapse}[case]()
     rel0 = RelativeState.from_state(z0)
     kwargs = dict(tol=1e-10, samples=33, collision_floor=floor)
@@ -335,9 +354,11 @@ def test_collisions_repeat_the_reference(case, floor):
     got = outcome(integrate_reduced, rel0, sys, 5.0, **kwargs)
     assert got[0] is CollisionError
     assert got == outcome(integrate_reduced_reference, rel0, sys, 5.0, **kwargs)
-    kwargs = dict(method="leapfrog", samples=33, dt=1e-3, collision_floor=floor)
-    assert_same(outcome(integrate_absolute, z0, sys, 5.0, **kwargs),
-                outcome(integrate_absolute_reference, z0, sys, 5.0, **kwargs))
+    # the reference leapfrog steps through the collapse; the guard stops it
+    assert unresolved(outcome(integrate_absolute, z0, sys, 5.0, method="leapfrog", samples=33,
+                              dt=1e-3, collision_floor=floor))
+    assert_leapfrog_repeats(monkeypatch, z0, sys, 5.0, method="leapfrog", samples=33, dt=1e-3,
+                            collision_floor=floor)
 
 
 def test_rounding_collisions_repeat_the_reference():
@@ -383,6 +404,9 @@ def test_budget_repeats_the_reference(monkeypatch, route, budget):
 
     if route == "leapfrog":
         monkeypatch.setattr(dynamics, "pair_kernel", counting_kernel)
+        # the guard would stop this run at an encounter near t = 0.63, before
+        # a budget of 1000 evaluations
+        monkeypatch.setattr(dynamics, "LEAPFROG_RESOLUTION", np.inf)
     else:
         monkeypatch.setattr(dynamics, "solve_ivp", counting)
     if route == "reduced":
