@@ -185,8 +185,7 @@ class SymmetryAction:
         self.elements = tuple(self._close(gens, n, d, max_order))
         # mode k meets the group through k mod L, L the lcm of the shift denominators
         self.L = math.lcm(*(el.shift.denominator for el in self.elements))
-        self._masses_ok = set()   # sys.m.tobytes() of masses that passed check_masses
-        self._blocks = {}         # (sys.m.tobytes(), r) -> read-only U of residue r
+        self._blocks = {}   # (sys.m.tobytes(), r) -> read-only U of residue r
 
     @staticmethod
     def _close(gens, n, d, max_order):
@@ -211,23 +210,20 @@ class SymmetryAction:
         return len(self.elements)
 
     def check_masses(self, sys):
-        key = sys.m.tobytes()
-        if key in self._masses_ok:
-            return
         for el in self.elements:
             for i, j in enumerate(el.perm):
                 if abs(sys.m[i] - sys.m[j]) > 1e-12 * sys.m[i]:
                     raise ValidationError(
                         "symmetry permutes bodies of unequal masses"
                     )
-        self._masses_ok.add(key)
 
     def mode_block(self, sys, r):
         """_mode_basis(self, sys, r), built once per masses and residue and
-        shared read-only."""
+        shared read-only; masses are checked when their first block is built."""
         key = (sys.m.tobytes(), r)
         U = self._blocks.get(key)
         if U is None:
+            self.check_masses(sys)
             U = self._blocks[key] = _mode_basis(self, sys, r)
             U.flags.writeable = False
         return U
@@ -343,10 +339,9 @@ def invariant_basis(sym, sys, n_modes):
     residue class r = 1..L of k mod L.  The columns of U (2 d n x m_r) span
     the invariant cos-then-sin entries shared by every mode in modes.  The
     blocks U do not depend on n_modes: each group builds them once per
-    masses and residue and returns the same read-only arrays to every call;
-    only the modes ranges are built here.
+    masses and residue (checking the masses then) and returns the same
+    read-only arrays to every call; only the modes ranges are built here.
     """
-    sym.check_masses(sys)
     L = sym.L
     return [(np.arange(r, n_modes + 1, L) if r else np.array([0]), sym.mode_block(sys, r))
             for r in range(min(L, n_modes) + 1)]

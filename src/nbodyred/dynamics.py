@@ -52,7 +52,7 @@ from .geometry import (
 )
 
 MAX_RHS_EVALS = 250_000   # over ten times the largest run in the tests and the benchmark
-LEAPFROG_RESOLUTION = 1.0 / 64.0   # largest leapfrog step, in dynamical times of the closest pair
+LEAPFROG_ENERGY_BOUND = 1e-3   # largest relative energy error a leapfrog run returns
 
 
 @dataclass
@@ -127,11 +127,12 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
     absolute tolerance `tol`; "leapfrog" is a fixed-step kick-drift-kick
     scheme (step `dt`, default horizon/8192) for long conservation audits.
     Raises CollisionError when a mutual distance falls below the collision
-    floor or the leapfrog's steps no longer resolve the closest pair
-    (LEAPFROG_RESOLUTION), StepFailure when the step size underflows or the
-    run exhausts MAX_RHS_EVALS, ValidationError unless 0 < dt < inf.  The
-    metadata hold the integrator, tol and rhs_evals (acceleration
-    evaluations for leapfrog; rk8 adds its step counts).
+    floor, StepFailure when the step size underflows or the run exhausts
+    MAX_RHS_EVALS, ValidationError unless 0 < dt < inf; a leapfrog run
+    whose energy strays by more than LEAPFROG_ENERGY_BOUND of |H| raises
+    CollisionError or StepFailure (see _leapfrog).  The metadata hold the
+    integrator, tol and rhs_evals (acceleration evaluations for leapfrog;
+    rk8 adds its step counts).
     """
     ts = _sample_times(horizon, samples, tol)
     d, n = z0.d, z0.n
@@ -178,21 +179,29 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
     remainder within one ulp per step of the interval is rounding, not time
     left: the sample is reached without a sliver step.
 
-    Raises CollisionError once the steps exceed LEAPFROG_RESOLUTION of the
-    closest pair's dynamical time sqrt(s / |s''|): h h' |s''| > f^2 s, with
-    s'' the divided difference of that pair's squared distance over the last
-    two steps h', h.  Such steps no longer follow the pair and would jump over
-    the collision floor into unbounded energy error.  s'' vanishes on
-    circular motion, which any step follows; the product h h' keeps the
-    rounding of s over a short last step before a sample below f^2 s."""
+    At each sample the energy of the centred motion (from the squared
+    distances the kernel has just returned) may differ from the initial H0
+    by at most LEAPFROG_ENERGY_BOUND |H0|, the measure of energy_drift in
+    audit_invariants: a run that strays further raises instead of returning
+    samples its step no longer follows.  The error is CollisionError when
+    the closest pair is then under half the initial closest distance (the
+    step fails on an encounter, as into a collapse), StepFailure when it
+    fails on the motion as a whole, or when the samples are too far apart
+    to catch the run before it has passed the encounter."""
     accelerations = pair_kernel(sys, collision_floor)[1]
+    m, M = sys.m, sys.M
     x = z0.x.r.copy()
     v = z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
     t = ts[0]
-    s_now = accelerations(x, a := np.empty_like(x))
-    s_prev, h_prev = None, dt   # the squared distances one step back, and that step
-    half_f2 = 0.5 * LEAPFROG_RESOLUTION ** 2
+    s = accelerations(x, a := np.empty_like(x))
+
+    def energy(v, s):
+        p = v.dot(m)
+        return 0.5 * (m.dot(np.add.reduce(v * v, axis=0)) - p.dot(p) / M) - potential_from_s(s, sys)
+
+    H0 = energy(v, s)
+    h_scale = max(abs(H0), 1e-30)
     evals = 1
     for k, target in enumerate(ts):
         slack = math.ulp(target) * (1.0 + (target - t) / dt)
@@ -206,19 +215,22 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
             evals += 1
             v += 0.5 * h * a
             t += h
-            if s_prev is not None:
-                p = s_now.argmin()
-                sp = s_now.item(p)
-                # h h_prev |s''| (h + h_prev) / 2 against f^2 s (h + h_prev) / 2
-                if abs((s.item(p) - sp) * h_prev - (sp - s_prev.item(p)) * h) > \
-                        half_f2 * (h + h_prev) * sp:
-                    raise CollisionError(
-                        f"leapfrog step {dt:.3g} does not resolve the closest pair "
-                        f"(distance {math.sqrt(sp):.3e}) at t = {t - h:.6g}")
-            s_prev, s_now, h_prev = s_now, s, h
         t = target
+        if not (err := abs(energy(v, s) - H0) / h_scale) <= LEAPFROG_ENERGY_BOUND:   # NaN too
+            raise _unfollowed(dt, t, err, s, squared_distances(z0.x.r, sys))
         out[k] = x, v
     return out, {"rhs_evals": evals}
+
+
+def _unfollowed(dt, t, err, s, s0):
+    """The error of a leapfrog run whose energy strayed by err of |H0| at the
+    sample t, with squared distances s there and s0 at the start."""
+    where = f"energy error {err:.3e} of |H| at t = {t:.6g}"
+    closest = s.min()
+    if closest < 0.25 * s0.min():
+        return CollisionError(f"leapfrog step {dt:.3g} does not follow the encounter of the "
+                              f"closest pair (distance {math.sqrt(closest):.3e}): {where}")
+    return StepFailure(f"leapfrog step {dt:.3g} does not follow the motion: {where}")
 
 
 # ---------------------------------------------------------------------------

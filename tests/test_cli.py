@@ -29,6 +29,13 @@ EQUILATERAL = {
     "positions": [[0.0, 1.0, 0.5], [0.0, 0.0, 0.8660254037844386]],
 }
 
+EIGHT = {
+    "masses": [1.0, 1.0, 1.0],
+    "positions": [[0.97000436, -0.97000436, 0.0], [-0.24308753, 0.24308753, 0.0]],
+    "velocities": [[0.466203685, 0.466203685, -0.93240737],
+                   [0.43236573, 0.43236573, -0.86473146]],
+}
+
 ISOSCELES = {
     "masses": [1.0, 1.0, 1.0],
     "positions": [[-0.6, 0.6, 0.0], [0.0, 0.0, 0.9]],
@@ -195,6 +202,17 @@ def test_leapfrog_audit_of_a_collapse_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "CollisionError"
     assert not out.exists()
+
+
+def test_leapfrog_audit_of_the_figure_eight_over_100_time_units(tmp_path):
+    # about 16 periods at the default step horizon / 8192: no collision, and
+    # an energy error far inside the leapfrog's bound
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps(EIGHT))
+    rc = main(["audit", "--integrator", "leapfrog", "--config", str(path), "--horizon", "100",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "audit.json").read_text())["energy_drift"] < 1e-4
 
 
 def test_rhs_budget_exit_code(tmp_path, capsys, monkeypatch):
@@ -455,11 +473,7 @@ def test_homographic_and_relequil(tmp_path):
 def test_closed_form_commands_do_not_import_scipy(tmp_path):
     # nor does any other command: scipy is blocked in a fresh process (this
     # one has it loaded already), so any import of it raises
-    eight = {"masses": [1.0, 1.0, 1.0],
-             "positions": [[0.97000436, -0.97000436, 0.0], [-0.24308753, 0.24308753, 0.0]],
-             "velocities": [[0.466203685, 0.466203685, -0.93240737],
-                            [0.43236573, 0.43236573, -0.86473146]]}
-    for name, scenario in [("central", EQUILATERAL), ("iso", ISOSCELES), ("eight", eight),
+    for name, scenario in [("central", EQUILATERAL), ("iso", ISOSCELES), ("eight", EIGHT),
                            ("bad", dict(CIRCULAR, masses=[1.0, -1.0])),
                            ("collapse", dict(EQUILATERAL, velocities=[[0.0] * 3] * 2))]:
         (tmp_path / f"{name}.json").write_text(json.dumps(scenario))

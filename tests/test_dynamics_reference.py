@@ -6,9 +6,9 @@ oracle: the rk8 right-hand side through `pair_forces`, wrapped by the
 stage matrices K[:s].T at every stage; the packed reduced right-hand side
 as a method reached through a lambda; and the leapfrog loop kicking
 through `pair_forces`.  Samples, work counts and raised messages must agree
-with them bit for bit.  The leapfrog now also stops where its step no longer
-resolves the closest pair; that guard only raises, so a run it stops is
-compared with the reference with the guard switched off.
+with them bit for bit.  The leapfrog now also stops where its energy strays
+from the initial one; that check only raises, so a run it stops is
+compared with the reference with the check switched off.
 """
 
 import math
@@ -251,18 +251,19 @@ def assert_same(got, ref):
 
 
 def unresolved(got):
-    """Whether a run stopped at the leapfrog's resolution guard."""
-    return isinstance(got, tuple) and got[0] is CollisionError and "does not resolve" in got[1]
+    """Whether a run stopped at the leapfrog's energy check."""
+    return isinstance(got, tuple) and got[0] in (CollisionError, StepFailure) \
+        and "energy error" in got[1]
 
 
 def assert_leapfrog_repeats(monkeypatch, z0, sys, horizon, **kwargs):
-    """The leapfrog repeats the reference run, or its guard stops it; with
-    the guard off it repeats the reference either way."""
+    """The leapfrog repeats the reference run, or its energy check stops it;
+    with the check off it repeats the reference either way."""
     ref = outcome(integrate_absolute_reference, z0, sys, horizon, **kwargs)
     got = outcome(integrate_absolute, z0, sys, horizon, **kwargs)
     if unresolved(got):
         with monkeypatch.context() as m:
-            m.setattr(dynamics, "LEAPFROG_RESOLUTION", np.inf)
+            m.setattr(dynamics, "LEAPFROG_ENERGY_BOUND", np.inf)
             got = outcome(integrate_absolute, z0, sys, horizon, **kwargs)
     assert_same(got, ref)
     return got
@@ -354,7 +355,7 @@ def test_collisions_repeat_the_reference(monkeypatch, case, floor):
     got = outcome(integrate_reduced, rel0, sys, 5.0, **kwargs)
     assert got[0] is CollisionError
     assert got == outcome(integrate_reduced_reference, rel0, sys, 5.0, **kwargs)
-    # the reference leapfrog steps through the collapse; the guard stops it
+    # the reference leapfrog steps through the collapse; the energy check stops it
     assert unresolved(outcome(integrate_absolute, z0, sys, 5.0, method="leapfrog", samples=33,
                               dt=1e-3, collision_floor=floor))
     assert_leapfrog_repeats(monkeypatch, z0, sys, 5.0, method="leapfrog", samples=33, dt=1e-3,
@@ -404,9 +405,6 @@ def test_budget_repeats_the_reference(monkeypatch, route, budget):
 
     if route == "leapfrog":
         monkeypatch.setattr(dynamics, "pair_kernel", counting_kernel)
-        # the guard would stop this run at an encounter near t = 0.63, before
-        # a budget of 1000 evaluations
-        monkeypatch.setattr(dynamics, "LEAPFROG_RESOLUTION", np.inf)
     else:
         monkeypatch.setattr(dynamics, "solve_ivp", counting)
     if route == "reduced":
