@@ -46,6 +46,7 @@ from .geometry import (
     potential_from_s,
     squared_distances,
 )
+from .optimize import quasi_newton
 
 
 def _trig(n_modes, T, ts):
@@ -407,20 +408,16 @@ class MinimizeOptions:
 def minimize_action(seed_loop, sym, opts=None):
     """Minimize the action over the symmetry class of the seed.
 
-    Limited-memory quasi-Newton (12 correction pairs, at most 4000
-    iterations) on the invariant coordinates, one block Xi per residue class
-    with coefficients U Xi, and backtracking line search; steps whose minimal
-    node distance falls below 1e-3 of the seed's mean node distance are
-    rejected.  The initial inverse Hessian of the two-loop recursion is the
-    inverse of the kinetic part, diagonal with weight max(k, 1)^2 on each
-    coordinate of mode k (the H^1 metric on loops) and scaled as usual by
-    s.y / y.H0 y, so the iteration count does not grow with K.  The metric
-    shapes the steps only: convergence is still |g| <= gtol on the unscaled
-    invariant coordinates.  On stall the memory is dropped and the iterate
-    jittered (deterministically, at most 3 times); raises NoConvergence when
-    the projected-gradient norm never reaches gtol, CollisionApproach when
-    the floor blocks every step.  Logs one INFO line on the nbodyred logger:
-    evaluations, iterations, restarts and the final |g|.
+    optimize.quasi_newton on the invariant coordinates, one block Xi per
+    residue class with coefficients U Xi, to |g| <= gtol on them; its metric
+    is the kinetic part, max(k, 1)^2 on each coordinate of mode k (the H^1
+    metric on loops), so the iteration count does not grow with K.  Steps
+    whose minimal node distance falls below 1e-3 of the seed's mean node
+    distance are rejected.  A stalled search is restarted from a jittered
+    iterate (deterministically, at most 3 times); raises NoConvergence when
+    |g| never reaches gtol, CollisionApproach when the floor blocks every
+    step.  Logs one INFO line on the nbodyred logger: evaluations,
+    iterations, restarts and the final |g|.
     """
     opts = opts or MinimizeOptions()
     sys, K = seed_loop.sys, seed_loop.n_modes
@@ -464,73 +461,26 @@ def minimize_action(seed_loop, sym, opts=None):
     if not np.isfinite(f):
         raise CollisionApproach("seed loop is below the distance floor")
 
-    rng = None   # built at the first restart
-    hist = []   # correction pairs (s, y, s.y), oldest first
-    restarts_left = 3
-    for nit in range(4000):
-        gnorm = np.linalg.norm(g)
-        if gnorm <= opts.gtol:
+    rng, nit = None, 0   # the generator is built at the first restart
+    for restarts in range(4):
+        run = quasi_newton(evaluate, xi, f, g, opts.gtol, metric=w2)
+        nit += run.nit
+        if run.guard == "converged":
             log_info("minimize_action: %d evaluations, %d iterations, %d restarts, |g| %.3e",
-                     nfev, nit, 3 - restarts_left, gnorm)
-            return loop_at(xi)
-
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s_k, y_k, sy_k in reversed(hist):
-            a_k = (s_k @ q) / sy_k
-            q -= a_k * y_k
-            alphas.append(a_k)
-        if hist:
-            _, y_k, sy_k = hist[-1]
-            q *= sy_k / (y_k @ (y_k / w2)) / w2
-        else:
-            q *= 1.0 / (w2 * max(gnorm, 1.0))
-        for (s_k, y_k, sy_k), a_k in zip(hist, reversed(alphas)):
-            b_k = (y_k @ q) / sy_k
-            q += (a_k - b_k) * s_k
-        direction = -q
-        if direction @ g >= 0:
-            direction = -g
-            hist = []
-        slope = direction @ g
-
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            f_new, g_new = evaluate(xi + step * direction)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
-                accepted = True
+                     nfev, nit + restarts, restarts, run.gnorm)
+            return loop_at(run.x)
+        if run.guard == "budget" or restarts == 3:
+            raise NoConvergence(f"action search ended ({run.guard}) at gradient norm "
+                                f"{run.gnorm:.3e} after {restarts} restarts")
+        rng = rng or np.random.default_rng(opts.seed)
+        jitter = 1e-6 * max(np.linalg.norm(run.x), 1.0)
+        for _ in range(20):
+            xi = run.x + jitter * rng.standard_normal(run.x.size)
+            f, g = evaluate(xi)
+            if np.isfinite(f):
                 break
-            step *= 0.5
-        if not accepted:
-            if restarts_left > 0:
-                restarts_left -= 1
-                hist = []
-                rng = rng or np.random.default_rng(opts.seed)
-                jitter = 1e-6 * max(np.linalg.norm(xi), 1.0)
-                for _ in range(20):
-                    cand = xi + jitter * rng.standard_normal(xi.size)
-                    f_c, g_c = evaluate(cand)
-                    if np.isfinite(f_c):
-                        xi, f, g = cand, f_c, g_c
-                        break
-                else:
-                    raise CollisionApproach("distance floor blocks every restart")
-                continue
-            raise NoConvergence(
-                f"line search stalled at gradient norm {np.linalg.norm(g):.3e}"
-            )
-
-        s_k = step * direction
-        y_k = g_new - g
-        sy_k = s_k @ y_k
-        if sy_k > 1e-12 * np.linalg.norm(s_k) * np.linalg.norm(y_k):
-            hist = hist[-11:] + [(s_k, y_k, sy_k)]
-        xi = xi + s_k
-        f, g = f_new, g_new
-
-    raise NoConvergence(f"gradient norm {np.linalg.norm(g):.3e} after 4000 iterations")
+        else:
+            raise CollisionApproach("distance floor blocks every restart")
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,8 @@ def _run_job(payload):
 def _dispatch(args):
     """Exit code of the command; with several configs every one runs, each
     failure goes to stderr and the largest code is returned."""
+    if getattr(args, "seed", 0) < 0:   # numpy would refuse it, or hiphop only on a restart
+        raise ValidationError(f"--seed = {args.seed} must be nonnegative")
     if args.command in _PLAIN_COMMANDS:
         return _PLAIN_COMMANDS[args.command](args)
     configs = args.config

@@ -10,17 +10,18 @@ distances alone.  The searches are numpy only (no scipy).
 """
 
 import itertools
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    CollisionError,
     DegenerateConfiguration,
     InfeasibleSpectrum,
     NoConvergence,
     NotEmbeddable,
     ValidationError,
+    log_info,
 )
 from .geometry import (
     Configuration,
@@ -30,10 +31,15 @@ from .geometry import (
     inertia,
     interaction_matrix_from_s,
     mass_dot,
+    pair_forces,
     potential_and_gradient,
     potential_from_s,
     wintner_conley,
 )
+from .optimize import quasi_newton
+
+CENTRAL_TOL = 1e-12     # central residual find_central must reach
+BALANCED_TOL = 1e-8     # balance residual find_balanced must reach
 
 
 @dataclass
@@ -46,15 +52,21 @@ class ConfigClass:
 
 
 def _residuals(x, sys):
+    """(central, balanced, multiplier) of a configuration.  Both residuals
+    are scale-free: the gradient enters as grad U / U, and A and B are each
+    divided by their largest entry, so no square overflows or underflows
+    whatever G and the size are.  Forces that underflow to 0 give NaN."""
     U, grad = potential_and_gradient(x, sys)
     I, B, _ = inertia(x, sys)
-    lam = 2.0 * sys.kappa * U / I
-    gnorm = np.sqrt(mass_dot(grad, grad, sys.m))
-    central = np.sqrt(mass_dot(grad - lam * x.r, grad - lam * x.r, sys.m)) / gnorm
     A = wintner_conley(x, sys)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = grad / U
+        c = a - (2.0 * sys.kappa / I) * x.r
+        central = np.sqrt(np.divide(mass_dot(c, c, sys.m), mass_dot(a, a, sys.m)))
+        A, B = A / np.abs(A).max(), B / np.abs(B).max()
     comm = A @ B - B @ A
     balanced = np.linalg.norm(comm) / (np.linalg.norm(A) * np.linalg.norm(B))
-    return float(central), float(balanced), float(lam)
+    return float(central), float(balanced), float(2.0 * sys.kappa * U / I)
 
 
 def classify(x, sys, tol=1e-8):
@@ -79,77 +91,56 @@ def _normalize_inertia(r, sys):
     return Configuration(x.r / np.sqrt(I), sys)
 
 
-def find_central(sys, d, seed=None, x0=None, gtol=1e-12, max_iter=400):
+def find_central(sys, d, seed=None, x0=None):
     """Find a central configuration with I = 1 in dimension d.
 
-    Projected gradient descent of U on the sphere I = 1 followed by Newton
-    refinement of  grad U - (2 kappa U / I) x = 0.  Deterministic given the
-    seed; only local convergence is promised.  Raises NoConvergence when the
-    residual fails to reach gtol.  The positions are R of the complete QR
-    factorization x = Q R with diag R >= 0, which fixes the orientation.
+    optimize.quasi_newton minimizes U / U_0 (U_0 at the start: G and the
+    size drop out) on the sphere |y| = 1, y = sqrt(m) x, on the tangential
+    gradient, normalizing each step back onto the sphere, and stops at
+    |g| <= 1e-13 |kappa|.  Deterministic given the seed, only local
+    convergence is promised; raises NoConvergence unless the search
+    converges to a central residual of at most CENTRAL_TOL.  Logs one INFO
+    line: evaluations, iterations, |g| and the guard.  The positions are R
+    of the complete QR factorization x = Q R with diag R >= 0, which fixes
+    the orientation.
     """
     if d < 1:
         raise ValidationError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x = _normalize_inertia(rng.normal(size=(d, sys.n)), sys)
-    else:
-        if x0.d != d:
-            raise ValidationError("seed configuration has wrong dimension")
-        x = _normalize_inertia(x0.r, sys)
+    if x0 is not None and x0.d != d:
+        raise ValidationError("seed configuration has wrong dimension")
+    x = _normalize_inertia(np.random.default_rng(seed).normal(size=(d, sys.n))
+                           if x0 is None else x0.r, sys)
 
-    # phase 1: descend U on the sphere I = 1
-    U, grad = potential_and_gradient(x, sys)
-    step = 0.05
-    for _ in range(max_iter):
-        gt = grad - mass_dot(x.r, grad, sys.m) * x.r  # tangential part (I = 1)
-        gnorm = np.sqrt(mass_dot(gt, gt, sys.m))
-        if gnorm < 1e-8 * U:
-            break
-        while step > 1e-14:
-            cand = _normalize_inertia(x.r - step * gt / gnorm, sys)
-            Uc, gc = potential_and_gradient(cand, sys)
-            if Uc < U:
-                x, U, grad = cand, Uc, gc
-                step = min(step * 1.6, 0.2)
-                break
-            step *= 0.5
-        else:
-            break
+    sqm = np.sqrt(sys.m)
+    U0 = potential_and_gradient(x, sys)[0]
 
-    # phase 2: Newton on F(x) = grad U - lam x, finite-difference jacobian
-    def F(r):
-        xx = Configuration(r, sys)
-        UU, gg = potential_and_gradient(xx, sys)
-        II, _, _ = inertia(xx, sys)
-        return (gg - (2.0 * sys.kappa * UU / II) * xx.r).ravel()
+    def fun(y):
+        try:
+            s, a = pair_forces(y.reshape(d, sys.n) / sqm, sys, scatter=sys.DMinv)
+        except CollisionError:
+            return np.inf, None
+        g = (a * sqm).ravel() / U0
+        return float(potential_from_s(s, sys)) / U0, g - (y @ g) * y
 
-    r = x.r.copy()
-    scale = np.sqrt(mass_dot(grad, grad, sys.m))
-    for _ in range(60):
-        f = F(r)
-        if np.linalg.norm(f) <= gtol * scale:
-            break
-        h = 1e-7
-        jac = np.column_stack([(F(r + h * e.reshape(r.shape)) - f) / h for e in np.eye(r.size)])
-        delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        r = r + delta.reshape(r.shape)
-    else:
-        raise NoConvergence("central-configuration Newton refinement stalled")
+    y = (x.r * sqm).ravel()
+    run = quasi_newton(fun, y, *fun(y), 1e-13 * abs(sys.kappa),
+                       step=lambda y, p, t: (y + t * p) / np.linalg.norm(y + t * p))
+    log_info("find_central: %d evaluations, %d iterations, |g| %.3e, %s",
+             run.nfev + 1, run.nit, run.gnorm, run.guard)
+    if run.guard != "converged":
+        raise NoConvergence(f"central search ended ({run.guard}) at |g| {run.gnorm:.3e}")
 
-    R = np.linalg.qr(_normalize_inertia(r, sys).r, mode="complete")[1]
+    R = np.linalg.qr(_normalize_inertia(run.x.reshape(d, sys.n) / sqm, sys).r, mode="complete")[1]
     R[np.flatnonzero(np.diag(R) < 0.0)] *= -1.0
     out = Configuration(R, sys)
-    if np.linalg.norm(F(out.r)) > 10.0 * gtol * scale:
-        raise NoConvergence("central-configuration residual above tolerance")
+    central, _, _ = _residuals(out, sys)
+    if not central <= CENTRAL_TOL:   # written so that NaN fails it
+        raise NoConvergence(f"central residual {central:.3e} above {CENTRAL_TOL:.1e}")
     return out
 
 
 # ---------------------------------------------------------------------------
 # balanced configurations
-
-BALANCED_TOL = 1e-8     # balance residual find_balanced must reach
-BFGS_MAX_ITER = 500     # iterations of its descent on the orbit
 
 
 def _beta_from_rotation(Q, W, spec_full, sqm):
@@ -179,40 +170,24 @@ def _orbit_cost_grad(Q, W, spec_full, sqm, sys):
     return U, 2.0 * M[np.triu_indices(Q.shape[0], 1)]
 
 
-OrbitMinimum = namedtuple("OrbitMinimum", "Q nit gnorm")  # rotation, iterations, final |g|
-
-
 def minimize(Q, W, spec_full, sqm, sys):
-    """BFGS for U on the orbit Q -> Q cay(hat(xi)), cay(V) = (I - V/2)^-1 (I + V/2),
-    re-centred at every iterate, where the gradient of _orbit_cost_grad is exact.
-    The step -H g, cut to norm 1, is backtracked (Armijo; where U is flat to
-    rounding, a step that shrinks |g| also goes) and rejected where U or its
-    gradient is not finite.  Stops at |g| < 1e-13 max(|U|, 1), when no step is
-    taken, or after BFGS_MAX_ITER iterations."""
+    """The shared quasi-Newton search for U on the orbit Q -> Q cay(hat(xi)),
+    cay(V) = (I - V/2)^-1 (I + V/2), re-centred at every iterate, where the
+    gradient of _orbit_cost_grad is exact.  Stops at |g| <= 1e-13 (1 + |U|);
+    returns the optimize.Search, whose x is the rotation."""
     eye = np.eye(Q.shape[0])
-    U, g = _orbit_cost_grad(Q, W, spec_full, sqm, sys)
+
+    def cayley(Q, p, t):
+        V = _hat(0.5 * t * p, eye.shape[0])
+        return Q @ np.linalg.solve(eye - V, eye + V)
+
+    def fun(Q):
+        return _orbit_cost_grad(Q, W, spec_full, sqm, sys)
+
+    U, g = fun(Q)
     if not (np.isfinite(U) and np.isfinite(g).all()):
         raise NoConvergence("potential not finite at the start of the orbit search")
-    H, nit = np.eye(g.size), 0
-    while nit < BFGS_MAX_ITER and np.linalg.norm(g) >= 1e-13 * max(abs(U), 1.0):
-        p = -H @ g
-        alpha = min(1.0, 1.0 / np.linalg.norm(p))
-        for _ in range(30):
-            V = _hat(0.5 * alpha * p, eye.shape[0])
-            Qn = Q @ np.linalg.solve(eye - V, eye + V)
-            Un, gn = _orbit_cost_grad(Qn, W, spec_full, sqm, sys)
-            if np.isfinite(Un) and np.isfinite(gn).all() and (Un < U + 1e-4 * alpha * (g @ p) or (
-                    Un <= U + 4e-16 * abs(U) and np.linalg.norm(gn) < np.linalg.norm(g))):
-                break
-            alpha *= 0.5
-        else:
-            break
-        s, y = alpha * p, gn - g
-        if s @ y > 0.0:
-            R = np.eye(g.size) - np.outer(s, y) / (s @ y)
-            H = R @ H @ R.T + np.outer(s, s) / (s @ y)
-        Q, U, g, nit = Qn, Un, gn, nit + 1
-    return OrbitMinimum(Q, nit, float(np.linalg.norm(g)))
+    return quasi_newton(fun, Q, U, g, 1e-13, rtol=1e-13, step=cayley)
 
 
 def find_balanced(sys, spectrum, seed=None, x0=None):
@@ -238,17 +213,18 @@ def find_balanced(sys, spectrum, seed=None, x0=None):
         w, V = np.linalg.eigh(W.T @ b_sym @ W)
         Q = V[:, ::-1]  # descending, aligned with spec_full
     else:
-        rng = np.random.default_rng(seed)
-        Q, _ = np.linalg.qr(rng.normal(size=(sys.n - 1, sys.n - 1)))
-    Q = minimize(Q, W, spec_full, sqm, sys).Q
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(sys.n - 1, sys.n - 1)))
+    run = minimize(Q, W, spec_full, sqm, sys)
+    log_info("find_balanced: %d evaluations, %d iterations, |g| %.3e, %s",
+             run.nfev + 1, run.nit, run.gnorm, run.guard)
 
-    beta = _beta_from_rotation(Q, W, spec_full, sqm)
+    beta = _beta_from_rotation(run.x, W, spec_full, sqm)
     w, V = np.linalg.eigh(beta)
     keep = w > 1e-12 * w.max()
     r = (V[:, keep] * np.sqrt(w[keep])).T
     out = Configuration(r[::-1], sys)  # leading eigendirection first
     _, balanced, _ = _residuals(out, sys)
-    if balanced > BALANCED_TOL:
+    if not balanced <= BALANCED_TOL:   # written so that NaN fails it
         raise NoConvergence(f"balance residual {balanced:.3e} above {BALANCED_TOL:.1e}")
     return out
 

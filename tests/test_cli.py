@@ -156,6 +156,9 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["shape-sphere", "--horizon", "nan"], ISOSCELES_MOVING),
     (["shape-sphere", "--horizon=-1"], ISOSCELES_MOVING),
     (["shape-sphere", "--horizon", "inf"], ISOSCELES_MOVING),
+    (["find-central", "--masses", "1,1,1", "--seed=-1"], None),
+    (["find-balanced", "--masses", "1,1,1", "--spectrum", "0.7,0.3", "--seed=-1"], None),
+    (["hiphop", "--seed=-1", "--modes", "4"], None),
 ], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan",
         "tol-nan", "tol-0", "tol-negative", "kepler-samples-0", "kepler-samples-1",
         "homographic-samples-0", "homographic-samples-1", "relequil-samples-1",
@@ -163,13 +166,39 @@ def test_validation_error_exit_code(tmp_path, capsys):
         "hiphop-modes-0", "hiphop-modes-negative", "jobs-0", "jobs-negative",
         "spectrum-nan", "spectrum-inf", "gtol-nan", "gtol-0", "gtol-negative", "kick-nan",
         "kick-inf", "kepler-e-above-1", "kepler-a-negative", "kepler-k-nan",
-        "shape-sphere-horizon-nan", "shape-sphere-horizon-negative", "shape-sphere-horizon-inf"])
+        "shape-sphere-horizon-nan", "shape-sphere-horizon-negative", "shape-sphere-horizon-inf",
+        "find-central-seed-negative", "find-balanced-seed-negative", "hiphop-seed-negative"])
 def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenario):
     out = tmp_path / "out"
     rc = main(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
     assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValidationError"
+    if "--seed=-1" in argv:
+        assert "--seed" in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["find-central", "--masses", "1,1,1", "--seed", "0", "--G", "1e200"], 0),
+    (["find-central", "--masses", "1,1,1", "--seed", "0", "--G", "1e-300"], 0),
+    # at distances near 1e150 the kernel's s^(3/2) overflows (numpy warns)
+    # and every force underflows to 0, so the residuals are NaN
+    pytest.param(["find-balanced", "--masses", "1,1,1", "--spectrum", "1e300,1", "--seed", "0"],
+                 3, marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+], ids=["G-1e200", "G-1e-300", "spectrum-1e300"])
+def test_searches_never_pass_a_nan_residual(tmp_path, capsys, argv, code):
+    # the residuals used to square the gradient: at G = 1e200 it overflowed,
+    # inf <= inf passed the checks and a configuration of kind "neither"
+    # with NaN residuals was written
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    if code:
+        assert json.loads(capsys.readouterr().err)["error"] == "NoConvergence"
+        assert not out.exists()
+    else:
+        data = json.loads((out / "central.json").read_text())
+        assert data["kind"] == "central" and data["central_residual"] < 1e-12
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -9,7 +11,7 @@ from conftest import (
     isosceles,
     squared_distance_table,
 )
-from nbodyred.errors import InfeasibleSpectrum, NotEmbeddable, ValidationError
+from nbodyred.errors import InfeasibleSpectrum, NoConvergence, NotEmbeddable, ValidationError
 from nbodyred.geometry import (
     Configuration,
     MassSystem,
@@ -238,6 +240,37 @@ def test_find_balanced_deterministic():
     x1 = find_balanced(SYS_EQ, [0.6, 0.4], seed=42)
     x2 = find_balanced(SYS_EQ, [0.6, 0.4], seed=42)
     assert np.array_equal(x1.r, x2.r)
+
+
+@pytest.mark.parametrize("G", [1e200, 1e-300])
+def test_find_central_does_not_depend_on_G(G):
+    # the search minimizes U / U_0 and the residuals divide grad U by U, so
+    # no square overflows (G = 1e200 used to end at NaN residuals, kind
+    # "neither", without an error)
+    sys = MassSystem([1.0, 1.0, 1.0], G=G)
+    x = find_central(sys, 2, seed=0)
+    cls = classify(x, sys)
+    assert cls.kind == "central" and cls.central_residual < 1e-14
+    s = np.sort(squared_distance_table(x.r)[np.triu_indices(3, 1)])
+    assert s[2] - s[0] < 1e-14
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_find_balanced_with_underflowing_forces_raises():
+    # distances near 1e150: the forces underflow to 0 and the residual is NaN
+    with pytest.raises(NoConvergence):
+        find_balanced(SYS_EQ, [1e300, 1.0], seed=0)
+
+
+def test_searches_log_their_work(caplog):
+    with caplog.at_level(logging.INFO, logger="nbodyred"):
+        find_central(MassSystem([1.0, 2.0, 3.0]), 2, seed=7)
+        find_balanced(SYS_EQ, [0.7, 0.3], seed=3)
+    lines = [r for r in caplog.records if r.name == "nbodyred"]
+    assert [r.getMessage().split(":")[0] for r in lines] == ["find_central", "find_balanced"]
+    for r in lines:
+        evals, iters, gnorm, guard = r.args
+        assert 0 < iters < evals and guard == "converged" and gnorm < 1e-12
 
 
 # every find_balanced input of the tests: criterion 7's spectra, the seeds
