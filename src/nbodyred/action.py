@@ -135,15 +135,15 @@ class Loop:
         shape = self.cos_modes.shape
         return Loop(self.T, p[:half].reshape(shape), p[half:].reshape(shape), self.sys)
 
-    def scaled(self, factor):
-        return Loop(self.T, factor * self.cos_modes, factor * self.sin_modes, self.sys)
-
     def __repr__(self):
         return f"Loop(T={self.T}, n={self.n}, d={self.d}, n_modes={self.n_modes})"
 
 
 # ---------------------------------------------------------------------------
 # symmetry actions
+
+
+MAX_GROUP_ORDER = 64   # a generator set whose closure grows past this does not close
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +165,12 @@ class SymmetryAction:
     A loop is invariant under the generator (perm, Q, s) when
     x_perm(i)(t + s T) = Q x_i(t) for all bodies and times.  The group is
     the closure of the generators; construction fails unless it closes
-    within max_order elements.  The group is immutable (elements is a tuple
-    of frozen elements with read-only maps) and carries its own cache of
-    invariant blocks per masses and residue, built on first use.
+    within MAX_GROUP_ORDER elements.  The group is immutable (elements is a
+    tuple of frozen elements with read-only maps) and carries its own cache
+    of invariant blocks per masses and residue, built on first use.
     """
 
-    def __init__(self, label, n, d, generators, max_order=64):
+    def __init__(self, label, n, d, generators):
         self.label = label
         self.n = n
         self.d = d
@@ -183,13 +183,13 @@ class SymmetryAction:
             if Q.shape != (d, d) or np.abs(Q @ Q.T - np.eye(d)).max() > 1e-12:
                 raise ValidationError("generator map must be d x d orthogonal")
             gens.append(_Element(perm, Q, Fraction(shift) % 1))
-        self.elements = tuple(self._close(gens, n, d, max_order))
+        self.elements = tuple(self._close(gens, n, d))
         # mode k meets the group through k mod L, L the lcm of the shift denominators
         self.L = math.lcm(*(el.shift.denominator for el in self.elements))
         self._blocks = {}   # (sys.m.tobytes(), r) -> read-only U of residue r
 
     @staticmethod
-    def _close(gens, n, d, max_order):
+    def _close(gens, n, d):
         ident = _Element(tuple(range(n)), np.eye(d), Fraction(0))
         seen = {ident.key(): ident}
         frontier = [ident]
@@ -202,7 +202,7 @@ class SymmetryAction:
                         seen[key] = c
                         nxt.append(c)
             frontier = nxt
-            if len(seen) > max_order:
+            if len(seen) > MAX_GROUP_ORDER:
                 raise ValidationError("group does not close; check the generators")
         return [seen[k] for k in sorted(seen, key=lambda k: (k[2], k[0], k[1]))]
 
@@ -270,14 +270,17 @@ def project_symmetry(loop, sym):
     return Loop(loop.T, a, b, loop.sys)
 
 
+@functools.cache
 def italian(n, d):
-    """x(t - T/2) = -x(t)."""
+    """x(t - T/2) = -x(t), on n bodies in R^d; one shared group per (n, d)."""
     return SymmetryAction("italian", n, d, [(tuple(range(n)), -np.eye(d), Fraction(1, 2))])
 
 
+@functools.cache
 def hiphop_z2z4():
     """Four bodies in R^3: square horizontal projection with counter-
-    oscillating diagonals, plus the antipodal half-period constraint."""
+    oscillating diagonals, plus the antipodal half-period constraint; one
+    shared group."""
     quarter_flip = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     cycle = (1, 2, 3, 0)  # body i -> i+1
     return SymmetryAction("hiphop_Z2xZ4", 4, 3, [
@@ -286,8 +289,10 @@ def hiphop_z2z4():
     ])
 
 
+@functools.cache
 def hiphop_z3():
-    """Three bodies on a horizontal triangle against a fourth on the axis."""
+    """Three bodies on a horizontal triangle against a fourth on the axis;
+    one shared group."""
     c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     return SymmetryAction("hiphop_Z3", 4, 3, [
@@ -296,29 +301,21 @@ def hiphop_z3():
     ])
 
 
-_LABELS = {"italian": "italian", "z2z4": "hiphop_Z2xZ4", "hiphop_Z2xZ4": "hiphop_Z2xZ4",
-           "z3": "hiphop_Z3", "hiphop_Z3": "hiphop_Z3"}
-
-
 def symmetry_by_label(label, n=4, d=3):
-    """The group of a label, one shared instance per process.
+    """The group of a label: the one shared instance of its factory.
 
     "italian" acts on n bodies in R^d; the Hip-Hop classes ("z2z4" alias
     "hiphop_Z2xZ4", "z3" alias "hiphop_Z3") are built for four bodies in R^3
     whatever n and d are.  Aliases return the same object, built on first
     use together with its cache of invariant blocks (see invariant_basis).
     """
-    canonical = _LABELS.get(label)
-    if canonical is None:
-        raise ValidationError(f"unknown symmetry label {label!r}")
-    return _shared_symmetry(canonical, *((n, d) if canonical == "italian" else (4, 3)))
-
-
-@functools.cache
-def _shared_symmetry(label, n, d):
     if label == "italian":
         return italian(n, d)
-    return hiphop_z2z4() if label == "hiphop_Z2xZ4" else hiphop_z3()
+    if label in ("z2z4", "hiphop_Z2xZ4"):
+        return hiphop_z2z4()
+    if label in ("z3", "hiphop_Z3"):
+        return hiphop_z3()
+    raise ValidationError(f"unknown symmetry label {label!r}")
 
 
 def _mode_basis(sym, sys, k):
@@ -397,7 +394,6 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR
 @dataclass
 class MinimizeOptions:
     gtol: float = 1e-6
-    n_quad: int = None         # default: max(256, 4 K)
     seed: int = 0
 
     def __post_init__(self):
@@ -409,9 +405,10 @@ def minimize_action(seed_loop, sym, opts=None):
     """Minimize the action over the symmetry class of the seed.
 
     optimize.quasi_newton on the invariant coordinates, one block Xi per
-    residue class with coefficients U Xi, to |g| <= gtol on them; its metric
-    is the kinetic part, max(k, 1)^2 on each coordinate of mode k (the H^1
-    metric on loops), so the iteration count does not grow with K.  Steps
+    residue class with coefficients U Xi, to |g| <= gtol on them, with the
+    action on max(256, 4 K) quadrature nodes; its metric is the kinetic
+    part, max(k, 1)^2 on each coordinate of mode k (the H^1 metric on
+    loops), so the iteration count does not grow with K.  Steps
     whose minimal node distance falls below 1e-3 of the seed's mean node
     distance are rejected.  A stalled search is restarted from a jittered
     iterate (deterministically, at most 3 times); raises NoConvergence when
@@ -421,7 +418,7 @@ def minimize_action(seed_loop, sym, opts=None):
     """
     opts = opts or MinimizeOptions()
     sys, K = seed_loop.sys, seed_loop.n_modes
-    n_quad = opts.n_quad if opts.n_quad is not None else max(256, 4 * K)
+    n_quad = max(256, 4 * K)
     blocks = invariant_basis(sym, sys, K)
     ends = np.cumsum([U.shape[1] * modes.size for modes, U in blocks]).tolist()
     slices = [slice(a, b) for a, b in zip([0] + ends, ends)]   # each block's coordinates

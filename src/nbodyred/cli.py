@@ -94,7 +94,7 @@ def _cmd_find(args, config=None, suffix=""):
     else:
         head["spectrum"] = [float(v) for v in args.spectrum.split(",") if v.strip()]
         x = find_balanced(sys, head["spectrum"], seed=args.seed)
-    cls = classify(x, sys, tol=1e-8)
+    cls = classify(x, sys)
     multiplier = {"multiplier": cls.multiplier} if args.command == "find-central" else {}
     serialize.write_json(_outpath(args, args.command.removeprefix("find-") + ".json", suffix), {
         **head, "positions": x.r.tolist(), "kind": cls.kind, **multiplier,
@@ -103,7 +103,7 @@ def _cmd_find(args, config=None, suffix=""):
 
 
 def _cmd_kepler(args, config=None, suffix=""):
-    orbit = KeplerOrbit.from_elements(args.k, args.a, args.e)
+    orbit = KeplerOrbit(args.k, args.a, args.e)
     ts = _sample_times(orbit.period, args.samples)
     zeta, zdot = kepler_state(orbit, ts)
     serialize.write_csv(_outpath(args, "kepler.csv", suffix),
@@ -137,11 +137,9 @@ def _cmd_relequil(args, config, suffix=""):
 
 
 def _cmd_hiphop(args, config=None, suffix=""):
-    if args.bodies != 4:
-        raise ValidationError("the square/tetrahedron class is built for 4 bodies")
     ts = _sample_times(args.period, args.samples)
-    sys = MassSystem([args.mass] * args.bodies, G=args.G)
-    sym = symmetry_by_label(args.symmetry, n=args.bodies, d=3)
+    sys = MassSystem([args.mass] * 4, G=args.G)
+    sym = symmetry_by_label(args.symmetry)
     seed_loop = square_relative_equilibrium_loop(args.period, sys, args.modes,
                                                  vertical_kick=args.kick)
     opts = MinimizeOptions(gtol=args.gtol, seed=args.seed)
@@ -247,7 +245,6 @@ def build_parser():
 
     p = sub.add_parser("hiphop")
     common(p)
-    p.add_argument("--bodies", type=int, default=4)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--G", type=float, default=1.0)
     p.add_argument("--period", type=float, default=2.0 * np.pi)

@@ -40,6 +40,8 @@ from .optimize import quasi_newton
 
 CENTRAL_TOL = 1e-12     # central residual find_central must reach
 BALANCED_TOL = 1e-8     # balance residual find_balanced must reach
+CLASSIFY_TOL = 1e-8     # residual below which a configuration is central or balanced
+EMBED_TOL = 1e-9        # negative Gram eigenvalue, relative to the largest, a distance table may have
 
 
 @dataclass
@@ -69,12 +71,13 @@ def _residuals(x, sys):
     return float(central), float(balanced), float(2.0 * sys.kappa * U / I)
 
 
-def classify(x, sys, tol=1e-8):
-    """Classify a configuration as central, balanced or neither at tolerance tol."""
+def classify(x, sys):
+    """Classify a configuration as central, balanced or neither: the first
+    class whose residual is below CLASSIFY_TOL."""
     central, balanced, lam = _residuals(x, sys)
-    if central < tol:
+    if central < CLASSIFY_TOL:
         return ConfigClass("central", lam, central, central, balanced)
-    if balanced < tol:
+    if balanced < CLASSIFY_TOL:
         return ConfigClass("balanced", lam, balanced, central, balanced)
     return ConfigClass("neither", lam, balanced, central, balanced)
 
@@ -214,16 +217,19 @@ def find_balanced(sys, spectrum, seed=None, x0=None):
         Q = V[:, ::-1]  # descending, aligned with spec_full
     else:
         Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(sys.n - 1, sys.n - 1)))
-    run = minimize(Q, W, spec_full, sqm, sys)
-    log_info("find_balanced: %d evaluations, %d iterations, |g| %.3e, %s",
-             run.nfev + 1, run.nit, run.gnorm, run.guard)
+    # at distances near 1e150 and beyond s^(3/2) overflows, which gives
+    # Phi' = 0, its limit; the forces vanish and the residual is NaN
+    with np.errstate(over="ignore"):
+        run = minimize(Q, W, spec_full, sqm, sys)
+        log_info("find_balanced: %d evaluations, %d iterations, |g| %.3e, %s",
+                 run.nfev + 1, run.nit, run.gnorm, run.guard)
 
-    beta = _beta_from_rotation(run.x, W, spec_full, sqm)
-    w, V = np.linalg.eigh(beta)
-    keep = w > 1e-12 * w.max()
-    r = (V[:, keep] * np.sqrt(w[keep])).T
-    out = Configuration(r[::-1], sys)  # leading eigendirection first
-    _, balanced, _ = _residuals(out, sys)
+        beta = _beta_from_rotation(run.x, W, spec_full, sqm)
+        w, V = np.linalg.eigh(beta)
+        keep = w > 1e-12 * w.max()
+        r = (V[:, keep] * np.sqrt(w[keep])).T
+        out = Configuration(r[::-1], sys)  # leading eigendirection first
+        _, balanced, _ = _residuals(out, sys)
     if not balanced <= BALANCED_TOL:   # written so that NaN fails it
         raise NoConvergence(f"balance residual {balanced:.3e} above {BALANCED_TOL:.1e}")
     return out
@@ -239,7 +245,6 @@ class BalancedResiduals:
     nabla: dict          # (i, j, k) -> nabla_ijk
     Y: dict              # (i, j, k, l) -> Y^l_ijk
     p_matrix: np.ndarray
-    y_variant: str       # "corrected" or "literal" first column of Y
     identity_residual: float
     commutator_residual: float
 
@@ -275,25 +280,24 @@ def _nabla_det(s, du, m, i, j, k):
     ]))
 
 
-def _y_det(s, du, m, i, j, k, l, corrected):
-    first = du[i, l] / m[i] if corrected else du[i, l]
+def _y_det(s, du, m, i, j, k, l):
     return np.linalg.det(np.array([
         [1.0, 1.0, 1.0],
         [s[j, k] + s[i, l], s[k, i] + s[j, l], s[i, j] + s[k, l]],
-        [first, du[j, l] / m[j], du[k, l] / m[k]],
+        [du[i, l] / m[i], du[j, l] / m[j], du[k, l] / m[k]],
     ]))
 
 
-def balanced_residuals_pijk(s, sys, embed_tol=1e-9):
+def balanced_residuals_pijk(s, sys):
     """Evaluate the balance equations P_ijk = 0 from squared distances.
 
     P_ijk comes from the antisymmetric part of beta A; it decomposes as
-    -1/2 nabla_ijk + 1/2 sum_l Y^l_ijk.  The published Y determinant lacks a
-    1/m_i factor in its first column; both variants are evaluated and the
-    one reproducing P_ijk is kept (y_variant records which, the other's
-    defect goes to identity_residual).  The distances are embedded to
-    cross-check against the commutator criterion; raises NotEmbeddable when
-    the reconstructed Gram table has an eigenvalue below -embed_tol.
+    -1/2 nabla_ijk + 1/2 sum_l Y^l_ijk, the first column of Y^l_ijk being
+    dU/ds_il / m_i (the published determinant lacks the 1/m_i and misses
+    the identity); identity_residual is its largest defect.  The distances
+    are embedded to cross-check against the commutator criterion; raises
+    NotEmbeddable when the reconstructed Gram table has an eigenvalue below
+    -EMBED_TOL of the largest.
     """
     n = sys.n
     s = _as_s_array(s, n)
@@ -305,33 +309,28 @@ def balanced_residuals_pijk(s, sys, embed_tol=1e-9):
     W = P - P.T
 
     p_ijk, nabla, Y = {}, {}, {}
-    err = {"corrected": 0.0, "literal": 0.0}
+    err = 0.0
     for (i, j, k) in itertools.combinations(range(n), 3):
         val = W[i, j] + W[j, k] + W[k, i]
         p_ijk[(i, j, k)] = float(val)
         nabla[(i, j, k)] = _nabla_det(s, du, sys.m, i, j, k)
-        for variant in ("corrected", "literal"):
-            rec = -0.5 * nabla[(i, j, k)]
-            for l in [l for l in range(n) if l not in (i, j, k)]:
-                y = _y_det(s, du, sys.m, i, j, k, l, variant == "corrected")
-                if variant == "corrected":
-                    Y[(i, j, k, l)] = y
-                rec += 0.5 * y
-            err[variant] = max(err[variant], abs(rec - val))
-
-    variant = "corrected" if err["corrected"] <= err["literal"] else "literal"
+        rec = -0.5 * nabla[(i, j, k)]
+        for l in [l for l in range(n) if l not in (i, j, k)]:
+            Y[(i, j, k, l)] = _y_det(s, du, sys.m, i, j, k, l)
+            rec += 0.5 * Y[(i, j, k, l)]
+        err = max(err, abs(rec - val))
 
     # euclidean cross-check through an embedding of s
     ones = np.ones((n, n)) / n
     centered = -0.5 * (np.eye(n) - ones) @ s @ (np.eye(n) - ones)
     w, V = np.linalg.eigh(centered)
-    if w.min() < -embed_tol * max(w.max(), 1e-300):
-        raise NotEmbeddable(f"Gram eigenvalue {w.min():.3e} below -{embed_tol:.1e}")
-    keep = w > embed_tol * max(w.max(), 1e-300)
+    if w.min() < -EMBED_TOL * max(w.max(), 1e-300):
+        raise NotEmbeddable(f"Gram eigenvalue {w.min():.3e} below -{EMBED_TOL:.1e}")
+    keep = w > EMBED_TOL * max(w.max(), 1e-300)
     x = Configuration((V[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))).T, sys)
     _, comm, _ = _residuals(x, sys)
 
-    return BalancedResiduals(p_ijk, nabla, Y, P, variant, err[variant], comm)
+    return BalancedResiduals(p_ijk, nabla, Y, P, err, comm)
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,7 @@ class _GramTable:
         return rhs
 
 
-def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
+def reduced_rhs(tables, sys):
     """Right-hand side of the reduced system on the stacked (4, n, n) tables
     (beta, gamma, delta, rho), returned as double-centred tables.
 
@@ -331,7 +331,7 @@ def reduced_rhs(tables, sys, collision_floor=COLLISION_FLOOR):
     rho_dot = A^T beta - beta A.
     """
     gram = _GramTable(sys)
-    return gram.unpack(gram.rhs(collision_floor, [0.0])(0.0, gram.pack(RelativeState(*tables))))
+    return gram.unpack(gram.rhs(COLLISION_FLOOR, [0.0])(0.0, gram.pack(RelativeState(*tables))))
 
 
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
@@ -454,6 +454,10 @@ def audit_invariants(traj, sys):
 # Schwarz / Sundman machinery
 
 
+STRUCTURE_TOL = 1e-10   # defect of a degenerate hermitian structure that still counts as one
+SUNDMAN_EQUALITY_TOL = 1e-10   # a Schwarz gap below this fraction of I K is an equality
+
+
 @dataclass
 class SchwarzGap:
     gap: float
@@ -461,26 +465,27 @@ class SchwarzGap:
     omega_mismatch: float | None  # ||Omega - Omega_C|| on the fixed space, when equality
 
 
-def _check_degenerate_hermitian(omega, tol=1e-10):
-    """Omega must satisfy ||Omega v|| <= ||v|| and Omega^2 = -Id on Im Omega."""
+def _check_degenerate_hermitian(omega):
+    """Omega must satisfy ||Omega v|| <= ||v|| and Omega^2 = -Id on Im Omega,
+    each to STRUCTURE_TOL."""
     c = omega.c
     sv = np.linalg.svd(c, compute_uv=False)
-    if sv.size and sv[0] > 1.0 + tol:
+    if sv.size and sv[0] > 1.0 + STRUCTURE_TOL:
         raise InvalidStructure(f"largest singular value {sv[0]:.3e} exceeds 1")
     _, F = hermitian_from_bivector(omega)
     if F.shape[1]:
         resid = np.abs(c @ c @ F + F).max()
-        if resid > tol:
+        if resid > STRUCTURE_TOL:
             raise InvalidStructure(
                 f"Omega^2 differs from -Id on its image by {resid:.3e}"
             )
 
 
-def complex_schwarz_gap(z, omega, sys, equality_tol=1e-10):
+def complex_schwarz_gap(z, omega, sys):
     """Gap  I K - J^2 - (1/4) <C, Omega>^2  for a degenerate hermitian Omega.
 
     The gap is minimal (and equals the Sundman gap) for Omega = Omega_C.
-    When the gap vanishes to equality_tol * I K, the equality flag is set
+    When the gap vanishes to SUNDMAN_EQUALITY_TOL * I K, the equality flag is set
     and Omega is compared against Omega_C on the fixed space.
     """
     _check_degenerate_hermitian(omega)
@@ -488,7 +493,7 @@ def complex_schwarz_gap(z, omega, sys, equality_tol=1e-10):
     C = angular_momentum(z, sys)
     comp = bivector_component(C, omega)  # already (1/2) <C, Omega>
     gap = I * K - J * J - comp * comp
-    equality = bool(gap <= equality_tol * max(I * K, 1e-300))
+    equality = bool(gap <= SUNDMAN_EQUALITY_TOL * max(I * K, 1e-300))
     mismatch = None
     if equality:
         omega_c, F = hermitian_from_bivector(C)
@@ -531,8 +536,8 @@ def saari_decomposition(z, sys):
     return y_h, y_r, y_d
 
 
-def dziobek_ranks(z, sys, rtol=1e-9):
-    """(rank C, rank E) with the singular-value threshold rtol * sigma_max."""
-    rank_c = matrix_rank(angular_momentum(z, sys).c, rtol)
-    rank_e = matrix_rank(np.hstack([z.x.r, z.y.r]), rtol)
+def dziobek_ranks(z, sys):
+    """(rank C, rank E) with the singular-value threshold RANK_RTOL * sigma_max."""
+    rank_c = matrix_rank(angular_momentum(z, sys).c)
+    rank_e = matrix_rank(np.hstack([z.x.r, z.y.r]))
     return rank_c, rank_e

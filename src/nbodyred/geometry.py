@@ -216,11 +216,12 @@ class RelativeState:
             [[self.beta, self.gamma - self.rho], [self.gamma + self.rho, self.delta]]
         )
 
-    def check_positive(self, tol=1e-8):
-        """True when the block table is positive semidefinite up to tol."""
+    def check_positive(self):
+        """True when the block table is positive semidefinite up to 1e-8 of
+        its largest eigenvalue."""
         w = np.linalg.eigvalsh(self.block_matrix())
         scale = max(abs(w).max(), 1e-300)
-        return w.min() >= -tol * scale
+        return w.min() >= -1e-8 * scale
 
     def __repr__(self):
         return f"RelativeState(n={self.n})"
@@ -426,9 +427,9 @@ def pair_forces(r, sys, collision_floor=COLLISION_FLOOR, scatter=None):
     return s, _rows_product(diff * c[..., None, :], sys.D if scatter is None else scatter)
 
 
-def pair_accelerations(r, sys, collision_floor=COLLISION_FLOOR):
+def pair_accelerations(r, sys):
     """Accelerations 2 x A of (..., d, n) coordinates: pair_forces with the D M^{-1} scatter."""
-    return pair_forces(r, sys, collision_floor, sys.DMinv)[1]
+    return pair_forces(r, sys, scatter=sys.DMinv)[1]
 
 
 def potential_from_s(s, sys):
@@ -437,9 +438,9 @@ def potential_from_s(s, sys):
     return (sys.pair_masses * sys.phi(s)).sum(axis=-1)
 
 
-def potential_and_gradient(x, sys, collision_floor=COLLISION_FLOOR):
+def potential_and_gradient(x, sys):
     """Force function U > 0 and its mass-metric gradient 2 x A (= accelerations)."""
-    s, a = pair_forces(x.r, sys, collision_floor, sys.DMinv)
+    s, a = pair_forces(x.r, sys, scatter=sys.DMinv)
     return float(potential_from_s(s, sys)), a
 
 
@@ -459,10 +460,10 @@ def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
     return A
 
 
-def wintner_conley(x, sys, collision_floor=COLLISION_FLOOR):
+def wintner_conley(x, sys):
     """Interaction matrix A of a configuration; Newton's equations read
     x_ddot = 2 x A."""
-    return interaction_matrix_from_s(squared_distances(x.r, sys), sys, collision_floor)
+    return interaction_matrix_from_s(squared_distances(x.r, sys), sys)
 
 
 def mass_dot(u, v, m):
@@ -486,7 +487,7 @@ def angular_momentum(z, sys):
     return Bivector(angular_momentum_tables(z.x.r, z.y.r, sys))
 
 
-def bivector_norm_and_frequencies(C, rtol=RANK_RTOL):
+def bivector_norm_and_frequencies(C):
     """Norm |C| = sum of positive frequencies, and the frequency list.
 
     The spectrum of an antisymmetric table is {+-i w_1, ..., +-i w_p, 0...};
@@ -496,7 +497,7 @@ def bivector_norm_and_frequencies(C, rtol=RANK_RTOL):
     norm = float(sv.sum() / 2.0)
     if sv.size == 0 or sv[0] == 0.0:
         return 0.0, []
-    cutoff = rtol * sv[0]
+    cutoff = RANK_RTOL * sv[0]
     omegas = []
     k = 0
     while k + 1 < sv.size and sv[k] > cutoff:
@@ -505,7 +506,7 @@ def bivector_norm_and_frequencies(C, rtol=RANK_RTOL):
     return norm, omegas
 
 
-def hermitian_from_bivector(C, rtol=RANK_RTOL):
+def hermitian_from_bivector(C):
     """Hermitian structure induced by a bivector.
 
     Returns (J, F) with J the degenerate complex structure sqrt(-C^2)^+ C
@@ -519,7 +520,7 @@ def hermitian_from_bivector(C, rtol=RANK_RTOL):
     """
     c = C.c
     u, sv, vt = np.linalg.svd(c)
-    keep = sv > rtol * sv[0] if (sv.size and sv[0] > 0.0) else np.zeros_like(sv, dtype=bool)
+    keep = sv > RANK_RTOL * sv[0] if (sv.size and sv[0] > 0.0) else np.zeros_like(sv, dtype=bool)
     return exact_antisymmetric(u[:, keep] @ vt[keep]), u[:, keep]
 
 
@@ -557,9 +558,9 @@ def rotation_invariants(C, kmax=None):
     return out
 
 
-def matrix_rank(a, rtol=RANK_RTOL):
-    """Rank with threshold rtol * sigma_max."""
+def matrix_rank(a):
+    """Rank with threshold RANK_RTOL * sigma_max."""
     sv = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > rtol * sv[0]))
+    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))

@@ -1,16 +1,17 @@
 """Simple solutions in closed form.
 
 Elliptic Kepler orbits with the normalization  zeta_ddot = -k zeta/|zeta|^3,
-t - t0 = k a^{3/2} (u - e sin u), semi-major axis k a; homographic motions
-of central configurations (every body on a similar conic); and the uniform
-quasi-periodic rotations carried by balanced configurations in dimension
-twice the configuration's rank.
+t = k a^{3/2} (u - e sin u), semi-major axis k a and the pericentre at
+t = 0; homographic motions of central configurations (every body on a
+similar conic); and the uniform quasi-periodic rotations carried by
+balanced configurations in dimension twice the configuration's rank.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configurations import CLASSIFY_TOL, classify
 from .errors import NotAttractive, NotBalanced, NotCentral, ValidationError
 from .geometry import (
     Bivector,
@@ -31,34 +32,23 @@ from .geometry import (
 
 @dataclass
 class KeplerOrbit:
+    """The counterclockwise elliptic orbit of elements k > 0, a > 0 and
+    0 <= e < 1, checked before any square root is taken."""
     k: float
     a: float
     e: float
-    c: float
-    t0: float = 0.0
 
-    def __post_init__(self):
-        self._check_elements(self.k, self.a, self.e)
-        defect = self.k**2 - self.c**2 / self.a - (self.k * self.e) ** 2
-        if abs(defect) > 1e-12 * self.k**2:
-            raise ValidationError(
-                f"k^2 - c^2/a = k^2 e^2 violated by {defect:.3e}"
-            )
-
-    @staticmethod
-    def _check_elements(k, a, e):   # written so that NaN fails them
-        if not (0.0 < k < np.inf and 0.0 < a < np.inf):
+    def __post_init__(self):   # written so that NaN fails the checks
+        if not (0.0 < self.k < np.inf and 0.0 < self.a < np.inf):
             raise ValidationError("k and a must be positive and finite")
-        if not 0.0 <= e < 1.0:
+        if not 0.0 <= self.e < 1.0:
             raise ValidationError("elliptic branch requires 0 <= e < 1")
+        self.k, self.a, self.e = float(self.k), float(self.a), float(self.e)
 
-    @classmethod
-    def from_elements(cls, k, a, e, t0=0.0):
-        """Orbit with c fixed by the energy relation (counterclockwise); the
-        elements are checked before c is formed from them."""
-        cls._check_elements(k, a, e)
-        c = k * np.sqrt(a * (1.0 - e * e))
-        return cls(float(k), float(a), float(e), float(c), float(t0))
+    @property
+    def c(self):
+        """The angular momentum, fixed by the energy relation k^2 - c^2/a = k^2 e^2."""
+        return float(self.k * np.sqrt(self.a * (1.0 - self.e * self.e)))
 
     @property
     def period(self):
@@ -69,12 +59,17 @@ class KeplerOrbit:
         return -0.5 / self.a
 
 
-def kepler_anomaly(e, l, tol=1e-14, max_newton=60):
+KEPLER_TOL = 1e-14     # |u - e sin u - l| at which Newton's iteration stops
+KEPLER_NEWTON = 60     # Newton steps before the bisection takes over
+
+
+def kepler_anomaly(e, l):
     """Solve u - e sin(u) = l for the eccentric anomaly.
 
     Newton iteration from the starter l + e sin(l)/(1 - sin(l+e) + sin(l)),
-    with bisection fallback where 1 - e cos(u) is small; continuous and
-    monotone in l (whole turns are peeled off and restored).
+    with bisection fallback where 1 - e cos(u) is small or KEPLER_NEWTON
+    steps leave a residual above KEPLER_TOL; continuous and monotone in l
+    (whole turns are peeled off and restored).
     """
     if not 0.0 <= e < 1.0:
         raise ValidationError("elliptic branch requires 0 <= e < 1")
@@ -89,17 +84,17 @@ def kepler_anomaly(e, l, tol=1e-14, max_newton=60):
     u = lw + e * np.sin(lw) / np.where(np.abs(denom) < 1e-12, 1.0, denom)
     u = np.clip(u, -np.pi, np.pi)
     converged = np.zeros(lw.shape, dtype=bool)
-    for _ in range(max_newton):
+    for _ in range(KEPLER_NEWTON):
         f = u - e * np.sin(u) - lw
         fp = 1.0 - e * np.cos(u)
         bad = np.abs(fp) < 1e-3
         stepped = ~converged & ~bad
         u = np.where(stepped, u - f / np.where(bad, 1.0, fp), u)
-        converged |= np.abs(f) < tol
+        converged |= np.abs(f) < KEPLER_TOL
         if np.all(converged | bad):
             break
 
-    need = ~converged | (np.abs(u - e * np.sin(u) - lw) > tol)
+    need = ~converged | (np.abs(u - e * np.sin(u) - lw) > KEPLER_TOL)
     if np.any(need):
         lo = np.full(lw.shape, -np.pi)
         hi = np.full(lw.shape, np.pi)
@@ -118,12 +113,12 @@ def kepler_state(orbit, t):
     """Position and velocity of the Kepler motion at time(s) t.
 
     xi = k a (cos u - e), eta = k a sqrt(1 - e^2) sin u, with u from the
-    mean anomaly l = (t - t0) / (k a^{3/2}).
+    mean anomaly l = t / (k a^{3/2}).
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     k, a, e = orbit.k, orbit.a, orbit.e
-    l = (np.atleast_1d(t) - orbit.t0) / (k * a**1.5)
+    l = np.atleast_1d(t) / (k * a**1.5)
     u = np.atleast_1d(kepler_anomaly(e, l))
     r = k * a * (1.0 - e * np.cos(u))
     se = np.sqrt(1.0 - e * e)
@@ -146,23 +141,22 @@ def kepler_radius_true_anomaly(orbit, v):
 class HomographicMotion:
     """x(t) = zeta(t) x0 with zeta an elliptic Kepler solution.
 
-    x0 must be central; it is normalized to I = 1.  With embedding "plane"
-    (default) an even-rank image carries the quarter-turn pairing of its own
-    axes (the plane's rotation in the planar case) while an odd-rank image
-    is doubled; embedding "double" always places the image next to an
-    orthogonal copy of itself, which matches the realization used for
-    relative equilibria.  `scale` is the semi-major axis of the common conic.
+    x0 must be central, to CLASSIFY_TOL; it is normalized to I = 1.  With
+    embedding "plane" (default) an even-rank image carries the quarter-turn
+    pairing of its own axes (the plane's rotation in the planar case) while
+    an odd-rank image is doubled; embedding "double" always places the image
+    next to an orthogonal copy of itself, which matches the realization used
+    for relative equilibria.  `scale` is the semi-major axis of the common
+    conic.
     """
 
-    def __init__(self, x0, sys, e=0.0, scale=1.0, tol=1e-8, embedding="plane"):
+    def __init__(self, x0, sys, e=0.0, scale=1.0, embedding="plane"):
         if abs(sys.kappa + 0.5) > 1e-14:
             raise ValidationError("homographic Kepler motions require kappa = -1/2")
-        from .configurations import classify
-
-        cls = classify(x0, sys, tol)
-        if cls.central_residual >= tol:
+        cls = classify(x0, sys)
+        if cls.central_residual >= CLASSIFY_TOL:
             raise NotCentral(
-                f"central residual {cls.central_residual:.3e} above {tol:.1e}"
+                f"central residual {cls.central_residual:.3e} above {CLASSIFY_TOL:.1e}"
             )
         I0, _, _ = inertia(x0, sys)
         xhat = x0.r / np.sqrt(I0)
@@ -192,7 +186,7 @@ class HomographicMotion:
         self.quarter_turn = J
         U0, _ = potential_and_gradient(Configuration(xhat, sys), sys)
         self.k = U0
-        self.orbit = KeplerOrbit.from_elements(U0, scale / U0, e)
+        self.orbit = KeplerOrbit(U0, scale / U0, e)
 
     @property
     def period(self):
@@ -208,11 +202,6 @@ class HomographicMotion:
 
     def state(self, t):
         return self.sample([t]).states[0]
-
-
-def homographic_motion(x0, sys, e=0.0, scale=1.0, t=0.0, tol=1e-8):
-    """State at time t of the homographic motion built on a central x0."""
-    return HomographicMotion(x0, sys, e, scale, tol).state(t)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +239,16 @@ class RelativeEquilibrium:
         return 2.0 * np.pi / min(self.frequencies)
 
 
-def _simultaneous_eigh(B, A, cluster_rtol=1e-7):
+def _simultaneous_eigh(B, A):
     """Eigenbasis of commuting symmetric B, A: diagonalize B, refine each
-    eigenvalue cluster with A."""
+    eigenvalue cluster (within 1e-7 of the largest |eigenvalue|) with A."""
     wb, V = np.linalg.eigh(B)
     scale = max(abs(wb).max(), 1e-300)
     wa = np.empty_like(wb)
     i = 0
     while i < wb.size:
         j = i + 1
-        while j < wb.size and abs(wb[j] - wb[i]) <= cluster_rtol * scale:
+        while j < wb.size and abs(wb[j] - wb[i]) <= 1e-7 * scale:
             j += 1
         sub = V[:, i:j]
         wsub, Vsub = np.linalg.eigh(sub.T @ A @ sub)
@@ -269,8 +258,9 @@ def _simultaneous_eigh(B, A, cluster_rtol=1e-7):
     return wb, wa, V
 
 
-def relative_equilibrium(x0, sys, tol=1e-8):
-    """Build the uniform quasi-periodic rotation carried by a balanced x0.
+def relative_equilibrium(x0, sys):
+    """Build the uniform quasi-periodic rotation carried by a balanced x0
+    (to CLASSIFY_TOL).
 
     The interaction and inertia tables commute for balanced configurations;
     each common eigenmode with inertia b_i > 0 and interaction eigenvalue
@@ -278,12 +268,10 @@ def relative_equilibrium(x0, sys, tol=1e-8):
     The motion space has dimension 2 rank(beta).  Raises NotBalanced or
     NotAttractive when the preconditions fail.
     """
-    from .configurations import classify
-
-    cls = classify(x0, sys, tol)
-    if cls.balanced_residual >= tol:
+    cls = classify(x0, sys)
+    if cls.balanced_residual >= CLASSIFY_TOL:
         raise NotBalanced(
-            f"commutation residual {cls.balanced_residual:.3e} above {tol:.1e}"
+            f"commutation residual {cls.balanced_residual:.3e} above {CLASSIFY_TOL:.1e}"
         )
     sqm = np.sqrt(sys.m)
     beta = gram_form(x0)

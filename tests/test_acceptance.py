@@ -221,7 +221,7 @@ def test_criterion_6_central_configurations():
     for seed in range(5):
         sys = MassSystem(rng.uniform(0.5, 2.0, 3))
         x = find_central(sys, 2, seed=seed)
-        worst_res = max(worst_res, classify(x, sys, tol=1e-8).central_residual)
+        worst_res = max(worst_res, classify(x, sys).central_residual)
         r = np.sqrt(squared_distance_table(x.r))
         dists = sorted([r[0, 1], r[0, 2], r[1, 2]])
         worst_spread = max(worst_spread, dists[-1] - dists[0])
@@ -252,7 +252,7 @@ def test_criterion_7_balanced_configurations():
     worst_iso, worst_res = 0.0, 0.0
     for spec in ([0.7, 0.3], [0.6, 0.4], [0.8, 0.2], [0.55, 0.45], [0.9, 0.1]):
         x = find_balanced(sys, spec, seed=0)
-        worst_res = max(worst_res, classify(x, sys, tol=1e-6).balanced_residual)
+        worst_res = max(worst_res, classify(x, sys).balanced_residual)
         r = np.sort(np.sqrt(squared_distance_table(x.r))[np.triu_indices(3, 1)])
         worst_iso = max(worst_iso, min(r[1] - r[0], r[2] - r[1]))
     assert worst_iso < 1e-7
@@ -327,7 +327,7 @@ def test_criterion_9_kepler():
 
     worst_ode = 0.0
     for e in (0.0, 0.3, 0.6, 0.9):
-        orb = KeplerOrbit.from_elements(1.7, 0.8, e)
+        orb = KeplerOrbit(1.7, 0.8, e)
         for l in np.linspace(0.5, 2.0 * np.pi - 0.5, 9):
             t = l * orb.k * orb.a**1.5
             z0 = kepler_state(orb, t)[0]
@@ -338,7 +338,7 @@ def test_criterion_9_kepler():
             worst_ode = max(worst_ode, np.abs(acc - expected).max() / np.linalg.norm(expected))
     assert worst_ode < 1e-8
 
-    orb = KeplerOrbit.from_elements(1.0, 1.3, 0.5)
+    orb = KeplerOrbit(1.0, 1.3, 0.5)
     z0, v0 = kepler_state(orb, 0.0)
     z1, v1 = kepler_state(orb, orb.period)
     closure = max(np.abs(z1 - z0).max(), np.abs(v1 - v0).max())

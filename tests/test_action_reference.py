@@ -108,7 +108,7 @@ def mat_key_reference(Q):
     return tuple(tuple(round(v, 9) + 0.0 for v in row) for row in np.asarray(Q))
 
 
-def close_reference(gens, n, d, max_order):
+def close_reference(gens, n, d, max_order=64):
     ident = _Element(tuple(range(n)), np.eye(d), Fraction(0))
     key = lambda el: (el.perm, mat_key_reference(el.matrix), el.shift)   # noqa: E731
     seen = {key(ident): ident}
@@ -127,12 +127,14 @@ def close_reference(gens, n, d, max_order):
     return [seen[k] for k in sorted(seen, key=lambda k: (k[2], k[0], k[1]))]
 
 
-@pytest.mark.parametrize("make", [lambda: italian(4, 3), lambda: italian(3, 2),
-                                  hiphop_z2z4, hiphop_z3])
-def test_group_elements_unchanged(monkeypatch, make):
-    sym = make()
+@pytest.mark.parametrize("make, args", [(italian, (4, 3)), (italian, (3, 2)),
+                                        (hiphop_z2z4, ()), (hiphop_z3, ())],
+                         ids=["italian-4-3", "italian-3-2", "hiphop_z2z4", "hiphop_z3"])
+def test_group_elements_unchanged(monkeypatch, make, args):
+    sym = make(*args)
     monkeypatch.setattr(SymmetryAction, "_close", staticmethod(close_reference))
-    ref = make()
+    ref = make.__wrapped__(*args)   # a fresh group: the factories share theirs
+    assert ref is not sym
     assert len(sym.elements) == len(ref.elements)
     for el, el_ref in zip(sym.elements, ref.elements):
         assert el.perm == el_ref.perm
@@ -190,7 +192,7 @@ def minimize_action_reference(seed_loop, sym, opts):
     """The minimizer with its earlier bookkeeping; returns the loop and the
     number of action evaluations."""
     sys, K = seed_loop.sys, seed_loop.n_modes
-    n_quad = opts.n_quad if opts.n_quad is not None else max(256, 4 * K)
+    n_quad = max(256, 4 * K)
     blocks = invariant_basis(sym, sys, K)
     splits = np.cumsum([U.shape[1] * modes.size for modes, U in blocks])[:-1]
     w2 = np.concatenate([np.tile(modes, U.shape[1]) for modes, U in blocks]).clip(1) ** 2.0

@@ -55,8 +55,8 @@ def test_p_matrix_matches_loop(n, kappa):
 def test_equilateral_is_central_for_any_masses():
     for masses in ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.3, 5.0, 1.7]):
         sys = MassSystem(masses)
-        cls = classify(equilateral(sys), sys, tol=1e-10)
-        assert cls.kind == "central"
+        cls = classify(equilateral(sys), sys)
+        assert cls.kind == "central" and cls.central_residual < 1e-10
         # multiplier is -U/I in the Newtonian case
         from nbodyred.geometry import potential_and_gradient
 
@@ -66,7 +66,7 @@ def test_equilateral_is_central_for_any_masses():
 
 
 def test_isosceles_equal_masses_balanced_not_central():
-    cls = classify(isosceles(SYS_EQ), SYS_EQ, tol=1e-10)
+    cls = classify(isosceles(SYS_EQ), SYS_EQ)
     assert cls.kind == "balanced"
     assert cls.central_residual > 1e-3
     assert cls.balanced_residual < 1e-13
@@ -74,7 +74,7 @@ def test_isosceles_equal_masses_balanced_not_central():
 
 def test_scalene_equal_masses_neither():
     x = Configuration([[-0.7, 0.5, 0.1], [0.0, 0.0, 0.9]], SYS_EQ)
-    cls = classify(x, SYS_EQ, tol=1e-8)
+    cls = classify(x, SYS_EQ)
     assert cls.kind == "neither"
 
 
@@ -85,10 +85,10 @@ def test_classification_scale_and_rotation_invariant():
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
     for lam in (0.3, 1.0, 4.2):
         xs = Configuration(lam * (q @ x.r), sys)
-        cls = classify(xs, sys, tol=1e-10)
+        cls = classify(xs, sys)
         assert cls.kind == "central"
         assert cls.central_residual < 1e-12
-        base = classify(x, sys, tol=1e-10).multiplier
+        base = classify(x, sys).multiplier
         assert cls.multiplier == pytest.approx(base / lam**3, rel=1e-10)
 
 
@@ -97,7 +97,7 @@ def test_central_implies_balanced():
     for seed in range(5):
         sys = MassSystem(rng.uniform(0.5, 2.0, 3))
         x = find_central(sys, 2, seed=seed)
-        cls = classify(x, sys, tol=1e-10)
+        cls = classify(x, sys)
         assert cls.central_residual < 1e-10
         assert cls.balanced_residual < 1e-8
 
@@ -113,7 +113,7 @@ def test_find_central_three_bodies_is_equilateral():
         x = find_central(sys, 2, seed=seed)
         I, _, _ = inertia(x, sys)
         assert I == pytest.approx(1.0, abs=1e-12)
-        assert classify(x, sys, tol=1e-10).central_residual < 1e-10
+        assert classify(x, sys).central_residual < 1e-10
         r = np.sqrt(squared_distance_table(x.r))
         dists = [r[0, 1], r[0, 2], r[1, 2]]
         assert max(dists) - min(dists) < 1e-10
@@ -122,7 +122,7 @@ def test_find_central_three_bodies_is_equilateral():
 def test_find_central_two_bodies():
     sys = MassSystem([1.0, 3.0])
     x = find_central(sys, 1, seed=0)
-    assert classify(x, sys, tol=1e-10).central_residual < 1e-10
+    assert classify(x, sys).central_residual < 1e-10
 
 
 def euler_ratio_oracle(sys, order):
@@ -166,7 +166,7 @@ def test_find_central_collinear_matches_euler_oracle(order):
     r = np.sqrt(squared_distance_table(x.r))
     rho_found = r[j, k] / r[i, j]
     assert rho_found == pytest.approx(rho_star, abs=1e-10)
-    assert classify(x, sys, tol=1e-10).central_residual < 1e-10
+    assert classify(x, sys).central_residual < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_find_central_collinear_matches_euler_oracle(order):
 
 def test_find_balanced_equal_masses_isosceles():
     x = find_balanced(SYS_EQ, [0.7, 0.3], seed=0)
-    cls = classify(x, SYS_EQ, tol=1e-8)
+    cls = classify(x, SYS_EQ)
     assert cls.balanced_residual < 1e-8
     r = np.sort(np.sqrt(squared_distance_table(x.r))[np.triu_indices(3, 1)])
     assert (abs(r[0] - r[1]) < 1e-7) or (abs(r[1] - r[2]) < 1e-7)
@@ -189,7 +189,7 @@ def test_find_balanced_equal_masses_isosceles():
 def test_find_balanced_rank_one_is_collinear_central():
     x = find_balanced(SYS_EQ, [1.0], seed=1)
     assert x.d == 1
-    cls = classify(x, SYS_EQ, tol=1e-7)
+    cls = classify(x, SYS_EQ)
     assert cls.central_residual < 1e-7
 
 
@@ -210,7 +210,7 @@ def _z4_tetrahedron():
 def test_find_balanced_z4_tetrahedron():
     sys, spec, seed, seed_cfg = _z4_tetrahedron()
     x = find_balanced(sys, spec, seed=seed, x0=seed_cfg)
-    cls = classify(x, sys, tol=1e-8)
+    cls = classify(x, sys)
     assert cls.balanced_residual < 1e-8
     s = squared_distance_table(x.r)
     sides = [s[0, 1], s[1, 2], s[2, 3], s[0, 3]]
@@ -255,9 +255,9 @@ def test_find_central_does_not_depend_on_G(G):
     assert s[2] - s[0] < 1e-14
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_find_balanced_with_underflowing_forces_raises():
-    # distances near 1e150: the forces underflow to 0 and the residual is NaN
+    # distances near 1e150: the forces underflow to 0 and the residual is
+    # NaN; the overflow of s^(3/2) on the way raises no RuntimeWarning
     with pytest.raises(NoConvergence):
         find_balanced(SYS_EQ, [1e300, 1.0], seed=0)
 
@@ -338,7 +338,20 @@ def test_pijk_scalene_sign_matches_commutator():
             assert res.commutator_residual > 1e-10
 
 
+def y_determinants(s, m, i, j, k, l):
+    """(corrected, published) Y^l_ijk of the Newtonian U: the published
+    determinant's first column is dU/ds_il, the corrected one's dU/ds_il / m_i."""
+    du = lambda a, b: -0.5 * m[a] * m[b] * s[a, b] ** -1.5   # noqa: E731
+    rows = lambda first: np.array([   # noqa: E731
+        [1.0, 1.0, 1.0],
+        [s[j, k] + s[i, l], s[k, i] + s[j, l], s[i, j] + s[k, l]],
+        [first, du(j, l) / m[j], du(k, l) / m[k]]])
+    return np.linalg.det(rows(du(i, l) / m[i])), np.linalg.det(rows(du(i, l)))
+
+
 def test_pijk_identity_needs_corrected_y_column():
+    # P_ijk = -1/2 nabla_ijk + 1/2 sum_l Y^l_ijk holds with the corrected
+    # first column and fails with the published one
     rng = np.random.default_rng(4)
     for n in (4, 5):
         sys = MassSystem(rng.uniform(0.5, 2.0, n))
@@ -348,9 +361,17 @@ def test_pijk_identity_needs_corrected_y_column():
             for j in range(n):
                 s[i, j] = np.sum((p[:, i] - p[:, j]) ** 2)
         res = balanced_residuals_pijk(s, sys)
-        assert res.y_variant == "corrected"
-        assert res.identity_residual < 1e-12 * max(
-            abs(v) for v in res.P.values()) + 1e-12
+        scale = max(abs(v) for v in res.P.values())
+        assert res.identity_residual < 1e-12 * scale + 1e-12
+        literal = 0.0
+        for (i, j, k), P in res.P.items():
+            rec = -0.5 * res.nabla[(i, j, k)]
+            for l in sorted(set(range(n)) - {i, j, k}):
+                corrected, published = y_determinants(s, sys.m, i, j, k, l)
+                assert corrected == pytest.approx(res.Y[(i, j, k, l)], rel=1e-12, abs=1e-14)
+                rec += 0.5 * published
+            literal = max(literal, abs(rec - P))
+        assert literal > 1e-2 * scale
 
 
 def test_pijk_linear_in_masses():

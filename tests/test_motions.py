@@ -11,11 +11,10 @@ from nbodyred.geometry import (
     wintner_conley,
 )
 from nbodyred.dynamics import audit_invariants, integrate_absolute, scalar_invariants, sundman_gap
-from nbodyred.configurations import find_central
+from nbodyred.configurations import classify, find_balanced, find_central
 from nbodyred.motions import (
     HomographicMotion,
     KeplerOrbit,
-    homographic_motion,
     kepler_anomaly,
     kepler_radius_true_anomaly,
     kepler_state,
@@ -92,14 +91,12 @@ def test_anomaly_rejects_hyperbolic():
 
 
 def test_orbit_relation_enforced():
-    with pytest.raises(ValidationError):
-        KeplerOrbit(k=1.0, a=1.0, e=0.5, c=0.99)
-    orb = KeplerOrbit.from_elements(2.0, 0.7, 0.5)
+    orb = KeplerOrbit(2.0, 0.7, 0.5)
     assert orb.k**2 - orb.c**2 / orb.a == pytest.approx((orb.k * orb.e) ** 2, rel=1e-14)
 
 
 def test_circular_radius_constant():
-    orb = KeplerOrbit.from_elements(1.5, 0.8, 0.0)
+    orb = KeplerOrbit(1.5, 0.8, 0.0)
     ts = np.linspace(0.0, orb.period, 17)
     zeta, _ = kepler_state(orb, ts)
     r = np.hypot(zeta[0], zeta[1])
@@ -107,7 +104,7 @@ def test_circular_radius_constant():
 
 
 def test_orbit_closes_after_period():
-    orb = KeplerOrbit.from_elements(1.0, 1.3, 0.5)
+    orb = KeplerOrbit(1.0, 1.3, 0.5)
     z0, v0 = kepler_state(orb, 0.0)
     z1, v1 = kepler_state(orb, orb.period)
     assert np.abs(z1 - z0).max() < 1e-10
@@ -116,7 +113,7 @@ def test_orbit_closes_after_period():
 
 def test_energy_at_random_times():
     rng = np.random.default_rng(0)
-    orb = KeplerOrbit.from_elements(2.0, 0.9, 0.65)
+    orb = KeplerOrbit(2.0, 0.9, 0.65)
     ts = rng.uniform(0.0, 3.0 * orb.period, 100)
     zeta, zdot = kepler_state(orb, ts)
     r = np.hypot(zeta[0], zeta[1])
@@ -125,7 +122,7 @@ def test_energy_at_random_times():
 
 
 def test_radius_formulas_agree():
-    orb = KeplerOrbit.from_elements(1.0, 1.0, 0.6)
+    orb = KeplerOrbit(1.0, 1.0, 0.6)
     ts = np.linspace(0.0, orb.period, 50, endpoint=False)
     zeta, _ = kepler_state(orb, ts)
     r_xy = np.hypot(zeta[0], zeta[1])
@@ -134,7 +131,7 @@ def test_radius_formulas_agree():
 
 
 def test_kepler_ode_by_finite_differences():
-    orb = KeplerOrbit.from_elements(1.7, 0.8, 0.45)
+    orb = KeplerOrbit(1.7, 0.8, 0.45)
     for t in np.linspace(0.1, orb.period, 7):
         z0 = kepler_state(orb, t)[0]
         # step scaled by the local dynamical time to control truncation
@@ -149,7 +146,7 @@ def test_kepler_ode_by_finite_differences():
 
 def test_kepler_sundman_identity():
     # I K - J^2 - C^2 = 0 identically for the planar Kepler motion
-    orb = KeplerOrbit.from_elements(1.0, 1.0, 0.3)
+    orb = KeplerOrbit(1.0, 1.0, 0.3)
     for t in np.linspace(0.0, orb.period, 13):
         zeta, zdot = kepler_state(orb, t)
         I = zeta @ zeta
@@ -232,9 +229,42 @@ def test_homographic_rejects_non_central():
         HomographicMotion(isosceles(SYS_EQ), SYS_EQ, e=0.3)
 
 
-def test_homographic_wrapper_returns_state():
-    z = homographic_motion(equilateral(SYS_EQ), SYS_EQ, e=0.2, t=0.7)
-    assert isinstance(z, State)
+def moved_to_residual(x, sys, residual, target):
+    """x moved along a fixed random direction until residual(x) is about
+    target: a residual off a zero grows linearly with the step."""
+    direction = np.random.default_rng(0).normal(size=x.r.shape)
+    probe = residual(Configuration(x.r + 1e-6 * direction, sys))
+    return Configuration(x.r + (1e-6 * target / probe) * direction, sys)
+
+
+@pytest.mark.parametrize("target, accepted", [(1e-9, True), (1e-7, False)])
+def test_one_tolerance_for_classify_and_the_motions(target, accepted):
+    # classify, HomographicMotion and relative_equilibrium share one
+    # tolerance, 1e-8: a residual of 1e-9 is central (balanced) to all
+    # three, one of 1e-7 to none
+    sys = MassSystem([1.0, 2.0, 3.0])
+    x = moved_to_residual(equilateral(sys), sys, lambda y: classify(y, sys).central_residual,
+                          target)
+    cls = classify(x, sys)
+    assert 0.5 * target < cls.central_residual < 2.0 * target
+    assert (cls.kind == "central") == accepted
+    if accepted:
+        assert HomographicMotion(x, sys, e=0.3).period > 0.0
+    else:
+        with pytest.raises(NotCentral):
+            HomographicMotion(x, sys, e=0.3)
+
+    # a balanced configuration of unequal masses, far from central
+    xb = moved_to_residual(find_balanced(sys, [0.7, 0.3], seed=0), sys,
+                           lambda y: classify(y, sys).balanced_residual, target)
+    cls = classify(xb, sys)
+    assert 0.5 * target < cls.balanced_residual < 2.0 * target and cls.central_residual > 1e-2
+    assert cls.kind == ("balanced" if accepted else "neither")
+    if accepted:
+        assert relative_equilibrium(xb, sys).x0.d == 4
+    else:
+        with pytest.raises(NotBalanced):
+            relative_equilibrium(xb, sys)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +386,7 @@ def test_generic_four_body_balanced_needs_six_dimensions():
     from nbodyred.configurations import find_balanced
 
     xb = find_balanced(sys, [0.5, 0.3, 0.2], seed=5)
-    re = relative_equilibrium(xb, sys, tol=1e-7)
+    re = relative_equilibrium(xb, sys)
     assert re.x0.d == 6
     assert len(set(round(f, 6) for f in re.frequencies)) == 3
     z0 = re.state(0.0)
