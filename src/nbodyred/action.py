@@ -9,7 +9,7 @@ the minimizer and of verify_loop alike, goes through Loop.at_nodes: one
 inverse real FFT gives positions, velocities (and accelerations), and one
 real FFT the cosine and sine sums of the gradient; with n_quad > 2K no mode
 aliases, so these are the rectangle-rule sums.  The trigonometric tables of
-Loop.positions serve arbitrary sample times only.
+Loop.at_times serve arbitrary sample times only.
 
 Symmetry classes (the antipodal "italian" constraint, the square/
 tetrahedron oscillation class of four bodies, a triangle-plus-axis variant)
@@ -25,7 +25,7 @@ coefficients by one matrix product per class.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -84,22 +84,21 @@ class Loop:
 
     # -- evaluation ---------------------------------------------------------
 
-    def positions(self, ts):
-        cos, sin = _trig(self.n_modes, self.T, np.asarray(ts, dtype=float))
-        return np.einsum("cik,qk->qci", self.cos_modes, cos) + \
-            np.einsum("cik,qk->qci", self.sin_modes, sin)
-
-    def velocities(self, ts):
+    def at_times(self, ts):
+        """Positions and velocities, (q, d, n) each, at the times ts, from
+        one table of cosines and sines."""
         cos, sin = _trig(self.n_modes, self.T, np.asarray(ts, dtype=float))
         kw = np.arange(self.n_modes + 1) * (2.0 * np.pi / self.T)
-        return np.einsum("cik,qk->qci", self.sin_modes * kw, cos) - \
-            np.einsum("cik,qk->qci", self.cos_modes * kw, sin)
+        return (np.einsum("cik,qk->qci", self.cos_modes, cos)
+                + np.einsum("cik,qk->qci", self.sin_modes, sin),
+                np.einsum("cik,qk->qci", self.sin_modes * kw, cos)
+                - np.einsum("cik,qk->qci", self.cos_modes * kw, sin))
 
     def at_nodes(self, n_quad, order=1):
         """The path and its time derivatives up to order at the n_quad
         equispaced nodes, (order + 1, q, d, n), by one inverse real FFT.
 
-        Equal to positions/velocities at loop.nodes(n_quad) up to rounding;
+        Equal to at_times(loop.nodes(n_quad)) up to rounding;
         n_quad must exceed 2 K, or the top modes would alias.
         """
         K = self.n_modes
@@ -115,7 +114,7 @@ class Loop:
 
     def sample(self, ts):
         """The loop at the times ts, as an absolute Trajectory."""
-        samples = np.stack([self.positions(ts), self.velocities(ts)], axis=1)
+        samples = np.stack(self.at_times(ts), axis=1)
         return Trajectory(ts, centred(samples, self.sys), "absolute",
                           {"integrator": "spectral", "tol": 0.0})
 
@@ -301,16 +300,15 @@ def hiphop_z3():
     ])
 
 
-def symmetry_by_label(label, n=4, d=3):
-    """The group of a label: the one shared instance of its factory.
-
-    "italian" acts on n bodies in R^d; the Hip-Hop classes ("z2z4" alias
-    "hiphop_Z2xZ4", "z3" alias "hiphop_Z3") are built for four bodies in R^3
-    whatever n and d are.  Aliases return the same object, built on first
-    use together with its cache of invariant blocks (see invariant_basis).
+def symmetry_by_label(label):
+    """The group of a label, on four bodies in R^3: the one shared instance
+    of its factory ("italian", "z2z4" alias "hiphop_Z2xZ4", "z3" alias
+    "hiphop_Z3").  Aliases return the same object, built on first use
+    together with its cache of invariant blocks (see invariant_basis);
+    italian(n, d) builds the antipodal class for other n and d.
     """
     if label == "italian":
-        return italian(n, d)
+        return italian(4, 3)
     if label in ("z2z4", "hiphop_Z2xZ4"):
         return hiphop_z2z4()
     if label in ("z3", "hiphop_Z3"):
@@ -401,7 +399,7 @@ class MinimizeOptions:
             raise ValidationError("gtol must be finite and positive")
 
 
-def minimize_action(seed_loop, sym, opts=None):
+def minimize_action(seed_loop, sym, opts):
     """Minimize the action over the symmetry class of the seed.
 
     optimize.quasi_newton on the invariant coordinates, one block Xi per
@@ -416,7 +414,6 @@ def minimize_action(seed_loop, sym, opts=None):
     step.  Logs one INFO line on the nbodyred logger: evaluations,
     iterations, restarts and the final |g|.
     """
-    opts = opts or MinimizeOptions()
     sys, K = seed_loop.sys, seed_loop.n_modes
     n_quad = max(256, 4 * K)
     blocks = invariant_basis(sym, sys, K)
@@ -503,10 +500,10 @@ class LoopReport:
     action: float
     eom_residual: float
     min_distance: float
-    symmetry_defect: float | None
-    square_events: list = field(default_factory=list)
-    tetra_events: list = field(default_factory=list)
-    planarity: float = 0.0   # rms distance to the best-fitting fixed plane
+    symmetry_defect: float
+    square_events: list
+    tetra_events: list
+    planarity: float   # rms distance to the best-fitting fixed plane
 
 
 def _local_minima_below(vals, tol):
@@ -547,15 +544,16 @@ def _square_tetra_events(ts, s, tol):
     return squares, tetras
 
 
-def verify_loop(loop, sym=None):
-    """Residual report for a loop.
+def verify_loop(loop, sym):
+    """Residual report for a loop and the symmetry class it should lie in.
 
     EOM residual compares the spectral second derivative with 2 x A at the
     max(256, 8 K) quadrature nodes (relative to the acceleration scale).
     One scan of max(2048, n_quad) nodes gives the planarity and, for four
     bodies, the square passages (local minima of the square shape distance
     below 1e-2) and each tetrahedral visit between consecutive squares, at
-    its closest approach.
+    its closest approach.  The symmetry defect is the largest coefficient
+    change under project_symmetry(loop, sym).
     """
     sys = loop.sys
     n_quad = max(256, 8 * loop.n_modes)
@@ -563,11 +561,9 @@ def verify_loop(loop, sym=None):
     eom = np.abs(acc - f / sys.m).max() / np.abs(acc).max()
     min_dist = float(np.sqrt(s.min()))
 
-    defect = None
-    if sym is not None:
-        proj = project_symmetry(loop, sym)
-        defect = float(max(np.abs(proj.cos_modes - loop.cos_modes).max(),
-                           np.abs(proj.sin_modes - loop.sin_modes).max()))
+    proj = project_symmetry(loop, sym)
+    defect = float(max(np.abs(proj.cos_modes - loop.cos_modes).max(),
+                       np.abs(proj.sin_modes - loop.sin_modes).max()))
 
     n_scan = max(2048, n_quad)
     xs = loop.at_nodes(n_scan, 0)[0]

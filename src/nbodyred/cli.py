@@ -54,7 +54,7 @@ def _need_configuration(path):
 # subcommands
 
 
-def _cmd_simulate(args, config, suffix=""):
+def _cmd_simulate(args, config, suffix):
     """simulate writes trajectory.csv and audit.json, audit only audit.json."""
     sys, z0 = _need_state(config)
     traj = integrate_absolute(z0, sys, args.horizon, tol=args.tol,
@@ -69,7 +69,7 @@ def _cmd_simulate(args, config, suffix=""):
     return 0
 
 
-def _cmd_reduce(args, config, suffix=""):
+def _cmd_reduce(args, config, suffix):
     sys, z0 = _need_state(config)
     rel0 = RelativeState.from_state(z0)
     traj = integrate_reduced(rel0, sys, args.horizon, tol=args.tol,
@@ -85,7 +85,7 @@ def _masses(text):
     return m
 
 
-def _cmd_find(args, config=None, suffix=""):
+def _cmd_find(args):
     """find-central writes central.json, find-balanced balanced.json."""
     sys = MassSystem(_masses(args.masses), G=args.G, kappa=args.kappa)
     head = {"masses": list(sys.m), "G": sys.G, "kappa": sys.kappa}
@@ -96,23 +96,23 @@ def _cmd_find(args, config=None, suffix=""):
         x = find_balanced(sys, head["spectrum"], seed=args.seed)
     cls = classify(x, sys)
     multiplier = {"multiplier": cls.multiplier} if args.command == "find-central" else {}
-    serialize.write_json(_outpath(args, args.command.removeprefix("find-") + ".json", suffix), {
+    serialize.write_json(_outpath(args, args.command.removeprefix("find-") + ".json"), {
         **head, "positions": x.r.tolist(), "kind": cls.kind, **multiplier,
         "central_residual": cls.central_residual, "balanced_residual": cls.balanced_residual})
     return 0
 
 
-def _cmd_kepler(args, config=None, suffix=""):
+def _cmd_kepler(args):
     orbit = KeplerOrbit(args.k, args.a, args.e)
     ts = _sample_times(orbit.period, args.samples)
     zeta, zdot = kepler_state(orbit, ts)
-    serialize.write_csv(_outpath(args, "kepler.csv", suffix),
+    serialize.write_csv(_outpath(args, "kepler.csv"),
                         ["t[time]", "xi[length]", "eta[length]", "xidot[length/time]",
                          "etadot[length/time]"], np.column_stack([ts, zeta.T, zdot.T]))
     return 0
 
 
-def _cmd_homographic(args, config, suffix=""):
+def _cmd_homographic(args, config, suffix):
     sys, x0 = _need_configuration(config)
     motion = HomographicMotion(x0, sys, e=args.e, scale=args.scale)
     traj = motion.sample(_sample_times(motion.period, args.samples))
@@ -120,7 +120,7 @@ def _cmd_homographic(args, config, suffix=""):
     return 0
 
 
-def _cmd_relequil(args, config, suffix=""):
+def _cmd_relequil(args, config, suffix):
     sys, x0 = _need_configuration(config)
     re = relative_equilibrium(x0, sys)
     if args.samples:
@@ -136,7 +136,7 @@ def _cmd_relequil(args, config, suffix=""):
     return 0
 
 
-def _cmd_hiphop(args, config=None, suffix=""):
+def _cmd_hiphop(args):
     ts = _sample_times(args.period, args.samples)
     sys = MassSystem([args.mass] * 4, G=args.G)
     sym = symmetry_by_label(args.symmetry)
@@ -146,14 +146,14 @@ def _cmd_hiphop(args, config=None, suffix=""):
     loop = minimize_action(seed_loop, sym, opts)
     report = verify_loop(loop, sym=sym)
     traj = loop.sample(ts)
-    serialize.write_json(_outpath(args, "loop.json", suffix),
+    serialize.write_json(_outpath(args, "loop.json"),
                          serialize.loop_to_dict(loop))
-    serialize.write_json(_outpath(args, "hiphop_report.json", suffix), vars(report))
-    serialize.trajectory_to_csv(_outpath(args, "hiphop.csv", suffix), traj)
+    serialize.write_json(_outpath(args, "hiphop_report.json"), vars(report))
+    serialize.trajectory_to_csv(_outpath(args, "hiphop.csv"), traj)
     return 0
 
 
-def _cmd_shape_sphere(args, config, suffix=""):
+def _cmd_shape_sphere(args, config, suffix):
     if not 0.0 <= args.horizon < np.inf:   # written so that NaN fails it
         raise ValidationError("--horizon must be finite and nonnegative (0: configuration only)")
     sys, z = serialize.load_scenario(config)

@@ -34,7 +34,6 @@ from .geometry import (
     pair_forces,
     potential_and_gradient,
     potential_from_s,
-    wintner_conley,
 )
 from .optimize import quasi_newton
 
@@ -58,9 +57,10 @@ def _residuals(x, sys):
     are scale-free: the gradient enters as grad U / U, and A and B are each
     divided by their largest entry, so no square overflows or underflows
     whatever G and the size are.  Forces that underflow to 0 give NaN."""
-    U, grad = potential_and_gradient(x, sys)
+    s, grad = pair_forces(x.r, sys, scatter=sys.DMinv)
+    U = float(potential_from_s(s, sys))
     I, B, _ = inertia(x, sys)
-    A = wintner_conley(x, sys)
+    A = interaction_matrix_from_s(s, sys)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = grad / U
         c = a - (2.0 * sys.kappa / I) * x.r
@@ -249,18 +249,6 @@ class BalancedResiduals:
     commutator_residual: float
 
 
-def _as_s_array(s, n):
-    if isinstance(s, dict):
-        arr = np.zeros((n, n))
-        for (i, j), v in s.items():
-            arr[i, j] = arr[j, i] = float(v)
-        return arr
-    arr = np.asarray(s, dtype=float)
-    if arr.shape != (n, n):
-        raise ValidationError(f"expected an {n} x {n} distance-squared table")
-    return 0.5 * (arr + arr.T)
-
-
 def p_matrix(s, du, m):
     """P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj from the tables s
     and du = dU/ds (its diagonal cancels)."""
@@ -289,7 +277,8 @@ def _y_det(s, du, m, i, j, k, l):
 
 
 def balanced_residuals_pijk(s, sys):
-    """Evaluate the balance equations P_ijk = 0 from squared distances.
+    """Evaluate the balance equations P_ijk = 0 from the n x n table s of
+    squared distances (its symmetric part is used).
 
     P_ijk comes from the antisymmetric part of beta A; it decomposes as
     -1/2 nabla_ijk + 1/2 sum_l Y^l_ijk, the first column of Y^l_ijk being
@@ -300,7 +289,10 @@ def balanced_residuals_pijk(s, sys):
     -EMBED_TOL of the largest.
     """
     n = sys.n
-    s = _as_s_array(s, n)
+    s = np.asarray(s, dtype=float)
+    if s.shape != (n, n):
+        raise ValidationError(f"expected an {n} x {n} distance-squared table")
+    s = 0.5 * (s + s.T)
     if np.any(s[~np.eye(n, dtype=bool)] <= 0.0):
         raise ValidationError("off-diagonal squared distances must be positive")
 
@@ -337,17 +329,17 @@ def balanced_residuals_pijk(s, sys):
 # shape sphere
 
 
-def shape_sphere(x, sys):
+def shape_sphere(r, sys):
     """Map planar 3-body configurations to the shape sphere.
 
-    x is a Configuration or a (..., 2, 3) array of mass-centred positions.
+    r is a (..., 2, 3) array of mass-centred positions.
     Mass-weighted Jacobi coordinates (z1, z2) feed the Hopf-type map
     w = (|z1|^2 - |z2|^2, 2 Re(conj(z1) z2), 2 Im(conj(z1) z2)); then
     |w| = I and w/I is a rotation-invariant point of S^2 whose equator
     carries the collinear shapes (w3 is proportional to the oriented area).
     Returns (w/I, I), of shapes (..., 3) and (...).
     """
-    r = np.asarray(x.r if isinstance(x, Configuration) else x, dtype=float)
+    r = np.asarray(r, dtype=float)
     if r.shape[-2:] != (2, 3):
         raise ValidationError("shape sphere requires 3 bodies in the plane")
     m1, m2, m3 = sys.m

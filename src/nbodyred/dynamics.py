@@ -31,8 +31,8 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
+from . import geometry
 from .geometry import (
-    COLLISION_FLOOR,
     RelativeState,
     Trajectory,
     angular_momentum,
@@ -40,11 +40,11 @@ from .geometry import (
     beta_to_distances,
     bivector_component,
     centred,
+    check_collision_floor,
     hermitian_from_bivector,
     hyperplane_basis,
     mass_dot,
     matrix_rank,
-    pair_forces,
     pair_kernel,
     potential_from_s,
     reduced_tables,
@@ -86,15 +86,19 @@ def _budget_exhausted(t):
                        f"exhausted at t = {t:.6g}")
 
 
-def _drive(rhs, u0, ts, tol, min_distance, collision_floor, last):
+def _drive(rhs, u0, ts, tol, min_distance, last):
     """DOP853 states at the times ts, one row per sample, and the work counts
     (rhs_evals, accepted_steps, rejected_steps); last = [t, min distance] at
     t0 and every accepted step, read by rhs when its budget runs out.
 
     Raises CollisionError when min_distance(u) falls below twice the collision
-    floor, or when a step stalls with the minimal distance at the last accepted
-    step below max(1e3 floor, 1e-6 initial); any other stall is a StepFailure.
+    floor (geometry.COLLISION_FLOOR, read here as in pair_kernel, so that one
+    name sets both), or when a step stalls with the minimal distance at the
+    last accepted step below max(1e3 floor, 1e-6 initial); any other stall is
+    a StepFailure.
     """
+    collision_floor = geometry.COLLISION_FLOOR
+
     def too_close(t, u):
         last[:] = t, min_distance(u)
         return last[1] - 2.0 * collision_floor
@@ -119,8 +123,7 @@ def _drive(rhs, u0, ts, tol, min_distance, collision_floor, last):
 # absolute integration
 
 
-def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
-                       dt=None, collision_floor=COLLISION_FLOOR):
+def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513, dt=None):
     """Integrate x_dot = y, y_dot = 2 x A over [0, horizon].
 
     method "rk8" uses the adaptive 8(5,3) Runge-Kutta pair with relative and
@@ -140,7 +143,7 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
 
     if method == "rk8":
         u0 = np.concatenate([z0.x.r.ravel(), z0.y.r.ravel()])
-        accelerations = pair_kernel(sys, collision_floor)[1]
+        accelerations = pair_kernel(sys)[1]
         seen = [None, None]   # the state rhs last saw and its squared distances
         last, ticks = [0.0, np.inf], iter(range(MAX_RHS_EVALS))   # one tick per evaluation
 
@@ -158,12 +161,12 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
             s = seen[1] if u is seen[0] else squared_distances(u[:dn].reshape(d, n), sys)
             return float(np.sqrt(s.min()))
 
-        us, work = _drive(rhs, u0, ts, tol, min_distance, collision_floor, last)
+        us, work = _drive(rhs, u0, ts, tol, min_distance, last)
     elif method == "leapfrog":
         dt = horizon / 8192.0 if dt is None else dt
         if not 0.0 < dt < np.inf:   # written so that NaN fails it
             raise ValidationError("leapfrog dt must be finite and positive")
-        us, work = _leapfrog(z0, sys, ts, dt, collision_floor)
+        us, work = _leapfrog(z0, sys, ts, dt)
     else:
         raise ValidationError(f"unknown integrator {method!r}")
 
@@ -171,7 +174,7 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
                       {"integrator": method, "tol": tol, **work})
 
 
-def _leapfrog(z0, sys, ts, dt, collision_floor):
+def _leapfrog(z0, sys, ts, dt):
     """Fixed-step kick-drift-kick between the requested sample times; the
     states and the number of acceleration evaluations (as rhs_evals).
 
@@ -188,7 +191,7 @@ def _leapfrog(z0, sys, ts, dt, collision_floor):
     step fails on an encounter, as into a collapse), StepFailure when it
     fails on the motion as a whole, or when the samples are too far apart
     to catch the run before it has passed the encounter."""
-    accelerations = pair_kernel(sys, collision_floor)[1]
+    accelerations = pair_kernel(sys)[1]
     m, M = sys.m, sys.M
     x = z0.x.r.copy()
     v = z0.y.r.copy()
@@ -290,12 +293,12 @@ class _GramTable:
     def min_distance(self, u):
         return float(np.sqrt(max((self.WW @ u[self.b]).min(), 0.0)))
 
-    def rhs(self, collision_floor, last):
+    def rhs(self, last):
         """rhs(t, u), the packed X + X^T with X = G L, its index maps bound;
         raises CollisionError below the collision floor or the rounding floor
         of the table, StepFailure (at time last[0]) after MAX_RHS_EVALS calls."""
         k, kk, (upper0, upper1), left_of = self.k, self.k ** 2, self.upper, self.left
-        pair_c, cf2 = pair_kernel(self.sys, collision_floor)[0], collision_floor * collision_floor
+        pair_c, cf2 = pair_kernel(self.sys)[0], geometry.COLLISION_FLOOR * geometry.COLLISION_FLOOR
         ticks, z = iter(range(MAX_RHS_EVALS)), np.empty(k * (2 * k + 1) + 2 * kk)
         z_u, Y = z[:-2 * kk], z[-2 * kk:].reshape(2 * k, k)   # z = (u, Y.ravel()) as above
 
@@ -331,18 +334,16 @@ def reduced_rhs(tables, sys):
     rho_dot = A^T beta - beta A.
     """
     gram = _GramTable(sys)
-    return gram.unpack(gram.rhs(COLLISION_FLOOR, [0.0])(0.0, gram.pack(RelativeState(*tables))))
+    return gram.unpack(gram.rhs([0.0])(0.0, gram.pack(RelativeState(*tables))))
 
 
-def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513,
-                      collision_floor=COLLISION_FLOOR):
+def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513):
     """Integrate the reduced system on the packed Gram table; same contract
     as integrate_absolute, with double-centred (beta, gamma, delta, rho)
     samples."""
     ts = _sample_times(horizon, samples, tol)
     gram, last = _GramTable(sys), [0.0, np.inf]
-    us, work = _drive(gram.rhs(collision_floor, last), gram.pack(rel0), ts, tol,
-                      gram.min_distance, collision_floor, last)
+    us, work = _drive(gram.rhs(last), gram.pack(rel0), ts, tol, gram.min_distance, last)
     return Trajectory(ts, gram.unpack(us), "reduced", {"integrator": "rk8", "tol": tol, **work})
 
 
@@ -357,7 +358,9 @@ def _invariants(x, y, sys):
     I = np.einsum("i,...ci,...ci->...", sys.m, x, x)
     J = np.einsum("i,...ci,...ci->...", sys.m, x, y)
     K = np.einsum("i,...ci,...ci->...", sys.m, y, y)
-    U = potential_from_s(pair_forces(x, sys)[0], sys)   # the kernel checks the floor
+    s = squared_distances(x, sys)
+    check_collision_floor(s, geometry.COLLISION_FLOOR * geometry.COLLISION_FLOOR)
+    U = potential_from_s(s, sys)
     C = angular_momentum_tables(x, y, sys)
     normC = np.linalg.svd(C, compute_uv=False).sum(axis=-1) / 2.0
     return I, J, K, U, 0.5 * K - U, C, normC

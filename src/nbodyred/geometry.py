@@ -14,10 +14,10 @@ from the same c.  The per-system constants live on MassSystem: the pair
 factor 2 m_i m_j G kappa (c_p = pair_factor s_p^(kappa-1)), and, built on
 first use beside D, a contiguous D^T and the acceleration scatter D M^{-1}.
 `pair_forces` takes (..., d, n) stacks, `pair_kernel` binds the constants
-once per run of an integrator; `pair_coefficients` words their collisions.
+once per run of an integrator; `check_collision_floor` words their collisions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,13 +108,9 @@ class MassSystem:
         """Pair potential profile Phi(s) = G s^kappa (s = squared distance)."""
         return self.G * np.power(s, self.kappa)
 
-    def dphi(self, s, scale=None):
-        """scale s^(kappa-1), by default Phi'(s) = G kappa s^(kappa-1); scale /
-        (s sqrt s) when kappa = -1/2."""
-        scale = self.G * self.kappa if scale is None else scale
-        if self.kappa == -0.5:
-            return scale / (s * np.sqrt(s))
-        return scale * np.power(s, self.kappa - 1.0)
+    def dphi(self, s):
+        """Derivative Phi'(s) = G kappa s^(kappa-1) of the profile."""
+        return self.G * self.kappa * np.power(s, self.kappa - 1.0)
 
     def __repr__(self):
         return f"MassSystem(n={self.n}, G={self.G}, kappa={self.kappa})"
@@ -240,7 +236,7 @@ class Trajectory:
     times: np.ndarray
     samples: np.ndarray
     kind: str
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -273,10 +269,6 @@ class Bivector:
             raise ValidationError("bivector table must be square")
         self.c = _readonly(exact_antisymmetric(c))
         self.d = c.shape[0]
-
-    @classmethod
-    def zero(cls, d):
-        return cls(np.zeros((d, d)))
 
     def __repr__(self):
         return f"Bivector(d={self.d})"
@@ -383,29 +375,37 @@ def elementary_symmetric(values, kmax):
 # interaction matrix and potential
 
 
-def pair_coefficients(s, sys, floor2=COLLISION_FLOOR**2):
-    """c_p = 2 m_i m_j Phi'(s_p) of (..., P) squared distances, so that
-    dU/dr_i = sum_j c_ij (r_i - r_j) and 2 A M = D^T diag(c) D; raises
-    CollisionError when some s_p is below the squared floor floor2 (one
-    value, or one per pair); `pair_kernel` compares first and calls it then."""
+def check_collision_floor(s, floor2):
+    """Raise CollisionError when some of the (..., P) squared distances s is
+    below the squared floor floor2 (one value, or one per pair)."""
     if np.count_nonzero(s < floor2):
         rmin = float(np.sqrt(max(s.min(), 0.0)))
         raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
-    return sys.dphi(s, sys.pair_factor)
 
 
-def pair_kernel(sys, collision_floor=COLLISION_FLOOR):
-    """(c, accelerations) of one run, its constants and the kappa branch of
-    Phi' bound once: c(s, floor2) of (P,) squared distances and squared
-    floors, and accelerations(r, out), which writes (r D^T * c) D M^{-1} of
-    d x n coordinates r to out and returns their s.  The products are
-    ndarray.dot calls: @ to the bit, and cheaper at few bodies."""
+def pair_coefficients(s, sys, floor2):
+    """c_p = 2 m_i m_j Phi'(s_p) of (..., P) squared distances, so that
+    dU/dr_i = sum_j c_ij (r_i - r_j) and 2 A M = D^T diag(c) D; raises
+    CollisionError below the squared floor floor2 (check_collision_floor)."""
+    check_collision_floor(s, floor2)
+    if sys.kappa == -0.5:
+        return sys.pair_factor / (s * np.sqrt(s))
+    return sys.pair_factor * np.power(s, sys.kappa - 1.0)
+
+
+def pair_kernel(sys):
+    """(c, accelerations) of one run, its constants, the kappa branch of
+    Phi' and the squared COLLISION_FLOOR (read when it is called) bound once:
+    c(s, floor2) of (P,) squared distances and squared floors, and
+    accelerations(r, out), which writes (r D^T * c) D M^{-1} of d x n
+    coordinates r to out and returns their s.  The products are ndarray.dot
+    calls: @ to the bit, and cheaper at few bodies."""
     DT, DMinv, factor, newton = sys.DT, sys.DMinv, sys.pair_factor, sys.kappa == -0.5
-    power, squared_floor = sys.kappa - 1.0, np.full(factor.size, collision_floor * collision_floor)
+    power, squared_floor = sys.kappa - 1.0, np.full(factor.size, COLLISION_FLOOR * COLLISION_FLOOR)
 
     def c(s, floor2=squared_floor):
         if np.count_nonzero(s < floor2):
-            pair_coefficients(s, sys, floor2)   # raises
+            check_collision_floor(s, floor2)   # raises
         return factor / (s * np.sqrt(s)) if newton else factor * np.power(s, power)
 
     def accelerations(r, out):
@@ -425,11 +425,6 @@ def pair_forces(r, sys, collision_floor=COLLISION_FLOOR, scatter=None):
     s = np.add.reduce(diff * diff, axis=-2)   # sum() would add a Python layer
     c = pair_coefficients(s, sys, collision_floor * collision_floor)
     return s, _rows_product(diff * c[..., None, :], sys.D if scatter is None else scatter)
-
-
-def pair_accelerations(r, sys):
-    """Accelerations 2 x A of (..., d, n) coordinates: pair_forces with the D M^{-1} scatter."""
-    return pair_forces(r, sys, scatter=sys.DMinv)[1]
 
 
 def potential_from_s(s, sys):
@@ -540,15 +535,13 @@ def inertia_operator_apply(Omega, x, sys):
     return Bivector(S @ Omega.c + Omega.c @ S)
 
 
-def rotation_invariants(C, kmax=None):
+def rotation_invariants(C, kmax):
     """Traces of the even iterates of the angular-momentum endomorphism.
 
-    Returns [trace(C^2), trace(C^4), ...] (odd traces vanish); fixing these
-    fixes the rotation invariants of C, i.e. the frequency multiset:
-    trace(C^(2k)) = 2 sum_i (-omega_i^2)^k.
+    Returns [trace(C^2), ..., trace(C^(2 kmax))] (odd traces vanish); the
+    first d // 2 fix the rotation invariants of C, i.e. the frequency
+    multiset: trace(C^(2k)) = 2 sum_i (-omega_i^2)^k.
     """
-    if kmax is None:
-        kmax = C.d // 2
     c2 = C.c @ C.c
     out = []
     power = np.eye(C.d)

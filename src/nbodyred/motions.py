@@ -69,13 +69,12 @@ def kepler_anomaly(e, l):
     Newton iteration from the starter l + e sin(l)/(1 - sin(l+e) + sin(l)),
     with bisection fallback where 1 - e cos(u) is small or KEPLER_NEWTON
     steps leave a residual above KEPLER_TOL; continuous and monotone in l
-    (whole turns are peeled off and restored).
+    (whole turns are peeled off and restored).  l is an array of mean
+    anomalies; u has its shape.
     """
     if not 0.0 <= e < 1.0:
         raise ValidationError("elliptic branch requires 0 <= e < 1")
     l = np.asarray(l, dtype=float)
-    scalar = l.ndim == 0
-    l = np.atleast_1d(l)
 
     turns = np.floor((l + np.pi) / (2.0 * np.pi))
     lw = l - 2.0 * np.pi * turns  # in [-pi, pi)
@@ -105,27 +104,22 @@ def kepler_anomaly(e, l):
             lo = np.where(fmid < 0.0, mid, lo)
         u = np.where(need, 0.5 * (lo + hi), u)
 
-    out = u + 2.0 * np.pi * turns
-    return float(out[0]) if scalar else out
+    return u + 2.0 * np.pi * turns
 
 
 def kepler_state(orbit, t):
-    """Position and velocity of the Kepler motion at time(s) t.
+    """Position and velocity of the Kepler motion at the times of the array
+    t, each of shape (2,) + t.shape.
 
     xi = k a (cos u - e), eta = k a sqrt(1 - e^2) sin u, with u from the
     mean anomaly l = t / (k a^{3/2}).
     """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
     k, a, e = orbit.k, orbit.a, orbit.e
-    l = np.atleast_1d(t) / (k * a**1.5)
-    u = np.atleast_1d(kepler_anomaly(e, l))
+    u = kepler_anomaly(e, np.asarray(t, dtype=float) / (k * a**1.5))
     r = k * a * (1.0 - e * np.cos(u))
     se = np.sqrt(1.0 - e * e)
     zeta = np.stack([k * a * (np.cos(u) - e), k * a * se * np.sin(u)])
     zdot = (k * np.sqrt(a) / r) * np.stack([-np.sin(u), se * np.cos(u)])
-    if scalar:
-        return zeta[:, 0], zdot[:, 0]
     return zeta, zdot
 
 
@@ -185,7 +179,6 @@ class HomographicMotion:
         self.x0 = Configuration(X0, sys)
         self.quarter_turn = J
         U0, _ = potential_and_gradient(Configuration(xhat, sys), sys)
-        self.k = U0
         self.orbit = KeplerOrbit(U0, scale / U0, e)
 
     @property
@@ -213,9 +206,9 @@ class RelativeEquilibrium:
     x0: Configuration          # balanced configuration embedded in 2 rank(beta) dims
     Omega: Bivector            # the fixed rotation, z_dot = Omega z
     frequencies: list          # omega_i, descending
-    _coeff: np.ndarray = field(repr=False, default=None)   # mode rows (dual basis)
-    _amp: np.ndarray = field(repr=False, default=None)     # sqrt(b_i)
-    _sys: object = field(repr=False, default=None)
+    _coeff: np.ndarray = field(repr=False)   # mode rows (dual basis)
+    _amp: np.ndarray = field(repr=False)     # sqrt(b_i)
+    _sys: object = field(repr=False)
 
     def sample(self, ts):
         """The motion at the times ts, plane i rotating at omega_i."""
@@ -302,6 +295,5 @@ def relative_equilibrium(x0, sys):
     x0_emb = np.zeros((2 * r, sys.n))
     x0_emb[0::2] = amp[:, None] * coeff      # phase 0: each plane on its first axis
     return RelativeEquilibrium(Configuration(x0_emb, sys), Bivector(om_table),
-                               [float(w) for w in omega],
-                               _coeff=coeff, _amp=amp, _sys=sys)
+                               [float(w) for w in omega], coeff, amp, sys)
 

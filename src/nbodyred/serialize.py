@@ -67,20 +67,38 @@ def write_json(path, obj):
 # scenarios (mass system + state)
 
 
+def _number(data, key, default):
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"scenario field {key!r} must be a number")
+    return value
+
+
+def _floats(data, key):
+    value = data[key]
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):   # a string, object or ragged row inside
+            pass
+    raise ValidationError(f"scenario field {key!r} must be an array of numbers")
+
+
 def scenario_from_dict(data):
-    """(MassSystem, State or Configuration or None) from a scenario mapping."""
+    """(MassSystem, State or Configuration or None) from a scenario mapping;
+    a missing "masses" or a field of the wrong JSON type is a ValidationError
+    naming the field."""
     if not isinstance(data, dict):
         raise ValidationError("scenario must be a JSON object")
-    for key in ("masses",):
-        if key not in data:
-            raise ValidationError(f"scenario is missing {key!r}")
-    sys = MassSystem(data["masses"], G=data.get("G", 1.0), kappa=data.get("kappa", -0.5))
+    if "masses" not in data:
+        raise ValidationError("scenario is missing 'masses'")
+    sys = MassSystem(_floats(data, "masses"), G=_number(data, "G", 1.0),
+                     kappa=_number(data, "kappa", -0.5))
     if "positions" not in data:
         return sys, None
-    x = Configuration(np.asarray(data["positions"], dtype=float), sys)
+    x = Configuration(_floats(data, "positions"), sys)
     if "velocities" in data:
-        y = Configuration(np.asarray(data["velocities"], dtype=float), sys)
-        return sys, State(x, y)
+        return sys, State(x, Configuration(_floats(data, "velocities"), sys))
     return sys, x
 
 

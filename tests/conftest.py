@@ -35,6 +35,11 @@ def squared_distance_table(r):
     return np.einsum("...cij,...cij->...ij", diff, diff)
 
 
+def triangle_table(s12, s13, s23):
+    """The 3 x 3 squared-distance table of a triangle."""
+    return np.array([[0.0, s12, s13], [s12, 0.0, s23], [s13, s23, 0.0]])
+
+
 def dphi_oracle(s, sys):
     """Phi'(s) = G kappa s^(kappa - 1) by the power law, for every kappa."""
     return sys.G * sys.kappa * s ** (sys.kappa - 1.0)

@@ -16,6 +16,7 @@ from conftest import (
     random_state,
     squared_distance_table,
     tame_scenario,
+    triangle_table,
 )
 from nbodyred.geometry import (
     Configuration,
@@ -264,14 +265,14 @@ def test_criterion_7_balanced_configurations():
     sweep = np.linspace(0.6, 2.2, 100)
     p_vals, c_vals = [], []
     for s23 in sweep:
-        res = balanced_residuals_pijk({(0, 1): s12, (0, 2): s13, (1, 2): s23}, sys)
+        res = balanced_residuals_pijk(triangle_table(s12, s13, s23), sys)
         p_vals.append(res.P[(0, 1, 2)])
         c_vals.append(res.commutator_residual)
     p_vals, c_vals = np.array(p_vals), np.array(c_vals)
 
     def p_at(s23):
         return balanced_residuals_pijk(
-            {(0, 1): s12, (0, 2): s13, (1, 2): s23}, sys).P[(0, 1, 2)]
+            triangle_table(s12, s13, s23), sys).P[(0, 1, 2)]
 
     roots = [brentq(p_at, a, b, xtol=1e-13)
              for a, b, va, vb in zip(sweep[:-1], sweep[1:], p_vals[:-1], p_vals[1:])
@@ -281,7 +282,7 @@ def test_criterion_7_balanced_configurations():
     # the commutator residual vanishes at the same loci and only there
     comm_at_roots = max(
         balanced_residuals_pijk(
-            {(0, 1): s12, (0, 2): s13, (1, 2): r}, sys).commutator_residual
+            triangle_table(s12, s13, r), sys).commutator_residual
         for r in roots)
     away = np.abs(sweep[:, None] - np.array(iso_loci)[None, :]).min(axis=1) > 0.05
     comm_floor_away = c_vals[away].min()

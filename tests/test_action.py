@@ -53,7 +53,7 @@ def test_loop_centroid_and_sin0():
     rng = np.random.default_rng(0)
     loop = random_loop(rng, SYS4)
     assert np.abs(loop.sin_modes[:, :, 0]).max() == 0.0
-    x = loop.positions(loop.nodes(17))
+    x = loop.at_times(loop.nodes(17))[0]
     assert np.abs(np.einsum("qci,i->qc", x, SYS4.m)).max() < 1e-12
 
 
@@ -62,8 +62,8 @@ def test_loop_velocity_consistent_with_positions():
     loop = random_loop(rng, SYS4)
     h = 1e-6
     for t in (0.3, 2.1):
-        fd = (loop.positions([t + h])[0] - loop.positions([t - h])[0]) / (2 * h)
-        assert np.abs(fd - loop.velocities([t])[0]).max() < 1e-7
+        fd = (loop.at_times([t + h])[0][0] - loop.at_times([t - h])[0][0]) / (2 * h)
+        assert np.abs(fd - loop.at_times([t])[1][0]).max() < 1e-7
 
 
 def test_loop_collision_at_node_raises():
@@ -86,7 +86,7 @@ def test_node_values_match_trig_path():
         acc = -np.einsum("cik,qk->qci", loop.cos_modes * kw2, cos) - \
             np.einsum("cik,qk->qci", loop.sin_modes * kw2, sin)
         x, v, a = loop.at_nodes(n_quad, order=2)
-        for got, ref in ((x, loop.positions(ts)), (v, loop.velocities(ts)), (a, acc)):
+        for got, ref in ((x, loop.at_times(ts)[0]), (v, loop.at_times(ts)[1]), (a, acc)):
             assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()
     assert loop.at_nodes(64).shape == (2, 64, 3, 4)
 
@@ -139,8 +139,7 @@ def test_action_scaling_identity():
     n_quad = 256
     ts = loop.nodes(n_quad)
     w = loop.T / n_quad
-    v = loop.velocities(ts)
-    x = loop.positions(ts)
+    x, v = loop.at_times(ts)
     K = np.einsum("i,qci,qci->q", SYS4.m, v, v)
     diff = x[:, :, :, None] - x[:, :, None, :]
     s = np.einsum("qcij,qcij->qij", diff, diff)
@@ -157,7 +156,7 @@ def test_circular_two_body_loop_is_critical():
     loop = circular_two_body_loop(T, SYS2, 8)
     S, g = action_value_and_gradient(loop)
     assert np.linalg.norm(g) < 1e-8
-    rep = verify_loop(loop)
+    rep = verify_loop(loop, italian(2, 2))
     assert rep.eom_residual < 1e-8
 
 
@@ -204,7 +203,7 @@ def test_italian_projection_kills_even_harmonics():
     assert np.allclose(proj.cos_modes[:, :, 1::2], loop.cos_modes[:, :, 1::2], atol=1e-15)
     # invariance of the path: x(t + T/2) = -x(t)
     ts = np.linspace(0.0, T / 2, 9)
-    assert np.abs(proj.positions(ts + T / 2) + proj.positions(ts)).max() < 1e-12
+    assert np.abs(proj.at_times(ts + T / 2)[0] + proj.at_times(ts)[0]).max() < 1e-12
 
 
 def test_projection_idempotent():
@@ -234,7 +233,7 @@ def test_z2z4_forces_square_projection_always():
                  seed.sin_modes + 0.05 * rng.normal(size=seed.sin_modes.shape), SYS4)
     proj = project_symmetry(noisy, hiphop_z2z4())
     for t in np.linspace(0.0, T, 17):
-        x = proj.positions([t])[0]
+        x = proj.at_times([t])[0][0]
         h = x[0] + 1j * x[1]
         z = x[2]
         assert abs(h[1] - 1j * h[0]) < 1e-13
@@ -274,7 +273,7 @@ def test_invariant_basis_matches_dense_projector(sym, sys):
 
 
 def test_symmetry_by_label():
-    assert symmetry_by_label("italian", 3, 2).order == 2
+    assert symmetry_by_label("italian").order == 2
     assert symmetry_by_label("z2z4").label == "hiphop_Z2xZ4"
     with pytest.raises(ValidationError):
         symmetry_by_label("nope")
@@ -306,9 +305,9 @@ def test_groups_and_cached_blocks_are_read_only():
 
 def test_labels_share_one_group_per_process():
     assert symmetry_by_label("z2z4") is symmetry_by_label("hiphop_Z2xZ4")
-    assert symmetry_by_label("z3") is symmetry_by_label("hiphop_Z3", 4, 3)
-    assert symmetry_by_label("italian", 4, 3) is symmetry_by_label("italian")
-    assert symmetry_by_label("italian", 3, 2) is not symmetry_by_label("italian")
+    assert symmetry_by_label("z3") is symmetry_by_label("hiphop_Z3")
+    assert italian(4, 3) is symmetry_by_label("italian")
+    assert italian(3, 2) is not symmetry_by_label("italian")
     # the factories return the same shared groups
     assert hiphop_z2z4() is symmetry_by_label("z2z4")
 
@@ -355,11 +354,11 @@ def test_two_body_italian_minimizer_is_circular():
     S_out, _ = action_value_and_gradient(out)
     S_exact, _ = action_value_and_gradient(exact)
     assert S_out == pytest.approx(S_exact, rel=1e-10)
-    rep = verify_loop(out)
+    rep = verify_loop(out, italian(2, 2))
     assert rep.eom_residual < 1e-6
     # Kepler oracle: circular radius of the relative orbit
     orbit_r = (SYS2.G * SYS2.M / (2 * np.pi / T) ** 2) ** (1.0 / 3.0)
-    x = out.positions(out.nodes(64))
+    x = out.at_times(out.nodes(64))[0]
     rel = np.hypot(x[:, 0, 0] - x[:, 0, 1], x[:, 1, 0] - x[:, 1, 1])
     assert np.abs(rel - orbit_r).max() < 1e-6
 
@@ -375,7 +374,7 @@ def test_planar_square_italian_minimizer_is_square_re():
     S_out, _ = action_value_and_gradient(out)
     S_sq, _ = action_value_and_gradient(planar)
     assert S_out <= S_sq + 1e-8 * S_sq
-    rep = verify_loop(out)
+    rep = verify_loop(out, italian(4, 2))
     assert rep.eom_residual < 1e-5
 
 
@@ -391,9 +390,9 @@ def test_minimizer_stays_in_symmetry_class():
 
 
 def test_verify_exact_solution():
-    rep = verify_loop(circular_two_body_loop(T, SYS2, 8))
+    rep = verify_loop(circular_two_body_loop(T, SYS2, 8), italian(2, 2))
     assert rep.eom_residual < 1e-8
-    assert rep.symmetry_defect is None
+    assert rep.symmetry_defect < 1e-12
 
 
 def test_verify_residual_grows_with_perturbation():
@@ -403,7 +402,7 @@ def test_verify_residual_grows_with_perturbation():
     for eps in (1e-6, 1e-4, 1e-2):
         noisy = Loop(T, base.cos_modes + eps * rng.normal(size=base.cos_modes.shape),
                      base.sin_modes + eps * rng.normal(size=base.sin_modes.shape), SYS2)
-        resids.append(verify_loop(noisy).eom_residual)
+        resids.append(verify_loop(noisy, italian(2, 2)).eom_residual)
     assert resids[0] < resids[1] < resids[2]
 
 
@@ -417,7 +416,7 @@ def test_hiphop_minimizer_full_properties():
     assert len(rep.tetra_events) == 2
     # vertical antiphase of the diagonals
     ts = out.nodes(64)
-    x = out.positions(ts)
+    x = out.at_times(ts)[0]
     assert np.abs(x[:, 2, 0] + x[:, 2, 1]).max() < 1e-8
     assert np.abs(x[:, 2, 0] - x[:, 2, 2]).max() < 1e-8
     # strictly below the planar square relative equilibrium
@@ -432,13 +431,13 @@ def test_tetra_events_stable_under_last_bit_perturbations():
     # rounding: the report takes the earlier one whatever the last bits say
     seed = square_relative_equilibrium_loop(T, SYS4, 8, vertical_kick=0.3)
     out = minimize_action(seed, hiphop_z2z4(), MinimizeOptions(gtol=1e-6))
-    ref = verify_loop(out)
+    ref = verify_loop(out, hiphop_z2z4())
     assert ref.square_events == [0.0, np.pi]
     assert len(ref.tetra_events) == 2 and 0.0 < ref.tetra_events[0] < np.pi / 2
     rng = np.random.default_rng(15)
     for _ in range(8):
         p = out.params() * (1.0 + 1e-15 * rng.standard_normal(out.params().size))
-        rep = verify_loop(out.with_params(p))
+        rep = verify_loop(out.with_params(p), hiphop_z2z4())
         assert (rep.square_events, rep.tetra_events) == (ref.square_events, ref.tetra_events)
 
 
@@ -462,7 +461,7 @@ def test_hiphop_converges_at_128_modes():
     rep = verify_loop(s128, sym=sym)
     assert rep.eom_residual < 1e-3
     assert rep.symmetry_defect < 1e-12
-    a16 = verify_loop(s16).action
+    a16 = verify_loop(s16, sym).action
     assert abs(rep.action - a16) < 1e-6 * abs(a16)
 
 
@@ -546,7 +545,7 @@ def test_italian_and_z3_classes_minimize():
     # square/tetrahedron one (it lands on the same action value here)
     seed = square_relative_equilibrium_loop(T, SYS4, 12, vertical_kick=0.3)
     for label in ("italian", "z3"):
-        sym = symmetry_by_label(label, 4, 3)
+        sym = symmetry_by_label(label)
         out = minimize_action(seed, sym, MinimizeOptions(gtol=1e-5))
         rep = verify_loop(out, sym=sym)
         assert rep.symmetry_defect < 1e-12

@@ -159,6 +159,12 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["find-central", "--masses", "1,1,1", "--seed=-1"], None),
     (["find-balanced", "--masses", "1,1,1", "--spectrum", "0.7,0.3", "--seed=-1"], None),
     (["hiphop", "--seed=-1", "--modes", "4"], None),
+    (["simulate"], dict(CIRCULAR, G="x")),
+    (["simulate"], dict(CIRCULAR, kappa=None)),
+    (["simulate"], dict(CIRCULAR, G=[1])),
+    (["simulate"], dict(CIRCULAR, masses={"a": 1})),
+    (["simulate"], dict(CIRCULAR, positions={"x": 1})),
+    (["simulate"], dict(CIRCULAR, velocities="fast")),
 ], ids=["horizon-nan", "samples-0", "samples-1", "reduce-horizon-nan", "G-nan", "kappa-nan",
         "tol-nan", "tol-0", "tol-negative", "kepler-samples-0", "kepler-samples-1",
         "homographic-samples-0", "homographic-samples-1", "relequil-samples-1",
@@ -167,7 +173,9 @@ def test_validation_error_exit_code(tmp_path, capsys):
         "spectrum-nan", "spectrum-inf", "gtol-nan", "gtol-0", "gtol-negative", "kick-nan",
         "kick-inf", "kepler-e-above-1", "kepler-a-negative", "kepler-k-nan",
         "shape-sphere-horizon-nan", "shape-sphere-horizon-negative", "shape-sphere-horizon-inf",
-        "find-central-seed-negative", "find-balanced-seed-negative", "hiphop-seed-negative"])
+        "find-central-seed-negative", "find-balanced-seed-negative", "hiphop-seed-negative",
+        "G-string", "kappa-null", "G-list", "masses-object", "positions-object",
+        "velocities-string"])
 def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenario):
     out = tmp_path / "out"
     rc = main(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
@@ -176,6 +184,9 @@ def test_invalid_input_fails_fast_without_outputs(tmp_path, capsys, argv, scenar
     assert error["error"] == "ValidationError"
     if "--seed=-1" in argv:
         assert "--seed" in error["message"]
+    if argv == ["simulate"]:   # CIRCULAR with one field changed: the message names it
+        field, = [key for key in scenario if scenario[key] is not CIRCULAR[key]]
+        assert field in error["message"]
     assert not out.exists()
 
 

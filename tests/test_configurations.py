@@ -10,6 +10,7 @@ from conftest import (
     interaction_table_oracle,
     isosceles,
     squared_distance_table,
+    triangle_table,
 )
 from nbodyred.errors import InfeasibleSpectrum, NoConvergence, NotEmbeddable, ValidationError
 from nbodyred.geometry import (
@@ -306,18 +307,14 @@ def test_find_balanced_matches_scipy_bfgs_oracle(case):
 # mass-linear determinant equations
 
 
-def s_table(s12, s13, s23):
-    return {(0, 1): s12, (0, 2): s13, (1, 2): s23}
-
-
 def test_pijk_isosceles_vanishes():
-    res = balanced_residuals_pijk(s_table(1.0, 1.0, 2.0), SYS_EQ)
+    res = balanced_residuals_pijk(triangle_table(1.0, 1.0, 2.0), SYS_EQ)
     assert abs(res.P[(0, 1, 2)]) < 1e-14
     assert res.commutator_residual < 1e-12
 
 
 def test_pijk_equilateral_all_parts_vanish():
-    res = balanced_residuals_pijk(s_table(1.0, 1.0, 1.0), SYS_EQ)
+    res = balanced_residuals_pijk(triangle_table(1.0, 1.0, 1.0), SYS_EQ)
     assert abs(res.P[(0, 1, 2)]) < 1e-15
     assert abs(res.nabla[(0, 1, 2)]) < 1e-15
 
@@ -392,7 +389,7 @@ def test_pijk_linear_in_masses():
 
 
 def test_pijk_not_embeddable():
-    bad = s_table(1.0, 1.0, 100.0)  # violates the triangle inequality badly
+    bad = triangle_table(1.0, 1.0, 100.0)  # violates the triangle inequality badly
     with pytest.raises(NotEmbeddable):
         balanced_residuals_pijk(bad, SYS_EQ)
 
@@ -402,14 +399,14 @@ def test_pijk_not_embeddable():
 
 
 def test_shape_sphere_equilateral_pole():
-    w, I = shape_sphere(equilateral(SYS_EQ), SYS_EQ)
+    w, I = shape_sphere(equilateral(SYS_EQ).r, SYS_EQ)
     assert I == pytest.approx(1.0, abs=1e-12)
     assert abs(w[2]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shape_sphere_collinear_equator():
     x = Configuration([[0.0, 1.0, 2.3], [0.0, 0.0, 0.0]], SYS_EQ)
-    w, _ = shape_sphere(x, SYS_EQ)
+    w, _ = shape_sphere(x.r, SYS_EQ)
     assert abs(w[2]) < 1e-14
     assert np.hypot(w[0], w[1]) == pytest.approx(1.0, abs=1e-12)
 
@@ -419,8 +416,8 @@ def test_shape_sphere_rotation_invariant():
     x = Configuration(rng.normal(size=(2, 3)), SYS_EQ)
     theta = 0.83
     q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    w1, I1 = shape_sphere(x, SYS_EQ)
-    w2, I2 = shape_sphere(Configuration(q @ x.r, SYS_EQ), SYS_EQ)
+    w1, I1 = shape_sphere(x.r, SYS_EQ)
+    w2, I2 = shape_sphere(Configuration(q @ x.r, SYS_EQ).r, SYS_EQ)
     assert np.allclose(w1, w2, atol=1e-13)
     assert I1 == pytest.approx(I2, rel=1e-13)
 
@@ -429,8 +426,8 @@ def test_shape_sphere_reflection_flips_latitude():
     rng = np.random.default_rng(7)
     x = Configuration(rng.normal(size=(2, 3)), SYS_EQ)
     xr = Configuration(np.diag([1.0, -1.0]) @ x.r, SYS_EQ)
-    w1, _ = shape_sphere(x, SYS_EQ)
-    w2, _ = shape_sphere(xr, SYS_EQ)
+    w1, _ = shape_sphere(x.r, SYS_EQ)
+    w2, _ = shape_sphere(xr.r, SYS_EQ)
     assert w2[2] == pytest.approx(-w1[2], rel=1e-12)
     assert np.allclose(w2[:2], w1[:2], atol=1e-13)
 
@@ -442,14 +439,14 @@ def test_shape_sphere_batched_matches_single():
     w, I = shape_sphere(np.stack([x.r for x in configs]).reshape(3, 4, 2, 3), sys)
     assert w.shape == (3, 4, 3) and I.shape == (3, 4)
     for k, x in enumerate(configs):
-        w1, I1 = shape_sphere(x, sys)
+        w1, I1 = shape_sphere(x.r, sys)
         assert np.array_equal(w.reshape(12, 3)[k], w1) and I.ravel()[k] == I1
         assert np.linalg.norm(w1) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_shape_sphere_requires_planar_three_bodies():
     with pytest.raises(ValidationError):
-        shape_sphere(Configuration(np.zeros((3, 3)), SYS_EQ), SYS_EQ)
+        shape_sphere(Configuration(np.zeros((3, 3)), SYS_EQ).r, SYS_EQ)
 
 
 def test_residuals_invariant_under_equal_mass_permutation():

@@ -10,7 +10,7 @@ from conftest import (
     squared_distance_table,
     tame_scenario,
 )
-from nbodyred import dop853, dynamics
+from nbodyred import dop853, dynamics, geometry
 from nbodyred.errors import (
     CollisionError,
     InvalidStructure,
@@ -563,13 +563,14 @@ def test_stepper_reproduces_scipy_dop853(against_scipy, case, route):
     assert np.abs(ours.y - ref.y.T).max() <= 1e-14 * np.abs(ref.y).max()
 
 
-def test_stepper_locates_a_terminal_collision_like_scipy(against_scipy):
+def test_stepper_locates_a_terminal_collision_like_scipy(monkeypatch, against_scipy):
     # a kappa = -1 collapse from rest meets a raised floor before the step stalls
+    monkeypatch.setattr(geometry, "COLLISION_FLOOR", 1e-3)
     sys = MassSystem([1.0, 2.0, 3.0], kappa=-1.0)
     z0 = State(Configuration([[0.0, 1.0, 0.3], [0.0, 0.1, 0.9]], sys),
                Configuration(np.zeros((2, 3)), sys))
     with pytest.raises(CollisionError, match="collision at t = "):
-        integrate_absolute(z0, sys, 5.0, tol=1e-10, samples=33, collision_floor=1e-3)
+        integrate_absolute(z0, sys, 5.0, tol=1e-10, samples=33)
     (ours, ref), = against_scipy
     assert ref.status == ours.status == 1
     assert ours.nfev == ref.nfev
@@ -589,6 +590,7 @@ def test_collision_event_equals_recomputed_distance(monkeypatch, case):
         z0 = State(Configuration([[0.0, 1.0, 0.3], [0.0, 0.1, 0.9]], sys),
                    Configuration(np.zeros((2, 3)), sys))
         horizon, floor = 5.0, 1e-3
+        monkeypatch.setattr(geometry, "COLLISION_FLOOR", floor)
     dn = z0.d * z0.n
     values, recomputed = [], []
 
@@ -612,7 +614,7 @@ def test_collision_event_equals_recomputed_distance(monkeypatch, case):
         assert len(recomputed) == 1   # the event at t0 only
     else:
         with pytest.raises(CollisionError, match="collision at t = "):
-            integrate_absolute(z0, sys, horizon, tol=1e-10, samples=33, collision_floor=floor)
+            integrate_absolute(z0, sys, horizon, tol=1e-10, samples=33)
         assert len(recomputed) > 1   # the bisection's dense states
     assert all(g == ref for g, ref in values)
 
@@ -680,7 +682,7 @@ def test_audit_series_match_per_sample_invariants(n, d, kappa):
     rng = np.random.default_rng(10 * n + d)
     sys = MassSystem(rng.uniform(0.5, 2.0, n), kappa=kappa)
     samples = centred(rng.normal(size=(9, 2, d, n)), sys)
-    traj = Trajectory(np.linspace(0.0, 1.0, 9), samples, "absolute")
+    traj = Trajectory(np.linspace(0.0, 1.0, 9), samples, "absolute", {})
     series = audit_invariants(traj, sys).series
     if d == 4:
         assert matrix_rank(angular_momentum(traj.states[0], sys).c) == 4
@@ -716,7 +718,7 @@ def test_audit_raises_below_collision_floor():
     samples[1, 0, 0, 1] = samples[1, 0, 0, 0] + 0.5 * COLLISION_FLOOR
     samples[1, 0, 1, 1] = samples[1, 0, 1, 0]
     with pytest.raises(CollisionError):
-        audit_invariants(Trajectory(np.arange(3.0), samples, "absolute"), sys)
+        audit_invariants(Trajectory(np.arange(3.0), samples, "absolute", {}), sys)
 
 
 def test_sundman_function_formula():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import equilateral, squared_distance_table
-from nbodyred import dop853, dynamics
+from nbodyred import dop853, dynamics, geometry
 from nbodyred.dop853 import A_ROWS, B, C, D, E3, E5, EPS, Solution, _dense
 from nbodyred.errors import CollisionError, StepFailure
 from nbodyred.geometry import (
@@ -176,7 +176,8 @@ def leapfrog_reference(z0, sys, ts, dt, collision_floor):
 
 
 def integrate_absolute_reference(z0, sys, horizon, tol=1e-10, method="rk8", samples=513,
-                                 dt=None, collision_floor=COLLISION_FLOOR):
+                                 dt=None):
+    collision_floor = geometry.COLLISION_FLOOR
     ts = _sample_times(horizon, samples, tol)
     d, n = z0.d, z0.n
     dn = d * n
@@ -219,8 +220,8 @@ def gram_rhs_reference(gram, u, collision_floor):
     return z[gram.upper[0]] + z[gram.upper[1]]
 
 
-def integrate_reduced_reference(rel0, sys, horizon, tol=1e-10, samples=513,
-                                collision_floor=COLLISION_FLOOR):
+def integrate_reduced_reference(rel0, sys, horizon, tol=1e-10, samples=513):
+    collision_floor = geometry.COLLISION_FLOOR
     ts = _sample_times(horizon, samples, tol)
     gram = dynamics._GramTable(sys)
     us, work = drive_reference(lambda t, u: gram_rhs_reference(gram, u, collision_floor),
@@ -346,9 +347,10 @@ def raised_floor_collapse():
 @pytest.mark.parametrize("case, floor", [("homothetic", COLLISION_FLOOR),
                                          ("raised-floor", 1e-3)])
 def test_collisions_repeat_the_reference(monkeypatch, case, floor):
+    monkeypatch.setattr(geometry, "COLLISION_FLOOR", floor)
     sys, z0 = {"homothetic": homothetic_collapse, "raised-floor": raised_floor_collapse}[case]()
     rel0 = RelativeState.from_state(z0)
-    kwargs = dict(tol=1e-10, samples=33, collision_floor=floor)
+    kwargs = dict(tol=1e-10, samples=33)
     got = outcome(integrate_absolute, z0, sys, 5.0, **kwargs)
     assert got[0] is CollisionError
     assert got == outcome(integrate_absolute_reference, z0, sys, 5.0, **kwargs)
@@ -357,9 +359,8 @@ def test_collisions_repeat_the_reference(monkeypatch, case, floor):
     assert got == outcome(integrate_reduced_reference, rel0, sys, 5.0, **kwargs)
     # the reference leapfrog steps through the collapse; the energy check stops it
     assert unresolved(outcome(integrate_absolute, z0, sys, 5.0, method="leapfrog", samples=33,
-                              dt=1e-3, collision_floor=floor))
-    assert_leapfrog_repeats(monkeypatch, z0, sys, 5.0, method="leapfrog", samples=33, dt=1e-3,
-                            collision_floor=floor)
+                              dt=1e-3))
+    assert_leapfrog_repeats(monkeypatch, z0, sys, 5.0, method="leapfrog", samples=33, dt=1e-3)
 
 
 def test_rounding_collisions_repeat_the_reference():
