@@ -39,10 +39,10 @@ from .errors import (
     log_info,
 )
 from .geometry import (
-    COLLISION_FLOOR,
     Trajectory,
     centred,
     pair_forces,
+    pair_kernel,
     potential_from_s,
     squared_distances,
 )
@@ -71,8 +71,8 @@ class Loop:
             raise ValidationError("coefficient arrays must share shape (d, n, K+1)")
         if cos_modes.shape[1] != sys.n:
             raise ValidationError("coefficient arrays do not match the mass system")
-        if T <= 0:
-            raise ValidationError("period must be positive")
+        if not (0.0 < T < np.inf and np.isfinite([cos_modes, sin_modes]).all()):
+            raise ValidationError("period and coefficients must be finite, the period positive")
         sin_modes[:, :, 0] = 0.0
         for arr in (cos_modes, sin_modes):
             arr -= (arr * sys.m[None, :, None]).sum(axis=1, keepdims=True) / sys.M
@@ -347,14 +347,14 @@ def invariant_basis(sym, sys, n_modes):
 # action functional
 
 
-def _node_action(loop, n_quad, collision_floor, order=1):
+def _node_action(loop, n_quad, c, order=1):
     """Path derivatives up to order at n_quad equispaced nodes, (order + 1,
     q, d, n), their (q, P) squared distances, the (q, d, n) forces dU/dx and
-    the action; raises CollisionAtNode below the floor."""
+    the action, c a pair_kernel's; raises CollisionAtNode below its floor."""
     sys = loop.sys
     xv = loop.at_nodes(n_quad, order)
     try:
-        s, f = pair_forces(xv[0], sys, collision_floor)
+        s, f = pair_forces(xv[0], sys, c)
     except CollisionError as exc:
         raise CollisionAtNode(f"{exc} at a quadrature node") from None
     K = np.einsum("i,qci,qci->q", sys.m, xv[1], xv[1])
@@ -362,7 +362,7 @@ def _node_action(loop, n_quad, collision_floor, order=1):
     return xv, s, f, S
 
 
-def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR):
+def action_value_and_gradient(loop, n_quad=None, collision_floor=None):
     """Action  integral of (K/2 + U)  and its coefficient gradient.
 
     Rectangle rule on n_quad > 2 K equispaced nodes (default max(256, 8 K));
@@ -372,7 +372,7 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=COLLISION_FLOOR
     sys = loop.sys
     if n_quad is None:
         n_quad = max(256, 8 * loop.n_modes)
-    (_, v), _, fx, S = _node_action(loop, n_quad, collision_floor)
+    (_, v), _, fx, S = _node_action(loop, n_quad, pair_kernel(sys, collision_floor)[0])
 
     # the cosine and sine sums of the node forces dU/dx over the nodes are
     # the real and minus the imaginary part of an rfft
@@ -557,7 +557,7 @@ def verify_loop(loop, sym):
     """
     sys = loop.sys
     n_quad = max(256, 8 * loop.n_modes)
-    (_, _, acc), s, f, S = _node_action(loop, n_quad, COLLISION_FLOOR, order=2)
+    (_, _, acc), s, f, S = _node_action(loop, n_quad, pair_kernel(sys)[0], order=2)
     eom = np.abs(acc - f / sys.m).max() / np.abs(acc).max()
     min_dist = float(np.sqrt(s.min()))
 

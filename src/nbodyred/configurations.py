@@ -31,7 +31,7 @@ from .geometry import (
     inertia,
     interaction_matrix_from_s,
     mass_dot,
-    pair_forces,
+    pair_kernel,
     potential_and_gradient,
     potential_from_s,
 )
@@ -57,10 +57,11 @@ def _residuals(x, sys):
     are scale-free: the gradient enters as grad U / U, and A and B are each
     divided by their largest entry, so no square overflows or underflows
     whatever G and the size are.  Forces that underflow to 0 give NaN."""
-    s, grad = pair_forces(x.r, sys, scatter=sys.DMinv)
+    pair_c, accelerations = pair_kernel(sys)
+    s = accelerations(x.r, grad := np.empty((x.d, x.n)))
     U = float(potential_from_s(s, sys))
     I, B, _ = inertia(x, sys)
-    A = interaction_matrix_from_s(s, sys)
+    A = interaction_matrix_from_s(s, sys, pair_c)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = grad / U
         c = a - (2.0 * sys.kappa / I) * x.r
@@ -116,10 +117,11 @@ def find_central(sys, d, seed=None, x0=None):
 
     sqm = np.sqrt(sys.m)
     U0 = potential_and_gradient(x, sys)[0]
+    accelerations = pair_kernel(sys)[1]
 
     def fun(y):
         try:
-            s, a = pair_forces(y.reshape(d, sys.n) / sqm, sys, scatter=sys.DMinv)
+            s = accelerations(y.reshape(d, sys.n) / sqm, a := np.empty((d, sys.n)))
         except CollisionError:
             return np.inf, None
         g = (a * sqm).ravel() / U0
@@ -166,7 +168,7 @@ def _orbit_cost_grad(Q, W, spec_full, sqm, sys):
         return np.inf, None
     U = float(potential_from_s(s, sys))
     # dU = <X, dbeta>; the distances are positive, so no collision floor
-    X = interaction_matrix_from_s(s, sys, collision_floor=0.0) * sys.m
+    X = interaction_matrix_from_s(s, sys, pair_kernel(sys, 0.0)[0]) * sys.m
     WQ = W @ Q
     Y = WQ.T @ ((X / np.outer(sqm, sqm)) @ WQ)
     M = Y * spec_full[None, :] - spec_full[:, None] * Y  # Y L - L Y
@@ -296,7 +298,8 @@ def balanced_residuals_pijk(s, sys):
     if np.any(s[~np.eye(n, dtype=bool)] <= 0.0):
         raise ValidationError("off-diagonal squared distances must be positive")
 
-    du = -interaction_matrix_from_s(s[sys.pairs], sys, collision_floor=0.0) * sys.m  # dU/ds off the diagonal
+    # dU/ds off the diagonal
+    du = -interaction_matrix_from_s(s[sys.pairs], sys, pair_kernel(sys, 0.0)[0]) * sys.m
     P = p_matrix(s, du, sys.m)
     W = P - P.T
 

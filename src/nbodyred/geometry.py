@@ -13,8 +13,8 @@ per pair, forces as the scatter (x D^T * c) D, and the n x n table A built
 from the same c.  The per-system constants live on MassSystem: the pair
 factor 2 m_i m_j G kappa (c_p = pair_factor s_p^(kappa-1)), and, built on
 first use beside D, a contiguous D^T and the acceleration scatter D M^{-1}.
-`pair_forces` takes (..., d, n) stacks, `pair_kernel` binds the constants
-once per run of an integrator; `check_collision_floor` words their collisions.
+One `pair_kernel` holds Phi' and the collision-floor check of every force and
+table; it reads the floor, COLLISION_FLOOR, when it is built.
 """
 
 from dataclasses import dataclass
@@ -107,10 +107,6 @@ class MassSystem:
     def phi(self, s):
         """Pair potential profile Phi(s) = G s^kappa (s = squared distance)."""
         return self.G * np.power(s, self.kappa)
-
-    def dphi(self, s):
-        """Derivative Phi'(s) = G kappa s^(kappa-1) of the profile."""
-        return self.G * self.kappa * np.power(s, self.kappa - 1.0)
 
     def __repr__(self):
         return f"MassSystem(n={self.n}, G={self.G}, kappa={self.kappa})"
@@ -383,25 +379,17 @@ def check_collision_floor(s, floor2):
         raise CollisionError(f"minimal distance {rmin:.3e} below collision floor")
 
 
-def pair_coefficients(s, sys, floor2):
-    """c_p = 2 m_i m_j Phi'(s_p) of (..., P) squared distances, so that
-    dU/dr_i = sum_j c_ij (r_i - r_j) and 2 A M = D^T diag(c) D; raises
-    CollisionError below the squared floor floor2 (check_collision_floor)."""
-    check_collision_floor(s, floor2)
-    if sys.kappa == -0.5:
-        return sys.pair_factor / (s * np.sqrt(s))
-    return sys.pair_factor * np.power(s, sys.kappa - 1.0)
-
-
-def pair_kernel(sys):
-    """(c, accelerations) of one run, its constants, the kappa branch of
-    Phi' and the squared COLLISION_FLOOR (read when it is called) bound once:
-    c(s, floor2) of (P,) squared distances and squared floors, and
-    accelerations(r, out), which writes (r D^T * c) D M^{-1} of d x n
-    coordinates r to out and returns their s.  The products are ndarray.dot
-    calls: @ to the bit, and cheaper at few bodies."""
+def pair_kernel(sys, floor=None):
+    """(c, accelerations) of one system, with its constants, the kappa branch
+    of Phi' and the collision floor (COLLISION_FLOOR, read when the kernel is
+    built, unless given) bound once.  c(s, floor2) = 2 m_i m_j Phi'(s) of
+    (..., P) squared distances raises CollisionError below floor2 (the squared
+    floor, or one value per pair); accelerations(r, out) writes (r D^T * c) D
+    M^{-1} of d x n coordinates r to out and returns their s.  The products
+    are ndarray.dot calls: @ to the bit, and cheaper at few bodies."""
+    floor = COLLISION_FLOOR if floor is None else floor
     DT, DMinv, factor, newton = sys.DT, sys.DMinv, sys.pair_factor, sys.kappa == -0.5
-    power, squared_floor = sys.kappa - 1.0, np.full(factor.size, COLLISION_FLOOR * COLLISION_FLOOR)
+    power, squared_floor = sys.kappa - 1.0, np.full(factor.size, floor * floor)
 
     def c(s, floor2=squared_floor):
         if np.count_nonzero(s < floor2):
@@ -417,14 +405,12 @@ def pair_kernel(sys):
     return c, accelerations
 
 
-def pair_forces(r, sys, collision_floor=COLLISION_FLOOR, scatter=None):
-    """Squared distances s, (..., P), and forces dU/dx = (x D^T * c) D (with
-    scatter = sys.DMinv accelerations (x D^T * c) D M^{-1}), (..., d, n), of
-    (..., d, n) coordinates; raises CollisionError below the collision floor."""
+def pair_forces(r, sys, c):
+    """Squared distances s, (..., P), and forces dU/dx = (x D^T * c(s)) D,
+    (..., d, n), of (..., d, n) coordinates, c a pair_kernel's."""
     diff = _rows_product(r, sys.DT)
     s = np.add.reduce(diff * diff, axis=-2)   # sum() would add a Python layer
-    c = pair_coefficients(s, sys, collision_floor * collision_floor)
-    return s, _rows_product(diff * c[..., None, :], sys.D if scatter is None else scatter)
+    return s, _rows_product(diff * c(s)[..., None, :], sys.D)
 
 
 def potential_from_s(s, sys):
@@ -435,19 +421,19 @@ def potential_from_s(s, sys):
 
 def potential_and_gradient(x, sys):
     """Force function U > 0 and its mass-metric gradient 2 x A (= accelerations)."""
-    s, a = pair_forces(x.r, sys, scatter=sys.DMinv)
+    s = pair_kernel(sys)[1](x.r, a := np.empty((x.d, x.n)))
     return float(potential_from_s(s, sys)), a
 
 
-def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
-    """The interaction table A from (..., P) squared distances on the pair list.
+def interaction_matrix_from_s(s, sys, c):
+    """The interaction table A of (..., P) squared distances; c is a pair_kernel's.
 
     A_ij = -m_i Phi'(s_ij) = -c_p / (2 m_j) off the diagonal (Newtonian:
     m_i / (2 r_ij^3)), and A_ii = sum_{l!=i} m_l Phi'(s_il), so that every
     column sums to zero and A annihilates the mass vector.
     """
     i, j = sys.pairs
-    half_c = 0.5 * pair_coefficients(s, sys, collision_floor * collision_floor)
+    half_c = 0.5 * c(s)
     A = np.zeros(s.shape[:-1] + (sys.n, sys.n))
     A[..., i, j] = -half_c / sys.m[j]
     A[..., j, i] = -half_c / sys.m[i]
@@ -458,7 +444,7 @@ def interaction_matrix_from_s(s, sys, collision_floor=COLLISION_FLOOR):
 def wintner_conley(x, sys):
     """Interaction matrix A of a configuration; Newton's equations read
     x_ddot = 2 x A."""
-    return interaction_matrix_from_s(squared_distances(x.r, sys), sys)
+    return interaction_matrix_from_s(squared_distances(x.r, sys), sys, pair_kernel(sys)[0])
 
 
 def mass_dot(u, v, m):

@@ -67,21 +67,29 @@ def write_json(path, obj):
 # scenarios (mass system + state)
 
 
+def _numbers(value):
+    """Whether value is a number or a list, nested or not, of numbers only;
+    a JSON boolean is no number, nor is an integer beyond the floats."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= float(np.finfo(float).max)
+    return isinstance(value, float)
+
+
 def _number(data, key, default):
     value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"scenario field {key!r} must be a number")
+    if isinstance(value, list) or not _numbers(value):
+        raise ValidationError(f"field {key!r} must be a number")
     return value
 
 
 def _floats(data, key):
-    value = data[key]
-    if isinstance(value, list):
-        try:
+    value = data.get(key)
+    if isinstance(value, list) and _numbers(value):
+        with contextlib.suppress(ValueError):   # a ragged row
             return np.asarray(value, dtype=float)
-        except (TypeError, ValueError):   # a string, object or ragged row inside
-            pass
-    raise ValidationError(f"scenario field {key!r} must be an array of numbers")
+    raise ValidationError(f"field {key!r} must be an array of numbers")
 
 
 def scenario_from_dict(data):
@@ -127,11 +135,13 @@ def loop_to_dict(loop):
 
 
 def loop_from_dict(data):
+    """Loop of a loop_to_dict mapping; a wrong JSON type is a ValidationError."""
     from .action import Loop
 
-    sys = MassSystem(data["masses"], G=data.get("G", 1.0), kappa=data.get("kappa", -0.5))
-    return Loop(data["period"], np.asarray(data["cos_modes"], dtype=float),
-                np.asarray(data["sin_modes"], dtype=float), sys)
+    sys = MassSystem(_floats(data, "masses"), G=_number(data, "G", 1.0),
+                     kappa=_number(data, "kappa", -0.5))
+    return Loop(_number(data, "period", None), _floats(data, "cos_modes"),
+                _floats(data, "sin_modes"), sys)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,18 @@ def test_quadrature_must_resolve_every_mode():
     assert np.isfinite(S)
 
 
+@pytest.mark.parametrize("period, bad", [(np.nan, 0.0), (np.inf, 0.0), (0.0, 0.0), (-1.0, 0.0),
+                                         (T, np.nan), (T, np.inf), (T, -np.inf)])
+def test_loop_rejects_a_period_or_coefficient_outside_the_reals(period, bad):
+    # the sine coefficient of mode 0 is zeroed, and a bad one there must fail too
+    cos_modes, sin_modes = np.zeros((2, 2, 3)), np.zeros((2, 2, 3))
+    for coefficients in (cos_modes, sin_modes):
+        coefficients[0, 1, 0] = bad
+        with pytest.raises(ValidationError):
+            Loop(period, cos_modes, sin_modes, SYS2)
+        coefficients[0, 1, 0] = 0.0
+
+
 def test_seed_loops_need_a_first_harmonic():
     for n_modes in (0, -1):
         with pytest.raises(ValidationError):

@@ -10,7 +10,7 @@ import pytest
 
 import nbodyred
 from nbodyred.cli import main
-from nbodyred.errors import NumericalError
+from nbodyred.errors import NumericalError, ValidationError
 from nbodyred.serialize import dumps, loop_from_dict, loop_to_dict, scenario_from_dict
 from nbodyred.geometry import MassSystem
 from nbodyred.action import circular_two_body_loop
@@ -462,6 +462,32 @@ def test_hiphop_smoke(tmp_path):
     loop_data = json.loads((tmp_path / "loop.json").read_text())
     loop = loop_from_dict(loop_data)
     assert loop.n_modes == 6
+
+
+@pytest.mark.parametrize("field, value", [("masses", [True, True]), ("masses", [1.0, False]),
+                                          ("positions", [[0, 1], [0, True]]), ("G", 10 ** 400),
+                                          ("masses", [1, 10 ** 400]), ("positions", [[0, 1], [0]])],
+                         ids=["masses-true", "masses-false", "positions-true", "G-huge",
+                              "masses-huge", "positions-ragged"])
+def test_a_boolean_or_a_huge_integer_is_no_number(field, value):
+    # an integer beyond the floats made OverflowError, exit 3
+    data = {"masses": [1, 1], "positions": [[0, 1], [0, 0.5]], field: value}
+    with pytest.raises(ValidationError, match=repr(field)):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("period", "1"), ("period", True), ("period", None), ("G", "x"), ("G", True),
+    ("kappa", [-0.5]), ("masses", [1.0, True]), ("masses", "1, 1"),
+    ("cos_modes", [[[0.0, 1.0], [0.0, "1"]]]), ("sin_modes", {"k": 1}),
+])
+def test_loop_from_dict_names_a_field_of_the_wrong_type(field, value):
+    data = json.loads(dumps(loop_to_dict(circular_two_body_loop(2 * np.pi, MassSystem([1.0, 1.0]),
+                                                                1))))
+    assert loop_from_dict(data).n_modes == 1
+    data[field] = value
+    with pytest.raises(ValidationError, match=repr(field)):
+        loop_from_dict(data)
 
 
 def test_scenario_and_loop_round_trip():

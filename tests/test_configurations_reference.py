@@ -96,17 +96,27 @@ def find_central_reference(sys, d, seed=None, x0=None, gtol=1e-12, max_iter=400)
 
 
 def counted_find_central(monkeypatch, sys, d, seed=None, x0=None):
-    """find_central with its potential evaluations counted: the search
-    calls pair_forces, the start and the residual potential_and_gradient."""
+    """find_central with its potential evaluations counted: the search and
+    the residual call the accelerations of a pair_kernel, the start
+    potential_and_gradient."""
     calls = []
-    for name in ("pair_forces", "potential_and_gradient"):
-        inner = getattr(nbodyred.configurations, name)
+    pair_kernel = nbodyred.configurations.pair_kernel
+    potential_and_gradient = nbodyred.configurations.potential_and_gradient
 
-        def counted(*args, _inner=inner, **kwargs):
+    def counted_kernel(*args):
+        c, accelerations = pair_kernel(*args)
+
+        def counted(r, out):
             calls.append(1)
-            return _inner(*args, **kwargs)
+            return accelerations(r, out)
+        return c, counted
 
-        monkeypatch.setattr(nbodyred.configurations, name, counted)
+    def counted_potential(*args):
+        calls.append(1)
+        return potential_and_gradient(*args)
+
+    monkeypatch.setattr(nbodyred.configurations, "pair_kernel", counted_kernel)
+    monkeypatch.setattr(nbodyred.configurations, "potential_and_gradient", counted_potential)
     return find_central(sys, d, seed=seed, x0=x0), len(calls)
 
 

@@ -1,14 +1,15 @@
 """The integrators on the bound pair kernel against the code it replaced.
 
 Each reference below is the earlier implementation, kept verbatim as the
-oracle: the rk8 right-hand side through `pair_forces`, wrapped by the
-`counted` budget closure of the DOP853 driver; the stepper that sliced its
-stage matrices K[:s].T at every stage; the packed reduced right-hand side
-as a method reached through a lambda; and the leapfrog loop kicking
-through `pair_forces`.  Samples, work counts and raised messages must agree
-with them bit for bit.  The leapfrog now also stops where its energy strays
-from the initial one; that check only raises, so a run it stops is
-compared with the reference with the check switched off.
+oracle: the rk8 right-hand side through `pair_forces` (the earlier
+geometry functions `pair_coefficients` and `pair_forces`, copied here),
+wrapped by the `counted` budget closure of the DOP853 driver; the stepper
+that sliced its stage matrices K[:s].T at every stage; the packed reduced
+right-hand side as a method reached through a lambda; and the leapfrog
+loop kicking through `pair_forces`.  Samples, work counts and raised
+messages must agree with them bit for bit.  The leapfrog now also stops
+where its energy strays from the initial one; that check only raises, so
+a run it stops is compared with the reference with the check switched off.
 """
 
 import math
@@ -28,10 +29,10 @@ from nbodyred.geometry import (
     RelativeState,
     State,
     Trajectory,
+    _rows_product,
     beta_to_distances,
     centred,
-    pair_coefficients,
-    pair_forces,
+    check_collision_floor,
     pair_kernel,
     squared_distances,
 )
@@ -40,6 +41,26 @@ from nbodyred.dynamics import _sample_times, integrate_absolute, integrate_reduc
 
 # ---------------------------------------------------------------------------
 # the references
+
+
+def pair_coefficients(s, sys, floor2):
+    """c_p = 2 m_i m_j Phi'(s_p) of (..., P) squared distances, so that
+    dU/dr_i = sum_j c_ij (r_i - r_j) and 2 A M = D^T diag(c) D; raises
+    CollisionError below the squared floor floor2 (check_collision_floor)."""
+    check_collision_floor(s, floor2)
+    if sys.kappa == -0.5:
+        return sys.pair_factor / (s * np.sqrt(s))
+    return sys.pair_factor * np.power(s, sys.kappa - 1.0)
+
+
+def pair_forces(r, sys, collision_floor, scatter):
+    """Squared distances s, (..., P), and accelerations (x D^T * c) D M^{-1}
+    (scatter = sys.DMinv), (..., d, n), of (..., d, n) coordinates; raises
+    CollisionError below the collision floor."""
+    diff = _rows_product(r, sys.DT)
+    s = np.add.reduce(diff * diff, axis=-2)   # sum() would add a Python layer
+    c = pair_coefficients(s, sys, collision_floor * collision_floor)
+    return s, _rows_product(diff * c[..., None, :], scatter)
 
 
 def solve_ivp_reference(fun, ts, y0, tol, event):

@@ -13,12 +13,12 @@ from conftest import (
 )
 from nbodyred.errors import CollisionError, NegativeSquaredDistance, ValidationError
 from nbodyred.geometry import (
-    COLLISION_FLOOR,
     Bivector,
     Configuration,
     MassSystem,
     RelativeState,
     State,
+    Trajectory,
     angular_momentum,
     angular_momentum_tables,
     beta_to_distances,
@@ -272,29 +272,32 @@ def pair_loop_oracle(r, sys):
 def test_pair_kernel_matches_pair_loop(n, kappa):
     rng = np.random.default_rng(n)
     sys = MassSystem(rng.uniform(0.5, 2.0, n), kappa=kappa)
+    c, accelerations = pair_kernel(sys)
     r = rng.normal(size=(4, 3, n))  # four configurations in R^3
     s = squared_distances(r, sys)
-    A = interaction_matrix_from_s(s, sys)
-    acc = pair_forces(r, sys, scatter=sys.DMinv)[1]
-    assert s.shape == (4, n * (n - 1) // 2) and A.shape == (4, n, n) and acc.shape == r.shape
+    A = interaction_matrix_from_s(s, sys, c)
+    f = pair_forces(r, sys, c)[1]
+    assert s.shape == (4, n * (n - 1) // 2) and A.shape == (4, n, n) and f.shape == r.shape
     for q in range(4):
         s_ref, A_ref = pair_loop_oracle(r[q], sys)
         s_one = squared_distances(r[q], sys)
-        A_one = interaction_matrix_from_s(s_one, sys)
-        acc_one = pair_forces(r[q], sys, scatter=sys.DMinv)[1]
+        A_one = interaction_matrix_from_s(s_one, sys, c)
+        f_one = pair_forces(r[q], sys, c)[1]
         assert np.allclose(s_one, s_ref[sys.pairs], rtol=1e-14, atol=0.0)
         assert np.allclose(A_one, A_ref, rtol=1e-12, atol=0.0)
         assert np.array_equal(s[q], s_one) and np.array_equal(A[q], A_one)
         # the batch sums the forces in one product, which may round otherwise
-        assert np.abs(acc[q] - acc_one).max() <= 1e-14 * np.abs(acc_one).max()
+        assert np.abs(f[q] - f_one).max() <= 1e-14 * np.abs(f_one).max()
 
     r[2, :, 1] = r[2, :, 0] + 1e-11  # one member of the batch collides
     with pytest.raises(CollisionError):
-        interaction_matrix_from_s(squared_distances(r, sys), sys)
+        interaction_matrix_from_s(squared_distances(r, sys), sys, c)
     with pytest.raises(CollisionError):
-        pair_forces(r, sys, scatter=sys.DMinv)[1]
+        pair_forces(r, sys, c)[1]
     with pytest.raises(CollisionError):
-        pair_forces(r[2], sys, scatter=sys.DMinv)[1]
+        pair_forces(r[2], sys, c)[1]
+    with pytest.raises(CollisionError):
+        accelerations(r[2], np.empty((3, n)))
 
 
 @pytest.mark.parametrize("kappa", [-0.5, -1.0])
@@ -313,21 +316,22 @@ def test_pair_kernel_matches_table_oracle(n, kappa):
     def close(got, ref, rtol=1e-12):
         return np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
-    assert close(pair_forces(r, sys, scatter=sys.DMinv)[1], acc_ref)
-    accelerations, kicked = pair_kernel(sys)[1], np.empty((3, n))   # an integrator's kernel
+    c, accelerations = pair_kernel(sys)   # an integrator's kernel
+    kicked = np.empty((3, n))
+    assert close(pair_forces(r, sys, c)[1], acc_ref * sys.m)
     for x, A_q, acc_q in zip(xs, A_ref, acc_ref):
         s = squared_distance_table(x.r)[sys.pairs]
         U_ref = (sys.pair_masses * sys.G * s**sys.kappa).sum()
         U, grad = potential_and_gradient(x, sys)
         assert U == pytest.approx(U_ref, rel=1e-13)
-        assert close(grad, acc_q) and close(pair_forces(x.r, sys, scatter=sys.DMinv)[1], acc_q)
+        assert close(grad, acc_q) and close(pair_forces(x.r, sys, c)[1], acc_q * sys.m)
         assert close(wintner_conley(x, sys), A_q)
         assert np.array_equal(accelerations(x.r, kicked), squared_distances(x.r, sys))
         assert close(kicked, acc_q)
 
     # the action's forces dU/dx = m (2 x A) at the quadrature nodes of a loop
     loop = Loop(2.0 * np.pi, rng.normal(size=(3, n, 4)), rng.normal(size=(3, n, 4)), sys)
-    xv, _, forces, _ = _node_action(loop, 64, COLLISION_FLOOR)
+    xv, _, forces, _ = _node_action(loop, 64, c)
     nodes = xv[0]
     A_nodes = np.array([interaction_table_oracle(s, sys) for s in squared_distance_table(nodes)])
     assert forces.shape == nodes.shape
@@ -339,16 +343,54 @@ def test_pair_kernel_matches_table_oracle(n, kappa):
 def test_pair_list_accelerations_match_pair_loop(n, kappa):
     rng = np.random.default_rng(40 + n)
     sys = MassSystem(rng.uniform(0.5, 2.0, n), G=1.3, kappa=kappa)
-    s = rng.uniform(0.01, 4.0, 50)
-    assert np.allclose(sys.dphi(s), dphi_oracle(s, sys), rtol=1e-15, atol=0.0)
+    c, accelerations = pair_kernel(sys)
+    s = rng.uniform(0.01, 4.0, (50, n * (n - 1) // 2))
+    assert np.allclose(c(s), 2.0 * sys.pair_masses * dphi_oracle(s, sys), rtol=1e-15, atol=0.0)
+    acc = np.empty((3, n))
     for _ in range(4):
         x = Configuration(rng.normal(size=(3, n)), sys)
-        acc = pair_forces(x.r, sys, scatter=sys.DMinv)[1]
+        accelerations(x.r, acc)
         assert np.allclose(acc, newton_acceleration_oracle(x.r, sys), rtol=1e-12, atol=1e-14)
     r = x.r.copy()
     r[:, 1] = r[:, 0] + 1e-11
     with pytest.raises(CollisionError):
-        pair_forces(r, sys, scatter=sys.DMinv)[1]
+        accelerations(r, acc)
+
+
+def test_a_raised_collision_floor_holds_at_every_check(monkeypatch):
+    # bodies 1e-4 apart, under a floor raised to 1e-3 after import: every
+    # check reads the floor when it is made, none the one bound at import
+    from nbodyred import geometry
+    from nbodyred.action import Loop, action_value_and_gradient, italian, verify_loop
+    from nbodyred.configurations import classify
+    from nbodyred.dynamics import audit_invariants, integrate_absolute, integrate_reduced
+    from nbodyred.errors import CollisionAtNode
+
+    monkeypatch.setattr(geometry, "COLLISION_FLOOR", 1e-3)
+    x = Configuration([[0.0, 1e-4, 0.5], [0.0, 0.0, 0.8]], SYS3)
+    z = State(x, Configuration(np.zeros((2, 3)), SYS3))
+    modes = np.stack([x.r, 0.1 * x.r], axis=-1)
+    loop = Loop(1.0, modes, np.zeros((2, 3, 2)), SYS3)   # x breathing by 10 %
+    traj = Trajectory([0.0, 1.0], np.array([[x.r, z.y.r]] * 2), "absolute", {})
+    checks = {
+        "potential_and_gradient": lambda: potential_and_gradient(x, SYS3),
+        "wintner_conley": lambda: wintner_conley(x, SYS3),
+        "classify": lambda: classify(x, SYS3),
+        "action_value_and_gradient": lambda: action_value_and_gradient(loop),
+        "verify_loop": lambda: verify_loop(loop, italian(3, 2)),
+        "integrate_absolute": lambda: integrate_absolute(z, SYS3, 1.0, samples=2),
+        "integrate_reduced": lambda: integrate_reduced(RelativeState.from_state(z), SYS3, 1.0,
+                                                       samples=2),
+        "audit_invariants": lambda: audit_invariants(traj, SYS3),
+    }
+    missed = []
+    for name, check in checks.items():
+        try:
+            check()
+        except (CollisionError, CollisionAtNode):
+            continue
+        missed.append(name)
+    assert missed == []
 
 
 def test_wintner_conley_structure():
