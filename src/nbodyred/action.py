@@ -548,7 +548,8 @@ def verify_loop(loop, sym):
     """Residual report for a loop and the symmetry class it should lie in.
 
     EOM residual compares the spectral second derivative with 2 x A at the
-    max(256, 8 K) quadrature nodes (relative to the acceleration scale).
+    max(256, 8 K) quadrature nodes (relative to the acceleration scale, or
+    for a loop at rest to the scale of 2 x A, so that it reads 1).
     One scan of max(2048, n_quad) nodes gives the planarity and, for four
     bodies, the square passages (local minima of the square shape distance
     below 1e-2) and each tetrahedral visit between consecutive squares, at
@@ -558,7 +559,8 @@ def verify_loop(loop, sym):
     sys = loop.sys
     n_quad = max(256, 8 * loop.n_modes)
     (_, _, acc), s, f, S = _node_action(loop, n_quad, pair_kernel(sys)[0], order=2)
-    eom = np.abs(acc - f / sys.m).max() / np.abs(acc).max()
+    pulled = f / sys.m
+    eom = np.abs(acc - pulled).max() / (np.abs(acc).max() or np.abs(pulled).max())
     min_dist = float(np.sqrt(s.min()))
 
     proj = project_symmetry(loop, sym)

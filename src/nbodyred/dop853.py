@@ -60,8 +60,8 @@ D = np.array([-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.06894994594
     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564]).reshape(4, 16)
 
 
-# y: one row per requested time up to the stop; status 0 at the last time, 1 at
-# the event (t_event), -1 on step-size underflow; nfev, accepted, rejected: work
+# y: one row per requested time up to the stop; status 0 at the last time, 1 at the
+# event (t_event), -1 on step-size underflow, -2 at the budget; nfev, accepted, rejected: work
 Solution = namedtuple("Solution", "y nfev status t_event accepted rejected")
 
 
@@ -74,13 +74,14 @@ def _dense(F, y_old, x):
     return y + y_old
 
 
-def solve_ivp(fun, ts, y0, tol, event):
+def solve_ivp(fun, ts, y0, tol, event, budget):
     """Solution of y' = fun(t, y), y(ts[0]) = y0, at the increasing times ts,
     with relative and absolute tolerance tol.
 
     The run stops at the first step over which event(t, y) crosses zero
-    downwards, the crossing bisected on the dense output to a few ulps, or
-    when the step size falls below ten ulps of t.
+    downwards, the crossing bisected on the dense output to a few ulps, when
+    the step size falls below ten ulps of t, or before a step attempt or
+    dense output that would make more than max(budget, 2) calls of fun.
     """
     rtol, atol = max(tol, 100 * EPS), tol
     times = ts.tolist()   # the step bookkeeping runs on Python floats
@@ -103,8 +104,9 @@ def solve_ivp(fun, ts, y0, tol, event):
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected_before = max(h_abs, min_step), rejected
         while True:
-            if h_abs < min_step:
-                return Solution(out[:filled], nfev, -1, None, accepted, rejected)
+            if h_abs < min_step or nfev + 12 > budget:
+                status = -1 if h_abs < min_step else -2
+                return Solution(out[:filled], nfev, status, None, accepted, rejected)
             t_new = min(t + h_abs, t_end)
             h_abs = abs(h := t_new - t)
             K[0] = f
@@ -131,6 +133,8 @@ def solve_ivp(fun, ts, y0, tol, event):
         crossing = g_old >= 0 >= g
         stop = bisect_right(times, t)
         if crossing or stop > filled:   # the dense output over the step
+            if nfev + 3 > budget:
+                return Solution(out[:filled], nfev, -2, None, accepted, rejected)
             for s in range(13, 16):
                 K[s] = fun(t_old + C[s] * h, y_old + KT[s].dot(A_ROWS[s]) * h)
             nfev += 3

@@ -11,9 +11,9 @@ of (x_hat, y_hat), the forms (beta, gamma, delta, rho) on D*, and
 
 with W = D Q, c_p = 2 m_i m_j Phi'(s_p) and s_p = w_p^T b w_p.  Samples are
 stored as double-centred n x n tables.  The right-hand sides and the
-leapfrog kicks call a `pair_kernel` bound per run.  Each run stops with
-StepFailure after MAX_RHS_EVALS evaluations, which it counts itself, and
-reports `rhs_evals`, rk8 runs also `accepted_steps` and `rejected_steps`.
+leapfrog kicks call a `pair_kernel` bound per run.  The stepper counts the
+evaluations, and no rk8 or leapfrog run passes MAX_RHS_EVALS; each reports
+`rhs_evals`, rk8 runs also `accepted_steps` and `rejected_steps`.
 Audits check energy, angular momentum, the virial (Lagrange-Jacobi)
 relation and the Sundman gap I K - J^2 - |C|^2.
 """
@@ -86,34 +86,34 @@ def _budget_exhausted(t):
                        f"exhausted at t = {t:.6g}")
 
 
-def _drive(rhs, u0, ts, tol, min_distance, last):
+def _drive(rhs, u0, ts, tol, min_distance, resolution):
     """DOP853 states at the times ts, one row per sample, and the work counts
-    (rhs_evals, accepted_steps, rejected_steps); last = [t, min distance] at
-    t0 and every accepted step, read by rhs when its budget runs out.
+    (rhs_evals, accepted_steps, rejected_steps), rhs_evals <= MAX_RHS_EVALS.
 
     Raises CollisionError when min_distance(u) falls below twice the collision
     floor (geometry.COLLISION_FLOOR, read here as in pair_kernel, so that one
-    name sets both), or when a step stalls with the minimal distance at the
-    last accepted step below max(1e3 floor, 1e-6 initial); any other stall is
-    a StepFailure.
+    name sets both).  A run that cannot go on, its step stalled or its
+    budget spent, raises CollisionError if the closest pair at the last
+    accepted step u is under max(1e3 resolution(u), 1e-6 initial), where
+    resolution(u) is the largest distance the route cannot tell from a
+    collision, and StepFailure otherwise.
     """
     collision_floor = geometry.COLLISION_FLOOR
+    last = []   # t, u and min distance at t0 and every accepted step
 
     def too_close(t, u):
-        last[:] = t, min_distance(u)
-        return last[1] - 2.0 * collision_floor
+        last[:] = t, u, min_distance(u)
+        return last[2] - 2.0 * collision_floor
 
-    sol = solve_ivp(rhs, ts, u0, tol, too_close)
+    sol = solve_ivp(rhs, ts, u0, tol, too_close, MAX_RHS_EVALS)
     if sol.status == 1:
         raise CollisionError(f"collision at t = {sol.t_event:.6g}")
     if sol.status != 0:
-        # a stalled step during a near-collapse is a collision, not a
-        # generic failure
-        t_last, mind = last
-        if mind < max(1e3 * collision_floor, 1e-6 * min_distance(u0)):
-            raise CollisionError(
-                f"collapse at t = {t_last:.6g} (min distance {mind:.3e})"
-            )
+        t_last, u_last, mind = last
+        if mind < max(1e3 * resolution(u_last), 1e-6 * min_distance(u0)):
+            raise CollisionError(f"collapse at t = {t_last:.6g} (min distance {mind:.3e})")
+        if sol.status == -2:
+            raise _budget_exhausted(t_last)
         raise StepFailure("Required step size is less than spacing between numbers.")
     return sol.y, {"rhs_evals": sol.nfev, "accepted_steps": sol.accepted,
                    "rejected_steps": sol.rejected}
@@ -130,12 +130,12 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513, d
     absolute tolerance `tol`; "leapfrog" is a fixed-step kick-drift-kick
     scheme (step `dt`, default horizon/8192) for long conservation audits.
     Raises CollisionError when a mutual distance falls below the collision
-    floor, StepFailure when the step size underflows or the run exhausts
-    MAX_RHS_EVALS, ValidationError unless 0 < dt < inf; a leapfrog run
-    whose energy strays by more than LEAPFROG_ENERGY_BOUND of |H| raises
-    CollisionError or StepFailure (see _leapfrog).  The metadata hold the
-    integrator, tol and rhs_evals (acceleration evaluations for leapfrog;
-    rk8 adds its step counts).
+    floor or an rk8 run stalls or spends MAX_RHS_EVALS next to a collapse
+    (_drive), StepFailure when any other run stalls or spends them,
+    ValidationError unless 0 < dt < inf; a leapfrog run whose energy strays
+    by more than LEAPFROG_ENERGY_BOUND of |H| raises CollisionError or
+    StepFailure (see _leapfrog).  The metadata hold the integrator, tol and
+    rhs_evals (acceleration evaluations for leapfrog; rk8 adds its step counts).
     """
     ts = _sample_times(horizon, samples, tol)
     d, n = z0.d, z0.n
@@ -145,11 +145,8 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513, d
         u0 = np.concatenate([z0.x.r.ravel(), z0.y.r.ravel()])
         accelerations = pair_kernel(sys)[1]
         seen = [None, None]   # the state rhs last saw and its squared distances
-        last, ticks = [0.0, np.inf], iter(range(MAX_RHS_EVALS))   # one tick per evaluation
 
         def rhs(t, u):
-            if next(ticks, None) is None:
-                raise _budget_exhausted(last[0])
             du = np.empty(2 * dn)
             du[:dn] = u[dn:]
             seen[:] = u, accelerations(u[:dn].reshape(d, n), du[dn:].reshape(d, n))
@@ -161,7 +158,7 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513, d
             s = seen[1] if u is seen[0] else squared_distances(u[:dn].reshape(d, n), sys)
             return float(np.sqrt(s.min()))
 
-        us, work = _drive(rhs, u0, ts, tol, min_distance, last)
+        us, work = _drive(rhs, u0, ts, tol, min_distance, lambda u: geometry.COLLISION_FLOOR)
     elif method == "leapfrog":
         dt = horizon / 8192.0 if dt is None else dt
         if not 0.0 < dt < np.inf:   # written so that NaN fails it
@@ -193,8 +190,7 @@ def _leapfrog(z0, sys, ts, dt):
     to catch the run before it has passed the encounter."""
     accelerations = pair_kernel(sys)[1]
     m, M = sys.m, sys.M
-    x = z0.x.r.copy()
-    v = z0.y.r.copy()
+    x, v = z0.x.r.copy(), z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
     t = ts[0]
     s = accelerations(x, a := np.empty_like(x))
@@ -293,26 +289,30 @@ class _GramTable:
     def min_distance(self, u):
         return float(np.sqrt(max((self.WW @ u[self.b]).min(), 0.0)))
 
-    def rhs(self, last):
+    def floor2(self, tr):
+        """Squared floors of the pairs at tr b = tr: rounding2 tr b, raised to
+        the squared collision floor (geometry.COLLISION_FLOOR, read here)."""
+        cf2 = geometry.COLLISION_FLOOR * geometry.COLLISION_FLOOR
+        floor2 = self.rounding2 * tr
+        # no rounding floor is below cf2 unless the least one is
+        return np.maximum(floor2, cf2) if tr * self.rounding2_min < cf2 else floor2
+
+    def resolution(self, u):
+        """The largest distance that the table of u cannot tell from a collision."""
+        return float(np.sqrt(self.floor2(self.s_rows[-1].dot(u[self.b])).max()))
+
+    def rhs(self):
         """rhs(t, u), the packed X + X^T with X = G L, its index maps bound;
-        raises CollisionError below the collision floor or the rounding floor
-        of the table, StepFailure (at time last[0]) after MAX_RHS_EVALS calls."""
+        raises CollisionError where a squared distance is below its floor2."""
         k, kk, (upper0, upper1), left_of = self.k, self.k ** 2, self.upper, self.left
-        pair_c, cf2 = pair_kernel(self.sys)[0], geometry.COLLISION_FLOOR * geometry.COLLISION_FLOOR
-        ticks, z = iter(range(MAX_RHS_EVALS)), np.empty(k * (2 * k + 1) + 2 * kk)
+        pair_c, z = pair_kernel(self.sys)[0], np.empty(k * (2 * k + 1) + 2 * kk)
         z_u, Y = z[:-2 * kk], z[-2 * kk:].reshape(2 * k, k)   # z = (u, Y.ravel()) as above
 
         def rhs(t, u):
-            if next(ticks, None) is None:
-                raise _budget_exhausted(last[0])
             left = u[left_of]
             s_tr = self.s_rows.dot(left[:kk])
-            tr = s_tr[-1]
-            floor2 = self.rounding2 * tr
-            if tr * self.rounding2_min < cf2:   # else no rounding floor is below cf2
-                floor2 = np.maximum(floor2, cf2)
             try:
-                c = pair_c(s_tr[:-1], floor2)
+                c = pair_c(s_tr[:-1], self.floor2(s_tr[-1]))
             except CollisionError:
                 beta_to_distances(self.unpack(u)[0], tol=1e-6)   # a non-Gram b raises
                 raise
@@ -334,7 +334,7 @@ def reduced_rhs(tables, sys):
     rho_dot = A^T beta - beta A.
     """
     gram = _GramTable(sys)
-    return gram.unpack(gram.rhs([0.0])(0.0, gram.pack(RelativeState(*tables))))
+    return gram.unpack(gram.rhs()(0.0, gram.pack(RelativeState(*tables))))
 
 
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513):
@@ -342,8 +342,8 @@ def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513):
     as integrate_absolute, with double-centred (beta, gamma, delta, rho)
     samples."""
     ts = _sample_times(horizon, samples, tol)
-    gram, last = _GramTable(sys), [0.0, np.inf]
-    us, work = _drive(gram.rhs(last), gram.pack(rel0), ts, tol, gram.min_distance, last)
+    gram = _GramTable(sys)
+    us, work = _drive(gram.rhs(), gram.pack(rel0), ts, tol, gram.min_distance, gram.resolution)
     return Trajectory(ts, gram.unpack(us), "reduced", {"integrator": "rk8", "tol": tol, **work})
 
 
@@ -479,9 +479,7 @@ def _check_degenerate_hermitian(omega):
     if F.shape[1]:
         resid = np.abs(c @ c @ F + F).max()
         if resid > STRUCTURE_TOL:
-            raise InvalidStructure(
-                f"Omega^2 differs from -Id on its image by {resid:.3e}"
-            )
+            raise InvalidStructure(f"Omega^2 differs from -Id on its image by {resid:.3e}")
 
 
 def complex_schwarz_gap(z, omega, sys):
@@ -500,10 +498,7 @@ def complex_schwarz_gap(z, omega, sys):
     mismatch = None
     if equality:
         omega_c, F = hermitian_from_bivector(C)
-        if F.shape[1]:
-            mismatch = float(np.abs(F.T @ (omega.c - omega_c) @ F).max())
-        else:
-            mismatch = 0.0
+        mismatch = float(np.abs(F.T @ (omega.c - omega_c) @ F).max()) if F.shape[1] else 0.0
     return SchwarzGap(float(gap), equality, mismatch)
 
 
@@ -528,8 +523,7 @@ def saari_decomposition(z, sys):
     basis = np.empty((len(pairs), d, z.n))
     for k, (a, b) in enumerate(pairs):
         w = np.zeros((d, d))
-        w[a, b] = 1.0
-        w[b, a] = -1.0
+        w[a, b], w[b, a] = 1.0, -1.0
         basis[k] = w @ xr
     gram = np.einsum("i,kci,lci->kl", sys.m, basis, basis)
     rhs = np.einsum("i,kci,ci->k", sys.m, basis, resid)

@@ -407,6 +407,17 @@ def test_verify_exact_solution():
     assert rep.symmetry_defect < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_a_loop_at_rest():
+    # three bodies at rest: the spectral acceleration is zero at every node,
+    # so the residual is measured on the scale of the forces, where it is 1
+    sys = MassSystem([1.0, 2.0, 3.0])
+    cos_modes = np.zeros((2, 3, 5))
+    cos_modes[:, :, 0] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    rep = verify_loop(Loop(T, cos_modes, np.zeros_like(cos_modes), sys), italian(3, 2))
+    assert rep.eom_residual == 1.0
+
+
 def test_verify_residual_grows_with_perturbation():
     rng = np.random.default_rng(12)
     base = circular_two_body_loop(T, SYS2, 8)

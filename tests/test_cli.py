@@ -266,6 +266,20 @@ def test_rhs_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_reduce_names_the_collapse_of_the_stronger_eight(tmp_path, capsys, monkeypatch):
+    # the figure-eight under kappa = -1, G = 1.7 falls into a collapse, which
+    # the reduced route crawls into until its budget, here cut to 20,000,
+    # runs out: the run ends as the absolute route does, in a CollisionError
+    monkeypatch.setattr("nbodyred.dynamics.MAX_RHS_EVALS", 20_000)
+    out = tmp_path / "out"
+    rc = main(["reduce", "--horizon", "2", "--out", str(out)]
+              + config_args(tmp_path, {**EIGHT, "kappa": -1, "G": 1.7}))
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "CollisionError"
+    assert not (out / "reduced.csv").exists()
+
+
 def test_linear_algebra_failure_exit_code(tmp_path, capsys, monkeypatch):
     # LinAlgError is a ValueError, but a numerical failure, not bad input
     def singular(*args, **kwargs):

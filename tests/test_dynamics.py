@@ -444,6 +444,32 @@ def test_rhs_budget_stops_the_run(monkeypatch, route):
             integrate_absolute(z0, SYS2, CIRC_PERIOD, tol=1e-12, method=route, dt=1e-3)
 
 
+def test_both_rk8_routes_name_the_collapse_of_the_stronger_eight(monkeypatch):
+    # the figure-eight's state under kappa = -1, G = 1.7 falls into a
+    # collapse: the absolute step stalls there after 5,282 evaluations, and
+    # the reduced route crawls into it until its budget, here cut to 20,000,
+    # runs out; both name the same collapse
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 20_000)
+    sys = MassSystem([1.0, 1.0, 1.0], G=1.7, kappa=-1.0)
+    z0 = figure_eight()[1]
+    z0 = State(Configuration(z0.x.r, sys), Configuration(z0.y.r, sys))
+    for run, start in ((integrate_absolute, z0), (integrate_reduced, RelativeState.from_state(z0))):
+        with pytest.raises(CollisionError, match=r"^collapse at t = 0\.345668 \(min distance "):
+            run(start, sys, 2.0)
+
+
+def test_reduced_resolution_is_the_floor_of_its_right_hand_side(monkeypatch):
+    # the resolution of a Gram table is the root of the largest squared floor
+    # that its right-hand side applies, the collision floor where that is higher
+    sys, z0 = figure_eight()
+    gram, rel = dynamics._GramTable(sys), RelativeState.from_state(z0)
+    u, tr = gram.pack(rel), np.trace(rel.beta)
+    w2 = 2.0   # |w_p|^2 = 1/m_i + 1/m_j of every pair
+    assert np.isclose(gram.resolution(u), np.sqrt(4.0 * np.finfo(float).eps * w2 * tr), rtol=1e-12)
+    monkeypatch.setattr(geometry, "COLLISION_FLOOR", 1e-3)
+    assert gram.resolution(u) == 1e-3
+
+
 @pytest.mark.parametrize("route", ["rk8", "reduced"])
 def test_rk8_reports_steps(route):
     # per step 12 evaluations, 3 more when it carries samples; 2 for the first step
@@ -472,9 +498,9 @@ def test_integrator_right_hand_sides_match_pair_loop(monkeypatch, n, d, kappa):
     z0 = State(Configuration(r, sys), Configuration(np.zeros((d, n)), sys))
     funs, kicks = [], []
 
-    def capture(fun, ts, y0, tol, event):
+    def capture(fun, ts, y0, tol, event, budget):
         funs.append(fun)
-        return dop853.solve_ivp(fun, ts, y0, tol, event)
+        return dop853.solve_ivp(fun, ts, y0, tol, event, budget)
 
     def recorded(sys, *args):   # the kernel of the run, its kicks recorded
         c, accelerations = pair_kernel(sys, *args)
@@ -518,8 +544,8 @@ def against_scipy(monkeypatch):
 
     runs = []
 
-    def both(fun, ts, y0, tol, event):
-        ours = dop853.solve_ivp(fun, ts, y0, tol, event)
+    def both(fun, ts, y0, tol, event, budget):
+        ours = dop853.solve_ivp(fun, ts, y0, tol, event, budget)
 
         def crossing(t, y):
             return event(t, y)
@@ -598,13 +624,13 @@ def test_collision_event_equals_recomputed_distance(monkeypatch, case):
         recomputed.append(None)
         return squared_distances(r, sys)
 
-    def checked(fun, ts, y0, tol, event):
+    def checked(fun, ts, y0, tol, event, budget):
         def compared(t, u):
             g = event(t, u)
             s = squared_distances(u[:dn].reshape(z0.d, z0.n), sys)
             values.append((g, float(np.sqrt(s.min())) - 2.0 * floor))
             return g
-        return dop853.solve_ivp(fun, ts, y0, tol, compared)
+        return dop853.solve_ivp(fun, ts, y0, tol, compared, budget)
 
     monkeypatch.setattr(dynamics, "solve_ivp", checked)
     monkeypatch.setattr(dynamics, "squared_distances", recompute)

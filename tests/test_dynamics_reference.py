@@ -10,6 +10,10 @@ loop kicking through `pair_forces`.  Samples, work counts and raised
 messages must agree with them bit for bit.  The leapfrog now also stops
 where its energy strays from the initial one; that check only raises, so
 a run it stops is compared with the reference with the check switched off.
+The stepper now counts the budget and stops before it would pass it, and
+a run that spends it next to a collapse raises CollisionError: where the
+reference reduced route crawled into a collapse until its budget ran out,
+the run names the collapse at the time the reference named.
 """
 
 import math
@@ -309,9 +313,9 @@ def test_rk8_right_hand_side_matches_the_pair_forces_closure(monkeypatch, n, d, 
     sys, z0 = spread_state(rng, n, d, kappa)
     funs = []
 
-    def capture(fun, ts, y0, tol, event):
+    def capture(fun, ts, y0, tol, event, budget):
         funs.append(fun)
-        return dop853.solve_ivp(fun, ts, y0, tol, event)
+        return dop853.solve_ivp(fun, ts, y0, tol, event, budget)
 
     monkeypatch.setattr(dynamics, "solve_ivp", capture)
     integrate_absolute(z0, sys, 1e-3, samples=2)
@@ -335,21 +339,40 @@ def test_packed_reduced_rhs_matches_the_method(n, d, kappa):
         assert np.array_equal(reduced_rhs(tables, sys), ref)
 
 
+# the cases whose reference reduced run at horizon 1.2 crawls into a collapse
+# until its budget runs out; the absolute route stalls there with a collapse
+BUDGET_COLLAPSES = {(3, 1, -0.3), (4, 1, -0.5), (5, 3, -1.0), (5, 4, -1.0), (6, 1, -0.5),
+                    (6, 2, -1.0)}
+
+
+def assert_names_the_collapse(got, ref):
+    """got names the collapse at the time where the reference spent its budget."""
+    assert ref[0] is StepFailure and got[0] is CollisionError, (got, ref)
+    t = ref[1].split("exhausted at t = ")[1]
+    assert got[1].startswith(f"collapse at t = {t} (min distance "), (got, ref)
+
+
 @pytest.mark.parametrize("n, d, kappa", CASES)
 def test_integrators_repeat_the_reference_runs(monkeypatch, n, d, kappa):
     # samples and work counts of every route, or the same raised message; a
-    # few runs meet a collapse, which the reduced route crawls into until
-    # its budget, here cut to 20,000 evaluations, runs out
+    # few runs meet a collapse, which the reference reduced route crawls
+    # into until its budget, here cut to 20,000 evaluations, runs out, and
+    # which the reduced route now names as the absolute route does
     monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 20_000)
     rng = np.random.default_rng(3000 * n + 10 * d + int(-10 * kappa))
     sys, z0 = spread_state(rng, n, d, kappa, spacing=2.0)
     rel0 = RelativeState.from_state(z0)
     for horizon, tol in ((0.4, 1e-10), (1.2, 1e-8)):
-        assert_same(outcome(integrate_absolute, z0, sys, horizon, tol=tol, samples=17),
-                    outcome(integrate_absolute_reference, z0, sys, horizon, tol=tol, samples=17))
-        assert_same(outcome(integrate_reduced, rel0, sys, horizon, tol=tol, samples=17),
-                    outcome(integrate_reduced_reference, rel0, sys, horizon, tol=tol,
-                            samples=17))
+        got = outcome(integrate_absolute, z0, sys, horizon, tol=tol, samples=17)
+        assert_same(got, outcome(integrate_absolute_reference, z0, sys, horizon, tol=tol,
+                                 samples=17))
+        reduced = outcome(integrate_reduced, rel0, sys, horizon, tol=tol, samples=17)
+        ref = outcome(integrate_reduced_reference, rel0, sys, horizon, tol=tol, samples=17)
+        if horizon == 1.2 and (n, d, kappa) in BUDGET_COLLAPSES:
+            assert got[0] is CollisionError
+            assert_names_the_collapse(reduced, ref)
+        else:
+            assert_same(reduced, ref)
         assert_leapfrog_repeats(monkeypatch, z0, sys, horizon, method="leapfrog", samples=17,
                                 dt=horizon / 250.0)
 
@@ -402,20 +425,28 @@ def test_rounding_collisions_repeat_the_reference():
         assert got == outcome(integrate_reduced_reference, rel0, sys, 1.0, samples=2)
 
 
+# evaluations made within each budget: rk8 makes the first step's two, then
+# stops before a step attempt (12) or dense output (3) that would pass it
+CALLS = {"rk8": {1: 2, 2: 2, 3: 2, 14: 14, 200: 194, 1000: 998},
+         "reduced": {1: 2, 2: 2, 3: 2, 14: 14, 200: 200, 1000: 989},
+         "leapfrog": {budget: budget for budget in (1, 2, 3, 14, 200, 1000)}}
+
+
 @pytest.mark.parametrize("budget", [1, 2, 3, 14, 200, 1000])
 @pytest.mark.parametrize("route", ["rk8", "reduced", "leapfrog"])
 def test_budget_repeats_the_reference(monkeypatch, route, budget):
-    # the run stops at the same evaluation, naming the same time: rk8 at its
-    # call number budget + 1, leapfrog before the step that would need one more
+    # the run stops naming the same time as the reference, which raised at
+    # call number budget + 1: rk8 before the evaluations that would pass
+    # the budget, leapfrog before the step that would need one more
     monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", budget)
     sys, z0 = spread_state(np.random.default_rng(5), 4, 3, -0.5, speed=1.0)
     calls = [0]
 
-    def counting(fun, ts, y0, tol, event):
+    def counting(fun, ts, y0, tol, event, budget):
         def counted(t, u):
             calls[0] += 1
             return fun(t, u)
-        return dop853.solve_ivp(counted, ts, y0, tol, event)
+        return dop853.solve_ivp(counted, ts, y0, tol, event, budget)
 
     def counting_kernel(sys, *args):
         c, accelerations = pair_kernel(sys, *args)
@@ -439,4 +470,4 @@ def test_budget_repeats_the_reference(monkeypatch, route, budget):
         ref = outcome(integrate_absolute_reference, z0, sys, 3.0, **kwargs)
     assert got[0] is StepFailure
     assert got == ref
-    assert calls[0] == (budget if route == "leapfrog" else budget + 1)
+    assert calls[0] == CALLS[route][budget] <= max(budget, 2)
