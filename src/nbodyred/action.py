@@ -300,20 +300,20 @@ def hiphop_z3():
     ])
 
 
+# the factory of each label's group on four bodies in R^3, aliases beside their
+# names; SYMMETRY_LABELS, in this order, are the hiphop --symmetry choices
+_FACTORIES = {"z2z4": hiphop_z2z4, "hiphop_Z2xZ4": hiphop_z2z4,
+              "italian": functools.partial(italian, 4, 3), "z3": hiphop_z3, "hiphop_Z3": hiphop_z3}
+SYMMETRY_LABELS = tuple(_FACTORIES)
+
+
 def symmetry_by_label(label):
-    """The group of a label, on four bodies in R^3: the one shared instance
-    of its factory ("italian", "z2z4" alias "hiphop_Z2xZ4", "z3" alias
-    "hiphop_Z3").  Aliases return the same object, built on first use
-    together with its cache of invariant blocks (see invariant_basis);
-    italian(n, d) builds the antipodal class for other n and d.
-    """
-    if label == "italian":
-        return italian(4, 3)
-    if label in ("z2z4", "hiphop_Z2xZ4"):
-        return hiphop_z2z4()
-    if label in ("z3", "hiphop_Z3"):
-        return hiphop_z3()
-    raise ValidationError(f"unknown symmetry label {label!r}")
+    """The shared group of a label of SYMMETRY_LABELS, aliases included, built
+    on first use with its cache of invariant blocks (see invariant_basis);
+    italian(n, d) builds the antipodal class for other n and d."""
+    if label not in _FACTORIES:
+        raise ValidationError(f"unknown symmetry label {label!r}")
+    return _FACTORIES[label]()
 
 
 def _mode_basis(sym, sys, k):
@@ -503,7 +503,7 @@ class LoopReport:
     symmetry_defect: float
     square_events: list
     tetra_events: list
-    planarity: float   # rms distance to the best-fitting fixed plane
+    planarity: float   # smallest-to-largest singular value ratio of the centred node cloud
 
 
 def _local_minima_below(vals, tol):
@@ -573,9 +573,11 @@ def verify_loop(loop, sym):
     if loop.n == 4:
         squares, tetras = _square_tetra_events(loop.nodes(n_scan), squared_distances(xs, sys), 1e-2)
 
+    # the cloud's squared singular values from its d x d table; OpenBLAS threads an SVD
     flat = xs.transpose(1, 0, 2).reshape(loop.d, -1)
-    sv = np.linalg.svd(flat - flat.mean(axis=1, keepdims=True), compute_uv=False)
-    planarity = float(sv[-1] / sv[0]) if loop.d > 2 else 0.0
+    xc = flat - flat.mean(axis=1, keepdims=True)
+    ev = np.linalg.eigvalsh(xc @ xc.T)
+    planarity = math.sqrt(max(ev[0], 0.0) / ev[-1]) if loop.d > 2 else 0.0
 
     return LoopReport(S, float(eom), min_dist, defect, squares, tetras, planarity)
 

@@ -22,6 +22,7 @@ from .dynamics import _sample_times, audit_invariants, integrate_absolute, integ
 from .configurations import classify, find_balanced, find_central, shape_sphere
 from .motions import HomographicMotion, KeplerOrbit, kepler_state, relative_equilibrium
 from .action import (
+    SYMMETRY_LABELS,
     MinimizeOptions,
     minimize_action,
     square_relative_equilibrium_loop,
@@ -62,8 +63,7 @@ def _cmd_simulate(args, config, suffix):
     report = audit_invariants(traj, sys)
     if args.command == "simulate":
         serialize.trajectory_to_csv(_outpath(args, "trajectory.csv", suffix), traj)
-    serialize.write_json(_outpath(args, "audit.json", suffix),
-                         serialize.report_to_dict(report))
+    serialize.write_json(_outpath(args, "audit.json", suffix), vars(report))
     log_info("energy drift %.3e, momentum drift %.3e",
              report.energy_drift, report.momentum_drift)
     return 0
@@ -74,7 +74,7 @@ def _cmd_reduce(args, config, suffix):
     rel0 = RelativeState.from_state(z0)
     traj = integrate_reduced(rel0, sys, args.horizon, tol=args.tol,
                              samples=args.samples)
-    serialize.reduced_trajectory_to_csv(_outpath(args, "reduced.csv", suffix), traj)
+    serialize.trajectory_to_csv(_outpath(args, "reduced.csv", suffix), traj)
     return 0
 
 
@@ -88,17 +88,13 @@ def _masses(text):
 def _cmd_find(args):
     """find-central writes central.json, find-balanced balanced.json."""
     sys = MassSystem(_masses(args.masses), G=args.G, kappa=args.kappa)
-    head = {"masses": list(sys.m), "G": sys.G, "kappa": sys.kappa}
     if args.command == "find-central":
-        x = find_central(sys, args.dim, seed=args.seed)
+        spectrum, x = None, find_central(sys, args.dim, seed=args.seed)
     else:
-        head["spectrum"] = [float(v) for v in args.spectrum.split(",") if v.strip()]
-        x = find_balanced(sys, head["spectrum"], seed=args.seed)
-    cls = classify(x, sys)
-    multiplier = {"multiplier": cls.multiplier} if args.command == "find-central" else {}
-    serialize.write_json(_outpath(args, args.command.removeprefix("find-") + ".json"), {
-        **head, "positions": x.r.tolist(), "kind": cls.kind, **multiplier,
-        "central_residual": cls.central_residual, "balanced_residual": cls.balanced_residual})
+        spectrum = [float(v) for v in args.spectrum.split(",") if v.strip()]
+        x = find_balanced(sys, spectrum, seed=args.seed)
+    serialize.search_to_json(_outpath(args, args.command.removeprefix("find-") + ".json"),
+                             x, sys, classify(x, sys), spectrum)
     return 0
 
 
@@ -106,9 +102,7 @@ def _cmd_kepler(args):
     orbit = KeplerOrbit(args.k, args.a, args.e)
     ts = _sample_times(orbit.period, args.samples)
     zeta, zdot = kepler_state(orbit, ts)
-    serialize.write_csv(_outpath(args, "kepler.csv"),
-                        ["t[time]", "xi[length]", "eta[length]", "xidot[length/time]",
-                         "etadot[length/time]"], np.column_stack([ts, zeta.T, zdot.T]))
+    serialize.kepler_to_csv(_outpath(args, "kepler.csv"), ts, zeta, zdot)
     return 0
 
 
@@ -125,12 +119,7 @@ def _cmd_relequil(args, config, suffix):
     re = relative_equilibrium(x0, sys)
     if args.samples:
         traj = re.sample(_sample_times(2.0 * re.slow_period, args.samples))
-    serialize.write_json(_outpath(args, "relequil.json", suffix), {
-        "masses": list(sys.m), "G": sys.G, "kappa": sys.kappa,
-        "x0": re.x0.r.tolist(),
-        "Omega": re.Omega.c.tolist(),
-        "frequencies": re.frequencies,
-    })
+    serialize.relequil_to_json(_outpath(args, "relequil.json", suffix), re, sys)
     if args.samples:
         serialize.trajectory_to_csv(_outpath(args, "relequil.csv", suffix), traj)
     return 0
@@ -146,8 +135,7 @@ def _cmd_hiphop(args):
     loop = minimize_action(seed_loop, sym, opts)
     report = verify_loop(loop, sym=sym)
     traj = loop.sample(ts)
-    serialize.write_json(_outpath(args, "loop.json"),
-                         serialize.loop_to_dict(loop))
+    serialize.write_json(_outpath(args, "loop.json"), serialize.loop_to_dict(loop))
     serialize.write_json(_outpath(args, "hiphop_report.json"), vars(report))
     serialize.trajectory_to_csv(_outpath(args, "hiphop.csv"), traj)
     return 0
@@ -249,8 +237,7 @@ def build_parser():
     p.add_argument("--G", type=float, default=1.0)
     p.add_argument("--period", type=float, default=2.0 * np.pi)
     p.add_argument("--modes", type=int, default=16)
-    p.add_argument("--symmetry", default="z2z4",
-                   choices=("z2z4", "hiphop_Z2xZ4", "italian", "z3", "hiphop_Z3"))
+    p.add_argument("--symmetry", default="z2z4", choices=SYMMETRY_LABELS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kick", type=float, default=0.3)
     p.add_argument("--gtol", type=float, default=1e-6)

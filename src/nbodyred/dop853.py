@@ -61,8 +61,9 @@ D = np.array([-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.06894994594
 
 
 # y: one row per requested time up to the stop; status 0 at the last time, 1 at the
-# event (t_event), -1 on step-size underflow, -2 at the budget; nfev, accepted, rejected: work
-Solution = namedtuple("Solution", "y nfev status t_event accepted rejected")
+# event (t_event), -1 on step-size underflow, -2 at the budget; nfev, accepted, rejected:
+# work; t_last, y_last: the last accepted step (t0, y0 before the first)
+Solution = namedtuple("Solution", "y nfev status t_event accepted rejected t_last y_last")
 
 
 def _dense(F, y_old, x):
@@ -106,7 +107,7 @@ def solve_ivp(fun, ts, y0, tol, event, budget):
         while True:
             if h_abs < min_step or nfev + 12 > budget:
                 status = -1 if h_abs < min_step else -2
-                return Solution(out[:filled], nfev, status, None, accepted, rejected)
+                return Solution(out[:filled], nfev, status, None, accepted, rejected, t, y)
             t_new = min(t + h_abs, t_end)
             h_abs = abs(h := t_new - t)
             K[0] = f
@@ -134,7 +135,7 @@ def solve_ivp(fun, ts, y0, tol, event, budget):
         stop = bisect_right(times, t)
         if crossing or stop > filled:   # the dense output over the step
             if nfev + 3 > budget:
-                return Solution(out[:filled], nfev, -2, None, accepted, rejected)
+                return Solution(out[:filled], nfev, -2, None, accepted, rejected, t, y)
             for s in range(13, 16):
                 K[s] = fun(t_old + C[s] * h, y_old + KT[s].dot(A_ROWS[s]) * h)
             nfev += 3
@@ -146,9 +147,9 @@ def solve_ivp(fun, ts, y0, tol, event, budget):
                 mid = 0.5 * (lo + hi)
                 above = event(mid, _dense(F, y_old, np.array([[(mid - t_old) / h]]))[0]) > 0
                 lo, hi = (mid, hi) if above else (lo, mid)
-            t, t_event, status = hi, hi, 1
-            stop = bisect_right(times, t)
+            t_event, status = hi, 1
+            stop = bisect_right(times, hi)
         if stop > filled:
             out[filled:stop] = _dense(F, y_old, ((ts[filled:stop] - t_old) / h)[:, None])
             filled = stop
-    return Solution(out[:filled], nfev, status, t_event, accepted, rejected)
+    return Solution(out[:filled], nfev, status, t_event, accepted, rejected, t, y)

@@ -99,21 +99,16 @@ def _drive(rhs, u0, ts, tol, min_distance, resolution):
     collision, and StepFailure otherwise.
     """
     collision_floor = geometry.COLLISION_FLOOR
-    last = []   # t, u and min distance at t0 and every accepted step
-
-    def too_close(t, u):
-        last[:] = t, u, min_distance(u)
-        return last[2] - 2.0 * collision_floor
-
-    sol = solve_ivp(rhs, ts, u0, tol, too_close, MAX_RHS_EVALS)
+    sol = solve_ivp(rhs, ts, u0, tol, lambda t, u: min_distance(u) - 2.0 * collision_floor,
+                    MAX_RHS_EVALS)
     if sol.status == 1:
         raise CollisionError(f"collision at t = {sol.t_event:.6g}")
     if sol.status != 0:
-        t_last, u_last, mind = last
-        if mind < max(1e3 * resolution(u_last), 1e-6 * min_distance(u0)):
-            raise CollisionError(f"collapse at t = {t_last:.6g} (min distance {mind:.3e})")
+        mind = min_distance(sol.y_last)
+        if mind < max(1e3 * resolution(sol.y_last), 1e-6 * min_distance(u0)):
+            raise CollisionError(f"collapse at t = {sol.t_last:.6g} (min distance {mind:.3e})")
         if sol.status == -2:
-            raise _budget_exhausted(t_last)
+            raise _budget_exhausted(sol.t_last)
         raise StepFailure("Required step size is less than spacing between numbers.")
     return sol.y, {"rhs_evals": sol.nfev, "accepted_steps": sol.accepted,
                    "rejected_steps": sol.rejected}

@@ -1,4 +1,6 @@
-"""Deterministic file formats (see FORMATS.md).
+"""Deterministic file formats (see FORMATS.md), every one written here: the
+CLI hands over arrays and records, and _encode alone turns arrays and numpy
+scalars into JSON.
 
 Floats are written with 17 significant digits so every value round-trips
 exactly; identical inputs therefore produce byte-identical files.  CSV uses
@@ -63,6 +65,11 @@ def write_json(path, obj):
         fh.write(dumps(obj))
 
 
+def _system(sys):
+    """The masses, G and kappa fields of an output record."""
+    return {"masses": sys.m, "G": sys.G, "kappa": sys.kappa}
+
+
 # ---------------------------------------------------------------------------
 # scenarios (mass system + state)
 
@@ -124,14 +131,8 @@ def load_scenario(path):
 
 
 def loop_to_dict(loop):
-    return {
-        "period": loop.T,
-        "masses": list(loop.sys.m),
-        "G": loop.sys.G,
-        "kappa": loop.sys.kappa,
-        "cos_modes": loop.cos_modes.tolist(),
-        "sin_modes": loop.sin_modes.tolist(),
-    }
+    return {"period": loop.T, **_system(loop.sys), "cos_modes": loop.cos_modes,
+            "sin_modes": loop.sin_modes}
 
 
 def loop_from_dict(data):
@@ -145,7 +146,7 @@ def loop_from_dict(data):
 
 
 # ---------------------------------------------------------------------------
-# CSV writers
+# output files
 
 
 def write_csv(path, header, rows):
@@ -155,32 +156,44 @@ def write_csv(path, header, rows):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+# column prefix and unit of each sample block of a trajectory, by its kind
+_BLOCKS = {"absolute": [("r", "length"), ("v", "length/time")],
+           "reduced": [("beta_", "length^2"), ("gamma_", "length^2/time"),
+                       ("delta_", "length^2/time^2"), ("rho_", "length^2/time")]}
+
+
 def trajectory_to_csv(path, traj):
-    """Absolute trajectory: time, positions row-major, velocities row-major."""
-    d, n = traj.samples.shape[-2:]
-    header = ["t[time]"]
-    header += [f"r{c}_{i}[length]" for c in range(d) for i in range(n)]
-    header += [f"v{c}_{i}[length/time]" for c in range(d) for i in range(n)]
-    rows = traj.samples.reshape(traj.times.size, -1)   # positions, then velocities
+    """Time, then each sample block row-major: positions and velocities of an
+    absolute trajectory, beta, gamma, delta and rho of a reduced one."""
+    header = ["t[time]"] + [f"{prefix}{i}_{j}[{unit}]" for prefix, unit in _BLOCKS[traj.kind]
+                            for i, j in np.ndindex(traj.samples.shape[-2:])]
+    rows = traj.samples.reshape(traj.times.size, -1)
     write_csv(path, header, np.column_stack([traj.times, rows]))
 
 
-def reduced_trajectory_to_csv(path, traj):
-    """Reduced trajectory: time then beta, gamma, delta, rho row-major."""
-    n = traj.samples.shape[-1]
-    header = ["t[time]"]
-    units = {"beta": "length^2", "gamma": "length^2/time",
-             "delta": "length^2/time^2", "rho": "length^2/time"}
-    for name in ("beta", "gamma", "delta", "rho"):
-        header += [f"{name}_{i}_{j}[{units[name]}]" for i in range(n) for j in range(n)]
-    rows = traj.samples.reshape(traj.times.size, -1)   # beta, gamma, delta, rho
-    write_csv(path, header, np.column_stack([traj.times, rows]))
-
-
-def report_to_dict(report):
-    return dict(vars(report), series={k: np.asarray(v).tolist() for k, v in report.series.items()})
+def kepler_to_csv(path, ts, zeta, zdot):
+    """Rows (t, xi, eta, xidot, etadot) of (2, q) Kepler positions and velocities."""
+    write_csv(path, ["t[time]", "xi[length]", "eta[length]", "xidot[length/time]",
+                     "etadot[length/time]"], np.column_stack([ts, zeta.T, zdot.T]))
 
 
 def shape_points_to_csv(path, points):
     """Rows (longitude[rad], latitude[rad], I)."""
     write_csv(path, ["longitude[rad]", "latitude[rad]", "I[mass*length^2]"], points)
+
+
+def search_to_json(path, x, sys, cls, spectrum):
+    """central.json of a central search (spectrum None), with the multiplier,
+    or balanced.json of a balanced one, with the requested spectrum: the
+    configuration x and its classification cls."""
+    central = spectrum is None
+    head = _system(sys) if central else {**_system(sys), "spectrum": spectrum}
+    write_json(path, {**head, "positions": x.r, "kind": cls.kind,
+                      **({"multiplier": cls.multiplier} if central else {}),
+                      "central_residual": cls.central_residual,
+                      "balanced_residual": cls.balanced_residual})
+
+
+def relequil_to_json(path, re, sys):
+    write_json(path, {**_system(sys), "x0": re.x0.r, "Omega": re.Omega.c,
+                      "frequencies": re.frequencies})

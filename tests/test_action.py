@@ -8,6 +8,7 @@ from conftest import dense_basis
 from nbodyred.errors import CollisionAtNode, ValidationError
 from nbodyred.geometry import MassSystem, squared_distances
 from nbodyred.action import (
+    SYMMETRY_LABELS,
     Loop,
     _trig,
     MinimizeOptions,
@@ -289,6 +290,12 @@ def test_symmetry_by_label():
     assert symmetry_by_label("z2z4").label == "hiphop_Z2xZ4"
     with pytest.raises(ValidationError):
         symmetry_by_label("nope")
+    # every listed label, the hiphop --symmetry choices, resolves to its group
+    groups = {"z2z4": hiphop_z2z4(), "hiphop_Z2xZ4": hiphop_z2z4(), "italian": italian(4, 3),
+              "z3": hiphop_z3(), "hiphop_Z3": hiphop_z3()}
+    assert sorted(SYMMETRY_LABELS) == sorted(groups)
+    for label in SYMMETRY_LABELS:
+        assert symmetry_by_label(label) is groups[label]
 
 
 @pytest.mark.parametrize("label", ["z2z4", "italian", "z3"])
@@ -446,6 +453,16 @@ def test_hiphop_minimizer_full_properties():
     S_hip, _ = action_value_and_gradient(out)
     S_sq, _ = action_value_and_gradient(square_relative_equilibrium_loop(T, SYS4, 16))
     assert S_hip < S_sq - 1e-3
+
+
+def test_planarity_is_the_singular_value_ratio_of_the_scan():
+    # the eigenvalues of the 3 x 3 table give the SVD's ratio of the scanned cloud
+    out = minimize_action(square_relative_equilibrium_loop(T, SYS4, 32, 0.3), hiphop_z2z4(),
+                          MinimizeOptions(gtol=1e-6))
+    flat = out.at_nodes(2048, 0)[0].transpose(1, 0, 2).reshape(3, -1)
+    sv = np.linalg.svd(flat - flat.mean(axis=1, keepdims=True), compute_uv=False)
+    ratio = sv[-1] / sv[0]
+    assert abs(verify_loop(out, hiphop_z2z4()).planarity - ratio) <= 1e-12 * ratio
 
 
 def test_tetra_events_stable_under_last_bit_perturbations():

@@ -75,6 +75,42 @@ def test_simulate_writes_trajectory_and_audit(tmp_path, circ_config):
     assert header.startswith("t[time],r0_0[length]")
 
 
+def test_trajectory_and_reduced_csv_headers(tmp_path):
+    # the whole header row of each trajectory kind, as FORMATS.md names it (d = 2, n = 3)
+    out = tmp_path / "out"
+    for command in ("simulate", "reduce"):
+        assert main([command, "--horizon", "0.1", "--samples", "3", "--out", str(out)]
+                    + config_args(tmp_path, EIGHT)) == 0
+    assert (out / "trajectory.csv").read_text().splitlines()[0] == (
+        "t[time],r0_0[length],r0_1[length],r0_2[length],r1_0[length],r1_1[length],"
+        "r1_2[length],v0_0[length/time],v0_1[length/time],v0_2[length/time],"
+        "v1_0[length/time],v1_1[length/time],v1_2[length/time]")
+    blocks = [("beta", "length^2"), ("gamma", "length^2/time"), ("delta", "length^2/time^2"),
+              ("rho", "length^2/time")]
+    reduced = (out / "reduced.csv").read_text().splitlines()[0]
+    assert reduced == "t[time]," + ",".join(
+        f"{name}_{i}_{j}[{unit}]" for name, unit in blocks for i in "012" for j in "012")
+    assert reduced.startswith("t[time],beta_0_0[length^2],beta_0_1[length^2],beta_0_2[length^2],"
+                              "beta_1_0[length^2]")
+
+
+@pytest.mark.parametrize("argv, scenario, name, keys", [
+    (["find-central", "--masses", "1,2,3", "--seed", "7"], None, "central.json",
+     ["masses", "G", "kappa", "positions", "kind", "multiplier", "central_residual",
+      "balanced_residual"]),
+    (["find-balanced", "--masses", "1,1,1", "--spectrum", "0.7,0.3", "--seed", "3"], None,
+     "balanced.json", ["masses", "G", "kappa", "spectrum", "positions", "kind",
+                       "central_residual", "balanced_residual"]),
+    (["relequil"], ISOSCELES, "relequil.json",
+     ["masses", "G", "kappa", "x0", "Omega", "frequencies"]),
+    (["hiphop", "--seed", "0", "--modes", "4"], None, "loop.json",
+     ["period", "masses", "G", "kappa", "cos_modes", "sin_modes"]),
+], ids=["central", "balanced", "relequil", "loop"])
+def test_json_records_keep_their_key_order(tmp_path, argv, scenario, name, keys):
+    assert main(argv + config_args(tmp_path, scenario) + ["--out", str(tmp_path)]) == 0
+    assert list(json.loads((tmp_path / name).read_text())) == keys
+
+
 @pytest.mark.parametrize("argv, scenario", [
     (["simulate", "--horizon", "3"], CIRCULAR),
     (["reduce", "--horizon", "3"], CIRCULAR),

@@ -603,6 +603,19 @@ def test_stepper_locates_a_terminal_collision_like_scipy(monkeypatch, against_sc
     assert abs(ours.t_event - ref.t_events[0][0]) <= 1e-12
 
 
+def test_solution_carries_the_last_accepted_step():
+    # y' = -y from 1: a run to its end stops on its last time, and a run that
+    # an event stops keeps the accepted step over which the event crossed
+    ts = np.linspace(0.0, 2.0, 5)
+    full = dop853.solve_ivp(lambda t, y: -y, ts, [1.0], 1e-10, lambda t, y: 1.0, 1000)
+    assert full.status == 0 and full.t_last == 2.0
+    assert abs(full.y_last[0] - np.exp(-2.0)) <= 1e-9
+    half = dop853.solve_ivp(lambda t, y: -y, ts, [1.0], 1e-10, lambda t, y: y[0] - 0.5, 1000)
+    assert half.status == 1 and abs(half.t_event - np.log(2.0)) <= 1e-9
+    assert half.t_last > half.t_event and half.y_last[0] < 0.5
+    assert abs(half.y_last[0] - np.exp(-half.t_last)) <= 1e-9
+
+
 @pytest.mark.parametrize("case", ["eight", "collision"])
 def test_collision_event_equals_recomputed_distance(monkeypatch, case):
     # after an accepted step the event reads the squared distances of the

@@ -89,7 +89,7 @@ def solve_ivp_reference(fun, ts, y0, tol, event):
         h_abs, rejected_before = max(h_abs, min_step), rejected
         while True:
             if h_abs < min_step:
-                return Solution(out[:filled], nfev, -1, None, accepted, rejected)
+                return Solution(out[:filled], nfev, -1, None, accepted, rejected, t, y)
             t_new = min(t + h_abs, t_end)
             h_abs = abs(h := t_new - t)
             K[0] = f
@@ -132,7 +132,7 @@ def solve_ivp_reference(fun, ts, y0, tol, event):
         if stop > filled:
             out[filled:stop] = _dense(F, y_old, ((ts[filled:stop] - t_old) / h)[:, None])
             filled = stop
-    return Solution(out[:filled], nfev, status, t_event, accepted, rejected)
+    return Solution(out[:filled], nfev, status, t_event, accepted, rejected, t, y)
 
 
 def drive_reference(rhs, u0, ts, tol, min_distance, collision_floor):
