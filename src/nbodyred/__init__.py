@@ -7,14 +7,12 @@ from .errors import (
     CollisionError,
     DegenerateConfiguration,
     InfeasibleSpectrum,
-    InvalidStructure,
     NBodyError,
     NegativeSquaredDistance,
     NoConvergence,
     NotAttractive,
     NotBalanced,
     NotCentral,
-    NotEmbeddable,
     NumericalError,
     StepFailure,
     ValidationError,
@@ -26,17 +24,10 @@ from .geometry import (
     MassSystem,
     RelativeState,
     State,
-    angular_momentum,
     beta_to_distances,
-    bivector_component,
-    bivector_norm_and_frequencies,
-    characteristic_coefficients,
     gram_form,
-    hermitian_from_bivector,
     inertia,
-    inertia_operator_apply,
     potential_and_gradient,
-    rotation_invariants,
     wintner_conley,
 )
 

@@ -129,11 +129,6 @@ class Loop:
     def params(self):
         return np.concatenate([self.cos_modes.ravel(), self.sin_modes.ravel()])
 
-    def with_params(self, p):
-        half = self.cos_modes.size
-        shape = self.cos_modes.shape
-        return Loop(self.T, p[:half].reshape(shape), p[half:].reshape(shape), self.sys)
-
     def __repr__(self):
         return f"Loop(T={self.T}, n={self.n}, d={self.d}, n_modes={self.n_modes})"
 
@@ -620,19 +615,4 @@ def square_relative_equilibrium_loop(T, sys, n_modes, vertical_kick=0.0):
         a[1, i, 1] = R * np.sin(phase)
         b[1, i, 1] = R * np.cos(phase)
         b[2, i, 1] = vertical_kick * (-1.0) ** i
-    return Loop(T, a, b, sys)
-
-
-def circular_two_body_loop(T, sys, n_modes):
-    """The circular solution of two bodies with one revolution per period."""
-    if sys.n != 2:
-        raise ValidationError("two bodies required")
-    w = 2.0 * np.pi / T
-    rho = (sys.G * sys.M / w**2) ** (1.0 / 3.0)  # separation
-    a, b = _seed_coefficients(2, 2, n_modes)
-    r1 = rho * sys.m[1] / sys.M
-    r2 = -rho * sys.m[0] / sys.M
-    for i, r in enumerate((r1, r2)):
-        a[0, i, 1] = r
-        b[1, i, 1] = r
     return Loop(T, a, b, sys)

@@ -18,7 +18,13 @@ import numpy as np
 from . import serialize
 from .errors import NumericalError, ValidationError, log_info
 from .geometry import MassSystem, RelativeState, State
-from .dynamics import _sample_times, audit_invariants, integrate_absolute, integrate_reduced
+from .dynamics import (
+    _sample_times,
+    audit_invariants,
+    integrate_absolute,
+    integrate_reduced,
+    kepler_type,
+)
 from .configurations import classify, find_balanced, find_central, shape_sphere
 from .motions import HomographicMotion, KeplerOrbit, kepler_state, relative_equilibrium
 from .action import (
@@ -119,7 +125,8 @@ def _cmd_relequil(args, config, suffix):
     re = relative_equilibrium(x0, sys)
     if args.samples:
         traj = re.sample(_sample_times(2.0 * re.slow_period, args.samples))
-    serialize.relequil_to_json(_outpath(args, "relequil.json", suffix), re, sys)
+    serialize.relequil_to_json(_outpath(args, "relequil.json", suffix), re, sys,
+                               *kepler_type(re.state(0.0), sys))
     if args.samples:
         serialize.trajectory_to_csv(_outpath(args, "relequil.csv", suffix), traj)
     return 0

@@ -4,12 +4,10 @@ A configuration is central when the accelerations are proportional to the
 positions (critical point of U at fixed moment of inertia), balanced when
 the interaction matrix commutes with the intrinsic inertia table (critical
 point of U at fixed inertia spectrum).  Besides residual classification,
-this module finds both kinds numerically and evaluates the mass-linear
-determinant equations P_ijk for balance in terms of the squared mutual
-distances alone.  The searches are numpy only (no scipy).
+this module finds both kinds numerically.  The searches are numpy only (no
+scipy).
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +17,6 @@ from .errors import (
     DegenerateConfiguration,
     InfeasibleSpectrum,
     NoConvergence,
-    NotEmbeddable,
     ValidationError,
     log_info,
 )
@@ -40,7 +37,6 @@ from .optimize import quasi_newton
 CENTRAL_TOL = 1e-12     # central residual find_central must reach
 BALANCED_TOL = 1e-8     # balance residual find_balanced must reach
 CLASSIFY_TOL = 1e-8     # residual below which a configuration is central or balanced
-EMBED_TOL = 1e-9        # negative Gram eigenvalue, relative to the largest, a distance table may have
 
 
 @dataclass
@@ -235,97 +231,6 @@ def find_balanced(sys, spectrum, seed=None, x0=None):
     if not balanced <= BALANCED_TOL:   # written so that NaN fails it
         raise NoConvergence(f"balance residual {balanced:.3e} above {BALANCED_TOL:.1e}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# mass-linear determinant equations
-
-
-@dataclass
-class BalancedResiduals:
-    P: dict              # (i, j, k) -> P_ijk, i < j < k
-    nabla: dict          # (i, j, k) -> nabla_ijk
-    Y: dict              # (i, j, k, l) -> Y^l_ijk
-    p_matrix: np.ndarray
-    identity_residual: float
-    commutator_residual: float
-
-
-def p_matrix(s, du, m):
-    """P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj from the tables s
-    and du = dU/ds (its diagonal cancels)."""
-    # sum over all l: the l = j term is (s_ij - s_ij) du_jj = 0
-    P = (s @ du - s * du.sum(axis=0)) / (2.0 * m)
-    np.fill_diagonal(P, 0.0)
-    return P
-
-
-def _nabla_det(s, du, m, i, j, k):
-    return np.linalg.det(np.array([
-        [1.0 / m[i], 1.0 / m[j], 1.0 / m[k]],
-        [s[j, k] - s[k, i] - s[i, j],
-         s[k, i] - s[i, j] - s[j, k],
-         s[i, j] - s[j, k] - s[k, i]],
-        [du[j, k], du[k, i], du[i, j]],
-    ]))
-
-
-def _y_det(s, du, m, i, j, k, l):
-    return np.linalg.det(np.array([
-        [1.0, 1.0, 1.0],
-        [s[j, k] + s[i, l], s[k, i] + s[j, l], s[i, j] + s[k, l]],
-        [du[i, l] / m[i], du[j, l] / m[j], du[k, l] / m[k]],
-    ]))
-
-
-def balanced_residuals_pijk(s, sys):
-    """Evaluate the balance equations P_ijk = 0 from the n x n table s of
-    squared distances (its symmetric part is used).
-
-    P_ijk comes from the antisymmetric part of beta A; it decomposes as
-    -1/2 nabla_ijk + 1/2 sum_l Y^l_ijk, the first column of Y^l_ijk being
-    dU/ds_il / m_i (the published determinant lacks the 1/m_i and misses
-    the identity); identity_residual is its largest defect.  The distances
-    are embedded to cross-check against the commutator criterion; raises
-    NotEmbeddable when the reconstructed Gram table has an eigenvalue below
-    -EMBED_TOL of the largest.
-    """
-    n = sys.n
-    s = np.asarray(s, dtype=float)
-    if s.shape != (n, n):
-        raise ValidationError(f"expected an {n} x {n} distance-squared table")
-    s = 0.5 * (s + s.T)
-    if np.any(s[~np.eye(n, dtype=bool)] <= 0.0):
-        raise ValidationError("off-diagonal squared distances must be positive")
-
-    # dU/ds off the diagonal
-    du = -interaction_matrix_from_s(s[sys.pairs], sys, pair_kernel(sys, 0.0)[0]) * sys.m
-    P = p_matrix(s, du, sys.m)
-    W = P - P.T
-
-    p_ijk, nabla, Y = {}, {}, {}
-    err = 0.0
-    for (i, j, k) in itertools.combinations(range(n), 3):
-        val = W[i, j] + W[j, k] + W[k, i]
-        p_ijk[(i, j, k)] = float(val)
-        nabla[(i, j, k)] = _nabla_det(s, du, sys.m, i, j, k)
-        rec = -0.5 * nabla[(i, j, k)]
-        for l in [l for l in range(n) if l not in (i, j, k)]:
-            Y[(i, j, k, l)] = _y_det(s, du, sys.m, i, j, k, l)
-            rec += 0.5 * Y[(i, j, k, l)]
-        err = max(err, abs(rec - val))
-
-    # euclidean cross-check through an embedding of s
-    ones = np.ones((n, n)) / n
-    centered = -0.5 * (np.eye(n) - ones) @ s @ (np.eye(n) - ones)
-    w, V = np.linalg.eigh(centered)
-    if w.min() < -EMBED_TOL * max(w.max(), 1e-300):
-        raise NotEmbeddable(f"Gram eigenvalue {w.min():.3e} below -{EMBED_TOL:.1e}")
-    keep = w > EMBED_TOL * max(w.max(), 1e-300)
-    x = Configuration((V[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))).T, sys)
-    _, comm, _ = _residuals(x, sys)
-
-    return BalancedResiduals(p_ijk, nabla, Y, P, err, comm)
 
 
 # ---------------------------------------------------------------------------

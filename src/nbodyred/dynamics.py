@@ -24,27 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dop853 import solve_ivp
-from .errors import (
-    CollisionError,
-    DegenerateConfiguration,
-    InvalidStructure,
-    StepFailure,
-    ValidationError,
-)
+from .errors import CollisionError, StepFailure, ValidationError
 from . import geometry
 from .geometry import (
-    RelativeState,
     Trajectory,
-    angular_momentum,
     angular_momentum_tables,
     beta_to_distances,
-    bivector_component,
     centred,
     check_collision_floor,
-    hermitian_from_bivector,
     hyperplane_basis,
-    mass_dot,
-    matrix_rank,
     pair_kernel,
     potential_from_s,
     reduced_tables,
@@ -53,6 +41,7 @@ from .geometry import (
 
 MAX_RHS_EVALS = 250_000   # over ten times the largest run in the tests and the benchmark
 LEAPFROG_ENERGY_BOUND = 1e-3   # largest relative energy error a leapfrog run returns
+SUNDMAN_EQUALITY_TOL = 1e-10   # a Sundman gap below this fraction of I K is an equality
 
 
 @dataclass
@@ -318,20 +307,6 @@ class _GramTable:
         return rhs
 
 
-def reduced_rhs(tables, sys):
-    """Right-hand side of the reduced system on the stacked (4, n, n) tables
-    (beta, gamma, delta, rho), returned as double-centred tables.
-
-    The packed flow G_dot = L^T G + G L of the module docstring, read from
-    and written to tables; on D* it is
-    beta_dot = 2 gamma, gamma_dot = A^T beta + beta A + delta,
-    delta_dot = 2 (A^T gamma + gamma A) - 2 (A^T rho - rho A),
-    rho_dot = A^T beta - beta A.
-    """
-    gram = _GramTable(sys)
-    return gram.unpack(gram.rhs()(0.0, gram.pack(RelativeState(*tables))))
-
-
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513):
     """Integrate the reduced system on the packed Gram table; same contract
     as integrate_absolute, with double-centred (beta, gamma, delta, rho)
@@ -372,14 +347,15 @@ def scalar_invariants(z, sys):
     return tuple(float(v) for v in _invariants(z.x.r, z.y.r, sys)[:5])
 
 
-def sundman_gap(z, sys):
-    """I K - J^2 - |C|^2 (nonnegative; zero exactly for complex-homothetic states)."""
-    return float(_sundman(*_invariants(z.x.r, z.y.r, sys))[0])
-
-
-def sundman_function(z, sys):
-    """Sundman's function I^{-1/2}(J^2 + |C|^2) - 2 I^{1/2} H."""
-    return float(_sundman(*_invariants(z.x.r, z.y.r, sys))[1])
+def kepler_type(z, sys):
+    """(gap, verdict) of an absolute state: Sundman's gap over I K, and
+    whether it is an equality, gap <= SUNDMAN_EQUALITY_TOL.  Equality holds
+    exactly when the motion through z is homographic of Kepler type, the
+    absolute minimum of Sundman's inequality."""
+    invariants = _invariants(z.x.r, z.y.r, sys)
+    I, _, K = invariants[:3]
+    gap = float(_sundman(*invariants)[0] / (I * K))
+    return gap, gap <= SUNDMAN_EQUALITY_TOL
 
 
 def spline_slopes(x, y):
@@ -446,90 +422,3 @@ def audit_invariants(traj, sys):
               "normC": normC, "sundman_gap": gap, "sundman_function": Sfun}
     return InvariantReport(energy_drift, momentum_drift, lj_residual,
                            sundman_min_gap, scaling_drift, series)
-
-
-# ---------------------------------------------------------------------------
-# Schwarz / Sundman machinery
-
-
-STRUCTURE_TOL = 1e-10   # defect of a degenerate hermitian structure that still counts as one
-SUNDMAN_EQUALITY_TOL = 1e-10   # a Schwarz gap below this fraction of I K is an equality
-
-
-@dataclass
-class SchwarzGap:
-    gap: float
-    equality: bool
-    omega_mismatch: float | None  # ||Omega - Omega_C|| on the fixed space, when equality
-
-
-def _check_degenerate_hermitian(omega):
-    """Omega must satisfy ||Omega v|| <= ||v|| and Omega^2 = -Id on Im Omega,
-    each to STRUCTURE_TOL."""
-    c = omega.c
-    sv = np.linalg.svd(c, compute_uv=False)
-    if sv.size and sv[0] > 1.0 + STRUCTURE_TOL:
-        raise InvalidStructure(f"largest singular value {sv[0]:.3e} exceeds 1")
-    _, F = hermitian_from_bivector(omega)
-    if F.shape[1]:
-        resid = np.abs(c @ c @ F + F).max()
-        if resid > STRUCTURE_TOL:
-            raise InvalidStructure(f"Omega^2 differs from -Id on its image by {resid:.3e}")
-
-
-def complex_schwarz_gap(z, omega, sys):
-    """Gap  I K - J^2 - (1/4) <C, Omega>^2  for a degenerate hermitian Omega.
-
-    The gap is minimal (and equals the Sundman gap) for Omega = Omega_C.
-    When the gap vanishes to SUNDMAN_EQUALITY_TOL * I K, the equality flag is set
-    and Omega is compared against Omega_C on the fixed space.
-    """
-    _check_degenerate_hermitian(omega)
-    I, J, K, _, _ = scalar_invariants(z, sys)
-    C = angular_momentum(z, sys)
-    comp = bivector_component(C, omega)  # already (1/2) <C, Omega>
-    gap = I * K - J * J - comp * comp
-    equality = bool(gap <= SUNDMAN_EQUALITY_TOL * max(I * K, 1e-300))
-    mismatch = None
-    if equality:
-        omega_c, F = hermitian_from_bivector(C)
-        mismatch = float(np.abs(F.T @ (omega.c - omega_c) @ F).max()) if F.shape[1] else 0.0
-    return SchwarzGap(float(gap), equality, mismatch)
-
-
-def saari_decomposition(z, sys):
-    """Split a velocity into homothetic, rotational and deformation parts.
-
-    y = y_h + y_r + y_d, mutually orthogonal for the mass metric;
-    y_h = (J/I) x and y_r is the projection of y - y_h onto the tangent of
-    the rotation orbit {W x : W antisymmetric}.
-    """
-    xr, yr = z.x.r, z.y.r
-    d = z.d
-    I = mass_dot(xr, xr, sys.m)
-    if I < 1e-300:
-        raise DegenerateConfiguration("total collision")
-    J = mass_dot(xr, yr, sys.m)
-    y_h = (J / I) * xr
-    resid = yr - y_h
-
-    # basis of the rotation-orbit tangent: (E_ab - E_ba) x, a < b
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    basis = np.empty((len(pairs), d, z.n))
-    for k, (a, b) in enumerate(pairs):
-        w = np.zeros((d, d))
-        w[a, b], w[b, a] = 1.0, -1.0
-        basis[k] = w @ xr
-    gram = np.einsum("i,kci,lci->kl", sys.m, basis, basis)
-    rhs = np.einsum("i,kci,ci->k", sys.m, basis, resid)
-    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    y_r = np.einsum("k,kci->ci", coef, basis)
-    y_d = resid - y_r
-    return y_h, y_r, y_d
-
-
-def dziobek_ranks(z, sys):
-    """(rank C, rank E) with the singular-value threshold RANK_RTOL * sigma_max."""
-    rank_c = matrix_rank(angular_momentum(z, sys).c)
-    rank_e = matrix_rank(np.hstack([z.x.r, z.y.r]))
-    return rank_c, rank_e

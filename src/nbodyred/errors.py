@@ -43,10 +43,6 @@ class StepFailure(NumericalError):
     """The integrator's step size underflowed."""
 
 
-class InvalidStructure(ValidationError):
-    """A bivector does not define a (degenerate) hermitian structure."""
-
-
 class DegenerateConfiguration(NumericalError):
     """Total collision (moment of inertia ~ 0)."""
 
@@ -57,10 +53,6 @@ class NoConvergence(NumericalError):
 
 class InfeasibleSpectrum(ValidationError):
     """Requested inertia spectrum has rank exceeding n - 1."""
-
-
-class NotEmbeddable(NumericalError):
-    """Squared distances admit no euclidean realization."""
 
 
 class NotCentral(ValidationError):

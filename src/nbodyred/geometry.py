@@ -208,13 +208,6 @@ class RelativeState:
             [[self.beta, self.gamma - self.rho], [self.gamma + self.rho, self.delta]]
         )
 
-    def check_positive(self):
-        """True when the block table is positive semidefinite up to 1e-8 of
-        its largest eigenvalue."""
-        w = np.linalg.eigvalsh(self.block_matrix())
-        scale = max(abs(w).max(), 1e-300)
-        return w.min() >= -1e-8 * scale
-
     def __repr__(self):
         return f"RelativeState(n={self.n})"
 
@@ -339,34 +332,6 @@ def inertia(x, sys):
     return I, B, S
 
 
-def inertia_pairwise(x, sys):
-    """I via (1/M) sum_{i<j} m_i m_j r_ij^2 (cross-check route)."""
-    return float((sys.pair_masses * squared_distances(x.r, sys)).sum() / sys.M)
-
-
-def characteristic_coefficients(x, sys):
-    """Coefficients (eta_1, ..., eta_{n-1}) of det(Id - lambda B).
-
-    det(Id - lambda B) = 1 - eta_1 lambda + ... + (-1)^(n-1) eta_{n-1}
-    lambda^(n-1); eta_{k-1} equals (1/M) sum m_{i1}...m_{ik} vol^2 over
-    k-point subsets (squared parallelotope volumes).
-    """
-    _, B, _ = inertia(x, sys)
-    sqm = np.sqrt(sys.m)
-    b_sym = (B / sqm[:, None]) * sqm[None, :]  # similar to B, symmetric
-    lam = np.linalg.eigvalsh(b_sym)
-    return elementary_symmetric(lam, x.n - 1)
-
-
-def elementary_symmetric(values, kmax):
-    """First kmax elementary symmetric functions of `values`."""
-    e = np.zeros(kmax + 1)
-    e[0] = 1.0
-    for v in values:
-        e[1 : kmax + 1] = e[1 : kmax + 1] + v * e[0:kmax]
-    return tuple(float(c) for c in e[1:])
-
-
 # ---------------------------------------------------------------------------
 # interaction matrix and potential
 
@@ -453,7 +418,7 @@ def mass_dot(u, v, m):
 
 
 # ---------------------------------------------------------------------------
-# angular momentum and hermitian structures
+# angular momentum
 
 
 def angular_momentum_tables(x, y, sys):
@@ -461,85 +426,3 @@ def angular_momentum_tables(x, y, sys):
     (..., d, n) positions x and velocities y, exactly antisymmetric."""
     xm = x * sys.m
     return exact_antisymmetric(y @ np.swapaxes(xm, -1, -2) - xm @ np.swapaxes(y, -1, -2))
-
-
-def angular_momentum(z, sys):
-    """Angular momentum bivector of a state."""
-    return Bivector(angular_momentum_tables(z.x.r, z.y.r, sys))
-
-
-def bivector_norm_and_frequencies(C):
-    """Norm |C| = sum of positive frequencies, and the frequency list.
-
-    The spectrum of an antisymmetric table is {+-i w_1, ..., +-i w_p, 0...};
-    singular values carry each w twice, so |C| is half their sum.
-    """
-    sv = np.linalg.svd(C.c, compute_uv=False)
-    norm = float(sv.sum() / 2.0)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0.0, []
-    cutoff = RANK_RTOL * sv[0]
-    omegas = []
-    k = 0
-    while k + 1 < sv.size and sv[k] > cutoff:
-        omegas.append(float(0.5 * (sv[k] + sv[k + 1])))
-        k += 2
-    return norm, omegas
-
-
-def hermitian_from_bivector(C):
-    """Hermitian structure induced by a bivector.
-
-    Returns (J, F) with J the degenerate complex structure sqrt(-C^2)^+ C
-    (orthogonal projection onto the fixed space F = Im C followed by the
-    quarter-turn of each invariant plane), written in the orthonormal basis
-    of the coordinates, and F an orthonormal basis of the fixed space
-    (d x rank array).  A zero bivector yields J = 0 and an empty F.
-
-    Computed as the rank-truncated polar factor u v^T of the singular value
-    decomposition, which stays accurate when frequencies nearly coincide.
-    """
-    c = C.c
-    u, sv, vt = np.linalg.svd(c)
-    keep = sv > RANK_RTOL * sv[0] if (sv.size and sv[0] > 0.0) else np.zeros_like(sv, dtype=bool)
-    return exact_antisymmetric(u[:, keep] @ vt[keep]), u[:, keep]
-
-
-def bivector_component(C, Omega):
-    """Component (1/2) <C, Omega> = (1/2) trace(C Omega^T)."""
-    return float(0.5 * np.sum(C.c * Omega.c))
-
-
-def inertia_operator_apply(Omega, x, sys):
-    """Image of an instantaneous rotation under the inertia operator.
-
-    In an orthonormal basis this is S Omega + Omega S with S the d x d
-    inertia table; it sends the rotation of a rigidly rotating state to its
-    angular momentum.
-    """
-    _, _, S = inertia(x, sys)
-    return Bivector(S @ Omega.c + Omega.c @ S)
-
-
-def rotation_invariants(C, kmax):
-    """Traces of the even iterates of the angular-momentum endomorphism.
-
-    Returns [trace(C^2), ..., trace(C^(2 kmax))] (odd traces vanish); the
-    first d // 2 fix the rotation invariants of C, i.e. the frequency
-    multiset: trace(C^(2k)) = 2 sum_i (-omega_i^2)^k.
-    """
-    c2 = C.c @ C.c
-    out = []
-    power = np.eye(C.d)
-    for _ in range(max(kmax, 0)):
-        power = power @ c2
-        out.append(float(np.trace(power)))
-    return out
-
-
-def matrix_rank(a):
-    """Rank with threshold RANK_RTOL * sigma_max."""
-    sv = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))

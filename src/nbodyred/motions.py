@@ -14,13 +14,13 @@ import numpy as np
 from .configurations import CLASSIFY_TOL, classify
 from .errors import NotAttractive, NotBalanced, NotCentral, ValidationError
 from .geometry import (
+    RANK_RTOL,
     Bivector,
     Configuration,
     Trajectory,
     centred,
     gram_form,
     inertia,
-    matrix_rank,
     potential_and_gradient,
     wintner_conley,
 )
@@ -123,11 +123,6 @@ def kepler_state(orbit, t):
     return zeta, zdot
 
 
-def kepler_radius_true_anomaly(orbit, v):
-    """r = c^2 / (k (1 + e cos v)) from the true anomaly."""
-    return orbit.c**2 / (orbit.k * (1.0 + orbit.e * np.cos(v)))
-
-
 # ---------------------------------------------------------------------------
 # homographic motions
 
@@ -157,8 +152,8 @@ class HomographicMotion:
 
         if embedding not in ("plane", "double"):
             raise ValidationError("embedding must be 'plane' or 'double'")
-        u_img, _, _ = np.linalg.svd(xhat, full_matrices=False)
-        rank = matrix_rank(xhat)
+        u_img, sv, _ = np.linalg.svd(xhat, full_matrices=False)
+        rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
         P = u_img[:, :rank].T @ xhat  # rank x n coordinates of the image
         if embedding == "plane" and rank % 2 == 0:
             dim = rank

@@ -84,8 +84,8 @@ def _numbers(value):
     return isinstance(value, float)
 
 
-def _number(data, key, default):
-    value = data.get(key, default)
+def _number(data, key):
+    value = data.get(key)
     if isinstance(value, list) or not _numbers(value):
         raise ValidationError(f"field {key!r} must be a number")
     return value
@@ -99,6 +99,13 @@ def _floats(data, key):
     raise ValidationError(f"field {key!r} must be an array of numbers")
 
 
+def _mass_system(data):
+    """MassSystem of the masses, G and kappa fields of a record; G and kappa
+    pass only when the record has them, so their defaults are MassSystem's."""
+    given = {key: _number(data, key) for key in ("G", "kappa") if key in data}
+    return MassSystem(_floats(data, "masses"), **given)
+
+
 def scenario_from_dict(data):
     """(MassSystem, State or Configuration or None) from a scenario mapping;
     a missing "masses" or a field of the wrong JSON type is a ValidationError
@@ -107,8 +114,7 @@ def scenario_from_dict(data):
         raise ValidationError("scenario must be a JSON object")
     if "masses" not in data:
         raise ValidationError("scenario is missing 'masses'")
-    sys = MassSystem(_floats(data, "masses"), G=_number(data, "G", 1.0),
-                     kappa=_number(data, "kappa", -0.5))
+    sys = _mass_system(data)
     if "positions" not in data:
         return sys, None
     x = Configuration(_floats(data, "positions"), sys)
@@ -133,16 +139,6 @@ def load_scenario(path):
 def loop_to_dict(loop):
     return {"period": loop.T, **_system(loop.sys), "cos_modes": loop.cos_modes,
             "sin_modes": loop.sin_modes}
-
-
-def loop_from_dict(data):
-    """Loop of a loop_to_dict mapping; a wrong JSON type is a ValidationError."""
-    from .action import Loop
-
-    sys = MassSystem(_floats(data, "masses"), G=_number(data, "G", 1.0),
-                     kappa=_number(data, "kappa", -0.5))
-    return Loop(_number(data, "period", None), _floats(data, "cos_modes"),
-                _floats(data, "sin_modes"), sys)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +190,9 @@ def search_to_json(path, x, sys, cls, spectrum):
                       "balanced_residual": cls.balanced_residual})
 
 
-def relequil_to_json(path, re, sys):
+def relequil_to_json(path, re, sys, sundman_gap, kepler_type):
+    """relequil.json of a relative equilibrium, with Sundman's gap over I K at
+    t = 0 and its verdict: whether the motion is of Kepler type."""
     write_json(path, {**_system(sys), "x0": re.x0.r, "Omega": re.Omega.c,
-                      "frequencies": re.frequencies})
+                      "frequencies": re.frequencies, "sundman_gap": sundman_gap,
+                      "kepler_type": kepler_type})

@@ -1,0 +1,413 @@
+"""The paper's identities as test oracles.
+
+No command reaches these: each states an identity or a second route that
+the tests hold the library to (characteristic coefficients of the inertia
+table, bivector frequencies and the induced complex structures, the inertia
+operator, the complex Schwarz gaps, Saari's velocity split, Dziobek's rank
+estimates, the mass-linear equations P_ijk of balance) or a plain form of a
+library path (the reduced right-hand side on tables, the loop of a flat
+parameter vector, the reader of loop.json).
+"""
+
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+
+from nbodyred.action import Loop, _seed_coefficients
+from nbodyred.configurations import _residuals
+from nbodyred.dynamics import (
+    SUNDMAN_EQUALITY_TOL,
+    _GramTable,
+    _invariants,
+    _sundman,
+    scalar_invariants,
+)
+from nbodyred.errors import (
+    DegenerateConfiguration,
+    NumericalError,
+    ValidationError,
+)
+from nbodyred.geometry import (
+    RANK_RTOL,
+    Bivector,
+    Configuration,
+    RelativeState,
+    angular_momentum_tables,
+    exact_antisymmetric,
+    inertia,
+    interaction_matrix_from_s,
+    mass_dot,
+    pair_kernel,
+    squared_distances,
+)
+from nbodyred.serialize import _floats, _mass_system, _number
+
+STRUCTURE_TOL = 1e-10   # defect of a degenerate hermitian structure that still counts as one
+EMBED_TOL = 1e-9        # negative Gram eigenvalue, relative to the largest, a distance table may have
+
+
+class InvalidStructure(ValidationError):
+    """A bivector does not define a (degenerate) hermitian structure."""
+
+
+class NotEmbeddable(NumericalError):
+    """Squared distances admit no euclidean realization."""
+
+
+# ---------------------------------------------------------------------------
+# inertia and bivectors
+
+
+def inertia_pairwise(x, sys):
+    """I via (1/M) sum_{i<j} m_i m_j r_ij^2 (cross-check route)."""
+    return float((sys.pair_masses * squared_distances(x.r, sys)).sum() / sys.M)
+
+
+def characteristic_coefficients(x, sys):
+    """Coefficients (eta_1, ..., eta_{n-1}) of det(Id - lambda B).
+
+    det(Id - lambda B) = 1 - eta_1 lambda + ... + (-1)^(n-1) eta_{n-1}
+    lambda^(n-1); eta_{k-1} equals (1/M) sum m_{i1}...m_{ik} vol^2 over
+    k-point subsets (squared parallelotope volumes).
+    """
+    _, B, _ = inertia(x, sys)
+    sqm = np.sqrt(sys.m)
+    b_sym = (B / sqm[:, None]) * sqm[None, :]  # similar to B, symmetric
+    lam = np.linalg.eigvalsh(b_sym)
+    return elementary_symmetric(lam, x.n - 1)
+
+
+def elementary_symmetric(values, kmax):
+    """First kmax elementary symmetric functions of `values`."""
+    e = np.zeros(kmax + 1)
+    e[0] = 1.0
+    for v in values:
+        e[1 : kmax + 1] = e[1 : kmax + 1] + v * e[0:kmax]
+    return tuple(float(c) for c in e[1:])
+
+
+def check_positive(rel):
+    """True when the block table of a RelativeState is positive semidefinite
+    up to 1e-8 of its largest eigenvalue."""
+    w = np.linalg.eigvalsh(rel.block_matrix())
+    scale = max(abs(w).max(), 1e-300)
+    return w.min() >= -1e-8 * scale
+
+
+def angular_momentum(z, sys):
+    """Angular momentum bivector of a state."""
+    return Bivector(angular_momentum_tables(z.x.r, z.y.r, sys))
+
+
+def bivector_norm_and_frequencies(C):
+    """Norm |C| = sum of positive frequencies, and the frequency list.
+
+    The spectrum of an antisymmetric table is {+-i w_1, ..., +-i w_p, 0...};
+    singular values carry each w twice, so |C| is half their sum.
+    """
+    sv = np.linalg.svd(C.c, compute_uv=False)
+    norm = float(sv.sum() / 2.0)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0.0, []
+    cutoff = RANK_RTOL * sv[0]
+    omegas = []
+    k = 0
+    while k + 1 < sv.size and sv[k] > cutoff:
+        omegas.append(float(0.5 * (sv[k] + sv[k + 1])))
+        k += 2
+    return norm, omegas
+
+
+def hermitian_from_bivector(C):
+    """Hermitian structure induced by a bivector.
+
+    Returns (J, F) with J the degenerate complex structure sqrt(-C^2)^+ C
+    (orthogonal projection onto the fixed space F = Im C followed by the
+    quarter-turn of each invariant plane), written in the orthonormal basis
+    of the coordinates, and F an orthonormal basis of the fixed space
+    (d x rank array).  A zero bivector yields J = 0 and an empty F.
+
+    Computed as the rank-truncated polar factor u v^T of the singular value
+    decomposition, which stays accurate when frequencies nearly coincide.
+    """
+    c = C.c
+    u, sv, vt = np.linalg.svd(c)
+    keep = sv > RANK_RTOL * sv[0] if (sv.size and sv[0] > 0.0) else np.zeros_like(sv, dtype=bool)
+    return exact_antisymmetric(u[:, keep] @ vt[keep]), u[:, keep]
+
+
+def bivector_component(C, Omega):
+    """Component (1/2) <C, Omega> = (1/2) trace(C Omega^T)."""
+    return float(0.5 * np.sum(C.c * Omega.c))
+
+
+def inertia_operator_apply(Omega, x, sys):
+    """Image of an instantaneous rotation under the inertia operator.
+
+    In an orthonormal basis this is S Omega + Omega S with S the d x d
+    inertia table; it sends the rotation of a rigidly rotating state to its
+    angular momentum.
+    """
+    _, _, S = inertia(x, sys)
+    return Bivector(S @ Omega.c + Omega.c @ S)
+
+
+def rotation_invariants(C, kmax):
+    """Traces of the even iterates of the angular-momentum endomorphism.
+
+    Returns [trace(C^2), ..., trace(C^(2 kmax))] (odd traces vanish); the
+    first d // 2 fix the rotation invariants of C, i.e. the frequency
+    multiset: trace(C^(2k)) = 2 sum_i (-omega_i^2)^k.
+    """
+    c2 = C.c @ C.c
+    out = []
+    power = np.eye(C.d)
+    for _ in range(max(kmax, 0)):
+        power = power @ c2
+        out.append(float(np.trace(power)))
+    return out
+
+
+def matrix_rank(a):
+    """Rank with threshold RANK_RTOL * sigma_max."""
+    sv = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+
+
+# ---------------------------------------------------------------------------
+# dynamics
+
+
+def reduced_rhs(tables, sys):
+    """Right-hand side of the reduced system on the stacked (4, n, n) tables
+    (beta, gamma, delta, rho), returned as double-centred tables.
+
+    The packed flow G_dot = L^T G + G L of nbodyred.dynamics, read from
+    and written to tables; on D* it is
+    beta_dot = 2 gamma, gamma_dot = A^T beta + beta A + delta,
+    delta_dot = 2 (A^T gamma + gamma A) - 2 (A^T rho - rho A),
+    rho_dot = A^T beta - beta A.
+    """
+    gram = _GramTable(sys)
+    return gram.unpack(gram.rhs()(0.0, gram.pack(RelativeState(*tables))))
+
+
+def sundman_gap(z, sys):
+    """I K - J^2 - |C|^2 (nonnegative; zero exactly for complex-homothetic states)."""
+    return float(_sundman(*_invariants(z.x.r, z.y.r, sys))[0])
+
+
+def sundman_function(z, sys):
+    """Sundman's function I^{-1/2}(J^2 + |C|^2) - 2 I^{1/2} H."""
+    return float(_sundman(*_invariants(z.x.r, z.y.r, sys))[1])
+
+
+@dataclass
+class SchwarzGap:
+    gap: float
+    equality: bool
+    omega_mismatch: float | None  # ||Omega - Omega_C|| on the fixed space, when equality
+
+
+def _check_degenerate_hermitian(omega):
+    """Omega must satisfy ||Omega v|| <= ||v|| and Omega^2 = -Id on Im Omega,
+    each to STRUCTURE_TOL."""
+    c = omega.c
+    sv = np.linalg.svd(c, compute_uv=False)
+    if sv.size and sv[0] > 1.0 + STRUCTURE_TOL:
+        raise InvalidStructure(f"largest singular value {sv[0]:.3e} exceeds 1")
+    _, F = hermitian_from_bivector(omega)
+    if F.shape[1]:
+        resid = np.abs(c @ c @ F + F).max()
+        if resid > STRUCTURE_TOL:
+            raise InvalidStructure(f"Omega^2 differs from -Id on its image by {resid:.3e}")
+
+
+def complex_schwarz_gap(z, omega, sys):
+    """Gap  I K - J^2 - (1/4) <C, Omega>^2  for a degenerate hermitian Omega.
+
+    The gap is minimal (and equals the Sundman gap) for Omega = Omega_C.
+    When the gap vanishes to SUNDMAN_EQUALITY_TOL * I K, the equality flag is set
+    and Omega is compared against Omega_C on the fixed space.
+    """
+    _check_degenerate_hermitian(omega)
+    I, J, K, _, _ = scalar_invariants(z, sys)
+    C = angular_momentum(z, sys)
+    comp = bivector_component(C, omega)  # already (1/2) <C, Omega>
+    gap = I * K - J * J - comp * comp
+    equality = bool(gap <= SUNDMAN_EQUALITY_TOL * max(I * K, 1e-300))
+    mismatch = None
+    if equality:
+        omega_c, F = hermitian_from_bivector(C)
+        mismatch = float(np.abs(F.T @ (omega.c - omega_c) @ F).max()) if F.shape[1] else 0.0
+    return SchwarzGap(float(gap), equality, mismatch)
+
+
+def saari_decomposition(z, sys):
+    """Split a velocity into homothetic, rotational and deformation parts.
+
+    y = y_h + y_r + y_d, mutually orthogonal for the mass metric;
+    y_h = (J/I) x and y_r is the projection of y - y_h onto the tangent of
+    the rotation orbit {W x : W antisymmetric}.
+    """
+    xr, yr = z.x.r, z.y.r
+    d = z.d
+    I = mass_dot(xr, xr, sys.m)
+    if I < 1e-300:
+        raise DegenerateConfiguration("total collision")
+    J = mass_dot(xr, yr, sys.m)
+    y_h = (J / I) * xr
+    resid = yr - y_h
+
+    # basis of the rotation-orbit tangent: (E_ab - E_ba) x, a < b
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    basis = np.empty((len(pairs), d, z.n))
+    for k, (a, b) in enumerate(pairs):
+        w = np.zeros((d, d))
+        w[a, b], w[b, a] = 1.0, -1.0
+        basis[k] = w @ xr
+    gram = np.einsum("i,kci,lci->kl", sys.m, basis, basis)
+    rhs = np.einsum("i,kci,ci->k", sys.m, basis, resid)
+    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    y_r = np.einsum("k,kci->ci", coef, basis)
+    y_d = resid - y_r
+    return y_h, y_r, y_d
+
+
+def dziobek_ranks(z, sys):
+    """(rank C, rank E) with the singular-value threshold RANK_RTOL * sigma_max."""
+    rank_c = matrix_rank(angular_momentum(z, sys).c)
+    rank_e = matrix_rank(np.hstack([z.x.r, z.y.r]))
+    return rank_c, rank_e
+
+
+# ---------------------------------------------------------------------------
+# mass-linear determinant equations of balance
+
+
+@dataclass
+class BalancedResiduals:
+    P: dict              # (i, j, k) -> P_ijk, i < j < k
+    nabla: dict          # (i, j, k) -> nabla_ijk
+    Y: dict              # (i, j, k, l) -> Y^l_ijk
+    p_matrix: np.ndarray
+    identity_residual: float
+    commutator_residual: float
+
+
+def p_matrix(s, du, m):
+    """P_ij = (1/2 m_j) sum_{l != j} (s_il - s_ij) dU/ds_lj from the tables s
+    and du = dU/ds (its diagonal cancels)."""
+    # sum over all l: the l = j term is (s_ij - s_ij) du_jj = 0
+    P = (s @ du - s * du.sum(axis=0)) / (2.0 * m)
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
+def _nabla_det(s, du, m, i, j, k):
+    return np.linalg.det(np.array([
+        [1.0 / m[i], 1.0 / m[j], 1.0 / m[k]],
+        [s[j, k] - s[k, i] - s[i, j],
+         s[k, i] - s[i, j] - s[j, k],
+         s[i, j] - s[j, k] - s[k, i]],
+        [du[j, k], du[k, i], du[i, j]],
+    ]))
+
+
+def _y_det(s, du, m, i, j, k, l):
+    return np.linalg.det(np.array([
+        [1.0, 1.0, 1.0],
+        [s[j, k] + s[i, l], s[k, i] + s[j, l], s[i, j] + s[k, l]],
+        [du[i, l] / m[i], du[j, l] / m[j], du[k, l] / m[k]],
+    ]))
+
+
+def balanced_residuals_pijk(s, sys):
+    """Evaluate the balance equations P_ijk = 0 from the n x n table s of
+    squared distances (its symmetric part is used).
+
+    P_ijk comes from the antisymmetric part of beta A; it decomposes as
+    -1/2 nabla_ijk + 1/2 sum_l Y^l_ijk, the first column of Y^l_ijk being
+    dU/ds_il / m_i (the published determinant lacks the 1/m_i and misses
+    the identity); identity_residual is its largest defect.  The distances
+    are embedded to cross-check against the commutator criterion; raises
+    NotEmbeddable when the reconstructed Gram table has an eigenvalue below
+    -EMBED_TOL of the largest.
+    """
+    n = sys.n
+    s = np.asarray(s, dtype=float)
+    if s.shape != (n, n):
+        raise ValidationError(f"expected an {n} x {n} distance-squared table")
+    s = 0.5 * (s + s.T)
+    if np.any(s[~np.eye(n, dtype=bool)] <= 0.0):
+        raise ValidationError("off-diagonal squared distances must be positive")
+
+    # dU/ds off the diagonal
+    du = -interaction_matrix_from_s(s[sys.pairs], sys, pair_kernel(sys, 0.0)[0]) * sys.m
+    P = p_matrix(s, du, sys.m)
+    W = P - P.T
+
+    p_ijk, nabla, Y = {}, {}, {}
+    err = 0.0
+    for (i, j, k) in itertools.combinations(range(n), 3):
+        val = W[i, j] + W[j, k] + W[k, i]
+        p_ijk[(i, j, k)] = float(val)
+        nabla[(i, j, k)] = _nabla_det(s, du, sys.m, i, j, k)
+        rec = -0.5 * nabla[(i, j, k)]
+        for l in [l for l in range(n) if l not in (i, j, k)]:
+            Y[(i, j, k, l)] = _y_det(s, du, sys.m, i, j, k, l)
+            rec += 0.5 * Y[(i, j, k, l)]
+        err = max(err, abs(rec - val))
+
+    # euclidean cross-check through an embedding of s
+    ones = np.ones((n, n)) / n
+    centered = -0.5 * (np.eye(n) - ones) @ s @ (np.eye(n) - ones)
+    w, V = np.linalg.eigh(centered)
+    if w.min() < -EMBED_TOL * max(w.max(), 1e-300):
+        raise NotEmbeddable(f"Gram eigenvalue {w.min():.3e} below -{EMBED_TOL:.1e}")
+    keep = w > EMBED_TOL * max(w.max(), 1e-300)
+    x = Configuration((V[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))).T, sys)
+    _, comm, _ = _residuals(x, sys)
+
+    return BalancedResiduals(p_ijk, nabla, Y, P, err, comm)
+
+
+# ---------------------------------------------------------------------------
+# closed-form motions and loops
+
+
+def kepler_radius_true_anomaly(orbit, v):
+    """r = c^2 / (k (1 + e cos v)) from the true anomaly."""
+    return orbit.c**2 / (orbit.k * (1.0 + orbit.e * np.cos(v)))
+
+
+def circular_two_body_loop(T, sys, n_modes):
+    """The circular solution of two bodies with one revolution per period."""
+    if sys.n != 2:
+        raise ValidationError("two bodies required")
+    w = 2.0 * np.pi / T
+    rho = (sys.G * sys.M / w**2) ** (1.0 / 3.0)  # separation
+    a, b = _seed_coefficients(2, 2, n_modes)
+    r1 = rho * sys.m[1] / sys.M
+    r2 = -rho * sys.m[0] / sys.M
+    for i, r in enumerate((r1, r2)):
+        a[0, i, 1] = r
+        b[1, i, 1] = r
+    return Loop(T, a, b, sys)
+
+
+def with_params(loop, p):
+    """The loop of the flat parameter vector p, laid out as loop.params()."""
+    half = loop.cos_modes.size
+    shape = loop.cos_modes.shape
+    return Loop(loop.T, p[:half].reshape(shape), p[half:].reshape(shape), loop.sys)
+
+
+def loop_from_dict(data):
+    """Loop of a serialize.loop_to_dict mapping; a wrong JSON type is a
+    ValidationError naming the field."""
+    return Loop(_number(data, "period"), _floats(data, "cos_modes"),
+                _floats(data, "sin_modes"), _mass_system(data))

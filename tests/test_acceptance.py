@@ -23,23 +23,16 @@ from nbodyred.geometry import (
     MassSystem,
     RelativeState,
     State,
-    angular_momentum,
-    bivector_norm_and_frequencies,
-    characteristic_coefficients,
-    elementary_symmetric,
     gram_form,
     inertia,
 )
 from nbodyred.dynamics import (
     audit_invariants,
-    dziobek_ranks,
     integrate_absolute,
     integrate_reduced,
     scalar_invariants,
-    sundman_gap,
 )
 from nbodyred.configurations import (
-    balanced_residuals_pijk,
     classify,
     find_balanced,
     find_central,
@@ -59,6 +52,15 @@ from nbodyred.action import (
     minimize_action,
     square_relative_equilibrium_loop,
     verify_loop,
+)
+from oracles import (
+    angular_momentum,
+    balanced_residuals_pijk,
+    bivector_norm_and_frequencies,
+    characteristic_coefficients,
+    dziobek_ranks,
+    elementary_symmetric,
+    sundman_gap,
 )
 
 

@@ -11,9 +11,19 @@ import pytest
 import nbodyred
 from nbodyred.cli import main
 from nbodyred.errors import NumericalError, ValidationError
-from nbodyred.serialize import dumps, loop_from_dict, loop_to_dict, scenario_from_dict
-from nbodyred.geometry import MassSystem
-from nbodyred.action import circular_two_body_loop
+from nbodyred.serialize import dumps, loop_to_dict, scenario_from_dict
+from nbodyred.configurations import find_balanced, find_central
+from nbodyred.dynamics import scalar_invariants
+from nbodyred.geometry import Bivector, MassSystem, mass_dot
+from nbodyred.motions import relative_equilibrium
+from oracles import (
+    angular_momentum,
+    circular_two_body_loop,
+    complex_schwarz_gap,
+    hermitian_from_bivector,
+    loop_from_dict,
+    saari_decomposition,
+)
 
 
 CIRCULAR = {
@@ -42,6 +52,11 @@ ISOSCELES = {
 }
 
 ISOSCELES_MOVING = dict(ISOSCELES, velocities=[[0.0, 0.0, 0.0], [-0.4, 0.4, 0.0]])
+
+SQUARE = {
+    "masses": [1.0, 1.0, 1.0, 1.0],
+    "positions": [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]],
+}
 
 
 def config_args(tmp_path, scenario):
@@ -102,7 +117,7 @@ def test_trajectory_and_reduced_csv_headers(tmp_path):
      "balanced.json", ["masses", "G", "kappa", "spectrum", "positions", "kind",
                        "central_residual", "balanced_residual"]),
     (["relequil"], ISOSCELES, "relequil.json",
-     ["masses", "G", "kappa", "x0", "Omega", "frequencies"]),
+     ["masses", "G", "kappa", "x0", "Omega", "frequencies", "sundman_gap", "kepler_type"]),
     (["hiphop", "--seed", "0", "--modes", "4"], None, "loop.json",
      ["period", "masses", "G", "kappa", "cos_modes", "sin_modes"]),
 ], ids=["central", "balanced", "relequil", "loop"])
@@ -526,6 +541,17 @@ def test_a_boolean_or_a_huge_integer_is_no_number(field, value):
         scenario_from_dict(data)
 
 
+def test_a_record_without_G_or_kappa_gets_the_mass_system_defaults():
+    for sys in (scenario_from_dict({"masses": [1, 2]})[0],
+                loop_from_dict({"period": 1, "masses": [1, 2], "cos_modes": [[[0, 1], [0, -0.5]]],
+                                "sin_modes": [[[0, 0], [0, 0]]]}).sys):
+        assert (sys.G, sys.kappa) == (1.0, -0.5)
+    sys, _ = scenario_from_dict({"masses": [1, 2], "kappa": -1})
+    assert (sys.G, sys.kappa) == (1.0, -1.0)
+    with pytest.raises(ValidationError, match="'G'"):
+        scenario_from_dict({"masses": [1, 2], "G": "1"})
+
+
 @pytest.mark.parametrize("field, value", [
     ("period", "1"), ("period", True), ("period", None), ("G", "x"), ("G", True),
     ("kappa", [-0.5]), ("masses", [1.0, True]), ("masses", "1, 1"),
@@ -585,6 +611,47 @@ def test_homographic_and_relequil(tmp_path):
     data = json.loads((tmp_path / "relequil.json").read_text())
     assert len(data["frequencies"]) == 2
     assert (tmp_path / "relequil.csv").exists()
+
+
+def masses_123(search):
+    """The scenario of masses (1, 2, 3) at the configuration search(sys)."""
+    return {"masses": [1.0, 2.0, 3.0], "positions": search(MassSystem([1.0, 2.0, 3.0])).r.tolist()}
+
+
+RELEQUIL_INPUTS = {
+    "equilateral": lambda: EQUILATERAL,
+    "square": lambda: SQUARE,
+    "central-123": lambda: masses_123(lambda sys: find_central(sys, 2, seed=1)),
+    "isosceles": lambda: ISOSCELES,
+    "balanced-123": lambda: masses_123(lambda sys: find_balanced(sys, [2.0, 1.0], seed=1)),
+}
+
+
+@pytest.mark.parametrize("name, gap", [
+    ("equilateral", None), ("square", None), ("central-123", None),
+    ("isosceles", 2.388e-3), ("balanced-123", 5.693e-6),
+])
+def test_relequil_tells_the_kepler_type_of_central_configurations(tmp_path, name, gap):
+    # the relative equilibria of a central configuration are of Kepler type,
+    # the absolute minimum of Sundman's inequality; those of a balanced one
+    # are not (gap None: central)
+    scenario = RELEQUIL_INPUTS[name]()
+    assert main(["relequil"] + config_args(tmp_path, scenario) + ["--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "relequil.json").read_text())
+    if gap is None:
+        assert data["kepler_type"] is True
+        assert abs(data["sundman_gap"]) <= 1e-12
+    else:
+        assert data["kepler_type"] is False
+        assert data["sundman_gap"] == pytest.approx(gap, rel=1e-3)
+    # the complex Schwarz gap with Omega_C reaches equality in the same cases,
+    # and both motions are rigid: Saari's deformation part is zero
+    sys, x0 = scenario_from_dict(scenario)
+    z = relative_equilibrium(x0, sys).state(0.0)
+    omega_c = Bivector(hermitian_from_bivector(angular_momentum(z, sys))[0])
+    assert complex_schwarz_gap(z, omega_c, sys).equality is data["kepler_type"]
+    y_d = saari_decomposition(z, sys)[2]
+    assert mass_dot(y_d, y_d, sys.m) <= 1e-12 * scalar_invariants(z, sys)[2]
 
 
 def test_closed_form_commands_do_not_import_scipy(tmp_path):

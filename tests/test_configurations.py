@@ -12,7 +12,7 @@ from conftest import (
     squared_distance_table,
     triangle_table,
 )
-from nbodyred.errors import InfeasibleSpectrum, NoConvergence, NotEmbeddable, ValidationError
+from nbodyred.errors import InfeasibleSpectrum, NoConvergence, ValidationError
 from nbodyred.geometry import (
     Configuration,
     MassSystem,
@@ -21,13 +21,12 @@ from nbodyred.geometry import (
     potential_and_gradient,
 )
 from nbodyred.configurations import (
-    balanced_residuals_pijk,
     classify,
     find_balanced,
     find_central,
-    p_matrix,
     shape_sphere,
 )
+from oracles import NotEmbeddable, balanced_residuals_pijk, p_matrix
 
 SYS_EQ = MassSystem([1.0, 1.0, 1.0])
 

@@ -13,7 +13,6 @@ from conftest import (
 from nbodyred import dop853, dynamics, geometry
 from nbodyred.errors import (
     CollisionError,
-    InvalidStructure,
     NegativeSquaredDistance,
     StepFailure,
     ValidationError,
@@ -28,14 +27,10 @@ from nbodyred.geometry import (
     RelativeState,
     State,
     Trajectory,
-    angular_momentum,
     beta_to_distances,
-    bivector_norm_and_frequencies,
     centred,
     gram_form,
-    hermitian_from_bivector,
     mass_dot,
-    matrix_rank,
     pair_kernel,
     reduced_tables,
     squared_distances,
@@ -43,14 +38,21 @@ from nbodyred.geometry import (
 )
 from nbodyred.dynamics import (
     audit_invariants,
-    complex_schwarz_gap,
-    dziobek_ranks,
     integrate_absolute,
     integrate_reduced,
-    reduced_rhs,
-    saari_decomposition,
     scalar_invariants,
     spline_slopes,
+)
+from oracles import (
+    InvalidStructure,
+    angular_momentum,
+    bivector_norm_and_frequencies,
+    complex_schwarz_gap,
+    dziobek_ranks,
+    hermitian_from_bivector,
+    matrix_rank,
+    reduced_rhs,
+    saari_decomposition,
     sundman_function,
     sundman_gap,
 )

@@ -40,7 +40,8 @@ from nbodyred.geometry import (
     pair_kernel,
     squared_distances,
 )
-from nbodyred.dynamics import _sample_times, integrate_absolute, integrate_reduced, reduced_rhs
+from nbodyred.dynamics import _sample_times, integrate_absolute, integrate_reduced
+from oracles import reduced_rhs
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ from nbodyred.geometry import (
     gram_form,
     wintner_conley,
 )
-from nbodyred.dynamics import audit_invariants, integrate_absolute, scalar_invariants, sundman_gap
+from nbodyred.dynamics import audit_invariants, integrate_absolute, scalar_invariants
 from nbodyred.configurations import classify, find_balanced, find_central
 from nbodyred.motions import (
     HomographicMotion,
     KeplerOrbit,
     kepler_anomaly,
-    kepler_radius_true_anomaly,
     kepler_state,
     relative_equilibrium,
 )
+from oracles import kepler_radius_true_anomaly, sundman_gap
 
 SYS_EQ = MassSystem([1.0, 1.0, 1.0])
 
