@@ -277,7 +277,7 @@ def hiphop_z2z4():
     shared group."""
     quarter_flip = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     cycle = (1, 2, 3, 0)  # body i -> i+1
-    return SymmetryAction("hiphop_Z2xZ4", 4, 3, [
+    return SymmetryAction("z2z4", 4, 3, [
         (cycle, quarter_flip, Fraction(0)),
         ((0, 1, 2, 3), -np.eye(3), Fraction(1, 2)),
     ])
@@ -289,23 +289,22 @@ def hiphop_z3():
     one shared group."""
     c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return SymmetryAction("hiphop_Z3", 4, 3, [
+    return SymmetryAction("z3", 4, 3, [
         ((1, 2, 0, 3), rot, Fraction(0)),
         ((0, 1, 2, 3), -np.eye(3), Fraction(1, 2)),
     ])
 
 
-# the factory of each label's group on four bodies in R^3, aliases beside their
-# names; SYMMETRY_LABELS, in this order, are the hiphop --symmetry choices
-_FACTORIES = {"z2z4": hiphop_z2z4, "hiphop_Z2xZ4": hiphop_z2z4,
-              "italian": functools.partial(italian, 4, 3), "z3": hiphop_z3, "hiphop_Z3": hiphop_z3}
+# the factory of each label's group on four bodies in R^3; SYMMETRY_LABELS,
+# in this order, are the hiphop --symmetry choices
+_FACTORIES = {"z2z4": hiphop_z2z4, "italian": functools.partial(italian, 4, 3), "z3": hiphop_z3}
 SYMMETRY_LABELS = tuple(_FACTORIES)
 
 
 def symmetry_by_label(label):
-    """The shared group of a label of SYMMETRY_LABELS, aliases included, built
-    on first use with its cache of invariant blocks (see invariant_basis);
-    italian(n, d) builds the antipodal class for other n and d."""
+    """The shared group of a label of SYMMETRY_LABELS, built on first use
+    with its cache of invariant blocks (see invariant_basis); italian(n, d)
+    builds the antipodal class for other n and d."""
     if label not in _FACTORIES:
         raise ValidationError(f"unknown symmetry label {label!r}")
     return _FACTORIES[label]()

@@ -11,9 +11,12 @@ of (x_hat, y_hat), the forms (beta, gamma, delta, rho) on D*, and
 
 with W = D Q, c_p = 2 m_i m_j Phi'(s_p) and s_p = w_p^T b w_p.  Samples are
 stored as double-centred n x n tables.  The right-hand sides and the
-leapfrog kicks call a `pair_kernel` bound per run.  The stepper counts the
-evaluations, and no rk8 or leapfrog run passes MAX_RHS_EVALS; each reports
-`rhs_evals`, rk8 runs also `accepted_steps` and `rejected_steps`.
+leapfrog kicks call a `pair_kernel` bound per run; the reduced one names a
+collapse where a pair is under 1e3 sqrt(4 eps (1/m_i + 1/m_j) tr b), 1e3
+times what its table tells from rounding, or the collision floor.  The
+stepper counts the evaluations, and no rk8 or leapfrog run passes
+MAX_RHS_EVALS; each reports `rhs_evals`, rk8 runs also `accepted_steps`
+and `rejected_steps`.
 Audits check energy, angular momentum, the virial (Lagrange-Jacobi)
 relation and the Sundman gap I K - J^2 - |C|^2.
 """
@@ -75,7 +78,7 @@ def _budget_exhausted(t):
                        f"exhausted at t = {t:.6g}")
 
 
-def _drive(rhs, u0, ts, tol, min_distance, resolution):
+def _drive(rhs, u0, ts, tol, min_distance):
     """DOP853 states at the times ts, one row per sample, and the work counts
     (rhs_evals, accepted_steps, rejected_steps), rhs_evals <= MAX_RHS_EVALS.
 
@@ -83,9 +86,9 @@ def _drive(rhs, u0, ts, tol, min_distance, resolution):
     floor (geometry.COLLISION_FLOOR, read here as in pair_kernel, so that one
     name sets both).  A run that cannot go on, its step stalled or its
     budget spent, raises CollisionError if the closest pair at the last
-    accepted step u is under max(1e3 resolution(u), 1e-6 initial), where
-    resolution(u) is the largest distance the route cannot tell from a
-    collision, and StepFailure otherwise.
+    accepted step u is under max(1e3 collision floor, 1e-6 initial), and
+    StepFailure otherwise.  The reduced route names a collapse earlier, in
+    its right-hand side (_GramTable.rhs).
     """
     collision_floor = geometry.COLLISION_FLOOR
     sol = solve_ivp(rhs, ts, u0, tol, lambda t, u: min_distance(u) - 2.0 * collision_floor,
@@ -94,7 +97,7 @@ def _drive(rhs, u0, ts, tol, min_distance, resolution):
         raise CollisionError(f"collision at t = {sol.t_event:.6g}")
     if sol.status != 0:
         mind = min_distance(sol.y_last)
-        if mind < max(1e3 * resolution(sol.y_last), 1e-6 * min_distance(u0)):
+        if mind < max(1e3 * collision_floor, 1e-6 * min_distance(u0)):
             raise CollisionError(f"collapse at t = {sol.t_last:.6g} (min distance {mind:.3e})")
         if sol.status == -2:
             raise _budget_exhausted(sol.t_last)
@@ -142,7 +145,7 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513, d
             s = seen[1] if u is seen[0] else squared_distances(u[:dn].reshape(d, n), sys)
             return float(np.sqrt(s.min()))
 
-        us, work = _drive(rhs, u0, ts, tol, min_distance, lambda u: geometry.COLLISION_FLOOR)
+        us, work = _drive(rhs, u0, ts, tol, min_distance)
     elif method == "leapfrog":
         dt = horizon / 8192.0 if dt is None else dt
         if not 0.0 < dt < np.inf:   # written so that NaN fails it
@@ -233,7 +236,7 @@ class _GramTable:
         iu = np.triu_indices(2 * k)
         self.index = np.empty((2 * k, 2 * k), dtype=int)   # G = u[index]
         self.index[iu] = self.index[iu[::-1]] = np.arange(iu[0].size)
-        self.flat = [np.ravel_multi_index(ij, self.index.shape) for ij in (iu, iu[::-1])]
+        self.iu = iu
         self.blocks = np.stack([self.index[:k, :k], self.index[:k, k:],   # u[..., blocks]: the
                                 self.index[k:, k:], self.index[k:, :k]])  # b, g - r, e, g + r of G
         self.b = self.index[:k, :k].ravel()   # u[b] = b.ravel()
@@ -252,19 +255,16 @@ class _GramTable:
         self.s_rows[-1] = np.eye(k).ravel()
         self.WW = self.s_rows[:-1]
         # s_p is rounded by up to about 0.32 eps |w_p|^2 tr b, |w_p|^2 =
-        # 1/m_i + 1/m_j, and below four times that level (the squared floor
-        # rounding2 tr b) a collision cannot be told from rounding
-        self.rounding2 = 4.0 * np.finfo(float).eps * (W * W).sum(axis=1)
+        # 1/m_i + 1/m_j; the squared floor rounding2 tr b is (1e3)^2 times
+        # four such levels, so that a run into a collapse meets it before
+        # it crawls on rounding
+        self.rounding2 = 4e6 * np.finfo(float).eps * (W * W).sum(axis=1)
         self.rounding2_min = float(self.rounding2.min())
-
-    def _upper_of_sum(self, X):
-        """Upper triangle of X + X^T."""
-        X = X.ravel()
-        return X[self.flat[0]] + X[self.flat[1]]
 
     def pack(self, rel):
         """u of a RelativeState (of any representatives of its forms on D*)."""
-        return 0.5 * self._upper_of_sum(self.MQ2.T @ rel.block_matrix() @ self.MQ2)
+        X = self.MQ2.T @ rel.block_matrix() @ self.MQ2
+        return 0.5 * (X + X.T)[self.iu]
 
     def unpack(self, u):
         """Double-centred (..., 4, n, n) tables of packed states u."""
@@ -281,13 +281,10 @@ class _GramTable:
         # no rounding floor is below cf2 unless the least one is
         return np.maximum(floor2, cf2) if tr * self.rounding2_min < cf2 else floor2
 
-    def resolution(self, u):
-        """The largest distance that the table of u cannot tell from a collision."""
-        return float(np.sqrt(self.floor2(self.s_rows[-1].dot(u[self.b])).max()))
-
     def rhs(self):
         """rhs(t, u), the packed X + X^T with X = G L, its index maps bound;
-        raises CollisionError where a squared distance is below its floor2."""
+        raises CollisionError, a collapse at the stage time t, where a squared
+        distance is below its floor2: the route's one collapse test."""
         k, kk, (upper0, upper1), left_of = self.k, self.k ** 2, self.upper, self.left
         pair_c, z = pair_kernel(self.sys)[0], np.empty(k * (2 * k + 1) + 2 * kk)
         z_u, Y = z[:-2 * kk], z[-2 * kk:].reshape(2 * k, k)   # z = (u, Y.ravel()) as above
@@ -299,7 +296,8 @@ class _GramTable:
                 c = pair_c(s_tr[:-1], self.floor2(s_tr[-1]))
             except CollisionError:
                 beta_to_distances(self.unpack(u)[0], tol=1e-6)   # a non-Gram b raises
-                raise
+                raise CollisionError(f"collapse at t = {t:.6g} "
+                                     f"(min distance {self.min_distance(u):.3e})") from None
             z_u[:] = u
             left.reshape(2 * k, k).dot(c.dot(self.WW).reshape(k, k), out=Y)
             return z[upper0] + z[upper1]
@@ -310,10 +308,10 @@ class _GramTable:
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513):
     """Integrate the reduced system on the packed Gram table; same contract
     as integrate_absolute, with double-centred (beta, gamma, delta, rho)
-    samples."""
+    samples, and a collapse raised where a pair meets the table's floor2."""
     ts = _sample_times(horizon, samples, tol)
     gram = _GramTable(sys)
-    us, work = _drive(gram.rhs(), gram.pack(rel0), ts, tol, gram.min_distance, gram.resolution)
+    us, work = _drive(gram.rhs(), gram.pack(rel0), ts, tol, gram.min_distance)
     return Trajectory(ts, gram.unpack(us), "reduced", {"integrator": "rk8", "tol": tol, **work})
 
 

@@ -112,6 +112,21 @@ def equilateral(sys, side=1.0):
     return Configuration(pts, sys)
 
 
+def figure_eight():
+    sys = MassSystem([1.0, 1.0, 1.0])
+    p, v = np.array([0.97000436, -0.24308753]), np.array([-0.93240737, -0.86473146])
+    x = Configuration(np.stack([p, -p, np.zeros(2)], axis=1), sys)
+    return sys, State(x, Configuration(np.stack([-0.5 * v, -0.5 * v, v], axis=1), sys))
+
+
+def stronger_eight():
+    """The figure-eight's state under kappa = -1, G = 1.7, which falls into
+    a collapse at t = 0.345668."""
+    sys = MassSystem([1.0, 1.0, 1.0], G=1.7, kappa=-1.0)
+    z0 = figure_eight()[1]
+    return sys, State(Configuration(z0.x.r, sys), Configuration(z0.y.r, sys))
+
+
 def isosceles(sys, half_base=0.6, height=0.9):
     pts = np.array([[-half_base, half_base, 0.0], [0.0, 0.0, height]])
     return Configuration(pts, sys)

@@ -287,15 +287,17 @@ def test_invariant_basis_matches_dense_projector(sym, sys):
 
 def test_symmetry_by_label():
     assert symmetry_by_label("italian").order == 2
-    assert symmetry_by_label("z2z4").label == "hiphop_Z2xZ4"
-    with pytest.raises(ValidationError):
-        symmetry_by_label("nope")
-    # every listed label, the hiphop --symmetry choices, resolves to its group
-    groups = {"z2z4": hiphop_z2z4(), "hiphop_Z2xZ4": hiphop_z2z4(), "italian": italian(4, 3),
-              "z3": hiphop_z3(), "hiphop_Z3": hiphop_z3()}
-    assert sorted(SYMMETRY_LABELS) == sorted(groups)
+    assert symmetry_by_label("z2z4").label == "z2z4"
+    for label in ("nope", "hiphop_Z2xZ4", "hiphop_Z3"):
+        with pytest.raises(ValidationError):
+            symmetry_by_label(label)
+    # every listed label, the hiphop --symmetry choices, resolves to its
+    # group, which carries that label
+    groups = {"z2z4": hiphop_z2z4(), "italian": italian(4, 3), "z3": hiphop_z3()}
+    assert SYMMETRY_LABELS == tuple(groups)
     for label in SYMMETRY_LABELS:
         assert symmetry_by_label(label) is groups[label]
+        assert groups[label].label == label
 
 
 @pytest.mark.parametrize("label", ["z2z4", "italian", "z3"])
@@ -323,12 +325,13 @@ def test_groups_and_cached_blocks_are_read_only():
 
 
 def test_labels_share_one_group_per_process():
-    assert symmetry_by_label("z2z4") is symmetry_by_label("hiphop_Z2xZ4")
-    assert symmetry_by_label("z3") is symmetry_by_label("hiphop_Z3")
+    assert symmetry_by_label("z2z4") is symmetry_by_label("z2z4")
+    assert symmetry_by_label("z3") is symmetry_by_label("z3")
     assert italian(4, 3) is symmetry_by_label("italian")
     assert italian(3, 2) is not symmetry_by_label("italian")
     # the factories return the same shared groups
     assert hiphop_z2z4() is symmetry_by_label("z2z4")
+    assert hiphop_z3() is symmetry_by_label("z3")
 
 
 def test_a_custom_group_keeps_its_own_blocks():
@@ -337,8 +340,8 @@ def test_a_custom_group_keeps_its_own_blocks():
     shared = symmetry_by_label("z2z4")
     c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    custom = SymmetryAction("hiphop_Z2xZ4", 4, 3, [((1, 2, 0, 3), rot, 0),
-                                                     ((0, 1, 2, 3), -np.eye(3), 0.5)])
+    custom = SymmetryAction("z2z4", 4, 3, [((1, 2, 0, 3), rot, 0),
+                                           ((0, 1, 2, 3), -np.eye(3), 0.5)])
     invariant_basis(shared, SYS4, 8)   # the shared cache is filled first
     dense = dense_basis(invariant_basis(custom, SYS4, 8), 8)
     other = dense_basis(invariant_basis(shared, SYS4, 8), 8)

@@ -317,17 +317,17 @@ def test_rhs_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_reduce_names_the_collapse_of_the_stronger_eight(tmp_path, capsys, monkeypatch):
+def test_reduce_names_the_collapse_of_the_stronger_eight(tmp_path, capsys):
     # the figure-eight under kappa = -1, G = 1.7 falls into a collapse, which
-    # the reduced route crawls into until its budget, here cut to 20,000,
-    # runs out: the run ends as the absolute route does, in a CollisionError
-    monkeypatch.setattr("nbodyred.dynamics.MAX_RHS_EVALS", 20_000)
+    # the reduced right-hand side meets at its floor, at the shipped budget:
+    # the run ends as the absolute route does, in a CollisionError
     out = tmp_path / "out"
     rc = main(["reduce", "--horizon", "2", "--out", str(out)]
               + config_args(tmp_path, {**EIGHT, "kappa": -1, "G": 1.7}))
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "CollisionError"
+    assert json.loads(err[0])["message"].startswith("collapse at t = 0.345668 (min distance ")
     assert not (out / "reduced.csv").exists()
 
 

@@ -3,11 +3,13 @@ import pytest
 
 from conftest import (
     equilateral,
+    figure_eight,
     interaction_table_oracle,
     isosceles,
     newton_acceleration_oracle,
     random_state,
     squared_distance_table,
+    stronger_eight,
     tame_scenario,
 )
 from nbodyred import dop853, dynamics, geometry
@@ -68,13 +70,6 @@ def circular_two_body():
 
 CIRC_PERIOD = 2.0 * np.pi / np.sqrt(2.0)  # separation 1, G M = 2
 EIGHT_PERIOD = 6.32591398
-
-
-def figure_eight():
-    sys = MassSystem([1.0, 1.0, 1.0])
-    p, v = np.array([0.97000436, -0.24308753]), np.array([-0.93240737, -0.86473146])
-    x = Configuration(np.stack([p, -p, np.zeros(2)], axis=1), sys)
-    return sys, State(x, Configuration(np.stack([-0.5 * v, -0.5 * v, v], axis=1), sys))
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +441,28 @@ def test_rhs_budget_stops_the_run(monkeypatch, route):
             integrate_absolute(z0, SYS2, CIRC_PERIOD, tol=1e-12, method=route, dt=1e-3)
 
 
-def test_both_rk8_routes_name_the_collapse_of_the_stronger_eight(monkeypatch):
+def test_both_rk8_routes_name_the_collapse_of_the_stronger_eight():
     # the figure-eight's state under kappa = -1, G = 1.7 falls into a
     # collapse: the absolute step stalls there after 5,282 evaluations, and
-    # the reduced route crawls into it until its budget, here cut to 20,000,
-    # runs out; both name the same collapse
-    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 20_000)
-    sys = MassSystem([1.0, 1.0, 1.0], G=1.7, kappa=-1.0)
-    z0 = figure_eight()[1]
-    z0 = State(Configuration(z0.x.r, sys), Configuration(z0.y.r, sys))
+    # the reduced right-hand side meets its floor after 3,523; both name the
+    # same collapse, at the shipped budget
+    sys, z0 = stronger_eight()
     for run, start in ((integrate_absolute, z0), (integrate_reduced, RelativeState.from_state(z0))):
         with pytest.raises(CollisionError, match=r"^collapse at t = 0\.345668 \(min distance "):
             run(start, sys, 2.0)
 
 
-def test_reduced_resolution_is_the_floor_of_its_right_hand_side(monkeypatch):
-    # the resolution of a Gram table is the root of the largest squared floor
-    # that its right-hand side applies, the collision floor where that is higher
+def test_reduced_floor_lies_1e3_rounding_levels_deep(monkeypatch):
+    # the squared floor of a Gram table's right-hand side is (1e3)^2 times
+    # the rounding level 4 eps |w_p|^2 tr b, the collision floor where that is higher
     sys, z0 = figure_eight()
     gram, rel = dynamics._GramTable(sys), RelativeState.from_state(z0)
-    u, tr = gram.pack(rel), np.trace(rel.beta)
+    tr = np.trace(rel.beta)
     w2 = 2.0   # |w_p|^2 = 1/m_i + 1/m_j of every pair
-    assert np.isclose(gram.resolution(u), np.sqrt(4.0 * np.finfo(float).eps * w2 * tr), rtol=1e-12)
+    floor = np.sqrt(gram.floor2(tr))
+    assert np.allclose(floor, 1e3 * np.sqrt(4.0 * np.finfo(float).eps * w2 * tr), rtol=1e-12)
     monkeypatch.setattr(geometry, "COLLISION_FLOOR", 1e-3)
-    assert gram.resolution(u) == 1e-3
+    assert np.array_equal(np.sqrt(gram.floor2(tr)), np.full(3, 1e-3))
 
 
 @pytest.mark.parametrize("route", ["rk8", "reduced"])

@@ -11,9 +11,10 @@ messages must agree with them bit for bit.  The leapfrog now also stops
 where its energy strays from the initial one; that check only raises, so
 a run it stops is compared with the reference with the check switched off.
 The stepper now counts the budget and stops before it would pass it, and
-a run that spends it next to a collapse raises CollisionError: where the
-reference reduced route crawled into a collapse until its budget ran out,
-the run names the collapse at the time the reference named.
+the reduced right-hand side names a collapse where a pair falls below its
+floor, 1e3 times as deep in distance as the reference's rounding floor:
+where the reference reduced route crawled into a collapse until its
+budget ran out, the run names the collapse, at most 1e-4 of that time earlier.
 """
 
 import math
@@ -22,7 +23,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from conftest import equilateral, squared_distance_table
+from conftest import equilateral, squared_distance_table, stronger_eight
 from nbodyred import dop853, dynamics, geometry
 from nbodyred.dop853 import A_ROWS, B, C, D, E3, E5, EPS, Solution, _dense
 from nbodyred.errors import CollisionError, StepFailure
@@ -229,13 +230,16 @@ def integrate_absolute_reference(z0, sys, horizon, tol=1e-10, method="rk8", samp
 
 
 def gram_rhs_reference(gram, u, collision_floor):
-    """_GramTable.rhs of the earlier code, self renamed gram."""
+    """_GramTable.rhs of the earlier code, self renamed gram, with the
+    earlier squared rounding floor 4 eps |w_p|^2 tr b."""
     k = gram.k
     left = u[gram.left]
     s_tr = gram.s_rows @ left[:k * k]
     tr, cf2 = s_tr[-1], collision_floor * collision_floor
-    floor2 = gram.rounding2 * tr
-    if tr * gram.rounding2_min < cf2:   # else no rounding floor is below cf2
+    W = gram.sys.D @ gram.Q
+    rounding2 = 4.0 * EPS * (W * W).sum(axis=1)
+    floor2 = rounding2 * tr
+    if tr * rounding2.min() < cf2:   # else no rounding floor is below cf2
         floor2 = np.maximum(floor2, cf2)
     try:
         c = pair_coefficients(s_tr[:-1], gram.sys, floor2)
@@ -347,10 +351,13 @@ BUDGET_COLLAPSES = {(3, 1, -0.3), (4, 1, -0.5), (5, 3, -1.0), (5, 4, -1.0), (6, 
 
 
 def assert_names_the_collapse(got, ref):
-    """got names the collapse at the time where the reference spent its budget."""
+    """got names a collapse no later than where the reference spent its
+    budget, and at most 1e-4 of that time earlier."""
     assert ref[0] is StepFailure and got[0] is CollisionError, (got, ref)
-    t = ref[1].split("exhausted at t = ")[1]
-    assert got[1].startswith(f"collapse at t = {t} (min distance "), (got, ref)
+    t_ref = float(ref[1].split("exhausted at t = ")[1])
+    assert got[1].startswith("collapse at t = ") and " (min distance " in got[1], (got, ref)
+    t = float(got[1].split("collapse at t = ")[1].split(" ")[0])
+    assert t_ref - 1e-4 * t_ref <= t <= t_ref, (got, ref)
 
 
 @pytest.mark.parametrize("n, d, kappa", CASES)
@@ -358,7 +365,8 @@ def test_integrators_repeat_the_reference_runs(monkeypatch, n, d, kappa):
     # samples and work counts of every route, or the same raised message; a
     # few runs meet a collapse, which the reference reduced route crawls
     # into until its budget, here cut to 20,000 evaluations, runs out, and
-    # which the reduced route now names as the absolute route does
+    # which the reduced route now names at its floor, as the absolute
+    # route names it at a stall
     monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 20_000)
     rng = np.random.default_rng(3000 * n + 10 * d + int(-10 * kappa))
     sys, z0 = spread_state(rng, n, d, kappa, spacing=2.0)
@@ -410,7 +418,8 @@ def test_collisions_repeat_the_reference(monkeypatch, case, floor):
 
 def test_rounding_collisions_repeat_the_reference():
     # body 1 within 1e-12 of body 0: the absolute kernel meets the collision
-    # floor, the reduced one the rounding floor of its table
+    # floor, the reduced one the floor of its table, which names the same
+    # distance as a collapse at t = 0
     rng = np.random.default_rng(0)
     for _ in range(20):
         sys = MassSystem(rng.uniform(0.5, 1.5, 3))
@@ -422,8 +431,55 @@ def test_rounding_collisions_repeat_the_reference():
         assert got[0] is CollisionError
         assert got == outcome(integrate_absolute_reference, z0, sys, 1.0, samples=2)
         got = outcome(integrate_reduced, rel0, sys, 1.0, samples=2)
-        assert got[0] is CollisionError
-        assert got == outcome(integrate_reduced_reference, rel0, sys, 1.0, samples=2)
+        ref = outcome(integrate_reduced_reference, rel0, sys, 1.0, samples=2)
+        assert ref[0] is CollisionError and ref[1].endswith(" below collision floor")
+        distance = ref[1].split("minimal distance ")[1].split(" ")[0]
+        assert got == (CollisionError, f"collapse at t = 0 (min distance {distance})")
+
+
+def counting(calls):
+    """dop853.solve_ivp with each call of fun counted in calls[0]."""
+    def solve(fun, ts, y0, tol, event, budget):
+        def counted(t, u):
+            calls[0] += 1
+            return fun(t, u)
+        return dop853.solve_ivp(counted, ts, y0, tol, event, budget)
+    return solve
+
+
+def collapsing_start(case):
+    """(sys, z0, horizon) of a start that falls into a collapse: the kappa
+    = -1 equilateral at rest (its height to 7 digits, as the command-line
+    tests give it), the stronger eight, or a case of BUDGET_COLLAPSES."""
+    if case == "equilateral":
+        sys = MassSystem([1.0, 1.0, 1.0], kappa=-1.0)
+        return sys, State(Configuration([[0.0, 1.0, 0.5], [0.0, 0.0, 0.8660254]], sys),
+                          Configuration(np.zeros((2, 3)), sys)), 5.0
+    if case == "stronger-eight":
+        return *stronger_eight(), 2.0
+    n, d, kappa = case
+    rng = np.random.default_rng(3000 * n + 10 * d + int(-10 * kappa))
+    return *spread_state(rng, n, d, kappa, spacing=2.0), 1.2
+
+
+@pytest.mark.parametrize("case", ["equilateral", "stronger-eight"] + sorted(BUDGET_COLLAPSES),
+                         ids=lambda case: case if isinstance(case, str) else "-".join(map(str, case)))
+def test_every_route_names_a_collapse_within_ten_times_the_absolute_work(monkeypatch, case):
+    # at the shipped budget: rk8 on both routes and the leapfrog at its
+    # default step each raise CollisionError, and the reduced route makes
+    # at most ten times the evaluations of the absolute one
+    sys, z0, horizon = collapsing_start(case)
+    calls = [0]
+    monkeypatch.setattr(dynamics, "solve_ivp", counting(calls))
+    evals = []
+    for run, start in ((integrate_absolute, z0), (integrate_reduced, RelativeState.from_state(z0))):
+        calls[0] = 0
+        with pytest.raises(CollisionError):
+            run(start, sys, horizon)
+        evals.append(calls[0])
+    assert evals[1] <= 10 * evals[0], evals
+    with pytest.raises(CollisionError):
+        integrate_absolute(z0, sys, horizon, method="leapfrog")
 
 
 # evaluations made within each budget: rk8 makes the first step's two, then
@@ -443,12 +499,6 @@ def test_budget_repeats_the_reference(monkeypatch, route, budget):
     sys, z0 = spread_state(np.random.default_rng(5), 4, 3, -0.5, speed=1.0)
     calls = [0]
 
-    def counting(fun, ts, y0, tol, event, budget):
-        def counted(t, u):
-            calls[0] += 1
-            return fun(t, u)
-        return dop853.solve_ivp(counted, ts, y0, tol, event, budget)
-
     def counting_kernel(sys, *args):
         c, accelerations = pair_kernel(sys, *args)
 
@@ -460,7 +510,7 @@ def test_budget_repeats_the_reference(monkeypatch, route, budget):
     if route == "leapfrog":
         monkeypatch.setattr(dynamics, "pair_kernel", counting_kernel)
     else:
-        monkeypatch.setattr(dynamics, "solve_ivp", counting)
+        monkeypatch.setattr(dynamics, "solve_ivp", counting(calls))
     if route == "reduced":
         rel0 = RelativeState.from_state(z0)
         got = outcome(integrate_reduced, rel0, sys, 3.0, tol=1e-12)
