@@ -43,7 +43,6 @@ CLASSIFY_TOL = 1e-8     # residual below which a configuration is central or bal
 class ConfigClass:
     kind: str            # "central" | "balanced" | "neither"
     multiplier: float    # lambda with grad U = lambda x (central case)
-    residual: float      # residual of the assigned class
     central_residual: float
     balanced_residual: float
 
@@ -72,11 +71,9 @@ def classify(x, sys):
     """Classify a configuration as central, balanced or neither: the first
     class whose residual is below CLASSIFY_TOL."""
     central, balanced, lam = _residuals(x, sys)
-    if central < CLASSIFY_TOL:
-        return ConfigClass("central", lam, central, central, balanced)
-    if balanced < CLASSIFY_TOL:
-        return ConfigClass("balanced", lam, balanced, central, balanced)
-    return ConfigClass("neither", lam, balanced, central, balanced)
+    kind = ("central" if central < CLASSIFY_TOL
+            else "balanced" if balanced < CLASSIFY_TOL else "neither")
+    return ConfigClass(kind, lam, central, balanced)
 
 
 # ---------------------------------------------------------------------------

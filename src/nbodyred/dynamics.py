@@ -45,6 +45,7 @@ from .geometry import (
 MAX_RHS_EVALS = 250_000   # over ten times the largest run in the tests and the benchmark
 LEAPFROG_ENERGY_BOUND = 1e-3   # largest relative energy error a leapfrog run returns
 SUNDMAN_EQUALITY_TOL = 1e-10   # a Sundman gap below this fraction of I K is an equality
+UNPACK_BLOCK = 64   # reduced samples expanded to n x n tables at once
 
 
 @dataclass
@@ -88,7 +89,7 @@ def _drive(rhs, u0, ts, tol, min_distance):
     budget spent, raises CollisionError if the closest pair at the last
     accepted step u is under max(1e3 collision floor, 1e-6 initial), and
     StepFailure otherwise.  The reduced route names a collapse earlier, in
-    its right-hand side (_GramTable.rhs).
+    its right-hand side (_GramTable.rhs), where a pair meets its floor first.
     """
     collision_floor = geometry.COLLISION_FLOOR
     sol = solve_ivp(rhs, ts, u0, tol, lambda t, u: min_distance(u) - 2.0 * collision_floor,
@@ -267,8 +268,15 @@ class _GramTable:
         return 0.5 * (X + X.T)[self.iu]
 
     def unpack(self, u):
-        """Double-centred (..., 4, n, n) tables of packed states u."""
-        return reduced_tables(self.Q @ u[..., self.blocks] @ self.Q.T)
+        """Double-centred (..., 4, n, n) tables of packed states u, expanded
+        UNPACK_BLOCK samples at a time into the one result (a single state
+        is one block), so the temporaries scale with the block, not the run."""
+        flat = u.reshape(-1, u.shape[-1])
+        out = np.empty((len(flat), 4, self.sys.n, self.sys.n))
+        for i in range(0, len(flat), UNPACK_BLOCK):
+            block = slice(i, i + UNPACK_BLOCK)
+            out[block] = reduced_tables(self.Q @ flat[block, self.blocks] @ self.Q.T)
+        return out.reshape(u.shape[:-1] + out.shape[1:])
 
     def min_distance(self, u):
         return float(np.sqrt(max((self.WW @ u[self.b]).min(), 0.0)))
@@ -284,7 +292,9 @@ class _GramTable:
     def rhs(self):
         """rhs(t, u), the packed X + X^T with X = G L, its index maps bound;
         raises CollisionError, a collapse at the stage time t, where a squared
-        distance is below its floor2: the route's one collapse test."""
+        distance is below its floor2.  _drive's event and stall rule still
+        act on the route: a total collapse, whose floor2 shrinks with tr b,
+        ends at the stall rule (the symmetric kappa = -1 equilateral start)."""
         k, kk, (upper0, upper1), left_of = self.k, self.k ** 2, self.upper, self.left
         pair_c, z = pair_kernel(self.sys)[0], np.empty(k * (2 * k + 1) + 2 * kk)
         z_u, Y = z[:-2 * kk], z[-2 * kk:].reshape(2 * k, k)   # z = (u, Y.ravel()) as above
@@ -308,7 +318,8 @@ class _GramTable:
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513):
     """Integrate the reduced system on the packed Gram table; same contract
     as integrate_absolute, with double-centred (beta, gamma, delta, rho)
-    samples, and a collapse raised where a pair meets the table's floor2."""
+    samples, and a collapse raised where a pair meets the table's floor2 or
+    by _drive's rules."""
     ts = _sample_times(horizon, samples, tol)
     gram = _GramTable(sys)
     us, work = _drive(gram.rhs(), gram.pack(rel0), ts, tol, gram.min_distance)

@@ -162,14 +162,24 @@ def reduced_tables(tables):
     """Double-centred representatives of (..., 4, n, n) stacked tables
     (beta, gamma, delta, rho): the first three made symmetric, rho
     antisymmetric (rebuilt from its strict upper triangle, so exactly),
-    and every row and column summing to zero."""
-    a = 0.5 * (tables + REDUCED_SIGNS * np.swapaxes(tables, -1, -2))
-    a = a - a.mean(axis=-2, keepdims=True) - a.mean(axis=-1, keepdims=True) \
-        + a.mean(axis=(-2, -1), keepdims=True)
-    out = 0.5 * (a + np.swapaxes(a, -1, -2))
+    and every row and column summing to zero.  The steps of
+    0.5 (t + s t^T), a - mean_rows - mean_cols + mean_all and 0.5 (a + a^T)
+    run in that order, in place on one C-ordered working array, so the
+    means are summed in one memory order whatever the stack's size;
+    `tables` is not written."""
+    a = np.multiply(np.swapaxes(tables, -1, -2), REDUCED_SIGNS, out=np.empty(np.shape(tables)))
+    a += tables
+    a *= 0.5
+    rows, cols = a.mean(axis=-2, keepdims=True), a.mean(axis=-1, keepdims=True)
+    total = a.mean(axis=(-2, -1), keepdims=True)
+    a -= rows
+    a -= cols
+    a += total
     upper = np.triu(a[..., 3, :, :], 1)
-    out[..., 3, :, :] = upper - np.swapaxes(upper, -1, -2)
-    return out
+    a += np.swapaxes(a, -1, -2)   # numpy buffers the overlapping operand
+    a *= 0.5
+    np.subtract(upper, np.swapaxes(upper, -1, -2), out=a[..., 3, :, :])
+    return a
 
 
 class RelativeState:

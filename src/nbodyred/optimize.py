@@ -23,7 +23,11 @@ def quasi_newton(fun, x, f, g, gtol, rtol=0.0, step=None, metric=None):
     trial point step(x, p, t) (default x + t p) is tried at t = 1, 1/2, ...
     (40 times) and taken at the first t where f and g are finite and either
     f_new <= f + 1e-4 t p.g (Armijo) or f_new <= f + 4e-16 |f| and |g_new|
-    < |g| (f flat to rounding).  Stops at |g| <= gtol + rtol |f|.
+    < |g| (f flat to rounding).  When no t passes along a direction built
+    from stored pairs, the pairs are dropped and the search is made once
+    more along the first-step direction, -g scaled as above; a search
+    without pairs that fails ends the run "stalled".  Stops at |g| <= gtol
+    + rtol |f|.
     """
     step = step or (lambda x, p, t: x + t * p)
     w2 = 1.0 if metric is None else metric
@@ -33,34 +37,39 @@ def quasi_newton(fun, x, f, g, gtol, rtol=0.0, step=None, metric=None):
         if gnorm <= gtol + rtol * abs(f):
             return Search(x, f, float(gnorm), nit, nfev, "converged")
 
-        q, alphas = g.copy(), []
-        for s_k, y_k, sy_k in reversed(hist):
-            a_k = (s_k @ q) / sy_k
-            q -= a_k * y_k
-            alphas.append(a_k)
-        if hist:
-            _, y_k, sy_k = hist[-1]
-            q *= sy_k / (y_k @ (y_k / w2)) / w2
-        else:
-            q *= 1.0 / (w2 * max(gnorm, 1.0))
-        for (s_k, y_k, sy_k), a_k in zip(hist, reversed(alphas)):
-            b_k = (y_k @ q) / sy_k
-            q += (a_k - b_k) * s_k
-        direction = -q
-        if direction @ g >= 0:
-            direction, hist = -g, []
-        slope = direction @ g
+        while True:   # once more, without the pairs, if their direction stalls
+            q, alphas = g.copy(), []
+            for s_k, y_k, sy_k in reversed(hist):
+                a_k = (s_k @ q) / sy_k
+                q -= a_k * y_k
+                alphas.append(a_k)
+            if hist:
+                _, y_k, sy_k = hist[-1]
+                q *= sy_k / (y_k @ (y_k / w2)) / w2
+            else:
+                q *= 1.0 / (w2 * max(gnorm, 1.0))
+            for (s_k, y_k, sy_k), a_k in zip(hist, reversed(alphas)):
+                b_k = (y_k @ q) / sy_k
+                q += (a_k - b_k) * s_k
+            direction = -q
+            if direction @ g >= 0:
+                direction, hist = -g, []
+            slope = direction @ g
 
-        for t in 0.5 ** np.arange(40):
-            x_new = step(x, direction, t)
-            f_new, g_new = fun(x_new)
-            nfev += 1
-            if np.isfinite(f_new) and np.isfinite(g_new).all() and (
-                    f_new <= f + 1e-4 * t * slope
-                    or (f_new <= f + 4e-16 * abs(f) and np.linalg.norm(g_new) < gnorm)):
-                break
-        else:
-            return Search(x, f, float(gnorm), nit, nfev, "stalled")
+            for t in 0.5 ** np.arange(40):
+                x_new = step(x, direction, t)
+                f_new, g_new = fun(x_new)
+                nfev += 1
+                if np.isfinite(f_new) and np.isfinite(g_new).all() and (
+                        f_new <= f + 1e-4 * t * slope
+                        or (f_new <= f + 4e-16 * abs(f) and np.linalg.norm(g_new) < gnorm)):
+                    break
+            else:
+                if hist:
+                    hist = []
+                    continue
+                return Search(x, f, float(gnorm), nit, nfev, "stalled")
+            break
 
         s_k, y_k = t * direction, g_new - g
         sy_k = s_k @ y_k

@@ -160,11 +160,12 @@ _BLOCKS = {"absolute": [("r", "length"), ("v", "length/time")],
 
 def trajectory_to_csv(path, traj):
     """Time, then each sample block row-major: positions and velocities of an
-    absolute trajectory, beta, gamma, delta and rho of a reduced one."""
+    absolute trajectory, beta, gamma, delta and rho of a reduced one; each
+    row is built as it is written, with no second copy of the samples."""
     header = ["t[time]"] + [f"{prefix}{i}_{j}[{unit}]" for prefix, unit in _BLOCKS[traj.kind]
                             for i, j in np.ndindex(traj.samples.shape[-2:])]
     rows = traj.samples.reshape(traj.times.size, -1)
-    write_csv(path, header, np.column_stack([traj.times, rows]))
+    write_csv(path, header, (np.concatenate(([t], row)) for t, row in zip(traj.times, rows)))
 
 
 def kepler_to_csv(path, ts, zeta, zdot):

@@ -119,6 +119,15 @@ def test_find_central_three_bodies_is_equilateral():
         assert max(dists) - min(dists) < 1e-10
 
 
+def test_find_central_retries_steepest_descent_where_the_pairs_stall():
+    # from seed 38 every halving along the L-BFGS direction fails at |g|
+    # 5.9e-13, on rounding; one search along -g without the pairs goes on
+    # to |g| 2e-14
+    sys = MassSystem([1.0, 2.0, 3.0, 4.0])
+    x = find_central(sys, 3, seed=38)
+    assert classify(x, sys).central_residual < 1e-12
+
+
 def test_find_central_two_bodies():
     sys = MassSystem([1.0, 3.0])
     x = find_central(sys, 1, seed=0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,38 @@ def test_gram_table_pack_unpack_round_trip(n, d):
     # a batch unpacks row by row
     us = np.stack([u, 2.0 * u])
     assert np.array_equal(gram.unpack(us)[1], gram.unpack(2.0 * u))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_unpack_expands_block_by_block_bitwise(n):
+    # on either side of each block boundary, and for one state, the tables
+    # are bit for bit those of expanding the whole stack at once
+    rng = np.random.default_rng(30 + n)
+    gram = dynamics._GramTable(MassSystem(rng.uniform(0.5, 2.0, n)))
+    block = dynamics.UNPACK_BLOCK
+    us = rng.normal(size=(8 * block + 1, gram.iu[0].size))
+
+    def at_once(u):
+        return reduced_tables(gram.Q @ u[..., gram.blocks] @ gram.Q.T)
+
+    for q in (1, block - 1, block, block + 1, 8 * block + 1):
+        got, ref = gram.unpack(us[:q]), at_once(us[:q])
+        assert got.shape == (q, 4, n, n) and got.tobytes() == ref.tobytes()
+    got, ref = gram.unpack(us[0]), at_once(us[0])
+    assert got.shape == (4, n, n) and got.tobytes() == ref.tobytes()
+
+
+def test_unpack_peak_memory_stays_below_twice_its_result():
+    # the temporaries scale with one block of samples, not with the run
+    gram = dynamics._GramTable(MassSystem(np.ones(20)))
+    us = np.random.default_rng(40).normal(size=(513, gram.iu[0].size))
+    tracemalloc.start()
+    try:
+        out = gram.unpack(us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 def test_reduced_rhs_rejects_non_gram_beta_and_collisions():

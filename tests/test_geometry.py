@@ -28,6 +28,7 @@ from nbodyred.geometry import (
     pair_forces,
     pair_kernel,
     potential_and_gradient,
+    reduced_tables,
     squared_distances,
     wintner_conley,
 )
@@ -605,6 +606,18 @@ def test_relative_state_from_state():
     # squared distances survive the double-centering
     s_direct = squared_distance_table(z.x.r)
     assert np.allclose(beta_to_distances(rel.beta), s_direct, atol=1e-12)
+
+
+def test_reduced_tables_leaves_its_argument_unchanged():
+    # the working array is a fresh one: a read-only stack goes through, and
+    # its bytes are those it had
+    tables = np.random.default_rng(22).normal(size=(3, 4, 5, 5))
+    before = tables.tobytes()
+    tables.setflags(write=False)
+    out = reduced_tables(tables)
+    assert tables.tobytes() == before and not np.shares_memory(out, tables)
+    assert np.abs(out @ np.ones(5)).max() < 1e-14
+    assert np.array_equal(out[:, 3], -np.swapaxes(out[:, 3], -1, -2))
 
 
 def test_rotation_invariants_match_frequencies():
