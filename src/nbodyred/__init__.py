@@ -18,7 +18,6 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    Bivector,
     COLLISION_FLOOR,
     Configuration,
     MassSystem,

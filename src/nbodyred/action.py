@@ -164,8 +164,7 @@ class SymmetryAction:
     of invariant blocks per masses and residue, built on first use.
     """
 
-    def __init__(self, label, n, d, generators):
-        self.label = label
+    def __init__(self, n, d, generators):
         self.n = n
         self.d = d
         gens = []
@@ -267,7 +266,7 @@ def project_symmetry(loop, sym):
 @functools.cache
 def italian(n, d):
     """x(t - T/2) = -x(t), on n bodies in R^d; one shared group per (n, d)."""
-    return SymmetryAction("italian", n, d, [(tuple(range(n)), -np.eye(d), Fraction(1, 2))])
+    return SymmetryAction(n, d, [(tuple(range(n)), -np.eye(d), Fraction(1, 2))])
 
 
 @functools.cache
@@ -277,7 +276,7 @@ def hiphop_z2z4():
     shared group."""
     quarter_flip = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     cycle = (1, 2, 3, 0)  # body i -> i+1
-    return SymmetryAction("z2z4", 4, 3, [
+    return SymmetryAction(4, 3, [
         (cycle, quarter_flip, Fraction(0)),
         ((0, 1, 2, 3), -np.eye(3), Fraction(1, 2)),
     ])
@@ -289,7 +288,7 @@ def hiphop_z3():
     one shared group."""
     c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return SymmetryAction("z3", 4, 3, [
+    return SymmetryAction(4, 3, [
         ((1, 2, 0, 3), rot, Fraction(0)),
         ((0, 1, 2, 3), -np.eye(3), Fraction(1, 2)),
     ])
@@ -580,13 +579,6 @@ def verify_loop(loop, sym):
 # seeds
 
 
-def _seed_coefficients(d, n, n_modes):
-    """Zero (cos, sin) coefficients of a seed built on the first harmonic."""
-    if n_modes < 1:
-        raise ValidationError(f"n_modes = {n_modes}: a seed loop needs n_modes >= 1")
-    return np.zeros((d, n, n_modes + 1)), np.zeros((d, n, n_modes + 1))
-
-
 def square_relative_equilibrium_loop(T, sys, n_modes, vertical_kick=0.0):
     """Four equal masses on a rotating square, one revolution per period.
 
@@ -605,7 +597,9 @@ def square_relative_equilibrium_loop(T, sys, n_modes, vertical_kick=0.0):
     w = 2.0 * np.pi / T
     # radius from the central-configuration multiplier: w^2 = U / I
     R = (sys.G * m * (2.0 * np.sqrt(2.0) + 1.0) / (4.0 * w**2)) ** (1.0 / 3.0)
-    a, b = _seed_coefficients(3, 4, n_modes)
+    if n_modes < 1:
+        raise ValidationError(f"n_modes = {n_modes}: a seed loop needs n_modes >= 1")
+    a, b = np.zeros((3, 4, n_modes + 1)), np.zeros((3, 4, n_modes + 1))
     for i in range(4):
         phase = 0.5 * np.pi * i
         # R cos(wt + phase), R sin(wt + phase)

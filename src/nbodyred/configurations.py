@@ -55,7 +55,7 @@ def _residuals(x, sys):
     pair_c, accelerations = pair_kernel(sys)
     s = accelerations(x.r, grad := np.empty((x.d, x.n)))
     U = float(potential_from_s(s, sys))
-    I, B, _ = inertia(x, sys)
+    I, B = inertia(x, sys)
     A = interaction_matrix_from_s(s, sys, pair_c)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = grad / U
@@ -82,7 +82,7 @@ def classify(x, sys):
 
 def _normalize_inertia(r, sys):
     x = Configuration(r, sys)
-    I, _, _ = inertia(x, sys)
+    I, _ = inertia(x, sys)
     if I <= 0:
         raise DegenerateConfiguration("zero moment of inertia")
     return Configuration(x.r / np.sqrt(I), sys)
@@ -94,12 +94,13 @@ def find_central(sys, d, seed=None, x0=None):
     optimize.quasi_newton minimizes U / U_0 (U_0 at the start: G and the
     size drop out) on the sphere |y| = 1, y = sqrt(m) x, on the tangential
     gradient, normalizing each step back onto the sphere, and stops at
-    |g| <= 1e-13 |kappa|.  Deterministic given the seed, only local
-    convergence is promised; raises NoConvergence unless the search
-    converges to a central residual of at most CENTRAL_TOL.  Logs one INFO
-    line: evaluations, iterations, |g| and the guard.  The positions are R
-    of the complete QR factorization x = Q R with diag R >= 0, which fixes
-    the orientation.
+    |g| <= 1e-13 |kappa| U / U_0: relative to the potential reached, the
+    scale on which the central residual is judged.  Deterministic given
+    the seed, only local convergence is promised; raises NoConvergence
+    unless the search converges to a central residual of at most
+    CENTRAL_TOL.  Logs one INFO line: evaluations, iterations, |g| and the
+    guard.  The positions are R of the complete QR factorization x = Q R
+    with diag R >= 0, which fixes the orientation.
     """
     if d < 1:
         raise ValidationError("dimension must be >= 1")
@@ -121,7 +122,7 @@ def find_central(sys, d, seed=None, x0=None):
         return float(potential_from_s(s, sys)) / U0, g - (y @ g) * y
 
     y = (x.r * sqm).ravel()
-    run = quasi_newton(fun, y, *fun(y), 1e-13 * abs(sys.kappa),
+    run = quasi_newton(fun, y, *fun(y), 0.0, rtol=1e-13 * abs(sys.kappa),
                        step=lambda y, p, t: (y + t * p) / np.linalg.norm(y + t * p))
     log_info("find_central: %d evaluations, %d iterations, |g| %.3e, %s",
              run.nfev + 1, run.nit, run.gnorm, run.guard)

@@ -4,8 +4,7 @@ Configurations are stored as d x n coordinate arrays with mass-weighted
 centroid at the origin.  Relative (rotation-reduced) quantities are n x n
 tables; the representation ambiguity of forms on the mean-zero hyperplane is
 resolved by double-centering (rows and columns sum to zero exactly).
-Antisymmetric d x d tables ("bivectors") carry angular momenta and
-instantaneous rotations.
+Angular momenta are exactly antisymmetric d x d arrays.
 
 Pair quantities go through the pair list sys.pairs (P = n(n-1)/2 pairs i < j)
 and its incidence sys.D only: (..., P) squared distances, Phi and Phi' once
@@ -255,24 +254,6 @@ class Trajectory:
                 for x, y in self.samples]
 
 
-class Bivector:
-    """Antisymmetric d x d table.
-
-    Antisymmetry is exact: the input is antisymmetrized and rebuilt from its
-    strict upper triangle.
-    """
-
-    def __init__(self, c):
-        c = np.atleast_2d(np.asarray(c, dtype=float))
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValidationError("bivector table must be square")
-        self.c = _readonly(exact_antisymmetric(c))
-        self.d = c.shape[0]
-
-    def __repr__(self):
-        return f"Bivector(d={self.d})"
-
-
 # ---------------------------------------------------------------------------
 # basic tables
 
@@ -328,18 +309,14 @@ def squared_distances(r, sys):
 
 
 def inertia(x, sys):
-    """Moment of inertia I and the two inertia tables.
+    """Moment of inertia I and the intrinsic inertia table.
 
-    Returns (I, B, S): I the scalar moment about the center of mass,
-    B = diag(m) @ beta the n x n intrinsic table (annihilates the mass
-    vector), S the d x d inertia table sum_k m_k r_k r_k^T.  trace B =
-    trace S = I.
+    Returns (I, B): I the scalar moment about the center of mass and
+    B = diag(m) @ beta the n x n intrinsic table, which annihilates the mass
+    vector; trace B = I.
     """
-    beta = gram_form(x)
-    B = sys.m[:, None] * beta
-    S = (sys.m * x.r) @ x.r.T
-    I = float(np.einsum("i,ci,ci->", sys.m, x.r, x.r))
-    return I, B, S
+    B = sys.m[:, None] * gram_form(x)
+    return float(np.einsum("i,ci,ci->", sys.m, x.r, x.r)), B
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .configurations import CLASSIFY_TOL, classify
 from .errors import NotAttractive, NotBalanced, NotCentral, ValidationError
 from .geometry import (
     RANK_RTOL,
-    Bivector,
     Configuration,
     Trajectory,
     centred,
@@ -46,17 +45,8 @@ class KeplerOrbit:
         self.k, self.a, self.e = float(self.k), float(self.a), float(self.e)
 
     @property
-    def c(self):
-        """The angular momentum, fixed by the energy relation k^2 - c^2/a = k^2 e^2."""
-        return float(self.k * np.sqrt(self.a * (1.0 - self.e * self.e)))
-
-    @property
     def period(self):
         return 2.0 * np.pi * self.k * self.a**1.5
-
-    @property
-    def energy(self):
-        return -0.5 / self.a
 
 
 KEPLER_TOL = 1e-14     # |u - e sin u - l| at which Newton's iteration stops
@@ -123,6 +113,17 @@ def kepler_state(orbit, t):
     return zeta, zdot
 
 
+def plane_rotation(rates):
+    """The read-only 2r x 2r rotation table turning plane i, the axes 2i and
+    2i + 1, at rates[i]: -rates[i] above the diagonal, +rates[i] below."""
+    i = 2 * np.arange(len(rates))
+    table = np.zeros((i.size * 2, i.size * 2))
+    table[i, i + 1] = np.negative(rates)
+    table[i + 1, i] = rates
+    table.setflags(write=False)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # homographic motions
 
@@ -130,16 +131,14 @@ def kepler_state(orbit, t):
 class HomographicMotion:
     """x(t) = zeta(t) x0 with zeta an elliptic Kepler solution.
 
-    x0 must be central, to CLASSIFY_TOL; it is normalized to I = 1.  With
-    embedding "plane" (default) an even-rank image carries the quarter-turn
-    pairing of its own axes (the plane's rotation in the planar case) while
-    an odd-rank image is doubled; embedding "double" always places the image
-    next to an orthogonal copy of itself, which matches the realization used
-    for relative equilibria.  `scale` is the semi-major axis of the common
-    conic.
+    x0 must be central, to CLASSIFY_TOL; it is normalized to I = 1.  An
+    even-rank image turns by the quarter-turn pairing of its own axes (the
+    plane's rotation in the planar case); an odd-rank image is placed next
+    to an orthogonal copy of itself, axis i turning into axis rank + i.
+    `scale` is the semi-major axis of the common conic.
     """
 
-    def __init__(self, x0, sys, e=0.0, scale=1.0, embedding="plane"):
+    def __init__(self, x0, sys, e=0.0, scale=1.0):
         if abs(sys.kappa + 0.5) > 1e-14:
             raise ValidationError("homographic Kepler motions require kappa = -1/2")
         cls = classify(x0, sys)
@@ -147,32 +146,20 @@ class HomographicMotion:
             raise NotCentral(
                 f"central residual {cls.central_residual:.3e} above {CLASSIFY_TOL:.1e}"
             )
-        I0, _, _ = inertia(x0, sys)
+        I0, _ = inertia(x0, sys)
         xhat = x0.r / np.sqrt(I0)
 
-        if embedding not in ("plane", "double"):
-            raise ValidationError("embedding must be 'plane' or 'double'")
         u_img, sv, _ = np.linalg.svd(xhat, full_matrices=False)
         rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
-        P = u_img[:, :rank].T @ xhat  # rank x n coordinates of the image
-        if embedding == "plane" and rank % 2 == 0:
-            dim = rank
-            X0 = P
-            J = np.zeros((dim, dim))
-            for i in range(dim // 2):
-                J[2 * i, 2 * i + 1] = -1.0
-                J[2 * i + 1, 2 * i] = 1.0
-        else:
-            # image next to an orthogonal copy; J swaps them
-            dim = 2 * rank
-            X0 = np.vstack([P, np.zeros((rank, sys.n))])
-            J = np.zeros((dim, dim))
-            J[:rank, rank:] = -np.eye(rank)
-            J[rank:, :rank] = np.eye(rank)
+        X0 = u_img[:, :rank].T @ xhat  # rank x n coordinates of the image
+        axes = np.arange(rank)   # row a of X0 lies on axis axes[a] of the plane table
+        if rank % 2:   # doubled: plane i is row i and its copy, row rank + i
+            X0 = np.vstack([X0, np.zeros_like(X0)])
+            axes = np.r_[0:2 * rank:2, 1:2 * rank:2]
 
         self.sys = sys
         self.x0 = Configuration(X0, sys)
-        self.quarter_turn = J
+        self.quarter_turn = plane_rotation(np.ones(len(axes) // 2))[np.ix_(axes, axes)]
         U0, _ = potential_and_gradient(Configuration(xhat, sys), sys)
         self.orbit = KeplerOrbit(U0, scale / U0, e)
 
@@ -199,7 +186,7 @@ class HomographicMotion:
 @dataclass
 class RelativeEquilibrium:
     x0: Configuration          # balanced configuration embedded in 2 rank(beta) dims
-    Omega: Bivector            # the fixed rotation, z_dot = Omega z
+    Omega: np.ndarray          # the fixed rotation, z_dot = Omega z (read-only)
     frequencies: list          # omega_i, descending
     _coeff: np.ndarray = field(repr=False)   # mode rows (dual basis)
     _amp: np.ndarray = field(repr=False)     # sqrt(b_i)
@@ -281,14 +268,8 @@ def relative_equilibrium(x0, sys):
 
     coeff = (modes / sqm[:, None]).T         # row i evaluates the dual covector
     amp = np.sqrt(b)
-    r = b.size
-    om_table = np.zeros((2 * r, 2 * r))
-    for i in range(r):
-        om_table[2 * i, 2 * i + 1] = -omega[i]
-        om_table[2 * i + 1, 2 * i] = omega[i]
-
-    x0_emb = np.zeros((2 * r, sys.n))
+    x0_emb = np.zeros((2 * b.size, sys.n))
     x0_emb[0::2] = amp[:, None] * coeff      # phase 0: each plane on its first axis
-    return RelativeEquilibrium(Configuration(x0_emb, sys), Bivector(om_table),
+    return RelativeEquilibrium(Configuration(x0_emb, sys), plane_rotation(omega),
                                [float(w) for w in omega], coeff, amp, sys)
 

@@ -194,6 +194,6 @@ def search_to_json(path, x, sys, cls, spectrum):
 def relequil_to_json(path, re, sys, sundman_gap, kepler_type):
     """relequil.json of a relative equilibrium, with Sundman's gap over I K at
     t = 0 and its verdict: whether the motion is of Kepler type."""
-    write_json(path, {**_system(sys), "x0": re.x0.r, "Omega": re.Omega.c,
+    write_json(path, {**_system(sys), "x0": re.x0.r, "Omega": re.Omega,
                       "frequencies": re.frequencies, "sundman_gap": sundman_gap,
                       "kepler_type": kepler_type})

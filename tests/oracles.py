@@ -2,11 +2,12 @@
 
 No command reaches these: each states an identity or a second route that
 the tests hold the library to (characteristic coefficients of the inertia
-table, bivector frequencies and the induced complex structures, the inertia
-operator, the complex Schwarz gaps, Saari's velocity split, Dziobek's rank
-estimates, the mass-linear equations P_ijk of balance) or a plain form of a
-library path (the reduced right-hand side on tables, the loop of a flat
-parameter vector, the reader of loop.json).
+table, the d x d inertia table, bivectors, their frequencies and induced
+complex structures, the inertia operator, the complex Schwarz gaps, Saari's
+velocity split, Dziobek's rank estimates, the mass-linear equations P_ijk
+of balance) or a plain form of a library path (the reduced right-hand
+side on tables, the loop of a flat parameter vector, the reader of
+loop.json).
 """
 
 import itertools
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nbodyred.action import Loop, _seed_coefficients
+from nbodyred.action import Loop
 from nbodyred.configurations import _residuals
 from nbodyred.dynamics import (
     SUNDMAN_EQUALITY_TOL,
@@ -30,9 +31,9 @@ from nbodyred.errors import (
 )
 from nbodyred.geometry import (
     RANK_RTOL,
-    Bivector,
     Configuration,
     RelativeState,
+    _readonly,
     angular_momentum_tables,
     exact_antisymmetric,
     inertia,
@@ -59,6 +60,26 @@ class NotEmbeddable(NumericalError):
 # inertia and bivectors
 
 
+class Bivector:
+    """Antisymmetric d x d table.
+
+    Antisymmetry is exact: the input is antisymmetrized and rebuilt from its
+    strict upper triangle.
+    """
+
+    def __init__(self, c):
+        c = np.atleast_2d(np.asarray(c, dtype=float))
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValidationError("bivector table must be square")
+        self.c = _readonly(exact_antisymmetric(c))
+        self.d = c.shape[0]
+
+
+def inertia_table(x, sys):
+    """The d x d inertia table S = sum_k m_k r_k r_k^T; trace S = I."""
+    return (sys.m * x.r) @ x.r.T
+
+
 def inertia_pairwise(x, sys):
     """I via (1/M) sum_{i<j} m_i m_j r_ij^2 (cross-check route)."""
     return float((sys.pair_masses * squared_distances(x.r, sys)).sum() / sys.M)
@@ -71,7 +92,7 @@ def characteristic_coefficients(x, sys):
     lambda^(n-1); eta_{k-1} equals (1/M) sum m_{i1}...m_{ik} vol^2 over
     k-point subsets (squared parallelotope volumes).
     """
-    _, B, _ = inertia(x, sys)
+    _, B = inertia(x, sys)
     sqm = np.sqrt(sys.m)
     b_sym = (B / sqm[:, None]) * sqm[None, :]  # similar to B, symmetric
     lam = np.linalg.eigvalsh(b_sym)
@@ -149,7 +170,7 @@ def inertia_operator_apply(Omega, x, sys):
     inertia table; it sends the rotation of a rigidly rotating state to its
     angular momentum.
     """
-    _, _, S = inertia(x, sys)
+    S = inertia_table(x, sys)
     return Bivector(S @ Omega.c + Omega.c @ S)
 
 
@@ -380,8 +401,9 @@ def balanced_residuals_pijk(s, sys):
 
 
 def kepler_radius_true_anomaly(orbit, v):
-    """r = c^2 / (k (1 + e cos v)) from the true anomaly."""
-    return orbit.c**2 / (orbit.k * (1.0 + orbit.e * np.cos(v)))
+    """r = c^2 / (k (1 + e cos v)) from the true anomaly, with the angular
+    momentum c of the energy relation k^2 - c^2/a = k^2 e^2."""
+    return orbit.k * orbit.a * (1.0 - orbit.e**2) / (1.0 + orbit.e * np.cos(v))
 
 
 def circular_two_body_loop(T, sys, n_modes):
@@ -390,7 +412,9 @@ def circular_two_body_loop(T, sys, n_modes):
         raise ValidationError("two bodies required")
     w = 2.0 * np.pi / T
     rho = (sys.G * sys.M / w**2) ** (1.0 / 3.0)  # separation
-    a, b = _seed_coefficients(2, 2, n_modes)
+    if n_modes < 1:
+        raise ValidationError(f"n_modes = {n_modes}: a seed loop needs n_modes >= 1")
+    a, b = np.zeros((2, 2, n_modes + 1)), np.zeros((2, 2, n_modes + 1))
     r1 = rho * sys.m[1] / sys.M
     r2 = -rho * sys.m[0] / sys.M
     for i, r in enumerate((r1, r2)):

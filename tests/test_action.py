@@ -197,7 +197,7 @@ def test_group_closure_guard():
                     [np.sin(th), np.cos(th), 0.0],
                     [0.0, 0.0, 1.0]])
     with pytest.raises(ValidationError):
-        SymmetryAction("bad", 4, 3, [((1, 2, 3, 0), rot, 0)])
+        SymmetryAction(4, 3, [((1, 2, 3, 0), rot, 0)])
 
 
 def test_symmetry_rejects_unequal_mass_permutation():
@@ -287,17 +287,14 @@ def test_invariant_basis_matches_dense_projector(sym, sys):
 
 def test_symmetry_by_label():
     assert symmetry_by_label("italian").order == 2
-    assert symmetry_by_label("z2z4").label == "z2z4"
     for label in ("nope", "hiphop_Z2xZ4", "hiphop_Z3"):
         with pytest.raises(ValidationError):
             symmetry_by_label(label)
-    # every listed label, the hiphop --symmetry choices, resolves to its
-    # group, which carries that label
+    # every listed label, the hiphop --symmetry choices, resolves to its group
     groups = {"z2z4": hiphop_z2z4(), "italian": italian(4, 3), "z3": hiphop_z3()}
     assert SYMMETRY_LABELS == tuple(groups)
     for label in SYMMETRY_LABELS:
         assert symmetry_by_label(label) is groups[label]
-        assert groups[label].label == label
 
 
 @pytest.mark.parametrize("label", ["z2z4", "italian", "z3"])
@@ -335,13 +332,12 @@ def test_labels_share_one_group_per_process():
 
 
 def test_a_custom_group_keeps_its_own_blocks():
-    # the label of the shared z2z4 group, but the rotation by a third of a
-    # turn of z3: the cache belongs to the group, not to its label
+    # a group of its own with the generators of z3, built after the shared
+    # z2z4 cache is filled: the cache belongs to each group
     shared = symmetry_by_label("z2z4")
     c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    custom = SymmetryAction("z2z4", 4, 3, [((1, 2, 0, 3), rot, 0),
-                                           ((0, 1, 2, 3), -np.eye(3), 0.5)])
+    custom = SymmetryAction(4, 3, [((1, 2, 0, 3), rot, 0), ((0, 1, 2, 3), -np.eye(3), 0.5)])
     invariant_basis(shared, SYS4, 8)   # the shared cache is filled first
     dense = dense_basis(invariant_basis(custom, SYS4, 8), 8)
     other = dense_basis(invariant_basis(shared, SYS4, 8), 8)

@@ -14,9 +14,10 @@ from nbodyred.errors import NumericalError, ValidationError
 from nbodyred.serialize import dumps, loop_to_dict, scenario_from_dict
 from nbodyred.configurations import find_balanced, find_central
 from nbodyred.dynamics import scalar_invariants
-from nbodyred.geometry import Bivector, MassSystem, mass_dot
+from nbodyred.geometry import MassSystem, mass_dot
 from nbodyred.motions import relative_equilibrium
 from oracles import (
+    Bivector,
     angular_momentum,
     circular_two_body_loop,
     complex_schwarz_gap,
@@ -611,6 +612,20 @@ def test_homographic_and_relequil(tmp_path):
     data = json.loads((tmp_path / "relequil.json").read_text())
     assert len(data["frequencies"]) == 2
     assert (tmp_path / "relequil.csv").exists()
+    # Omega as written: exactly antisymmetric, +-omega_i on the plane pairs
+    W, om = np.array(data["Omega"]), data["frequencies"]
+    assert np.array_equal(W, -W.T)
+    assert [W[0, 1], W[2, 3]] == [-om[0], -om[1]] and [W[1, 0], W[3, 2]] == om
+
+
+def test_find_central_converges_where_its_start_is_far_above_the_minimum(tmp_path):
+    # seed 140 on the line ends far below its starting potential: the
+    # search must stop on the scale the central residual is judged on
+    rc = main(["find-central", "--masses", "1,2,3", "--dim", "1", "--seed", "140",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    data = json.loads((tmp_path / "central.json").read_text())
+    assert data["kind"] == "central" and data["central_residual"] <= 1e-12
 
 
 def masses_123(search):

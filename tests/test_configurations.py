@@ -61,7 +61,7 @@ def test_equilateral_is_central_for_any_masses():
         from nbodyred.geometry import potential_and_gradient
 
         U, _ = potential_and_gradient(equilateral(sys), sys)
-        I, _, _ = inertia(equilateral(sys), sys)
+        I, _ = inertia(equilateral(sys), sys)
         assert cls.multiplier == pytest.approx(-U / I, rel=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_find_central_three_bodies_is_equilateral():
     for seed in range(5):
         sys = MassSystem(rng.uniform(0.5, 2.0, 3))
         x = find_central(sys, 2, seed=seed)
-        I, _, _ = inertia(x, sys)
+        I, _ = inertia(x, sys)
         assert I == pytest.approx(1.0, abs=1e-12)
         assert classify(x, sys).central_residual < 1e-10
         r = np.sqrt(squared_distance_table(x.r))
@@ -126,6 +126,22 @@ def test_find_central_retries_steepest_descent_where_the_pairs_stall():
     sys = MassSystem([1.0, 2.0, 3.0, 4.0])
     x = find_central(sys, 3, seed=38)
     assert classify(x, sys).central_residual < 1e-12
+
+
+@pytest.mark.parametrize("masses, orderings", [((1.0, 2.0, 3.0), 3), ((1.0, 2.0, 3.0, 4.0), 12)])
+def test_moulton_counts_the_collinear_central_configurations(masses, orderings):
+    # Moulton (1910): n bodies on a line have one central configuration per
+    # ordering up to reflection, n!/2; 150 seeds converge to CENTRAL_TOL
+    # and land in every one of them, seeds 140 and 16 far below their
+    # starting potential among them
+    sys = MassSystem(masses)
+    found = set()
+    for seed in range(150):
+        x = find_central(sys, 1, seed=seed)
+        assert classify(x, sys).central_residual <= 1e-12
+        order = tuple(np.argsort(x.r[0]).tolist())
+        found.add(min(order, order[::-1]))
+    assert len(found) == orderings
 
 
 def test_find_central_two_bodies():

@@ -26,7 +26,7 @@ from nbodyred.geometry import (
 
 def _normalize_inertia(r, sys):
     x = Configuration(r, sys)
-    I, _, _ = inertia(x, sys)
+    I, _ = inertia(x, sys)
     return Configuration(x.r / np.sqrt(I), sys)
 
 
@@ -71,7 +71,7 @@ def find_central_reference(sys, d, seed=None, x0=None, gtol=1e-12, max_iter=400)
     def F(r):
         xx = Configuration(r, sys)
         UU, gg = potential(xx)
-        II, _, _ = inertia(xx, sys)
+        II, _ = inertia(xx, sys)
         return (gg - (2.0 * sys.kappa * UU / II) * xx.r).ravel()
 
     r = x.r.copy()

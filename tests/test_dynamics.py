@@ -25,7 +25,6 @@ from nbodyred.geometry import (
     COLLISION_FLOOR,
     REDUCED_SIGNS,
     _bare,
-    Bivector,
     Configuration,
     MassSystem,
     RelativeState,
@@ -48,6 +47,7 @@ from nbodyred.dynamics import (
     spline_slopes,
 )
 from oracles import (
+    Bivector,
     InvalidStructure,
     angular_momentum,
     bivector_norm_and_frequencies,

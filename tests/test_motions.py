@@ -91,8 +91,11 @@ def test_anomaly_rejects_hyperbolic():
 
 
 def test_orbit_relation_enforced():
+    # the angular momentum c of the motion obeys k^2 - c^2/a = k^2 e^2
     orb = KeplerOrbit(2.0, 0.7, 0.5)
-    assert orb.k**2 - orb.c**2 / orb.a == pytest.approx((orb.k * orb.e) ** 2, rel=1e-14)
+    zeta, zdot = kepler_state(orb, np.linspace(0.0, orb.period, 7))
+    c = zeta[0] * zdot[1] - zeta[1] * zdot[0]
+    assert np.abs(orb.k**2 - c**2 / orb.a - (orb.k * orb.e) ** 2).max() < 1e-14 * orb.k**2
 
 
 def test_circular_radius_constant():
@@ -118,7 +121,7 @@ def test_energy_at_random_times():
     zeta, zdot = kepler_state(orb, ts)
     r = np.hypot(zeta[0], zeta[1])
     H = 0.5 * (zdot**2).sum(axis=0) - orb.k / r
-    assert np.abs(H - orb.energy).max() < 1e-12
+    assert np.abs(H + 0.5 / orb.a).max() < 1e-12
 
 
 def test_radius_formulas_agree():
@@ -154,7 +157,7 @@ def test_kepler_sundman_identity():
         K = zdot @ zdot
         C = zeta[0] * zdot[1] - zeta[1] * zdot[0]
         assert abs(I * K - J * J - C * C) < 1e-12 * I * K
-        assert C == pytest.approx(orb.c, rel=1e-12)
+        assert C == pytest.approx(orb.k * np.sqrt(orb.a * (1.0 - orb.e**2)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +295,36 @@ def test_relative_equilibrium_isosceles_two_frequencies():
     assert re.frequencies[0] > re.frequencies[1] * (1.0 + 1e-6)
     # defining property: Omega^2 x0 = 2 x0 A
     A = wintner_conley(re.x0, SYS_EQ)
-    W = re.Omega.c
+    W = re.Omega
     resid = np.abs(W @ W @ re.x0.r - 2.0 * re.x0.r @ A).max()
     assert resid < 1e-10 * np.abs(re.x0.r @ A).max()
     # same relative configuration as the input
     assert np.allclose(gram_form(re.x0), gram_form(isosceles(SYS_EQ)), atol=1e-12)
+
+
+def test_one_rotation_table_turns_both_motions():
+    # Omega of a balanced configuration: exactly antisymmetric, +-omega_i on
+    # the plane pairs (2i, 2i + 1) in the order of the frequencies, read-only
+    sys = MassSystem([1.0, 1.3, 0.8, 1.1])
+    for x0, s in ((isosceles(SYS_EQ), SYS_EQ), (find_balanced(sys, [0.5, 0.3, 0.2], seed=5), sys)):
+        re = relative_equilibrium(x0, s)
+        W, om = re.Omega, re.frequencies
+        assert np.array_equal(W, -W.T)
+        i = 2 * np.arange(len(om))
+        assert W[i, i + 1].tolist() == [-w for w in om] and W[i + 1, i].tolist() == om
+        assert np.count_nonzero(W) == 2 * len(om)
+        assert not W.flags.writeable
+    # J of a homographic motion: a quarter-turn, J^2 = -Id, on an even-rank
+    # image (the plane, a regular 4-simplex) and on a doubled odd-rank one
+    # (the line, the regular tetrahedron)
+    sys4, sys5 = MassSystem([1.0] * 4), MassSystem([1.0, 2.0, 3.0, 4.0, 5.0])
+    h = 0.5**0.5
+    tetra = [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [-h, -h, h, h]]
+    for r, s, dim in (([[0.0, 1.0, 0.5], [0.0, 0.0, 3**0.5 / 2]], SYS_EQ, 2), (np.eye(5), sys5, 4),
+                      ([[0.0, 1.0, 2.0]], SYS_EQ, 2), (tetra, sys4, 6)):
+        J = HomographicMotion(Configuration(r, s), s, e=0.3).quarter_turn
+        assert J.shape == (dim, dim)
+        assert np.array_equal(J @ J, -np.eye(dim))
 
 
 def test_relative_equilibrium_rigid_under_integration():
@@ -319,14 +347,19 @@ def test_relative_equilibrium_rejects_unbalanced():
 
 
 def test_homographic_circular_matches_relative_equilibrium():
-    # doubled embedding, aligned by orthogonal Procrustes, no phase offset
+    # relative_equilibrium places the image beside an orthogonal copy of
+    # itself; the homographic motion realized the same way, zeta(t) moving
+    # the image into its copy, agrees after orthogonal Procrustes with no
+    # phase offset (the planar realization is no isometric image of it)
     sys = MassSystem([1.0, 2.0, 3.0])
     x0 = find_central(sys, 2, seed=0)
     re = relative_equilibrium(x0, sys)
-    hm = HomographicMotion(x0, sys, e=0.0, scale=1.0, embedding="double")
+    hm = HomographicMotion(x0, sys, e=0.0, scale=1.0)
     assert hm.period == pytest.approx(2 * np.pi / re.frequencies[0], rel=1e-10)
     ts = np.linspace(0.0, hm.period, 25)
-    A = np.hstack([hm.state(t).x.r for t in ts] + [hm.state(t).y.r for t in ts])
+    zeta, zdot = kepler_state(hm.orbit, ts)
+    image = hm.x0.r   # the planar image at I = 1
+    A = np.hstack([np.vstack([xi * image, eta * image]) for xi, eta in np.hstack([zeta, zdot]).T])
     B = np.hstack([re.state(t).x.r for t in ts] + [re.state(t).y.r for t in ts])
     u, _, vt = np.linalg.svd(B @ A.T)
     q = u @ vt
