@@ -39,6 +39,7 @@ from .geometry import (
     pair_kernel,
     potential_from_s,
     reduced_tables,
+    relative_scale,
     squared_distances,
 )
 
@@ -121,7 +122,7 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513, d
     floor or an rk8 run stalls or spends MAX_RHS_EVALS next to a collapse
     (_drive), StepFailure when any other run stalls or spends them,
     ValidationError unless 0 < dt < inf; a leapfrog run whose energy strays
-    by more than LEAPFROG_ENERGY_BOUND of |H| raises CollisionError or
+    by more than LEAPFROG_ENERGY_BOUND of its scale raises CollisionError or
     StepFailure (see _leapfrog).  The metadata hold the integrator, tol and
     rhs_evals (acceleration evaluations for leapfrog; rk8 adds its step counts).
     """
@@ -167,28 +168,23 @@ def _leapfrog(z0, sys, ts, dt):
     remainder within one ulp per step of the interval is rounding, not time
     left: the sample is reached without a sliver step.
 
-    At each sample the energy of the centred motion (from the squared
-    distances the kernel has just returned) may differ from the initial H0
-    by at most LEAPFROG_ENERGY_BOUND |H0|, the measure of energy_drift in
-    audit_invariants: a run that strays further raises instead of returning
+    At each sample the energy H (_energy, on the squared distances the
+    kernel has just returned) may differ from the initial H0 by at most
+    LEAPFROG_ENERGY_BOUND relative_scale(H0, K0/2 + U0), as energy_drift
+    measures it: a run that strays further raises instead of returning
     samples its step no longer follows.  The error is CollisionError when
     the closest pair is then under half the initial closest distance (the
     step fails on an encounter, as into a collapse), StepFailure when it
     fails on the motion as a whole, or when the samples are too far apart
     to catch the run before it has passed the encounter."""
     accelerations = pair_kernel(sys)[1]
-    m, M = sys.m, sys.M
     x, v = z0.x.r.copy(), z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
     t = ts[0]
     s = accelerations(x, a := np.empty_like(x))
-
-    def energy(v, s):
-        p = v.dot(m)
-        return 0.5 * (m.dot(np.add.reduce(v * v, axis=0)) - p.dot(p) / M) - potential_from_s(s, sys)
-
-    H0 = energy(v, s)
-    h_scale = max(abs(H0), 1e-30)
+    K0, U0, H0 = _energy(v, s, sys)
+    h_scale = relative_scale(H0, 0.5 * K0 + U0)
+    scale_name = "|H|" if h_scale == abs(H0) else "K0/2 + U0"
     evals = 1
     for k, target in enumerate(ts):
         slack = math.ulp(target) * (1.0 + (target - t) / dt)
@@ -203,21 +199,16 @@ def _leapfrog(z0, sys, ts, dt):
             v += 0.5 * h * a
             t += h
         t = target
-        if not (err := abs(energy(v, s) - H0) / h_scale) <= LEAPFROG_ENERGY_BOUND:   # NaN too
-            raise _unfollowed(dt, t, err, s, squared_distances(z0.x.r, sys))
+        err = abs(_energy(v, s, sys)[2] - H0) / h_scale
+        if not err <= LEAPFROG_ENERGY_BOUND:   # NaN too
+            step = f"leapfrog step {dt:.3g} does not follow the"
+            where = f"energy error {err:.3e} of {scale_name} at t = {t:.6g}"
+            if (closest := s.min()) < 0.25 * squared_distances(z0.x.r, sys).min():
+                raise CollisionError(f"{step} encounter of the closest pair "
+                                     f"(distance {math.sqrt(closest):.3e}): {where}")
+            raise StepFailure(f"{step} motion: {where}")
         out[k] = x, v
     return out, {"rhs_evals": evals}
-
-
-def _unfollowed(dt, t, err, s, s0):
-    """The error of a leapfrog run whose energy strayed by err of |H0| at the
-    sample t, with squared distances s there and s0 at the start."""
-    where = f"energy error {err:.3e} of |H| at t = {t:.6g}"
-    closest = s.min()
-    if closest < 0.25 * s0.min():
-        return CollisionError(f"leapfrog step {dt:.3g} does not follow the encounter of the "
-                              f"closest pair (distance {math.sqrt(closest):.3e}): {where}")
-    return StepFailure(f"leapfrog step {dt:.3g} does not follow the motion: {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +321,26 @@ def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513):
 # invariants
 
 
+def _energy(y, s, sys):
+    """(K, U, H): sum_i m_i |y_i|^2, the force function U and the energy
+    K/2 - U of (..., d, n) velocities y and (..., P) squared distances s."""
+    K = np.einsum("i,...ci,...ci->...", sys.m, y, y)
+    U = potential_from_s(s, sys)
+    return K, U, 0.5 * K - U
+
+
 def _invariants(x, y, sys):
     """(I, J, K, U, H, C, |C|) of (..., d, n) positions x and velocities y, one
     value (C: one d x d angular-momentum table) per leading index; |C| is half
     the sum of the singular values.  Raises CollisionError below the floor."""
     I = np.einsum("i,...ci,...ci->...", sys.m, x, x)
     J = np.einsum("i,...ci,...ci->...", sys.m, x, y)
-    K = np.einsum("i,...ci,...ci->...", sys.m, y, y)
     s = squared_distances(x, sys)
     check_collision_floor(s, geometry.COLLISION_FLOOR * geometry.COLLISION_FLOOR)
-    U = potential_from_s(s, sys)
+    K, U, H = _energy(y, s, sys)
     C = angular_momentum_tables(x, y, sys)
     normC = np.linalg.svd(C, compute_uv=False).sum(axis=-1) / 2.0
-    return I, J, K, U, 0.5 * K - U, C, normC
+    return I, J, K, U, H, C, normC
 
 
 def _sundman(I, J, K, U, H, C, normC):
@@ -397,7 +395,9 @@ def audit_invariants(traj, sys):
     Reports the max relative drift of H and of the angular momentum table,
     the sup-norm residual of  J_dot - (2H + 2(kappa+1)U)  with J
     differentiated by the not-a-knot cubic spline, the minimum Sundman gap, and for
-    kappa = -1 the drift of the scaling integral 2 I H - J^2.
+    kappa = -1 the drift of the scaling integral 2 I H - J^2.  Each drift
+    is relative_scale(initial value, natural scale), with E* = K0/2 + U0,
+    sqrt(2 I0 E*) and 2 I0 E* the natural scales of H, C and 2 I H - J^2.
     """
     if traj.kind != "absolute":
         raise ValidationError("audit expects an absolute trajectory")
@@ -405,29 +405,21 @@ def audit_invariants(traj, sys):
     I, J, K, U, H, c_tables, normC = invariants
     gap, Sfun = _sundman(*invariants)
 
-    h_scale = max(abs(H[0]), 1e-30)
-    energy_drift = float(np.max(np.abs(H - H[0])) / h_scale)
-    c0 = c_tables[0]
-    # for zero-momentum runs measure against the natural scale sqrt(I K)
-    natural = np.sqrt(I[0] * K[0])
-    c_scale = np.abs(c0).max()
-    if c_scale <= 1e-9 * natural:
-        c_scale = max(natural, 1e-30)
-    momentum_drift = float(np.max(np.abs(c_tables - c0)) / c_scale)
+    def drift(values, reference, natural):
+        return float(np.max(np.abs(values - values[0])) / relative_scale(reference, natural))
+
+    e_star = 0.5 * K[0] + U[0]
+    energy_drift = drift(H, H[0], e_star)
+    momentum_drift = drift(c_tables, np.abs(c_tables[0]).max(), np.sqrt(2.0 * I[0] * e_star))
+    G2 = 2.0 * I * H - J ** 2   # the scaling integral of kappa = -1
+    scaling_drift = drift(G2, G2[0], 2.0 * I[0] * e_star) if abs(sys.kappa + 1.0) < 1e-14 else None
 
     jdot = spline_slopes(traj.times, J)
     virial = 2.0 * H + 2.0 * (sys.kappa + 1.0) * U
     interior = slice(2, -2) if traj.times.size > 8 else slice(None)
     lj_residual = float(np.max(np.abs(jdot - virial)[interior]))
 
-    sundman_min_gap = float(gap.min())
-
-    scaling_drift = None
-    if abs(sys.kappa + 1.0) < 1e-14:
-        G2 = 2.0 * I * H - J ** 2
-        scaling_drift = float(np.max(np.abs(G2 - G2[0])) / max(abs(G2[0]), 1e-30))
-
     series = {"t": traj.times.copy(), "I": I, "J": J, "K": K, "U": U, "H": H,
               "normC": normC, "sundman_gap": gap, "sundman_function": Sfun}
     return InvariantReport(energy_drift, momentum_drift, lj_residual,
-                           sundman_min_gap, scaling_drift, series)
+                           float(gap.min()), scaling_drift, series)

@@ -404,6 +404,13 @@ def mass_dot(u, v, m):
     return float(np.einsum("i,ci,ci->", m, u, v))
 
 
+def relative_scale(reference, natural):
+    """|reference|, or the natural scale when |reference| <= 1e-9 natural, where
+    it is rounding: what every drift and residual is measured against."""
+    reference = abs(reference)
+    return natural if reference <= 1e-9 * natural else reference
+
+
 # ---------------------------------------------------------------------------
 # angular momentum
 

@@ -308,6 +308,39 @@ def test_leapfrog_audit_of_the_figure_eight_over_100_time_units(tmp_path):
     assert json.loads((tmp_path / "audit.json").read_text())["energy_drift"] < 1e-4
 
 
+
+def kappa_minus_one_relative_equilibrium():
+    """The isosceles relative equilibrium under kappa = -1, whose energy is 0,
+    as a scenario."""
+    sys, x0 = scenario_from_dict(dict(ISOSCELES, kappa=-1.0))
+    z = relative_equilibrium(x0, sys).state(0.0)
+    return dict(ISOSCELES, kappa=-1.0, positions=z.x.r.tolist(), velocities=z.y.r.tolist())
+
+
+@pytest.mark.parametrize("integrator", ["rk8", "leapfrog"])
+def test_audit_of_a_zero_energy_relative_equilibrium(tmp_path, integrator):
+    # measured against |H0| = 2.7e-15, rk8 read energy and scaling-integral
+    # drifts of 6.4e5, and the leapfrog exited 3 at t = 0.00977
+    rc = main(["audit", "--integrator", integrator, "--horizon", "5", "--out", str(tmp_path)]
+              + config_args(tmp_path, kappa_minus_one_relative_equilibrium()))
+    assert rc == 0
+    audit = json.loads((tmp_path / "audit.json").read_text())
+    assert abs(audit["series"]["H"][0]) < 1e-14
+    assert audit["energy_drift"] <= 1e-9
+    if integrator == "rk8":
+        assert audit["scaling_integral_drift"] <= 1e-9
+
+
+@pytest.mark.parametrize("integrator", ["rk8", "leapfrog"])
+def test_audit_of_a_release_from_rest(tmp_path, integrator):
+    # C0 = 0: measured against max |C0| the momentum drift read 7.2e14 and more
+    rest = {"masses": [1.0, 2.0, 3.0], "positions": EQUILATERAL["positions"],
+            "velocities": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+    rc = main(["audit", "--integrator", integrator, "--horizon", "0.3", "--out", str(tmp_path)]
+              + config_args(tmp_path, rest))
+    assert rc == 0
+    assert json.loads((tmp_path / "audit.json").read_text())["momentum_drift"] <= 1e-12
+
 def test_rhs_budget_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("nbodyred.dynamics.MAX_RHS_EVALS", 100)
     out = tmp_path / "out"

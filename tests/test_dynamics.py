@@ -39,6 +39,7 @@ from nbodyred.geometry import (
     squared_distances,
     wintner_conley,
 )
+from nbodyred.motions import relative_equilibrium
 from nbodyred.dynamics import (
     audit_invariants,
     integrate_absolute,
@@ -954,3 +955,46 @@ def test_audit_zero_momentum_run_reports_sane_drift():
     traj = integrate_absolute(State(x, y), sys, 2.0, tol=1e-10, samples=33)
     rep = audit_invariants(traj, sys)
     assert rep.momentum_drift < 1e-8  # noise over the sqrt(I K) scale, not 1/eps
+
+
+# ---------------------------------------------------------------------------
+# zero references: every drift falls back to its natural scale
+
+
+def kappa_minus_one_relative_equilibrium():
+    """The isosceles relative equilibrium under kappa = -1, whose energy is 0."""
+    sys = MassSystem([1.0, 1.0, 1.0], kappa=-1.0)
+    return sys, relative_equilibrium(isosceles(sys), sys).state(0.0)
+
+
+def release_from_rest():
+    sys = MassSystem([1.0, 2.0, 3.0])
+    return sys, State(equilateral(sys), Configuration(np.zeros((2, 3)), sys))
+
+
+def test_zero_energy_relative_equilibrium_audits_at_rounding():
+    # H0 = -2.7e-15: measured against |H0| both drifts read 6.4e5
+    sys, z0 = kappa_minus_one_relative_equilibrium()
+    assert abs(scalar_invariants(z0, sys)[4]) < 1e-14
+    rep = audit_invariants(integrate_absolute(z0, sys, 5.0), sys)
+    assert rep.energy_drift <= 1e-9
+    assert rep.scaling_integral_drift <= 1e-9
+
+
+def test_leapfrog_runs_a_zero_energy_relative_equilibrium():
+    # it used to stop at t = 0.00977 with an energy error of 0.6 of |H|
+    sys, z0 = kappa_minus_one_relative_equilibrium()
+    rep = audit_invariants(integrate_absolute(z0, sys, 5.0, method="leapfrog"), sys)
+    assert rep.energy_drift <= 1e-9
+    # a step too coarse for the rotation is refused on the natural scale
+    with pytest.raises(StepFailure, match=r"energy error .* of K0/2 \+ U0 at t = "):
+        integrate_absolute(z0, sys, 5.0, method="leapfrog", dt=0.5, samples=11)
+
+
+@pytest.mark.parametrize("method", ["rk8", "leapfrog"])
+def test_release_from_rest_audits_momentum_at_rounding(method):
+    # C0 = 0: measured against max |C0| the momentum drift read 7.2e14 (rk8)
+    # and 6.1e15 (leapfrog)
+    sys, z0 = release_from_rest()
+    rep = audit_invariants(integrate_absolute(z0, sys, 0.3, method=method), sys)
+    assert rep.momentum_drift <= 1e-12
