@@ -231,14 +231,13 @@ class _GramTable:
         self.iu = iu
         self.blocks = np.stack([self.index[:k, :k], self.index[:k, k:],   # u[..., blocks]: the
                                 self.index[k:, k:], self.index[k:, :k]])  # b, g - r, e, g + r of G
-        self.b = self.index[:k, :k].ravel()   # u[b] = b.ravel()
         self.left = self.index[:, :k].ravel()   # u[left] = G[:, :k].ravel(), b.ravel() first
         # X = G L = [G[:, k:], Y] with Y = G[:, :k] 2 A_hat is z[X] of
         # z = (u, Y.ravel()); upper holds X at (i, j) and (j, i), i <= j
         X = np.concatenate([self.index[:, k:],
                             iu[0].size + np.arange(2 * k * k).reshape(2 * k, k)], axis=1)
         self.upper = X[iu], X[iu[::-1]]
-        # rows w_p (x) w_p of W = D Q and, last, the row of tr b: s_rows u[b]
+        # rows w_p (x) w_p of W = D Q and, last, the row of tr b: s_rows u[left[:k^2]]
         # holds s and tr b, and 2 A_hat = c WW.  The P (n - 1)^2 numbers of
         # WW (0.5 MB at n = 20, 49 MB at n = 60) are stored once and suit few bodies
         W = sys.D @ Q
@@ -270,7 +269,7 @@ class _GramTable:
         return out.reshape(u.shape[:-1] + out.shape[1:])
 
     def min_distance(self, u):
-        return float(np.sqrt(max((self.WW @ u[self.b]).min(), 0.0)))
+        return float(np.sqrt(max((self.WW @ u[self.left[:self.k ** 2]]).min(), 0.0)))
 
     def floor2(self, tr):
         """Squared floors of the pairs at tr b = tr: rounding2 tr b, raised to

@@ -50,12 +50,6 @@ def centred(r, sys):
     return r - (r @ sys.m / sys.M)[..., None]
 
 
-def exact_antisymmetric(c):
-    """0.5 (c - c^T) of (..., k, k) tables, rebuilt from its upper triangle."""
-    upper = np.triu(0.5 * (c - np.swapaxes(c, -1, -2)), 1)
-    return upper - np.swapaxes(upper, -1, -2)
-
-
 class MassSystem:
     """Masses, gravitational constant and potential exponent.
 
@@ -82,8 +76,11 @@ class MassSystem:
         self.G = float(G)
         self.kappa = float(kappa)
         self.pairs = np.triu_indices(self.n, 1)   # (i, j) index arrays, i < j
-        self.pair_masses = _readonly(m[self.pairs[0]] * m[self.pairs[1]])
-        self.pair_factor = _readonly(2.0 * self.pair_masses * (self.G * self.kappa))
+        with np.errstate(over="ignore"):
+            self.pair_masses = _readonly(m[self.pairs[0]] * m[self.pairs[1]])
+            self.pair_factor = _readonly(2.0 * self.pair_masses * (self.G * self.kappa))
+        if not np.isfinite(self.pair_factor).all():
+            raise ValidationError("masses, G and kappa overflow the pair factor 2 G kappa m_i m_j")
 
     @cached_property
     def D(self):
@@ -204,12 +201,8 @@ class RelativeState:
     def from_state(cls, z):
         """Reduce an absolute state: the blocks of (z^T z) double-centered."""
         xr, yr = z.x.r, z.y.r
-        beta = xr.T @ xr
-        delta = yr.T @ yr
-        xy = xr.T @ yr  # <r_i, v_j>
-        gamma = 0.5 * (xy + xy.T)
-        rho = 0.5 * (xy.T - xy)
-        return cls(beta, gamma, delta, rho)
+        xy = xr.T @ yr  # <r_i, v_j>: the constructor keeps its symmetric and antisymmetric parts
+        return cls(xr.T @ xr, xy, yr.T @ yr, xy.T)
 
     def block_matrix(self):
         """The 2n x 2n table [[beta, gamma - rho], [gamma + rho, delta]]."""
@@ -417,6 +410,7 @@ def relative_scale(reference, natural):
 
 def angular_momentum_tables(x, y, sys):
     """Angular momentum tables c_ij = sum_k m_k (-x_ik y_jk + x_jk y_ik) of
-    (..., d, n) positions x and velocities y, exactly antisymmetric."""
-    xm = x * sys.m
-    return exact_antisymmetric(y @ np.swapaxes(xm, -1, -2) - xm @ np.swapaxes(y, -1, -2))
+    (..., d, n) positions x and velocities y: P - P^T of the one product
+    P = y (x M)^T, exactly antisymmetric since fl(a - b) = -fl(b - a)."""
+    P = y @ np.swapaxes(x * sys.m, -1, -2)
+    return P - np.swapaxes(P, -1, -2)

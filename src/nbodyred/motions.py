@@ -49,52 +49,29 @@ class KeplerOrbit:
         return 2.0 * np.pi * self.k * self.a**1.5
 
 
-KEPLER_TOL = 1e-14     # |u - e sin u - l| at which Newton's iteration stops
-KEPLER_NEWTON = 60     # Newton steps before the bisection takes over
-
-
 def kepler_anomaly(e, l):
     """Solve u - e sin(u) = l for the eccentric anomaly.
 
-    Newton iteration from the starter l + e sin(l)/(1 - sin(l+e) + sin(l)),
-    with bisection fallback where 1 - e cos(u) is small or KEPLER_NEWTON
-    steps leave a residual above KEPLER_TOL; continuous and monotone in l
-    (whole turns are peeled off and restored).  l is an array of mean
-    anomalies; u has its shape.
+    l is folded to [-pi, pi) by whole turns and then to |l| in [0, pi],
+    where f(u) = u - e sin u - |l| is increasing (f' >= 1 - e > 0) and
+    convex (f'' = e sin u >= 0): Newton's iteration from u = pi falls onto
+    the root without overshooting, so it stops when no entry falls further.
+    The sign and the turns are restored, so u is odd and monotone in l.  l is
+    an array of mean anomalies; u has its shape.
     """
     if not 0.0 <= e < 1.0:
         raise ValidationError("elliptic branch requires 0 <= e < 1")
     l = np.asarray(l, dtype=float)
-
     turns = np.floor((l + np.pi) / (2.0 * np.pi))
     lw = l - 2.0 * np.pi * turns  # in [-pi, pi)
-
-    denom = 1.0 - np.sin(lw + e) + np.sin(lw)
-    u = lw + e * np.sin(lw) / np.where(np.abs(denom) < 1e-12, 1.0, denom)
-    u = np.clip(u, -np.pi, np.pi)
-    converged = np.zeros(lw.shape, dtype=bool)
-    for _ in range(KEPLER_NEWTON):
-        f = u - e * np.sin(u) - lw
-        fp = 1.0 - e * np.cos(u)
-        bad = np.abs(fp) < 1e-3
-        stepped = ~converged & ~bad
-        u = np.where(stepped, u - f / np.where(bad, 1.0, fp), u)
-        converged |= np.abs(f) < KEPLER_TOL
-        if np.all(converged | bad):
+    target = np.abs(lw)
+    u = np.full(lw.shape, np.pi)
+    while True:   # NaN entries never compare below u, so they end it too
+        step = np.minimum(u, u - (u - e * np.sin(u) - target) / (1.0 - e * np.cos(u)))
+        if not np.any(step < u):
             break
-
-    need = ~converged | (np.abs(u - e * np.sin(u) - lw) > KEPLER_TOL)
-    if np.any(need):
-        lo = np.full(lw.shape, -np.pi)
-        hi = np.full(lw.shape, np.pi)
-        for _ in range(128):
-            mid = 0.5 * (lo + hi)
-            fmid = mid - e * np.sin(mid) - lw
-            hi = np.where(fmid >= 0.0, mid, hi)
-            lo = np.where(fmid < 0.0, mid, lo)
-        u = np.where(need, 0.5 * (lo + hi), u)
-
-    return u + 2.0 * np.pi * turns
+        u = step
+    return np.copysign(u, lw) + 2.0 * np.pi * turns
 
 
 def kepler_state(orbit, t):
@@ -188,16 +165,14 @@ class RelativeEquilibrium:
     x0: Configuration          # balanced configuration embedded in 2 rank(beta) dims
     Omega: np.ndarray          # the fixed rotation, z_dot = Omega z (read-only)
     frequencies: list          # omega_i, descending
-    _coeff: np.ndarray = field(repr=False)   # mode rows (dual basis)
-    _amp: np.ndarray = field(repr=False)     # sqrt(b_i)
     _sys: object = field(repr=False)
 
     def sample(self, ts):
-        """The motion at the times ts, plane i rotating at omega_i."""
+        """The motion at the times ts, plane i turning at omega_i from row 2i of x0."""
         ts = np.asarray(ts, dtype=float)
         om = np.asarray(self.frequencies)
         cos, sin = np.cos(om * ts[:, None]), np.sin(om * ts[:, None])
-        r = self._amp[:, None] * self._coeff
+        r = self.x0.r[0::2]
         out = np.empty((ts.size, 2, 2 * om.size, r.shape[1]))
         out[:, 0, 0::2] = cos[..., None] * r
         out[:, 0, 1::2] = sin[..., None] * r
@@ -266,10 +241,9 @@ def relative_equilibrium(x0, sys):
     order = np.argsort(-omega)
     b, omega, modes = b[order], omega[order], modes[:, order]
 
-    coeff = (modes / sqm[:, None]).T         # row i evaluates the dual covector
-    amp = np.sqrt(b)
     x0_emb = np.zeros((2 * b.size, sys.n))
-    x0_emb[0::2] = amp[:, None] * coeff      # phase 0: each plane on its first axis
+    # phase 0: each plane on its first axis, row i sqrt(b_i) times the dual covector
+    x0_emb[0::2] = np.sqrt(b)[:, None] * (modes / sqm[:, None]).T
     return RelativeEquilibrium(Configuration(x0_emb, sys), plane_rotation(omega),
-                               [float(w) for w in omega], coeff, amp, sys)
+                               [float(w) for w in omega], sys)
 

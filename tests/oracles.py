@@ -7,7 +7,7 @@ complex structures, the inertia operator, the complex Schwarz gaps, Saari's
 velocity split, Dziobek's rank estimates, the mass-linear equations P_ijk
 of balance) or a plain form of a library path (the reduced right-hand
 side on tables, the loop of a flat parameter vector, the reader of
-loop.json).
+loop.json, the antisymmetric part rebuilt from its upper triangle).
 """
 
 import itertools
@@ -35,7 +35,6 @@ from nbodyred.geometry import (
     RelativeState,
     _readonly,
     angular_momentum_tables,
-    exact_antisymmetric,
     inertia,
     interaction_matrix_from_s,
     mass_dot,
@@ -58,6 +57,12 @@ class NotEmbeddable(NumericalError):
 
 # ---------------------------------------------------------------------------
 # inertia and bivectors
+
+
+def exact_antisymmetric(c):
+    """0.5 (c - c^T) of (..., k, k) tables, rebuilt from its upper triangle."""
+    upper = np.triu(0.5 * (c - np.swapaxes(c, -1, -2)), 1)
+    return upper - np.swapaxes(upper, -1, -2)
 
 
 class Bivector:

@@ -809,6 +809,23 @@ def test_fresh_process_invalid_kepler_elements_print_one_line(tmp_path, argv, sc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, scenario", [
+    (["simulate", "--horizon", "1"], dict(CIRCULAR, masses=[1e200, 1e200])),
+    (["relequil"], dict(EQUILATERAL, masses=[1e200, 1e200, 1.0])),
+    (["hiphop", "--modes", "4", "--seed", "0", "--mass", "1e300"], None),
+], ids=["simulate", "relequil", "hiphop"])
+def test_fresh_process_overflowing_masses_print_one_line(tmp_path, argv, scenario):
+    # a pair factor 2 G kappa m_i m_j that overflows used to spend the whole
+    # evaluation budget (simulate), end in LinAlgError (relequil) or blame
+    # the loop's coefficients (hiphop), after numpy's RuntimeWarnings
+    out = tmp_path / "out"
+    proc = run_cli(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == "ValidationError"
+    assert not out.exists()
+
+
 def test_fresh_process_parser_exit(tmp_path):
     # argparse's own exit keeps the normal path: usage on stderr, code 2
     proc = run_cli(["simulate", "--out", str(tmp_path)])

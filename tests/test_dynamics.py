@@ -301,7 +301,7 @@ def test_reduced_rhs_raises_at_the_rounding_of_its_table():
         # pair (0, 1): the table's s_01 is its rounding alone
         gram = dynamics._GramTable(sys)
         u = gram.pack(rel)
-        s_01 = (gram.WW @ u[gram.b])[0]
+        s_01 = (gram.WW @ u[gram.left[:gram.k ** 2]])[0]
         level = eps * (1.0 / sys.m[0] + 1.0 / sys.m[1]) * mass_dot(z.x.r, z.x.r, sys.m)   # tr b = I
         worst = max(worst, abs(s_01 - squared_distance_table(z.x.r)[0, 1]) / level)
     assert worst <= 1.0   # a quarter of the floor

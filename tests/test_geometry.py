@@ -39,6 +39,7 @@ from oracles import (
     characteristic_coefficients,
     check_positive,
     elementary_symmetric,
+    exact_antisymmetric,
     hermitian_from_bivector,
     inertia_operator_apply,
     inertia_pairwise,
@@ -71,6 +72,16 @@ def test_mass_system_rejects_bad_constants(constants):
 def test_mass_system_names_what_is_wrong_with_a_mass(bad, message):
     with pytest.raises(ValidationError, match=message):
         MassSystem([1.0, 1.0, bad])
+
+
+@pytest.mark.parametrize("masses, constants", [
+    ([1e200, 1e200], {}), ([1.0, 1e300, 1e10], {}), ([1e150, 1e150], {"G": 1e10}),
+])
+def test_mass_system_rejects_an_overflowing_pair_factor(masses, constants, recwarn):
+    # 2 G kappa m_i m_j must be a finite number, and forming it warns of nothing
+    with pytest.raises(ValidationError, match="overflow the pair factor"):
+        MassSystem(masses, **constants)
+    assert not recwarn.list
 
 
 def test_mass_system_constants_of_the_pair_kernel():
@@ -492,6 +503,22 @@ def test_angular_momentum_tables_batched():
     assert np.array_equal(c, -np.swapaxes(c, -1, -2))
 
 
+def test_angular_momentum_tables_exactly_antisymmetric():
+    # P - P^T of one product: C == -C^T to the bit, a zero diagonal, and the
+    # two-product form to rounding (BLAS may sum the products in another order)
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n, d, q = rng.integers(2, 9), rng.integers(1, 6), rng.integers(1, 40)
+        sys = MassSystem(rng.uniform(0.5, 2.0, n))
+        x, y = rng.normal(size=(2, q, d, n))
+        c = angular_momentum_tables(x, y, sys)
+        assert np.array_equal(c, -np.swapaxes(c, -1, -2))
+        assert not np.einsum("...ii->...i", c).any()
+        xm = x * sys.m
+        two = exact_antisymmetric(y @ np.swapaxes(xm, -1, -2) - xm @ np.swapaxes(y, -1, -2))
+        assert np.abs(c - two).max() <= 1e-15 * np.abs(two).max()
+
+
 def test_bivector_norm():
     assert bivector_norm_and_frequencies(Bivector([[0.0, -2.5], [2.5, 0.0]]))[0] == pytest.approx(2.5)
     c4 = np.zeros((4, 4))
@@ -608,6 +635,21 @@ def test_relative_state_from_state():
     # squared distances survive the double-centering
     s_direct = squared_distance_table(z.x.r)
     assert np.allclose(beta_to_distances(rel.beta), s_direct, atol=1e-12)
+
+
+def test_relative_state_from_state_needs_no_presymmetrized_tables():
+    # the constructor takes the symmetric and antisymmetric parts of <r_i, v_j>
+    # itself: the same bits as handing it gamma and rho formed beforehand
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        sys, z = random_state(rng, int(rng.integers(2, 8)), int(rng.integers(1, 5)))
+        xr, yr = z.x.r, z.y.r
+        xy = xr.T @ yr
+        ref = RelativeState(xr.T @ xr, 0.5 * (xy + xy.T), yr.T @ yr, 0.5 * (xy.T - xy))
+        rel = RelativeState.from_state(z)
+        for a, b in zip((rel.beta, rel.gamma, rel.delta, rel.rho),
+                        (ref.beta, ref.gamma, ref.delta, ref.rho)):
+            assert np.array_equal(a, b)
 
 
 def test_reduced_tables_leaves_its_argument_unchanged():

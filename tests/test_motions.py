@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,43 @@ def test_anomaly_inverse_identity():
     for e in (0.2, 0.7):
         ls = us - e * np.sin(us)
         assert np.abs(kepler_anomaly(e, ls) - us).max() < 1e-13
+
+
+@pytest.mark.parametrize("e", [1.0 - 1e-6, 1.0 - 1e-9])
+def test_anomaly_near_pericentre_at_high_eccentricity(e):
+    # where 1 - e cos u is tiny a residual of 1e-14 is no root: the anomaly
+    # agrees with bisection relative to its own size
+    ls = np.geomspace(1e-20, 1e-2, 200)
+    for l in np.concatenate([ls, -ls]):
+        oracle = bisection_anomaly(e, l)
+        assert abs(kepler_anomaly(e, l) - oracle) <= 1e-6 * abs(oracle)
+
+
+@pytest.mark.parametrize("e", [0.3, 0.9, 0.999999])
+def test_anomaly_is_odd_to_the_bit(e):
+    ls = np.linspace(-np.pi, np.pi, 20001)[1:-1]
+    assert np.array_equal(kepler_anomaly(e, -ls), -kepler_anomaly(e, ls))
+
+
+def test_kepler_state_mirrors_at_opposite_times():
+    # the pericentre is at t = 0: xi even and eta odd in t, their rates the other way
+    orb = KeplerOrbit(2.0, 0.7, 0.9)
+    ts = np.linspace(0.0, 0.45 * orb.period, 301)
+    (xi, eta), (xi_dot, eta_dot) = kepler_state(orb, ts)
+    (xi_m, eta_m), (xi_dot_m, eta_dot_m) = kepler_state(orb, -ts)
+    assert np.array_equal(xi_m, xi) and np.array_equal(eta_m, -eta)
+    assert np.array_equal(xi_dot_m, -xi_dot) and np.array_equal(eta_dot_m, eta_dot)
+
+
+def test_anomaly_at_the_largest_eccentricity_below_one():
+    e = np.nextafter(1.0, 0.0)
+    ls = np.concatenate([np.linspace(-7.0, 7.0, 200001), [0.0, np.pi, -np.pi]])
+    start = time.perf_counter()
+    u = kepler_anomaly(e, ls)
+    assert time.perf_counter() - start < 2.0
+    assert np.abs(u - e * np.sin(u) - ls).max() <= 1e-14
+    order = np.argsort(ls, kind="stable")
+    assert np.all(np.diff(u[order]) >= 0.0)
 
 
 def test_anomaly_rejects_hyperbolic():
