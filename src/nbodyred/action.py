@@ -15,12 +15,13 @@ Symmetry classes (the antipodal "italian" constraint, the square/
 tetrahedron oscillation class of four bodies, a triangle-plus-axis variant)
 are linear subspaces of coefficient space; minimization runs in an
 orthonormal basis of the class, so constraints hold to machine precision
-rather than by penalty.  A group element with time shift p/q T rotates the
-cosine/sine pair of mode k by the angle 2 pi (p k mod q) / q, so the group
-acts on mode k only through k mod L, L the lcm of the shift denominators.
-The basis is therefore one 2dn x m block for the constant mode and one per
-residue class, whatever K is, and the minimizer maps its coordinates to
-coefficients by one matrix product per class.
+rather than by penalty.  A class is the common fixed space of its
+generators; no other group element is formed.  A generator with time shift
+p/q T rotates the cosine/sine pair of mode k by the angle 2 pi (p k mod q) / q,
+so the group acts on mode k only through k mod L, L the lcm of the shift
+denominators.  The basis is therefore one 2dn x m block for the constant
+mode and one per residue class, whatever K is, and the minimizer maps its
+coordinates to coefficients by one matrix product per class.
 """
 
 import functools
@@ -138,31 +139,16 @@ class Loop:
 # symmetry actions
 
 
-MAX_GROUP_ORDER = 64   # a generator set whose closure grows past this does not close
-
-
-@dataclass(frozen=True, eq=False)
-class _Element:
-    perm: tuple          # body i of the source appears as body perm[i]
-    matrix: np.ndarray   # orthogonal d x d map (full precision), read-only
-    shift: Fraction      # time shift as a fraction of T, in [0, 1)
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-
-    def key(self):
-        return (self.perm, _mat_key(self.matrix), self.shift)
-
-
 class SymmetryAction:
-    """Finite group acting on loops by (permutation, orthogonal map, shift).
+    """Group acting on loops, generated by (permutation, orthogonal map, shift).
 
     A loop is invariant under the generator (perm, Q, s) when
-    x_perm(i)(t + s T) = Q x_i(t) for all bodies and times.  The group is
-    the closure of the generators; construction fails unless it closes
-    within MAX_GROUP_ORDER elements.  The group is immutable (elements is a
-    tuple of frozen elements with read-only maps) and carries its own cache
-    of invariant blocks per masses and residue, built on first use.
+    x_perm(i)(t + s T) = Q x_i(t) for all bodies and times; the symmetry
+    class is the common fixed space of the generators, so no other group
+    element is formed and the group need not be finite.  The group is
+    immutable (generators is a tuple of (perm, Q, shift) with read-only
+    maps Q and shifts in [0, 1)) and carries its own cache of invariant
+    blocks per masses and residue, built on first use.
     """
 
     def __init__(self, n, d, generators):
@@ -176,37 +162,16 @@ class SymmetryAction:
             Q = np.array(Q, dtype=float)
             if Q.shape != (d, d) or np.abs(Q @ Q.T - np.eye(d)).max() > 1e-12:
                 raise ValidationError("generator map must be d x d orthogonal")
-            gens.append(_Element(perm, Q, Fraction(shift) % 1))
-        self.elements = tuple(self._close(gens, n, d))
+            Q.flags.writeable = False
+            gens.append((perm, Q, Fraction(shift) % 1))
+        self.generators = tuple(gens)
         # mode k meets the group through k mod L, L the lcm of the shift denominators
-        self.L = math.lcm(*(el.shift.denominator for el in self.elements))
+        self.L = math.lcm(*(shift.denominator for _, _, shift in gens))
         self._blocks = {}   # (sys.m.tobytes(), r) -> read-only U of residue r
 
-    @staticmethod
-    def _close(gens, n, d):
-        ident = _Element(tuple(range(n)), np.eye(d), Fraction(0))
-        seen = {ident.key(): ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    c = _compose(a, g)
-                    if (key := c.key()) not in seen:
-                        seen[key] = c
-                        nxt.append(c)
-            frontier = nxt
-            if len(seen) > MAX_GROUP_ORDER:
-                raise ValidationError("group does not close; check the generators")
-        return [seen[k] for k in sorted(seen, key=lambda k: (k[2], k[0], k[1]))]
-
-    @property
-    def order(self):
-        return len(self.elements)
-
     def check_masses(self, sys):
-        for el in self.elements:
-            for i, j in enumerate(el.perm):
+        for perm, _, _ in self.generators:
+            for i, j in enumerate(perm):
                 if abs(sys.m[i] - sys.m[j]) > 1e-12 * sys.m[i]:
                     raise ValidationError(
                         "symmetry permutes bodies of unequal masses"
@@ -224,43 +189,17 @@ class SymmetryAction:
         return U
 
 
-def _mat_key(Q):
-    # entries of distinct elements differ by O(1); 9 digits survive the float
-    # drift of repeated composition; the flat tuple sorts as the rows would
-    return tuple(np.round(Q, 9).ravel().tolist())
-
-
-def _compose(a, b):
-    """Element whose loop operator is rho(a) rho(b)."""
-    perm = tuple(b.perm[a.perm[i]] for i in range(len(a.perm)))
-    return _Element(perm, b.matrix @ a.matrix, (a.shift + b.shift) % 1)
-
-
-def _group_average(cos_modes, sin_modes, sym, k):
-    """Group average of (..., d, n, len(k)) coefficients of the modes k.
-
-    Each element maps the coefficients to those of  t -> Q^T x(t + shift T)
-    P_perm  (fixed points = invariance); its shift p/q turns mode k by the
-    angle 2 pi (p k mod q) / q, taken on the exact residue.
-    """
-    acc_a = np.zeros_like(cos_modes)
-    acc_b = np.zeros_like(sin_modes)
-    for el in sym.elements:
-        p, q = el.shift.numerator, el.shift.denominator
-        ang = 2.0 * np.pi * ((p * k) % q) / q
-        ck, sk = np.cos(ang), np.sin(ang)
-        QT, perm = el.matrix.T, list(el.perm)
-        acc_a += np.einsum("dc,...cik->...dik", QT, cos_modes * ck + sin_modes * sk)[..., perm, :]
-        acc_b += np.einsum("dc,...cik->...dik", QT, sin_modes * ck - cos_modes * sk)[..., perm, :]
-    return acc_a / sym.order, acc_b / sym.order
-
-
 def project_symmetry(loop, sym):
-    """Group-average a loop onto the symmetry class (idempotent)."""
+    """Orthogonal projection of a loop onto its symmetry class, U U^T on
+    each block of invariant_basis (idempotent)."""
     if (sym.n, sym.d) != (loop.n, loop.d):
         raise ValidationError("symmetry and loop shapes differ")
-    sym.check_masses(loop.sys)
-    a, b = _group_average(loop.cos_modes, loop.sin_modes, sym, np.arange(loop.n_modes + 1))
+    K = loop.n_modes
+    c = loop.params().reshape(-1, K + 1)
+    out = np.zeros_like(c)
+    for modes, U in invariant_basis(sym, loop.sys, K):
+        out[:, modes] = U @ (U.T @ c[:, modes])
+    a, b = out.reshape(2, loop.d, loop.n, K + 1)
     return Loop(loop.T, a, b, loop.sys)
 
 
@@ -312,14 +251,26 @@ def symmetry_by_label(label):
 
 def _mode_basis(sym, sys, k):
     """Orthonormal basis (columns over the 2 d n cos, then sin, entries) of
-    the invariant, centroid-free coefficients of mode k."""
+    the invariant, centroid-free coefficients of mode k.
+
+    The null space of one stacked matrix: rho_k(g) - I for each generator
+    g, where rho_k(g) maps the coefficients to those of  t -> Q^T x(t +
+    shift T) P_perm  and its shift p/q turns mode k by the angle
+    2 pi (p k mod q) / q, taken on the exact residue; the unit centroid
+    rows; for k = 0 the sine rows.  Off the null space a group whose
+    generators reach every element in at most D steps keeps singular
+    values of at least 1/D, and rounding leaves the null ones below 1e-15.
+    """
     dn = sym.d * sym.n
-    e = np.eye(2 * dn).reshape(2 * dn, 2, sym.d, sym.n, 1)
-    e[:, 1] *= k > 0   # no constant sine mode
-    e -= (e * sys.m[:, None]).sum(axis=-2, keepdims=True) / sys.M
-    a, b = _group_average(e[:, 0], e[:, 1], sym, np.array([k]))
-    u, sv, _ = np.linalg.svd(np.stack([a, b], axis=1).reshape(2 * dn, 2 * dn).T)
-    return u[:, sv > 0.5]
+    m = sys.m / np.linalg.norm(sys.m)
+    rows = [np.kron(np.eye(2 * sym.d), m)] + ([np.eye(2 * dn)[dn:]] if k == 0 else [])
+    for perm, Q, shift in sym.generators:
+        p, q = shift.numerator, shift.denominator
+        ang = 2.0 * np.pi * ((p * k) % q) / q
+        turn = np.array([[np.cos(ang), np.sin(ang)], [-np.sin(ang), np.cos(ang)]])
+        rows.append(np.kron(turn, np.kron(Q.T, np.eye(sym.n)[list(perm)])) - np.eye(2 * dn))
+    _, sv, vt = np.linalg.svd(np.concatenate(rows))
+    return np.ascontiguousarray(vt[np.count_nonzero(sv > 1e-8):].T)
 
 
 def invariant_basis(sym, sys, n_modes):
@@ -442,8 +393,8 @@ def minimize_action(seed_loop, sym, opts):
             return np.inf, None
         return S, coordinates(g)
 
-    # U^T of the centroid-free seed equals U^T of its group average (an
-    # orthogonal projector), so the seed needs no projection
+    # U^T of the centroid-free seed equals U^T of its projection U U^T onto
+    # the class, so the seed needs no projection
     xi = coordinates(seed_loop.params())
     f, g = evaluate(xi)
     if not np.isfinite(f):
@@ -548,7 +499,8 @@ def verify_loop(loop, sym):
     bodies, the square passages (local minima of the square shape distance
     below 1e-2) and each tetrahedral visit between consecutive squares, at
     its closest approach.  The symmetry defect is the largest coefficient
-    change under project_symmetry(loop, sym).
+    change under project_symmetry(loop, sym), the orthogonal projection
+    onto the class.
     """
     sys = loop.sys
     n_quad = max(256, 8 * loop.n_modes)

@@ -99,8 +99,8 @@ def find_central(sys, d, seed=None, x0=None):
     the seed, only local convergence is promised; raises NoConvergence
     unless the search converges to a central residual of at most
     CENTRAL_TOL.  Logs one INFO line: evaluations, iterations, |g| and the
-    guard.  The positions are R of the complete QR factorization x = Q R
-    with diag R >= 0, which fixes the orientation.
+    guard.  The positions are R of the QR factorization x = Q R with
+    diag R >= 0, padded with zero rows to d, which fixes the orientation.
     """
     if d < 1:
         raise ValidationError("dimension must be >= 1")
@@ -129,7 +129,8 @@ def find_central(sys, d, seed=None, x0=None):
     if run.guard != "converged":
         raise NoConvergence(f"central search ended ({run.guard}) at |g| {run.gnorm:.3e}")
 
-    R = np.linalg.qr(_normalize_inertia(run.x.reshape(d, sys.n) / sqm, sys).r, mode="complete")[1]
+    R = np.zeros((d, sys.n))   # R alone: the complete Q would be d x d
+    R[:min(d, sys.n)] = np.linalg.qr(_normalize_inertia(run.x.reshape(d, sys.n) / sqm, sys).r, mode="r")
     R[np.flatnonzero(np.diag(R) < 0.0)] *= -1.0
     out = Configuration(R, sys)
     central, _, _ = _residuals(out, sys)

@@ -81,6 +81,8 @@ class MassSystem:
             self.pair_factor = _readonly(2.0 * self.pair_masses * (self.G * self.kappa))
         if not np.isfinite(self.pair_factor).all():
             raise ValidationError("masses, G and kappa overflow the pair factor 2 G kappa m_i m_j")
+        if not min(self.pair_masses.min(), np.abs(self.pair_factor).min()) >= np.finfo(float).tiny:
+            raise ValidationError("masses, G and kappa underflow m_i m_j or 2 G kappa m_i m_j")
 
     @cached_property
     def D(self):

@@ -7,11 +7,13 @@ complex structures, the inertia operator, the complex Schwarz gaps, Saari's
 velocity split, Dziobek's rank estimates, the mass-linear equations P_ijk
 of balance) or a plain form of a library path (the reduced right-hand
 side on tables, the loop of a flat parameter vector, the reader of
-loop.json, the antisymmetric part rebuilt from its upper triangle).
+loop.json, the antisymmetric part rebuilt from its upper triangle, the
+symmetry class as the group average over the closure of its generators).
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -440,3 +442,110 @@ def loop_from_dict(data):
     ValidationError naming the field."""
     return Loop(_number(data, "period"), _floats(data, "cos_modes"),
                 _floats(data, "sin_modes"), _mass_system(data))
+
+
+# ---------------------------------------------------------------------------
+# symmetry classes by group closure
+#
+# The library defines a class as the common fixed space of its generators.
+# This is the earlier route, kept verbatim: close the generators into the
+# group (elements told apart by matrix entries rounded to 9 digits), then
+# average over the elements.
+
+
+MAX_GROUP_ORDER = 64   # a generator set whose closure grows past this does not close
+
+
+@dataclass(frozen=True, eq=False)
+class _Element:
+    perm: tuple          # body i of the source appears as body perm[i]
+    matrix: np.ndarray   # orthogonal d x d map (full precision), read-only
+    shift: Fraction      # time shift as a fraction of T, in [0, 1)
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
+
+    def key(self):
+        return (self.perm, _mat_key(self.matrix), self.shift)
+
+
+def _close(gens, n, d):
+    ident = _Element(tuple(range(n)), np.eye(d), Fraction(0))
+    seen = {ident.key(): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = _compose(a, g)
+                if (key := c.key()) not in seen:
+                    seen[key] = c
+                    nxt.append(c)
+        frontier = nxt
+        if len(seen) > MAX_GROUP_ORDER:
+            raise ValidationError("group does not close; check the generators")
+    return [seen[k] for k in sorted(seen, key=lambda k: (k[2], k[0], k[1]))]
+
+
+def _mat_key(Q):
+    # entries of distinct elements differ by O(1); 9 digits survive the float
+    # drift of repeated composition; the flat tuple sorts as the rows would
+    return tuple(np.round(Q, 9).ravel().tolist())
+
+
+def _compose(a, b):
+    """Element whose loop operator is rho(a) rho(b)."""
+    perm = tuple(b.perm[a.perm[i]] for i in range(len(a.perm)))
+    return _Element(perm, b.matrix @ a.matrix, (a.shift + b.shift) % 1)
+
+
+def group_elements(sym):
+    """The elements of a SymmetryAction's group, closed from its generators
+    and sorted by (shift, perm, rounded map)."""
+    return _close([_Element(perm, Q, shift) for perm, Q, shift in sym.generators], sym.n, sym.d)
+
+
+def _group_average(cos_modes, sin_modes, elements, k):
+    """Group average of (..., d, n, len(k)) coefficients of the modes k.
+
+    Each element maps the coefficients to those of  t -> Q^T x(t + shift T)
+    P_perm  (fixed points = invariance); its shift p/q turns mode k by the
+    angle 2 pi (p k mod q) / q, taken on the exact residue.
+    """
+    acc_a = np.zeros_like(cos_modes)
+    acc_b = np.zeros_like(sin_modes)
+    for el in elements:
+        p, q = el.shift.numerator, el.shift.denominator
+        ang = 2.0 * np.pi * ((p * k) % q) / q
+        ck, sk = np.cos(ang), np.sin(ang)
+        QT, perm = el.matrix.T, list(el.perm)
+        acc_a += np.einsum("dc,...cik->...dik", QT, cos_modes * ck + sin_modes * sk)[..., perm, :]
+        acc_b += np.einsum("dc,...cik->...dik", QT, sin_modes * ck - cos_modes * sk)[..., perm, :]
+    return acc_a / len(elements), acc_b / len(elements)
+
+
+def group_average_loop(loop, sym):
+    """The group average of a loop over the closed group."""
+    sym.check_masses(loop.sys)
+    a, b = _group_average(loop.cos_modes, loop.sin_modes, group_elements(sym),
+                          np.arange(loop.n_modes + 1))
+    return Loop(loop.T, a, b, loop.sys)
+
+
+def closure_mode_basis(sym, sys, k):
+    """Orthonormal basis of the invariant, centroid-free coefficients of
+    mode k: the range of the group average of the unit vectors."""
+    dn = sym.d * sym.n
+    e = np.eye(2 * dn).reshape(2 * dn, 2, sym.d, sym.n, 1)
+    e[:, 1] *= k > 0   # no constant sine mode
+    e -= (e * sys.m[:, None]).sum(axis=-2, keepdims=True) / sys.M
+    a, b = _group_average(e[:, 0], e[:, 1], group_elements(sym), np.array([k]))
+    u, sv, _ = np.linalg.svd(np.stack([a, b], axis=1).reshape(2 * dn, 2 * dn).T)
+    return u[:, sv > 0.5]
+
+
+def closure_invariant_basis(sym, sys, n_modes):
+    """The blocks of invariant_basis, each built from the closed group."""
+    L = sym.L
+    return [(np.arange(r, n_modes + 1, L) if r else np.array([0]), closure_mode_basis(sym, sys, r))
+            for r in range(min(L, n_modes) + 1)]

@@ -1,4 +1,5 @@
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from nbodyred.action import (
     symmetry_by_label,
     verify_loop,
 )
-from oracles import circular_two_body_loop, with_params
+from oracles import (
+    circular_two_body_loop,
+    closure_invariant_basis,
+    group_average_loop,
+    group_elements,
+    with_params,
+)
 
 SYS4 = MassSystem([1.0] * 4)
 SYS2 = MassSystem([1.0, 1.0])
@@ -184,20 +191,63 @@ def test_quadrature_is_spectrally_converged():
 # symmetry machinery
 
 
+def _rot_z(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+# groups beyond the labels: z3 turned into a choreography-like class by a
+# third-period shift (L = 3, a nonzero constant mode), and a generator of
+# order 16 whose turns by 2 pi / 16 leave singular values 2 sin(pi / 16) =
+# 0.39 off its class (L = 16, a nonzero constant mode)
+Z3_THIRD = SymmetryAction(4, 3, [((1, 2, 0, 3), _rot_z(2.0 * np.pi / 3.0), Fraction(1, 3))])
+TURN16 = SymmetryAction(2, 3, [((0, 1), _rot_z(2.0 * np.pi / 16.0), Fraction(1, 16))])
+
+
+def character_count(elements, r):
+    """(1/|G|) sum_g tr rho_r(g) on the centroid-free coefficients of a mode
+    of residue r: tr Q (fixed bodies - 1), times 2 cos(turn) on the cosine/
+    sine pair of a mode k > 0 (r = 0 is the constant mode, cosine only)."""
+    total = 0.0
+    for el in elements:
+        p, q = el.shift.numerator, el.shift.denominator
+        turn = 1.0 if r == 0 else 2.0 * np.cos(2.0 * np.pi * ((p * r) % q) / q)
+        fixed = sum(i == j for i, j in enumerate(el.perm))
+        total += turn * np.trace(el.matrix) * (fixed - 1)
+    return total / len(elements)
+
+
 def test_group_orders():
-    assert italian(4, 3).order == 2
-    assert hiphop_z2z4().order == 8
-    assert hiphop_z3().order == 6
+    # each block's dimension is the character count over the closed group
+    for sym, masses, order in [(italian(4, 3), [1.0] * 4, 2), (hiphop_z2z4(), [1.0] * 4, 8),
+                               (hiphop_z3(), [1.0] * 4, 6), (Z3_THIRD, [1.0, 1.0, 1.0, 2.0], 3),
+                               (TURN16, [1.0, 2.0], 16)]:
+        elements = group_elements(sym)
+        assert len(elements) == order
+        for r, (_, U) in enumerate(invariant_basis(sym, MassSystem(masses), sym.L)):
+            count = character_count(elements, r)
+            assert abs(count - round(count)) < 1e-12
+            assert U.shape[1] == round(count)
 
 
 def test_group_closure_guard():
-    # an irrational rotation cannot close
-    th = 1.0
-    rot = np.array([[np.cos(th), -np.sin(th), 0.0],
-                    [np.sin(th), np.cos(th), 0.0],
-                    [0.0, 0.0, 1.0]])
+    # a turn by 1 rad generates no finite group; its class is still the fixed
+    # space of the generator: the z components, with x and y projected to 0
+    # (to rounding)
+    rot = _rot_z(1.0)
+    sym = SymmetryAction(4, 3, [((0, 1, 2, 3), rot, 0)])
+    loop = random_loop(np.random.default_rng(3), SYS4)
+    proj = project_symmetry(loop, sym)
+    for got, ref in ((proj.cos_modes, loop.cos_modes), (proj.sin_modes, loop.sin_modes)):
+        assert np.abs(got[:2]).max() < 1e-15
+        assert np.abs(got[2] - ref[2]).max() < 1e-15
+    assert [U.shape[1] for _, U in invariant_basis(sym, SYS4, 8)] == [3, 6]
+    # cycling the bodies as well leaves only the zero loop
+    cyclic = SymmetryAction(4, 3, [((1, 2, 3, 0), rot, 0)])
+    assert [U.shape[1] for _, U in invariant_basis(cyclic, SYS4, 8)] == [0, 0]
+    assert np.all(project_symmetry(loop, cyclic).params() == 0.0)
     with pytest.raises(ValidationError):
-        SymmetryAction(4, 3, [((1, 2, 3, 0), rot, 0)])
+        group_elements(sym)   # the closure refuses it
 
 
 def test_symmetry_rejects_unequal_mass_permutation():
@@ -268,25 +318,41 @@ def test_invariant_basis_spans_projector_range():
     assert np.abs(proj - Z @ (Z.T @ proj)).max() < 1e-12
 
 
-@pytest.mark.parametrize("sym, sys", [
-    (hiphop_z2z4(), SYS4), (italian(4, 3), SYS4), (hiphop_z3(), SYS4),
-    (italian(2, 2), MassSystem([1.0, 2.0])),
-], ids=["z2z4", "italian", "z3", "italian-2-body"])
-def test_invariant_basis_matches_dense_projector(sym, sys):
-    # oracle: the range of the full N x N projector, one column per unit vector
-    Z = dense_basis(invariant_basis(sym, sys, 8), 8)
-    template = Loop(T, np.zeros((sym.d, sym.n, 9)), np.zeros((sym.d, sym.n, 9)), sys)
+@pytest.mark.parametrize("sym, sys, K", [
+    (hiphop_z2z4(), SYS4, 8), (italian(4, 3), SYS4, 8), (hiphop_z3(), SYS4, 8),
+    (italian(2, 2), MassSystem([1.0, 2.0]), 8),
+    (italian(4, 3), MassSystem([1.0, 2.0, 3.0, 4.0]), 8),
+    (hiphop_z3(), MassSystem([1.0, 1.0, 1.0, 2.0]), 8),
+    (italian(3, 2), MassSystem([1.0, 2.0, 3.0]), 8),
+    (italian(4, 2), MassSystem([1.0, 1.0, 2.0, 3.0]), 8),
+    (italian(2, 3), MassSystem([1.0, 3.0]), 8),
+    (Z3_THIRD, MassSystem([1.0, 1.0, 1.0, 2.0]), 8),
+    (TURN16, MassSystem([1.0, 2.0]), 17),
+], ids=["z2z4", "italian", "z3", "italian-2-body", "italian-masses-1-4", "z3-heavy-axis",
+        "italian-3-2", "italian-4-2", "italian-2-3", "z3-third", "turn16"])
+def test_invariant_basis_matches_dense_projector(sym, sys, K):
+    # oracle: the range of the full N x N group average over the closed
+    # group, one column per unit vector
+    blocks = invariant_basis(sym, sys, K)
+    Z = dense_basis(blocks, K)
+    template = Loop(T, np.zeros((sym.d, sym.n, K + 1)), np.zeros((sym.d, sym.n, K + 1)), sys)
     N = Z.shape[0]
-    P = np.stack([project_symmetry(with_params(template, e), sym).params() for e in np.eye(N)],
+    P = np.stack([group_average_loop(with_params(template, e), sym).params() for e in np.eye(N)],
                  axis=1)
     u, sv, _ = np.linalg.svd(P)
     ref = u[:, sv > 0.5]
     assert Z.shape == ref.shape
     assert np.abs(Z @ Z.T - ref @ ref.T).max() < 1e-13
+    assert [U.shape for _, U in blocks] == [U.shape for _, U in closure_invariant_basis(sym, sys, K)]
+    # the projection is U U^T on the blocks: the dense projector itself
+    proj = np.stack([project_symmetry(with_params(template, e), sym).params() for e in np.eye(N)],
+                    axis=1)
+    assert np.abs(proj - P).max() < 1e-13
 
 
 def test_symmetry_by_label():
-    assert symmetry_by_label("italian").order == 2
+    ((perm, Q, shift),) = symmetry_by_label("italian").generators
+    assert perm == (0, 1, 2, 3) and np.array_equal(Q, -np.eye(3)) and shift == Fraction(1, 2)
     for label in ("nope", "hiphop_Z2xZ4", "hiphop_Z3"):
         with pytest.raises(ValidationError):
             symmetry_by_label(label)
@@ -311,11 +377,11 @@ def test_cached_blocks_equal_fresh_ones_bitwise(label):
 
 def test_groups_and_cached_blocks_are_read_only():
     sym = symmetry_by_label("z2z4")
-    assert isinstance(sym.elements, tuple)
+    assert isinstance(sym.generators, tuple)
     with pytest.raises(ValueError):
-        sym.elements[1].matrix[0, 0] = 2.0
-    with pytest.raises(AttributeError):
-        sym.elements[1].shift = 0
+        sym.generators[1][1][0, 0] = 2.0
+    with pytest.raises(TypeError):
+        sym.generators[1][2] = 0
     _, U = invariant_basis(sym, SYS4, 16)[1]
     with pytest.raises(ValueError):
         U[0, 0] = 2.0

@@ -3,13 +3,10 @@ replaced.
 
 Each reference below is the earlier implementation, kept verbatim as the
 oracle: the scan for local minima, the shape distance to one pattern at a
-time, the group closure keyed by rounded matrix entries, the node
-evaluation by a stack of derivative spectra and the minimizer's
-bookkeeping (block splits at every evaluation, correction pairs in two
-lists).  The array forms must agree with them bit for bit.
+time, the node evaluation by a stack of derivative spectra and the
+minimizer's bookkeeping (block splits at every evaluation, correction
+pairs in two lists).  The array forms must agree with them bit for bit.
 """
-
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,21 +17,15 @@ from nbodyred.action import (
     SQUARE_PATTERN,
     TETRA_PATTERN,
     MinimizeOptions,
-    SymmetryAction,
-    _compose,
-    _Element,
     _local_minima_below,
     action_value_and_gradient,
-    hiphop_z2z4,
-    hiphop_z3,
-    invariant_basis,
-    italian,
     minimize_action,
     shape_distance,
     square_relative_equilibrium_loop,
 )
-from nbodyred.errors import CollisionAtNode, CollisionApproach, NoConvergence, ValidationError
+from nbodyred.errors import CollisionAtNode, CollisionApproach, NoConvergence
 from nbodyred.geometry import MassSystem, squared_distances
+from oracles import closure_invariant_basis
 
 SYS4 = MassSystem([1.0] * 4)
 T = 2.0 * np.pi
@@ -101,63 +92,6 @@ def test_shape_distance_of_a_pattern_stack_matches_each_pattern():
 
 
 # ---------------------------------------------------------------------------
-# group closure
-
-
-def mat_key_reference(Q):
-    return tuple(tuple(round(v, 9) + 0.0 for v in row) for row in np.asarray(Q))
-
-
-def close_reference(gens, n, d, max_order=64):
-    ident = _Element(tuple(range(n)), np.eye(d), Fraction(0))
-    key = lambda el: (el.perm, mat_key_reference(el.matrix), el.shift)   # noqa: E731
-    seen = {key(ident): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = _compose(a, g)
-                if key(c) not in seen:
-                    seen[key(c)] = c
-                    nxt.append(c)
-        frontier = nxt
-        if len(seen) > max_order:
-            raise ValidationError("group does not close; check the generators")
-    return [seen[k] for k in sorted(seen, key=lambda k: (k[2], k[0], k[1]))]
-
-
-@pytest.mark.parametrize("make, args", [(italian, (4, 3)), (italian, (3, 2)),
-                                        (hiphop_z2z4, ()), (hiphop_z3, ())],
-                         ids=["italian-4-3", "italian-3-2", "hiphop_z2z4", "hiphop_z3"])
-def test_group_elements_unchanged(monkeypatch, make, args):
-    sym = make(*args)
-    monkeypatch.setattr(SymmetryAction, "_close", staticmethod(close_reference))
-    ref = make.__wrapped__(*args)   # a fresh group: the factories share theirs
-    assert ref is not sym
-    assert len(sym.elements) == len(ref.elements)
-    for el, el_ref in zip(sym.elements, ref.elements):
-        assert el.perm == el_ref.perm
-        assert el.shift == el_ref.shift
-        assert el.matrix.tobytes() == el_ref.matrix.tobytes()
-
-
-def test_mat_key_deduplicates_like_the_rounded_rows():
-    # drift far below 1e-9 and signed zeros give the same key, a different
-    # entry a different one, and keys sort by their entries row by row
-    rng = np.random.default_rng(5)
-    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    drift = Q + 1e-13 * rng.standard_normal((3, 3))
-    key = nbodyred.action._mat_key
-    assert key(drift) == key(Q)
-    assert key(-np.zeros((2, 2))) == key(np.zeros((2, 2)))
-    mats = [np.round(rng.standard_normal((3, 3)), 1) for _ in range(30)]
-    new = sorted(range(30), key=lambda i: key(mats[i]))
-    old = sorted(range(30), key=lambda i: mat_key_reference(mats[i]))
-    assert new == old
-
-
-# ---------------------------------------------------------------------------
 # node evaluation
 
 
@@ -189,11 +123,11 @@ def test_at_nodes_matches_the_stacked_spectra_bitwise():
 
 
 def minimize_action_reference(seed_loop, sym, opts):
-    """The minimizer with its earlier bookkeeping; returns the loop and the
-    number of action evaluations."""
+    """The minimizer with its earlier bookkeeping, on the blocks built from
+    the closed group; returns the loop and the number of action evaluations."""
     sys, K = seed_loop.sys, seed_loop.n_modes
     n_quad = max(256, 4 * K)
-    blocks = invariant_basis(sym, sys, K)
+    blocks = closure_invariant_basis(sym, sys, K)
     splits = np.cumsum([U.shape[1] * modes.size for modes, U in blocks])[:-1]
     w2 = np.concatenate([np.tile(modes, U.shape[1]) for modes, U in blocks]).clip(1) ** 2.0
     s = squared_distances(seed_loop.at_nodes(n_quad, 0)[0], sys)
@@ -299,6 +233,9 @@ def test_minimizer_repeats_the_reference_bitwise(monkeypatch, label, K, gtol):
     opts = MinimizeOptions(gtol=gtol)
     ref, ref_nfev = minimize_action_reference(seed, sym, opts)
 
+    # the live minimizer runs on the same closure-built blocks, so the test
+    # holds its bookkeeping to the reference on exactly the same inputs
+    monkeypatch.setattr(nbodyred.action, "invariant_basis", closure_invariant_basis)
     calls = []
     inner = nbodyred.action.action_value_and_gradient
 

@@ -826,6 +826,18 @@ def test_fresh_process_overflowing_masses_print_one_line(tmp_path, argv, scenari
     assert not out.exists()
 
 
+def test_fresh_process_underflowing_masses_print_one_line(tmp_path):
+    # a pair mass m_i m_j that underflows to 0 silenced gravity: simulate
+    # exited 0 with every audit drift exactly 0
+    out = tmp_path / "out"
+    scenario = dict(CIRCULAR, masses=[1e-200, 1e-200])
+    proc = run_cli(["simulate", "--horizon", "1"] + config_args(tmp_path, scenario) + ["--out", str(out)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == "ValidationError"
+    assert not out.exists()
+
+
 def test_fresh_process_parser_exit(tmp_path):
     # argparse's own exit keeps the normal path: usage on stderr, code 2
     proc = run_cli(["simulate", "--out", str(tmp_path)])

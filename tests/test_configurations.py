@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,21 @@ def test_find_central_orientation_is_fixed(masses, d):
     b = find_central(sys, d, x0=Configuration(Q @ x0.r, sys))
     assert np.abs(a.r - b.r).max() < 1e-9
     assert np.abs(np.tril(a.r, -1)).max() < 1e-15 and np.all(np.diag(a.r) >= 0.0)
+
+
+def test_find_central_forms_no_d_by_d_factor():
+    # the orientation needs R of x = Q R only: the complete Q of a 2000 x 3
+    # configuration alone is 32 MB
+    sys = MassSystem([1.0, 2.0, 3.0])
+    tracemalloc.start()
+    try:
+        x = find_central(sys, 2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6   # a quarter of Q
+    assert x.r.shape == (2000, 3) and np.all(x.r[3:] == 0.0) and np.all(np.diag(x.r) >= 0.0)
+    assert classify(x, sys).kind == "central"
 
 
 def test_find_balanced_rejects_long_spectrum():

@@ -84,6 +84,21 @@ def test_mass_system_rejects_an_overflowing_pair_factor(masses, constants, recwa
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("masses, constants", [
+    ([1e-200, 1e-200], {}), ([1.0, 1e-160, 1e-160], {}), ([1e-150, 1e-150], {"G": 1e-10}),
+    ([1.0, 1.0], {"G": 1e-310}),
+])
+def test_mass_system_rejects_an_underflowing_pair_factor(masses, constants, recwarn):
+    # m_i m_j and 2 G kappa m_i m_j that are zero or subnormal would silence
+    # gravity, and the audits would read exact zeros
+    with pytest.raises(ValidationError, match="underflow"):
+        MassSystem(masses, **constants)
+    assert not recwarn.list
+    tiny = np.finfo(float).tiny
+    sys = MassSystem([1e-150, 1e-150], G=2.0)   # small, but normal
+    assert sys.pair_masses.min() >= tiny and -sys.pair_factor.max() >= tiny
+
+
 def test_mass_system_constants_of_the_pair_kernel():
     sys = MassSystem([1.0, 2.0, 3.0, 0.5], G=1.3, kappa=-0.75)
     i, j = sys.pairs
