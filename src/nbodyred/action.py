@@ -4,12 +4,12 @@ T-periodic paths of configurations are trigonometric polynomials with the
 modes k = 0..K (K = n_modes); the Lagrangian action  integral of
 (sum m_i |x_i'|^2 / 2 + U)  is evaluated by the rectangle rule on
 n_quad > 2K equispaced nodes (spectrally accurate for smooth loops) with an
-analytic gradient in the Fourier coefficients.  Every node grid, those of
-the minimizer and of verify_loop alike, goes through Loop.at_nodes: one
-inverse real FFT gives positions, velocities (and accelerations), and one
-real FFT the cosine and sine sums of the gradient; with n_quad > 2K no mode
-aliases, so these are the rectangle-rule sums.  The trigonometric tables of
-Loop.at_times serve arbitrary sample times only.
+analytic gradient in the Fourier coefficients.  Every evaluation reads one
+complex spectrum c_k (i k w)^j, c_k = a_k - i b_k (Loop._spectrum).  At the
+nodes, of the minimizer and of verify_loop alike, one inverse real FFT gives
+positions, velocities (and accelerations) and one real FFT the gradient's
+sums; with n_quad > 2K no mode aliases, so these are the rectangle-rule
+sums.  Arbitrary times sum the spectrum against one table of e^{i k w t}.
 
 Symmetry classes (the antipodal "italian" constraint, the square/
 tetrahedron oscillation class of four bodies, a triangle-plus-axis variant)
@@ -51,18 +51,14 @@ from .geometry import (
 from .optimize import quasi_newton
 
 
-def _trig(n_modes, T, ts):
-    k = np.arange(n_modes + 1)
-    phase = np.outer(ts, k) * (2.0 * np.pi / T)
-    return np.cos(phase), np.sin(phase)  # (q, k)
-
-
 class Loop:
     """T-periodic path of configurations as real Fourier coefficients.
 
     cos_modes and sin_modes have shape (d, n, n_modes + 1); the path is
     x_ci(t) = sum_k cos_modes[c,i,k] cos(k w t) + sin_modes[c,i,k] sin(k w t)
-    with w = 2 pi / T.  The constant sine coefficient is zeroed and the
+    with w = 2 pi / T: Re sum_k c_k e^{i k w t}, c_k = a_k - i b_k, read at
+    the nodes by one inverse FFT and at arbitrary times by one exponential
+    table (_spectrum).  The constant sine coefficient is zeroed and the
     mass-weighted centroid removed mode by mode.
     """
 
@@ -86,15 +82,18 @@ class Loop:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _spectrum(self, order):
+        """c_k (i k w)^j for j = 0..order, (order + 1, d, n, K + 1): the j-th
+        derivative of the path is Re sum_k of row j times e^{i k w t}."""
+        ikw = 1j * np.arange(self.n_modes + 1) * (2.0 * np.pi / self.T)
+        c = self.cos_modes - 1j * self.sin_modes
+        return c * ikw ** np.arange(order + 1)[:, None, None, None]
+
     def at_times(self, ts):
-        """Positions and velocities, (q, d, n) each, at the times ts, from
-        one table of cosines and sines."""
-        cos, sin = _trig(self.n_modes, self.T, np.asarray(ts, dtype=float))
-        kw = np.arange(self.n_modes + 1) * (2.0 * np.pi / self.T)
-        return (np.einsum("cik,qk->qci", self.cos_modes, cos)
-                + np.einsum("cik,qk->qci", self.sin_modes, sin),
-                np.einsum("cik,qk->qci", self.sin_modes * kw, cos)
-                - np.einsum("cik,qk->qci", self.cos_modes * kw, sin))
+        """Positions and velocities at the times ts, (2, q, d, n), from one table
+        of e^{i k w t}, its phases taken mod one turn (t = T reads as t = 0)."""
+        turns = np.outer(np.arange(self.n_modes + 1), np.asarray(ts) / self.T) % 1.0
+        return np.moveaxis((self._spectrum(1) @ np.exp(2j * np.pi * turns)).real, -1, 1)
 
     def at_nodes(self, n_quad, order=1):
         """The path and its time derivatives up to order at the n_quad
@@ -106,12 +105,8 @@ class Loop:
         K = self.n_modes
         if n_quad <= 2 * K:
             raise ValidationError(f"n_quad = {n_quad} must exceed 2 K = {2 * K}")
-        # x(t_j) = sum_k Re(c_k e^{2 pi i j k / q}) with c_k = a_k - i b_k,
-        # and d/dt multiplies c_k by i k w
-        c = self.cos_modes - 1j * self.sin_modes
-        c[..., 1:] *= 0.5   # irfft doubles every mode above the constant one
-        ikw = 1j * np.arange(K + 1) * (2.0 * np.pi / self.T)
-        derivs = c * ikw ** np.arange(order + 1)[:, None, None, None]
+        derivs = self._spectrum(order)
+        derivs[..., 1:] *= 0.5   # irfft doubles every mode above the constant one
         return np.moveaxis(np.fft.irfft(derivs, n_quad, norm="forward"), -1, 1)
 
     def sample(self, ts):
@@ -319,15 +314,13 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=None):
         n_quad = max(256, 8 * loop.n_modes)
     (_, v), _, fx, S = _node_action(loop, n_quad, pair_kernel(sys, collision_floor)[0])
 
-    # the cosine and sine sums of the node forces dU/dx over the nodes are
-    # the real and minus the imaginary part of an rfft
-    F = np.fft.rfft(np.stack([fx, sys.m * v]), axis=1)[:, :loop.n_modes + 1]
-    fx_hat, mv_hat = np.moveaxis(F, 1, -1)   # (d, n, K + 1) each
-    kw = np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T)
-    w = loop.T / n_quad
-    g_cos = w * (fx_hat.real + kw * mv_hat.imag)
-    g_sin = w * (kw * mv_hat.real - fx_hat.imag)
-    return S, np.concatenate([g_cos.ravel(), g_sin.ravel()])
+    # with F_x and Mv the rffts of the node forces dU/dx and momenta, the cosine
+    # and sine gradients are Re G and -Im G of G = (T/q)(F_x - i k w Mv): the
+    # parts of its conjugate, which keeps the signs of zeros of the real sums
+    F = np.fft.rfft(np.stack([fx, sys.m * v]), axis=1)[:, :loop.n_modes + 1].conj()
+    fx_bar, mv_bar = np.moveaxis(F, 1, -1)   # (d, n, K + 1) each
+    G_bar = 1j * np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T) * mv_bar + fx_bar
+    return S, loop.T / n_quad * np.concatenate([G_bar.real.ravel(), G_bar.imag.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +545,10 @@ def square_relative_equilibrium_loop(T, sys, n_modes, vertical_kick=0.0):
     R = (sys.G * m * (2.0 * np.sqrt(2.0) + 1.0) / (4.0 * w**2)) ** (1.0 / 3.0)
     if n_modes < 1:
         raise ValidationError(f"n_modes = {n_modes}: a seed loop needs n_modes >= 1")
-    a, b = np.zeros((3, 4, n_modes + 1)), np.zeros((3, 4, n_modes + 1))
-    for i in range(4):
-        phase = 0.5 * np.pi * i
-        # R cos(wt + phase), R sin(wt + phase)
-        a[0, i, 1] = R * np.cos(phase)
-        b[0, i, 1] = -R * np.sin(phase)
-        a[1, i, 1] = R * np.sin(phase)
-        b[1, i, 1] = R * np.cos(phase)
-        b[2, i, 1] = vertical_kick * (-1.0) ** i
-    return Loop(T, a, b, sys)
+    # the mode-1 spectrum a - i b of R cos(wt + phase), R sin(wt + phase) and
+    # the kick's alternating sine
+    rot = np.exp(0.5j * np.pi * np.arange(4))
+    c = np.array([R * rot, -1j * (R * rot), -1j * (vertical_kick * (-1.0) ** np.arange(4))])
+    ab = np.zeros((2, 3, 4, n_modes + 1))
+    ab[..., 1] = c.real, -c.imag
+    return Loop(T, *ab, sys)

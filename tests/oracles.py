@@ -6,9 +6,10 @@ table, the d x d inertia table, bivectors, their frequencies and induced
 complex structures, the inertia operator, the complex Schwarz gaps, Saari's
 velocity split, Dziobek's rank estimates, the mass-linear equations P_ijk
 of balance) or a plain form of a library path (the reduced right-hand
-side on tables, the loop of a flat parameter vector, the reader of
-loop.json, the antisymmetric part rebuilt from its upper triangle, the
-symmetry class as the group average over the closure of its generators).
+side on tables, a loop by its cosine and sine tables, the loop of a flat
+parameter vector, the reader of loop.json, the antisymmetric part rebuilt
+from its upper triangle, the symmetry class as the group average over the
+closure of its generators).
 """
 
 import itertools
@@ -428,6 +429,13 @@ def circular_two_body_loop(T, sys, n_modes):
         a[0, i, 1] = r
         b[1, i, 1] = r
     return Loop(T, a, b, sys)
+
+
+def _trig(n_modes, T, ts):
+    """The cosine and sine tables (q, K + 1) of the modes at the times ts."""
+    k = np.arange(n_modes + 1)
+    phase = np.outer(ts, k) * (2.0 * np.pi / T)
+    return np.cos(phase), np.sin(phase)
 
 
 def with_params(loop, p):

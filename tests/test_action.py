@@ -11,7 +11,6 @@ from nbodyred.geometry import MassSystem, squared_distances
 from nbodyred.action import (
     SYMMETRY_LABELS,
     Loop,
-    _trig,
     MinimizeOptions,
     SQUARE_PATTERN,
     SymmetryAction,
@@ -28,6 +27,7 @@ from nbodyred.action import (
     verify_loop,
 )
 from oracles import (
+    _trig,
     circular_two_body_loop,
     closure_invariant_basis,
     group_average_loop,
@@ -97,6 +97,29 @@ def test_node_values_match_trig_path():
         for got, ref in ((x, loop.at_times(ts)[0]), (v, loop.at_times(ts)[1]), (a, acc)):
             assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()
     assert loop.at_nodes(64).shape == (2, 64, 3, 4)
+
+
+@pytest.mark.parametrize("K", [1, 8, 64])
+@pytest.mark.parametrize("n, d", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_times_off_the_grid_match_trig_sums(n, d, K):
+    # the spectrum against one exponential table, at times off every node
+    # grid and outside one period, against the explicit cosine and sine sums
+    rng = np.random.default_rng(100 * K + 10 * n + d)
+    loop = Loop(T, rng.normal(size=(d, n, K + 1)), rng.normal(size=(d, n, K + 1)),
+                MassSystem(rng.uniform(0.5, 2.0, n)))
+    ts = rng.uniform(-T, 2.0 * T, 50)
+    cos, sin = _trig(K, T, ts)
+    kw = np.arange(K + 1) * (2.0 * np.pi / T)
+    x_ref = np.einsum("cik,qk->qci", loop.cos_modes, cos) + np.einsum("cik,qk->qci", loop.sin_modes, sin)
+    v_ref = np.einsum("cik,qk->qci", loop.sin_modes * kw, cos) - \
+        np.einsum("cik,qk->qci", loop.cos_modes * kw, sin)
+    x, v = loop.at_times(ts)
+    for got, ref in ((x, x_ref), (v, v_ref)):
+        assert got.shape == (50, d, n)
+        assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+    ends = loop.sample([0.0, T]).samples   # (2, 2, d, n): positions, then velocities
+    for j in (0, 1):
+        assert np.abs(ends[1, j] - ends[0, j]).max() < 1e-14 * np.abs(ends[:, j]).max()
 
 
 def test_quadrature_must_resolve_every_mode():

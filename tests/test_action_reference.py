@@ -22,6 +22,7 @@ from nbodyred.action import (
     minimize_action,
     shape_distance,
     square_relative_equilibrium_loop,
+    verify_loop,
 )
 from nbodyred.errors import CollisionAtNode, CollisionApproach, NoConvergence
 from nbodyred.geometry import MassSystem, squared_distances
@@ -247,3 +248,21 @@ def test_minimizer_repeats_the_reference_bitwise(monkeypatch, label, K, gtol):
     out = minimize_action(seed, sym, opts)
     assert len(calls) == ref_nfev
     assert out.params().tobytes() == ref.params().tobytes()
+
+
+@pytest.mark.parametrize("gtol", [1e-11, 1e-12])
+@pytest.mark.parametrize("label, K", [("z2z4", 16), ("z2z4", 64), ("italian", 16), ("z3", 16)])
+def test_tight_search_reaches_the_reference_loop(label, K, gtol):
+    # the live search runs on its own blocks and may accept a step whose
+    # action is flat to rounding, which the reference never does; at these
+    # tolerances the two paths may part in the last bits, not in the loop
+    sym = nbodyred.action.symmetry_by_label(label)
+    seed = square_relative_equilibrium_loop(T, SYS4, K, vertical_kick=0.3)
+    opts = MinimizeOptions(gtol=gtol)
+    ref = minimize_action_reference(seed, sym, opts)[0]
+    out = minimize_action(seed, sym, opts)
+    assert np.abs(out.params() - ref.params()).max() < 1e-13
+    rep, ref_rep = verify_loop(out, sym), verify_loop(ref, sym)
+    assert abs(rep.action - ref_rep.action) <= 1e-15 * abs(ref_rep.action)
+    assert len(rep.square_events) == len(ref_rep.square_events)
+    assert len(rep.tetra_events) == len(ref_rep.tetra_events)
