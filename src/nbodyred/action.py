@@ -7,9 +7,11 @@ n_quad > 2K equispaced nodes (spectrally accurate for smooth loops) with an
 analytic gradient in the Fourier coefficients.  Every evaluation reads one
 complex spectrum c_k (i k w)^j, c_k = a_k - i b_k (Loop._spectrum).  At the
 nodes, of the minimizer and of verify_loop alike, one inverse real FFT gives
-positions, velocities (and accelerations) and one real FFT the gradient's
-sums; with n_quad > 2K no mode aliases, so these are the rectangle-rule
-sums.  Arbitrary times sum the spectrum against one table of e^{i k w t}.
+positions (and derivatives), node axis last up to the one real FFT of the
+gradient's force sums; with n_quad > 2K no mode aliases, so these are the
+rectangle-rule sums, the kinetic part is Parseval's sum over the modes and
+U = sum_p c_p s_p / (2 kappa) takes the pair kernel's c_p = 2 m_i m_j Phi'.
+Arbitrary times sum the spectrum against one table of e^{i k w t}.
 
 Symmetry classes (the antipodal "italian" constraint, the square/
 tetrahedron oscillation class of four bodies, a triangle-plus-axis variant)
@@ -42,9 +44,9 @@ from .errors import (
 from .geometry import (
     Trajectory,
     centred,
+    pair_differences,
     pair_forces,
     pair_kernel,
-    potential_from_s,
     relative_scale,
     squared_distances,
 )
@@ -65,11 +67,11 @@ class Loop:
     def __init__(self, T, cos_modes, sin_modes, sys):
         cos_modes = np.array(cos_modes, dtype=float)
         sin_modes = np.array(sin_modes, dtype=float)
-        if cos_modes.shape != sin_modes.shape or cos_modes.ndim != 3:
-            raise ValidationError("coefficient arrays must share shape (d, n, K+1)")
+        if cos_modes.shape != sin_modes.shape or cos_modes.ndim != 3 or not cos_modes.shape[2]:
+            raise ValidationError("coefficient arrays must share shape (d, n, K+1), K >= 0")
         if cos_modes.shape[1] != sys.n:
             raise ValidationError("coefficient arrays do not match the mass system")
-        if not (0.0 < T < np.inf and np.isfinite([cos_modes, sin_modes]).all()):
+        if not (0.0 < T < np.inf and np.isfinite(cos_modes).all() and np.isfinite(sin_modes).all()):
             raise ValidationError("period and coefficients must be finite, the period positive")
         sin_modes[:, :, 0] = 0.0
         for arr in (cos_modes, sin_modes):
@@ -107,7 +109,7 @@ class Loop:
             raise ValidationError(f"n_quad = {n_quad} must exceed 2 K = {2 * K}")
         derivs = self._spectrum(order)
         derivs[..., 1:] *= 0.5   # irfft doubles every mode above the constant one
-        return np.moveaxis(np.fft.irfft(derivs, n_quad, norm="forward"), -1, 1)
+        return np.fft.irfft(derivs, n_quad, norm="forward").transpose(0, 3, 1, 2)
 
     def sample(self, ts):
         """The loop at the times ts, as an absolute Trajectory."""
@@ -289,17 +291,20 @@ def invariant_basis(sym, sys, n_modes):
 
 def _node_action(loop, n_quad, c, order=1):
     """Path derivatives up to order at n_quad equispaced nodes, (order + 1,
-    q, d, n), their (q, P) squared distances, the (q, d, n) forces dU/dx and
-    the action, c a pair_kernel's; raises CollisionAtNode below its floor."""
+    d, n, q), their (P, q) squared distances, the (d, n, q) forces dU/dx, the
+    action and the gradient T/2 m_i (k w)^2 (a, b), (2, d, n, K + 1), of its
+    kinetic part T/4 sum m_i (k w)^2 (a^2 + b^2) (Parseval, exact as n_quad >
+    2 K); c a pair_kernel's, raises CollisionAtNode below its floor."""
     sys = loop.sys
-    xv = loop.at_nodes(n_quad, order)
+    xv = loop.at_nodes(n_quad, order).transpose(0, 2, 3, 1)   # the irfft's own layout
     try:
-        s, f = pair_forces(xv[0], sys, c)
+        s, cs, f = pair_forces(xv[0], sys, c)
     except CollisionError as exc:
         raise CollisionAtNode(f"{exc} at a quadrature node") from None
-    K = np.einsum("i,qci,qci->q", sys.m, xv[1], xv[1])
-    S = float(loop.T / n_quad * (0.5 * K + potential_from_s(s, sys)).sum())
-    return xv, s, f, S
+    ab = np.array([loop.cos_modes, loop.sin_modes])
+    kinetic = (0.5 * loop.T) * sys.m[:, None] * (np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T)) ** 2 * ab
+    S = float(loop.T / n_quad * (cs * s).sum() / (2.0 * sys.kappa) + 0.5 * (kinetic * ab).sum())
+    return xv, s, f, S, kinetic
 
 
 def action_value_and_gradient(loop, n_quad=None, collision_floor=None):
@@ -307,20 +312,16 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=None):
 
     Rectangle rule on n_quad > 2 K equispaced nodes (default max(256, 8 K));
     raises CollisionAtNode below the collision floor.  The gradient is the
-    exact derivative of the quadrature, ordered like Loop.params().
-    """
-    sys = loop.sys
+    exact derivative of the quadrature, ordered like Loop.params().  One node
+    pass of positions, node axis last, gives U = sum c s / (2 kappa) and the
+    forces' rfft; the kinetic part and its gradient are Parseval's sums."""
     if n_quad is None:
         n_quad = max(256, 8 * loop.n_modes)
-    (_, v), _, fx, S = _node_action(loop, n_quad, pair_kernel(sys, collision_floor)[0])
-
-    # with F_x and Mv the rffts of the node forces dU/dx and momenta, the cosine
-    # and sine gradients are Re G and -Im G of G = (T/q)(F_x - i k w Mv): the
-    # parts of its conjugate, which keeps the signs of zeros of the real sums
-    F = np.fft.rfft(np.stack([fx, sys.m * v]), axis=1)[:, :loop.n_modes + 1].conj()
-    fx_bar, mv_bar = np.moveaxis(F, 1, -1)   # (d, n, K + 1) each
-    G_bar = 1j * np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T) * mv_bar + fx_bar
-    return S, loop.T / n_quad * np.concatenate([G_bar.real.ravel(), G_bar.imag.ravel()])
+    _, _, f, S, grad = _node_action(loop, n_quad, pair_kernel(loop.sys, collision_floor)[0], 0)
+    F = np.fft.rfft(f)[..., :loop.n_modes + 1]   # the potential part's: (T/q) Re F, -Im F
+    grad[0] += loop.T / n_quad * F.real
+    grad[1] -= loop.T / n_quad * F.imag
+    return S, grad.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +498,8 @@ def verify_loop(loop, sym):
     """
     sys = loop.sys
     n_quad = max(256, 8 * loop.n_modes)
-    (_, _, acc), s, f, S = _node_action(loop, n_quad, pair_kernel(sys)[0], order=2)
-    pulled = f / sys.m
+    (_, _, acc), s, f, S, _ = _node_action(loop, n_quad, pair_kernel(sys)[0], order=2)
+    pulled = f / sys.m[:, None]
     eom = np.abs(acc - pulled).max() / relative_scale(np.abs(acc).max(), np.abs(pulled).max())
     min_dist = float(np.sqrt(s.min()))
 
@@ -507,13 +508,12 @@ def verify_loop(loop, sym):
                        np.abs(proj.sin_modes - loop.sin_modes).max()))
 
     n_scan = max(2048, n_quad)
-    xs = loop.at_nodes(n_scan, 0)[0]
-    squares, tetras = [], []
-    if loop.n == 4:
-        squares, tetras = _square_tetra_events(loop.nodes(n_scan), squared_distances(xs, sys), 1e-2)
+    xs = loop.at_nodes(n_scan, 0)[0].transpose(1, 2, 0)   # (d, n, q), contiguous
+    squares, tetras = (_square_tetra_events(loop.nodes(n_scan), pair_differences(xs, sys)[1].T, 1e-2)
+                       if loop.n == 4 else ([], []))
 
     # the cloud's squared singular values from its d x d table; OpenBLAS threads an SVD
-    flat = xs.transpose(1, 0, 2).reshape(loop.d, -1)
+    flat = xs.reshape(loop.d, -1)
     xc = flat - flat.mean(axis=1, keepdims=True)
     ev = np.linalg.eigvalsh(xc @ xc.T)
     planarity = math.sqrt(max(ev[0], 0.0) / ev[-1]) if loop.d > 2 else 0.0

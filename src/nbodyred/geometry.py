@@ -8,10 +8,11 @@ Angular momenta are exactly antisymmetric d x d arrays.
 
 Pair quantities go through the pair list sys.pairs (P = n(n-1)/2 pairs i < j)
 and its incidence sys.D only: (..., P) squared distances, Phi and Phi' once
-per pair, forces as the scatter (x D^T * c) D, and the n x n table A built
-from the same c.  The per-system constants live on MassSystem: the pair
-factor 2 m_i m_j G kappa (c_p = pair_factor s_p^(kappa-1)), and, built on
-first use beside D, a contiguous D^T and the acceleration scatter D M^{-1}.
+per pair, forces as the scatter (x D^T * c) D (D^T (D x * c), node axis
+last), and the n x n table A built from the same c.  The per-system
+constants live on MassSystem: the pair factor 2 m_i m_j G kappa (c_p =
+pair_factor s_p^(kappa-1)), and, built on first use beside D, a contiguous
+D^T and the acceleration scatter D M^{-1}.
 One `pair_kernel` holds Phi' and the collision-floor check of every force and
 table; it reads the floor, COLLISION_FLOOR, when it is built.
 """
@@ -86,8 +87,8 @@ class MassSystem:
 
     @cached_property
     def D(self):
-        """Pair incidence, n(n-1)/2 x n: row p is e_i - e_j, so x D^T holds the pair
-        differences and f D scatters pair vectors f onto the bodies (D, DT and
+        """Pair incidence, n(n-1)/2 x n: row p is e_i - e_j, so x D^T (or D x) holds
+        the pair differences and f D scatters pair vectors f onto the bodies (D, DT and
         DMinv are built on first use: their sizes grow as n^3)."""
         i, j = self.pairs
         return _readonly(np.eye(self.n)[i] - np.eye(self.n)[j])
@@ -352,12 +353,21 @@ def pair_kernel(sys, floor=None):
     return c, accelerations
 
 
-def pair_forces(r, sys, c):
-    """Squared distances s, (..., P), and forces dU/dx = (x D^T * c(s)) D,
-    (..., d, n), of (..., d, n) coordinates, c a pair_kernel's."""
-    diff = _rows_product(r, sys.DT)
-    s = np.add.reduce(diff * diff, axis=-2)   # sum() would add a Python layer
-    return s, _rows_product(diff * c(s)[..., None, :], sys.D)
+def pair_differences(x, sys):
+    """Pair differences D x, (d, P, q), and squared distances, (P, q), of
+    (d, n, q) coordinates, the node axis last: bit for bit those of
+    squared_distances, as D's entries are 0 and +-1."""
+    diff = sys.D @ x
+    return diff, np.add.reduce(diff * diff, axis=0)   # sum() would add a Python layer
+
+
+def pair_forces(x, sys, c):
+    """Squared distances s and pair coefficients c(s), (P, q), and forces
+    dU/dx = D^T (D x * c(s)), (d, n, q), of (d, n, q) coordinates, c a
+    pair_kernel's (whose pair constants run along the last axis)."""
+    diff, s = pair_differences(x, sys)
+    cs = c(s.T).T
+    return s, cs, sys.DT @ (diff * cs)
 
 
 def potential_from_s(s, sys):

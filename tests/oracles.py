@@ -7,9 +7,10 @@ complex structures, the inertia operator, the complex Schwarz gaps, Saari's
 velocity split, Dziobek's rank estimates, the mass-linear equations P_ijk
 of balance) or a plain form of a library path (the reduced right-hand
 side on tables, a loop by its cosine and sine tables, the loop of a flat
-parameter vector, the reader of loop.json, the antisymmetric part rebuilt
-from its upper triangle, the symmetry class as the group average over the
-closure of its generators).
+parameter vector, the pair forces in the row layout, the action summed at
+the nodes, the reader of loop.json, the antisymmetric part rebuilt from its
+upper triangle, the symmetry class as the group average over the closure of
+its generators).
 """
 
 import itertools
@@ -28,6 +29,8 @@ from nbodyred.dynamics import (
     scalar_invariants,
 )
 from nbodyred.errors import (
+    CollisionAtNode,
+    CollisionError,
     DegenerateConfiguration,
     NumericalError,
     ValidationError,
@@ -37,11 +40,13 @@ from nbodyred.geometry import (
     Configuration,
     RelativeState,
     _readonly,
+    _rows_product,
     angular_momentum_tables,
     inertia,
     interaction_matrix_from_s,
     mass_dot,
     pair_kernel,
+    potential_from_s,
     squared_distances,
 )
 from nbodyred.serialize import _floats, _mass_system, _number
@@ -443,6 +448,57 @@ def with_params(loop, p):
     half = loop.cos_modes.size
     shape = loop.cos_modes.shape
     return Loop(loop.T, p[:half].reshape(shape), p[half:].reshape(shape), loop.sys)
+
+
+def pair_forces(r, sys, c):
+    """Squared distances s, (..., P), and forces dU/dx = (x D^T * c(s)) D,
+    (..., d, n), of (..., d, n) coordinates, c a pair_kernel's: the earlier
+    row layout of geometry.pair_forces, kept verbatim."""
+    diff = _rows_product(r, sys.DT)
+    s = np.add.reduce(diff * diff, axis=-2)   # sum() would add a Python layer
+    return s, _rows_product(diff * c(s)[..., None, :], sys.D)
+
+
+# The action's node pass before its node axis stayed last, kept verbatim:
+# the order-1 inverse FFT in the (q, d, n) layout of Loop.at_nodes, the
+# kinetic term summed at the nodes, U by potential_from_s and the rfft of
+# the forces and momenta.
+
+
+def node_sum_action(loop, n_quad, c, order=1):
+    """Path derivatives up to order at n_quad equispaced nodes, (order + 1,
+    q, d, n), their (q, P) squared distances, the (q, d, n) forces dU/dx and
+    the action, c a pair_kernel's; raises CollisionAtNode below its floor."""
+    sys = loop.sys
+    xv = loop.at_nodes(n_quad, order)
+    try:
+        s, f = pair_forces(xv[0], sys, c)
+    except CollisionError as exc:
+        raise CollisionAtNode(f"{exc} at a quadrature node") from None
+    K = np.einsum("i,qci,qci->q", sys.m, xv[1], xv[1])
+    S = float(loop.T / n_quad * (0.5 * K + potential_from_s(s, sys)).sum())
+    return xv, s, f, S
+
+
+def node_sum_action_value_and_gradient(loop, n_quad=None, collision_floor=None):
+    """Action  integral of (K/2 + U)  and its coefficient gradient.
+
+    Rectangle rule on n_quad > 2 K equispaced nodes (default max(256, 8 K));
+    raises CollisionAtNode below the collision floor.  The gradient is the
+    exact derivative of the quadrature, ordered like Loop.params().
+    """
+    sys = loop.sys
+    if n_quad is None:
+        n_quad = max(256, 8 * loop.n_modes)
+    (_, v), _, fx, S = node_sum_action(loop, n_quad, pair_kernel(sys, collision_floor)[0])
+
+    # with F_x and Mv the rffts of the node forces dU/dx and momenta, the cosine
+    # and sine gradients are Re G and -Im G of G = (T/q)(F_x - i k w Mv): the
+    # parts of its conjugate, which keeps the signs of zeros of the real sums
+    F = np.fft.rfft(np.stack([fx, sys.m * v]), axis=1)[:, :loop.n_modes + 1].conj()
+    fx_bar, mv_bar = np.moveaxis(F, 1, -1)   # (d, n, K + 1) each
+    G_bar = 1j * np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T) * mv_bar + fx_bar
+    return S, loop.T / n_quad * np.concatenate([G_bar.real.ravel(), G_bar.imag.ravel()])
 
 
 def loop_from_dict(data):

@@ -145,6 +145,27 @@ def test_loop_rejects_a_period_or_coefficient_outside_the_reals(period, bad):
         coefficients[0, 1, 0] = 0.0
 
 
+def test_loop_checks_each_coefficient_array_on_its_own():
+    # a non-finite entry at any mode of either array fails; entries near the
+    # largest float in both arrays pass, and the loop keeps their bits
+    for mode in (0, 2):
+        for which in (0, 1):
+            arrays = np.zeros((2, 2, 2, 3))
+            arrays[which, 1, 0, mode] = np.nan
+            with pytest.raises(ValidationError):
+                Loop(T, *arrays, SYS2)
+    big = np.full((2, 2, 2, 3), 1e300)
+    big[:, :, 1] *= -1.0   # the two bodies mirror each other, so the centroid is zero
+    loop = Loop(T, *big, SYS2)
+    assert loop.cos_modes.tobytes() == big[0].tobytes()
+    assert np.array_equal(loop.sin_modes[..., 1:], big[1][..., 1:])
+
+
+def test_loop_rejects_coefficients_without_a_mode():
+    with pytest.raises(ValidationError):
+        Loop(1.0, np.zeros((2, 2, 0)), np.zeros((2, 2, 0)), MassSystem([1, 1]))
+
+
 def test_seed_loops_need_a_first_harmonic():
     for n_modes in (0, -1):
         with pytest.raises(ValidationError):

@@ -6,6 +6,8 @@ oracle: the scan for local minima, the shape distance to one pattern at a
 time, the node evaluation by a stack of derivative spectra and the
 minimizer's bookkeeping (block splits at every evaluation, correction
 pairs in two lists).  The array forms must agree with them bit for bit.
+The action's node pass, whose kinetic part is a sum over the modes, is
+held to the node sums of oracles.py to rounding.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from nbodyred.action import (
 )
 from nbodyred.errors import CollisionAtNode, CollisionApproach, NoConvergence
 from nbodyred.geometry import MassSystem, squared_distances
-from oracles import closure_invariant_basis
+from oracles import closure_invariant_basis, node_sum_action_value_and_gradient
 
 SYS4 = MassSystem([1.0] * 4)
 T = 2.0 * np.pi
@@ -117,6 +119,29 @@ def test_at_nodes_matches_the_stacked_spectra_bitwise():
             n_quad = 2 * K + 1 + int(rng.integers(0, 50))
             got = loop.at_nodes(n_quad, order)
             assert got.tobytes() == at_nodes_reference(loop, n_quad, order).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the node pass against the node sums
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -1.0, -0.3])
+@pytest.mark.parametrize("K", [1, 8, 64])
+def test_node_pass_matches_the_node_sum_evaluator(K, kappa):
+    # the kinetic part by Parseval and U by c s / (2 kappa) against the
+    # rectangle-rule sums at the nodes, on random loops of 2-5 bodies in R^1-R^3
+    rng = np.random.default_rng(int(1000 * K - 10 * kappa))
+    for _ in range(8):
+        n, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        sys = MassSystem(rng.uniform(0.5, 2.0, n), G=rng.uniform(0.5, 2.0), kappa=kappa)
+        a, b = 0.3 * rng.standard_normal((2, d, n, K + 1)) / np.arange(1, K + 2) ** 2
+        a[0, :, 0] = 3.0 * np.arange(n)   # bodies kept apart along the first axis
+        loop = Loop(rng.uniform(1.0, 10.0), a, b, sys)
+        for n_quad in (2 * K + 1, None):
+            S, g = action_value_and_gradient(loop, n_quad)
+            S_ref, g_ref = node_sum_action_value_and_gradient(loop, n_quad)
+            assert abs(S - S_ref) <= 1e-14 * abs(S_ref)
+            assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ from nbodyred.geometry import (
     inertia,
     interaction_matrix_from_s,
     mass_dot,
-    pair_forces,
+    pair_differences,
+    pair_forces as pair_forces_at_nodes,
     pair_kernel,
     potential_and_gradient,
+    potential_from_s,
     reduced_tables,
     squared_distances,
     wintner_conley,
@@ -44,6 +46,7 @@ from oracles import (
     inertia_operator_apply,
     inertia_pairwise,
     inertia_table,
+    pair_forces,
     rotation_invariants,
 )
 
@@ -364,11 +367,49 @@ def test_pair_kernel_matches_table_oracle(n, kappa):
 
     # the action's forces dU/dx = m (2 x A) at the quadrature nodes of a loop
     loop = Loop(2.0 * np.pi, rng.normal(size=(3, n, 4)), rng.normal(size=(3, n, 4)), sys)
-    xv, _, forces, _ = _node_action(loop, 64, c)
-    nodes = xv[0]
+    xv, _, forces, _, _ = _node_action(loop, 64, c)
+    nodes, forces = np.moveaxis(xv[0], -1, 0), np.moveaxis(forces, -1, 0)
     A_nodes = np.array([interaction_table_oracle(s, sys) for s in squared_distance_table(nodes)])
     assert forces.shape == nodes.shape
     assert close(forces, 2.0 * nodes @ A_nodes * sys.m)
+
+
+@pytest.mark.parametrize("q", [256, 2048])
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (4, 3), (5, 3), (7, 2)])
+def test_node_last_pair_differences_repeat_the_row_layout_bitwise(n, d, q):
+    # D x on a (d, n, q) stack and its reduction over the leading axis give
+    # the bits of x D^T and squared_distances on the (q, d, n) stack
+    rng = np.random.default_rng(100 * n + d)
+    sys = MassSystem(rng.uniform(0.5, 2.0, n))
+    x = rng.normal(size=(d, n, q))
+    x[:, 1, ::7] = x[:, 0, ::7]   # coincident bodies: differences of zero
+    rows = np.moveaxis(x, -1, 0)
+    diff, s = pair_differences(x, sys)
+    assert np.array_equal(diff, np.moveaxis(rows @ sys.DT, 0, -1))
+    assert s.shape == (n * (n - 1) // 2, q)
+    assert np.ascontiguousarray(s.T).tobytes() == squared_distances(rows, sys).tobytes()
+
+    # the forces scatter the same pair vectors in the other order
+    x[:, 1, ::7] += 1.0   # rows is a view of x
+    c = pair_kernel(sys)[0]
+    s_rows, f_rows = pair_forces(rows, sys, c)
+    s, cs, f = pair_forces_at_nodes(x, sys, c)
+    assert s.tobytes() == np.ascontiguousarray(s_rows.T).tobytes()
+    assert cs.tobytes() == np.ascontiguousarray(c(s_rows).T).tobytes()
+    assert np.abs(np.moveaxis(f, -1, 0) - f_rows).max() <= 1e-14 * np.abs(f_rows).max()
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -1.0, -0.3])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_potential_is_the_kernel_coefficients_times_s_over_two_kappa(n, kappa):
+    # c_p = 2 m_i m_j Phi'(s_p) = 2 kappa m_i m_j G s_p^(kappa - 1), so
+    # sum_p c_p s_p / (2 kappa) = U, the action's potential part
+    rng = np.random.default_rng(200 + n)
+    sys = MassSystem(rng.uniform(0.2, 5.0, n), G=rng.uniform(0.3, 3.0), kappa=kappa)
+    s = rng.uniform(0.01, 10.0, (40, n * (n - 1) // 2))
+    U = potential_from_s(s, sys)
+    via_c = (pair_kernel(sys)[0](s) * s).sum(axis=-1) / (2.0 * kappa)
+    assert (np.abs(via_c - U) <= 1e-14 * U).all()
 
 
 @pytest.mark.parametrize("kappa", [-0.5, -1.0, -0.75])
