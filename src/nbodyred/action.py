@@ -11,7 +11,9 @@ positions (and derivatives), node axis last up to the one real FFT of the
 gradient's force sums; with n_quad > 2K no mode aliases, so these are the
 rectangle-rule sums, the kinetic part is Parseval's sum over the modes and
 U = sum_p c_p s_p / (2 kappa) takes the pair kernel's c_p = 2 m_i m_j Phi'.
-Arbitrary times sum the spectrum against one table of e^{i k w t}.
+verify_loop's 2048-node scan serves only the four-body events, in place
+with the pair axis leading; its planarity, too, is Parseval's sum over the
+modes.  Arbitrary times sum the spectrum against one table of e^{i k w t}.
 
 Symmetry classes (the antipodal "italian" constraint, the square/
 tetrahedron oscillation class of four bodies, a triangle-plus-axis variant)
@@ -43,8 +45,8 @@ from .errors import (
 )
 from .geometry import (
     Trajectory,
+    _readonly,
     centred,
-    pair_differences,
     pair_forces,
     pair_kernel,
     relative_scale,
@@ -56,7 +58,7 @@ from .optimize import quasi_newton
 class Loop:
     """T-periodic path of configurations as real Fourier coefficients.
 
-    cos_modes and sin_modes have shape (d, n, n_modes + 1); the path is
+    One (2, d, n, n_modes + 1) copy ab holds the views cos_modes, sin_modes;
     x_ci(t) = sum_k cos_modes[c,i,k] cos(k w t) + sin_modes[c,i,k] sin(k w t)
     with w = 2 pi / T: Re sum_k c_k e^{i k w t}, c_k = a_k - i b_k, read at
     the nodes by one inverse FFT and at arbitrary times by one exponential
@@ -65,20 +67,19 @@ class Loop:
     """
 
     def __init__(self, T, cos_modes, sin_modes, sys):
-        cos_modes = np.array(cos_modes, dtype=float)
-        sin_modes = np.array(sin_modes, dtype=float)
+        cos_modes = np.asarray(cos_modes, dtype=float)
+        sin_modes = np.asarray(sin_modes, dtype=float)
         if cos_modes.shape != sin_modes.shape or cos_modes.ndim != 3 or not cos_modes.shape[2]:
             raise ValidationError("coefficient arrays must share shape (d, n, K+1), K >= 0")
         if cos_modes.shape[1] != sys.n:
             raise ValidationError("coefficient arrays do not match the mass system")
-        if not (0.0 < T < np.inf and np.isfinite(cos_modes).all() and np.isfinite(sin_modes).all()):
+        ab = np.array((cos_modes, sin_modes))
+        if not (0.0 < T < np.inf and np.isfinite(ab).all()):
             raise ValidationError("period and coefficients must be finite, the period positive")
-        sin_modes[:, :, 0] = 0.0
-        for arr in (cos_modes, sin_modes):
-            arr -= (arr * sys.m[None, :, None]).sum(axis=1, keepdims=True) / sys.M
+        ab[1, :, :, 0] = 0.0
+        ab -= (ab * sys.m[:, None]).sum(axis=2, keepdims=True) / sys.M
         self.T = float(T)
-        self.cos_modes = cos_modes
-        self.sin_modes = sin_modes
+        self.cos_modes, self.sin_modes = self.ab = ab
         self.sys = sys
         self.d, self.n, self.n_modes = cos_modes.shape[0], cos_modes.shape[1], cos_modes.shape[2] - 1
 
@@ -87,9 +88,8 @@ class Loop:
     def _spectrum(self, order):
         """c_k (i k w)^j for j = 0..order, (order + 1, d, n, K + 1): the j-th
         derivative of the path is Re sum_k of row j times e^{i k w t}."""
-        ikw = 1j * np.arange(self.n_modes + 1) * (2.0 * np.pi / self.T)
-        c = self.cos_modes - 1j * self.sin_modes
-        return c * ikw ** np.arange(order + 1)[:, None, None, None]
+        factors = _mode_factors(self.T, self.sys, self.n_modes)[0]
+        return (self.cos_modes - 1j * self.sin_modes) * factors[:order + 1]
 
     def at_times(self, ts):
         """Positions and velocities at the times ts, (2, q, d, n), from one table
@@ -126,7 +126,7 @@ class Loop:
     # -- flat parameter vector ---------------------------------------------
 
     def params(self):
-        return np.concatenate([self.cos_modes.ravel(), self.sin_modes.ravel()])
+        return self.ab.flatten()
 
     def __repr__(self):
         return f"Loop(T={self.T}, n={self.n}, d={self.d}, n_modes={self.n_modes})"
@@ -159,8 +159,7 @@ class SymmetryAction:
             Q = np.array(Q, dtype=float)
             if Q.shape != (d, d) or np.abs(Q @ Q.T - np.eye(d)).max() > 1e-12:
                 raise ValidationError("generator map must be d x d orthogonal")
-            Q.flags.writeable = False
-            gens.append((perm, Q, Fraction(shift) % 1))
+            gens.append((perm, _readonly(Q), Fraction(shift) % 1))
         self.generators = tuple(gens)
         # mode k meets the group through k mod L, L the lcm of the shift denominators
         self.L = math.lcm(*(shift.denominator for _, _, shift in gens))
@@ -170,9 +169,7 @@ class SymmetryAction:
         for perm, _, _ in self.generators:
             for i, j in enumerate(perm):
                 if abs(sys.m[i] - sys.m[j]) > 1e-12 * sys.m[i]:
-                    raise ValidationError(
-                        "symmetry permutes bodies of unequal masses"
-                    )
+                    raise ValidationError("symmetry permutes bodies of unequal masses")
 
     def mode_block(self, sys, r):
         """_mode_basis(self, sys, r), built once per masses and residue and
@@ -181,8 +178,7 @@ class SymmetryAction:
         U = self._blocks.get(key)
         if U is None:
             self.check_masses(sys)
-            U = self._blocks[key] = _mode_basis(self, sys, r)
-            U.flags.writeable = False
+            U = self._blocks[key] = _readonly(_mode_basis(self, sys, r))
         return U
 
 
@@ -192,12 +188,11 @@ def project_symmetry(loop, sym):
     if (sym.n, sym.d) != (loop.n, loop.d):
         raise ValidationError("symmetry and loop shapes differ")
     K = loop.n_modes
-    c = loop.params().reshape(-1, K + 1)
+    c = loop.ab.reshape(-1, K + 1)
     out = np.zeros_like(c)
     for modes, U in invariant_basis(sym, loop.sys, K):
         out[:, modes] = U @ (U.T @ c[:, modes])
-    a, b = out.reshape(2, loop.d, loop.n, K + 1)
-    return Loop(loop.T, a, b, loop.sys)
+    return Loop(loop.T, *out.reshape(loop.ab.shape), loop.sys)
 
 
 @functools.cache
@@ -289,6 +284,18 @@ def invariant_basis(sym, sys, n_modes):
 # action functional
 
 
+# constants of every evaluation, built once per system and floor or period, system and K
+_floored_kernel = functools.lru_cache(maxsize=64)(pair_kernel)
+
+
+@functools.lru_cache(maxsize=64)
+def _mode_factors(T, sys, n_modes):
+    """(i k w)^j, j = 0, 1, 2, (3, 1, 1, K + 1), and T/2 m_i (k w)^2, (n, K + 1); read-only."""
+    powers = (1j * np.arange(n_modes + 1) * (2.0 * np.pi / T)) ** np.arange(3)[:, None, None, None]
+    powers.flags.writeable = False
+    return powers, _readonly((0.5 * T) * sys.m[:, None] * (np.arange(n_modes + 1) * (2.0 * np.pi / T)) ** 2)
+
+
 def _node_action(loop, n_quad, c, order=1):
     """Path derivatives up to order at n_quad equispaced nodes, (order + 1,
     d, n, q), their (P, q) squared distances, the (d, n, q) forces dU/dx, the
@@ -301,9 +308,8 @@ def _node_action(loop, n_quad, c, order=1):
         s, cs, f = pair_forces(xv[0], sys, c)
     except CollisionError as exc:
         raise CollisionAtNode(f"{exc} at a quadrature node") from None
-    ab = np.array([loop.cos_modes, loop.sin_modes])
-    kinetic = (0.5 * loop.T) * sys.m[:, None] * (np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T)) ** 2 * ab
-    S = float(loop.T / n_quad * (cs * s).sum() / (2.0 * sys.kappa) + 0.5 * (kinetic * ab).sum())
+    kinetic = _mode_factors(loop.T, sys, loop.n_modes)[1] * loop.ab
+    S = float(loop.T / n_quad * (cs * s).sum() / (2.0 * sys.kappa) + 0.5 * (kinetic * loop.ab).sum())
     return xv, s, f, S, kinetic
 
 
@@ -317,7 +323,8 @@ def action_value_and_gradient(loop, n_quad=None, collision_floor=None):
     forces' rfft; the kinetic part and its gradient are Parseval's sums."""
     if n_quad is None:
         n_quad = max(256, 8 * loop.n_modes)
-    _, _, f, S, grad = _node_action(loop, n_quad, pair_kernel(loop.sys, collision_floor)[0], 0)
+    kernel = pair_kernel(loop.sys) if collision_floor is None else _floored_kernel(loop.sys, collision_floor)
+    _, _, f, S, grad = _node_action(loop, n_quad, kernel[0], 0)
     F = np.fft.rfft(f)[..., :loop.n_modes + 1]   # the potential part's: (T/q) Re F, -Im F
     grad[0] += loop.T / n_quad * F.real
     grad[1] -= loop.T / n_quad * F.imag
@@ -422,16 +429,28 @@ def minimize_action(seed_loop, sym, opts):
 
 SQUARE_PATTERN = np.sort(np.array([1.0, 1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)]))
 TETRA_PATTERN = np.ones(6)
+# the comparators of a sorting network on six inputs (Knuth, TAOCP 5.3.4)
+_SORT6 = ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5), (1, 2), (3, 4))
 
 
-def shape_distance(s, pattern):
-    """Distance of the sorted normalized mutual-distance vector to a pattern,
-    for (..., P) squared distances on the pair list.  Patterns broadcast like
-    (..., P) arrays, so one sort serves a stack of them."""
-    dists = np.sort(np.sqrt(s), axis=-1)
-    dists = dists / np.linalg.norm(dists, axis=-1, keepdims=True)
-    unit = pattern / np.linalg.norm(pattern, axis=-1, keepdims=True)
-    return np.linalg.norm(dists - unit, axis=-1)
+def shape_distance(s, patterns):
+    """Distance of the sorted normalized mutual-distance vector to each
+    pattern of a (..., 6) stack, (...) + s.shape[1:], for (6, ...) squared
+    distances of four bodies: sorted in place by _SORT6 as np.sort sorts,
+    with one buffer for the squares and differences, summed over pairs."""
+    r = np.sqrt(np.reshape(s, (6, -1)), order="C")
+    buf = np.empty_like(r)
+    for i, j in _SORT6:
+        np.minimum(r[i], r[j], out=buf[0])
+        np.maximum(r[i], r[j], out=r[j])
+        r[i] = buf[0]
+    r /= np.sqrt(np.add.reduce(np.multiply(r, r, out=buf), axis=0))
+    units = patterns / np.linalg.norm(patterns, axis=-1, keepdims=True)
+    out = np.empty(units.shape[:-1] + r.shape[1:])
+    for unit, dist in zip(units.reshape(-1, 6), out.reshape(-1, r.shape[1])):
+        np.subtract(r, unit[:, None], out=buf)
+        np.sqrt(np.add.reduce(np.multiply(buf, buf, out=buf), axis=0), out=dist)
+    return out.reshape(units.shape[:-1] + np.shape(s)[1:])
 
 
 @dataclass
@@ -453,7 +472,7 @@ def _local_minima_below(vals, tol):
 
 def _square_tetra_events(ts, s, tol):
     """Alternating square/tetrahedron passages of a 4-body loop, scanned at
-    the equispaced times ts with squared distances s, (q, 6).
+    the equispaced times ts with squared distances s, (6, q).
 
     Square events are the local minima of the square shape distance below
     tol.  The oscillation visits the tetrahedral shape between consecutive
@@ -464,7 +483,7 @@ def _square_tetra_events(ts, s, tol):
     relative of the window's minimum.
     """
     n_scan = ts.size
-    d_sq, d_te = shape_distance(s, np.stack([SQUARE_PATTERN, TETRA_PATTERN])[:, None])
+    d_sq, d_te = shape_distance(s, np.stack([SQUARE_PATTERN, TETRA_PATTERN]))
     sq_idx = _local_minima_below(d_sq, tol)
     squares = [float(ts[q]) for q in sq_idx]
     tetras = []
@@ -489,12 +508,13 @@ def verify_loop(loop, sym):
     EOM residual compares the spectral second derivative with 2 x A at the
     max(256, 8 K) quadrature nodes, relative to relative_scale(max |acc|,
     max |2 x A|): a loop at rest reads 1.
-    One scan of max(2048, n_quad) nodes gives the planarity and, for four
-    bodies, the square passages (local minima of the square shape distance
-    below 1e-2) and each tetrahedral visit between consecutive squares, at
-    its closest approach.  The symmetry defect is the largest coefficient
-    change under project_symmetry(loop, sym), the orthogonal projection
-    onto the class.
+    Four bodies only are scanned, at max(2048, n_quad) nodes, node axis last:
+    square passages (local minima of the square shape distance below 1e-2)
+    and each tetrahedral visit between consecutive squares, at its closest
+    approach.  Planarity is read from the modes: the centred node cloud's
+    d x d table is a0c a0c^T + 1/2 sum_{k>0} (a_k a_k^T + b_k b_k^T), a0c
+    the constant modes less their plain mean (Parseval).  The symmetry
+    defect is the largest coefficient change under project_symmetry.
     """
     sys = loop.sys
     n_quad = max(256, 8 * loop.n_modes)
@@ -503,20 +523,19 @@ def verify_loop(loop, sym):
     eom = np.abs(acc - pulled).max() / relative_scale(np.abs(acc).max(), np.abs(pulled).max())
     min_dist = float(np.sqrt(s.min()))
 
-    proj = project_symmetry(loop, sym)
-    defect = float(max(np.abs(proj.cos_modes - loop.cos_modes).max(),
-                       np.abs(proj.sin_modes - loop.sin_modes).max()))
+    defect = float(np.abs(project_symmetry(loop, sym).ab - loop.ab).max())
 
-    n_scan = max(2048, n_quad)
-    xs = loop.at_nodes(n_scan, 0)[0].transpose(1, 2, 0)   # (d, n, q), contiguous
-    squares, tetras = (_square_tetra_events(loop.nodes(n_scan), pair_differences(xs, sys)[1].T, 1e-2)
-                       if loop.n == 4 else ([], []))
-
-    # the cloud's squared singular values from its d x d table; OpenBLAS threads an SVD
-    flat = xs.reshape(loop.d, -1)
-    xc = flat - flat.mean(axis=1, keepdims=True)
-    ev = np.linalg.eigvalsh(xc @ xc.T)
-    planarity = math.sqrt(max(ev[0], 0.0) / ev[-1]) if loop.d > 2 else 0.0
+    squares, tetras, planarity = [], [], 0.0
+    if loop.n == 4:
+        n_scan = max(2048, n_quad)
+        diff = sys.D @ loop.at_nodes(n_scan, 0)[0].transpose(1, 2, 0)   # (d, P, q)
+        s_scan = np.add.reduce(np.multiply(diff, diff, out=diff), axis=0)
+        squares, tetras = _square_tetra_events(loop.nodes(n_scan), s_scan, 1e-2)
+    if loop.d > 2:   # the cloud's squared singular values from its d x d table
+        a0c = loop.cos_modes[:, :, 0] - loop.cos_modes[:, :, 0].mean(axis=1, keepdims=True)
+        ak = np.moveaxis(loop.ab[..., 1:], 1, 0).reshape(loop.d, -1)
+        ev = np.linalg.eigvalsh(a0c @ a0c.T + 0.5 * (ak @ ak.T))
+        planarity = math.sqrt(max(ev[0], 0.0) / ev[-1])
 
     return LoopReport(S, float(eom), min_dist, defect, squares, tetras, planarity)
 

@@ -1,6 +1,7 @@
 """The line-search quasi-Newton routine shared by the searches for central
 and balanced configurations and for symmetric periodic orbits."""
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -33,7 +34,7 @@ def quasi_newton(fun, x, f, g, gtol, rtol=0.0, step=None, metric=None):
     w2 = 1.0 if metric is None else metric
     hist, nfev = [], 0   # correction pairs (s, y, s.y), oldest first; calls of fun
     for nit in range(MAX_ITER):
-        gnorm = np.linalg.norm(g)
+        gnorm = math.sqrt(g.dot(g))   # np.linalg.norm's own product form
         if gnorm <= gtol + rtol * abs(f):
             return Search(x, f, float(gnorm), nit, nfev, "converged")
 
@@ -62,7 +63,7 @@ def quasi_newton(fun, x, f, g, gtol, rtol=0.0, step=None, metric=None):
                 nfev += 1
                 if np.isfinite(f_new) and np.isfinite(g_new).all() and (
                         f_new <= f + 1e-4 * t * slope
-                        or (f_new <= f + 4e-16 * abs(f) and np.linalg.norm(g_new) < gnorm)):
+                        or (f_new <= f + 4e-16 * abs(f) and math.sqrt(g_new.dot(g_new)) < gnorm)):
                     break
             else:
                 if hist:
@@ -73,8 +74,8 @@ def quasi_newton(fun, x, f, g, gtol, rtol=0.0, step=None, metric=None):
 
         s_k, y_k = t * direction, g_new - g
         sy_k = s_k @ y_k
-        if sy_k > 1e-12 * np.linalg.norm(s_k) * np.linalg.norm(y_k):
+        if sy_k > 1e-12 * math.sqrt(s_k.dot(s_k)) * math.sqrt(y_k.dot(y_k)):
             hist = hist[-(MEMORY - 1):] + [(s_k, y_k, sy_k)]
         x, f, g = x_new, f_new, g_new
 
-    return Search(x, f, float(np.linalg.norm(g)), MAX_ITER, nfev, "budget")
+    return Search(x, f, math.sqrt(g.dot(g)), MAX_ITER, nfev, "budget")

@@ -7,10 +7,10 @@ complex structures, the inertia operator, the complex Schwarz gaps, Saari's
 velocity split, Dziobek's rank estimates, the mass-linear equations P_ijk
 of balance) or a plain form of a library path (the reduced right-hand
 side on tables, a loop by its cosine and sine tables, the loop of a flat
-parameter vector, the pair forces in the row layout, the action summed at
-the nodes, the reader of loop.json, the antisymmetric part rebuilt from its
-upper triangle, the symmetry class as the group average over the closure of
-its generators).
+parameter vector, the pair forces, the shape distance and the four-body
+events in the row layout, the action summed at the nodes, the reader of
+loop.json, the antisymmetric part rebuilt from its upper triangle, the
+symmetry class as the group average over the closure of its generators).
 """
 
 import itertools
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nbodyred.action import Loop
+from nbodyred.action import SQUARE_PATTERN, TETRA_PATTERN, Loop, _local_minima_below
 from nbodyred.configurations import _residuals
 from nbodyred.dynamics import (
     SUNDMAN_EQUALITY_TOL,
@@ -499,6 +499,53 @@ def node_sum_action_value_and_gradient(loop, n_quad=None, collision_floor=None):
     fx_bar, mv_bar = np.moveaxis(F, 1, -1)   # (d, n, K + 1) each
     G_bar = 1j * np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T) * mv_bar + fx_bar
     return S, loop.T / n_quad * np.concatenate([G_bar.real.ravel(), G_bar.imag.ravel()])
+
+
+# verify_loop's four-body scan before its pair axis led, kept verbatim: the
+# shape distance of (..., P) squared distances by np.sort and the events of
+# a (q, 6) scan.
+
+
+def shape_distance_rows(s, pattern):
+    """Distance of the sorted normalized mutual-distance vector to a pattern,
+    for (..., P) squared distances on the pair list.  Patterns broadcast like
+    (..., P) arrays, so one sort serves a stack of them."""
+    dists = np.sort(np.sqrt(s), axis=-1)
+    dists = dists / np.linalg.norm(dists, axis=-1, keepdims=True)
+    unit = pattern / np.linalg.norm(pattern, axis=-1, keepdims=True)
+    return np.linalg.norm(dists - unit, axis=-1)
+
+
+def square_tetra_events_rows(ts, s, tol):
+    """Alternating square/tetrahedron passages of a 4-body loop, scanned at
+    the equispaced times ts with squared distances s, (q, 6).
+
+    Square events are the local minima of the square shape distance below
+    tol.  The oscillation visits the tetrahedral shape between consecutive
+    square passages (a visit may cross the exactly-regular shape more than
+    once); each visit is reported once, at its closest approach, provided
+    that approach is below tol.  Mirror-image approaches tie to rounding, so
+    the closest approach is the earliest node of the window within 1e-9
+    relative of the window's minimum.
+    """
+    n_scan = ts.size
+    d_sq, d_te = shape_distance_rows(s, np.stack([SQUARE_PATTERN, TETRA_PATTERN])[:, None])
+    sq_idx = _local_minima_below(d_sq, tol)
+    squares = [float(ts[q]) for q in sq_idx]
+    tetras = []
+    if len(sq_idx) >= 2:
+        bounds = sq_idx + [sq_idx[0] + n_scan]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            window = np.arange(a + 1, b) % n_scan
+            if window.size == 0:
+                continue
+            d_win = d_te[window]
+            q_best = window[np.argmax(d_win <= d_win.min() * (1.0 + 1e-9))]
+            if d_te[q_best] < tol:
+                tetras.append(float(ts[q_best]))
+    else:
+        tetras = [float(ts[q]) for q in _local_minima_below(d_te, tol)]
+    return squares, tetras
 
 
 def loop_from_dict(data):

@@ -166,6 +166,38 @@ def test_loop_rejects_coefficients_without_a_mode():
         Loop(1.0, np.zeros((2, 2, 0)), np.zeros((2, 2, 0)), MassSystem([1, 1]))
 
 
+def test_loop_rejects_mismatched_coefficient_shapes():
+    # checked before the two arrays are stacked, so the error is the library's
+    for cos_modes, sin_modes in ((np.zeros((2, 2, 3)), np.zeros((2, 2, 4))),
+                                 (np.zeros((2, 2, 3)), np.zeros((3, 2, 3))),
+                                 ([[[0.0, 1.0]], [[0.0, 1.0]]], [[[0.0, 1.0, 2.0]], [[0.0, 1.0, 2.0]]])):
+        with pytest.raises(ValidationError):
+            Loop(T, cos_modes, sin_modes, SYS2)
+
+
+def test_loop_params_are_a_copy():
+    loop = random_loop(np.random.default_rng(19), SYS4)
+    before = loop.ab.copy()
+    p = loop.params()
+    p[:] = np.nan
+    assert loop.ab.tobytes() == before.tobytes()
+    assert loop.params().tobytes() == before.tobytes()
+
+
+def test_loop_keeps_its_coefficients_when_the_callers_arrays_change():
+    rng = np.random.default_rng(20)
+    a, b = rng.standard_normal((2, 3, 4, 6))
+    a -= a.mean(axis=1, keepdims=True)
+    b -= b.mean(axis=1, keepdims=True)
+    b[:, :, 0] = 0.0
+    loop = Loop(T, a, b, SYS4)
+    before = loop.ab.copy()
+    a[:] = 1.0
+    b[:] = 2.0
+    assert loop.ab.tobytes() == before.tobytes()
+    assert np.shares_memory(loop.cos_modes, loop.ab) and np.shares_memory(loop.sin_modes, loop.ab)
+
+
 def test_seed_loops_need_a_first_harmonic():
     for n_modes in (0, -1):
         with pytest.raises(ValidationError):
@@ -572,6 +604,51 @@ def test_planarity_is_the_singular_value_ratio_of_the_scan():
     sv = np.linalg.svd(flat - flat.mean(axis=1, keepdims=True), compute_uv=False)
     ratio = sv[-1] / sv[0]
     assert abs(verify_loop(out, hiphop_z2z4()).planarity - ratio) <= 1e-12 * ratio
+
+
+def cloud_ratio(loop, n_scan=2048):
+    """Smallest-to-largest singular value ratio of the centred node cloud."""
+    flat = loop.at_nodes(n_scan, 0)[0].transpose(1, 0, 2).reshape(loop.d, -1)
+    sv = np.linalg.svd(flat - flat.mean(axis=1, keepdims=True), compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+@pytest.mark.parametrize("K", [1, 8, 40])
+def test_planarity_by_parseval_is_the_singular_value_ratio_of_random_loops(K):
+    # three to five bodies of random masses kept apart by their constant
+    # modes, so the plain mean of the cloud differs from the mass-weighted
+    # centroid (two bodies at K = 1 make a nearly planar cloud, whose ratio
+    # the squared table resolves only to about eps / ratio^2)
+    rng = np.random.default_rng(17 + K)
+    for _ in range(6):
+        n = int(rng.integers(3, 6))
+        sys = MassSystem(rng.uniform(0.5, 3.0, n))
+        a, b = 0.3 * rng.standard_normal((2, 3, n, K + 1))
+        a[..., 0] = 3.0 * rng.standard_normal((3, n))
+        loop = Loop(rng.uniform(1.0, 10.0), a, b, sys)
+        ratio = cloud_ratio(loop)
+        assert abs(verify_loop(loop, italian(n, 3)).planarity - ratio) <= 1e-12 * ratio
+
+
+def test_planarity_takes_the_plain_mean_of_unequal_masses():
+    # italian(3, 3) with masses (1, 2, 3): the centred cloud subtracts its
+    # plain mean, which the mass-weighted centroid removal leaves nonzero
+    sys = MassSystem([1.0, 2.0, 3.0])
+    a = np.zeros((3, 3, 4))
+    a[:, :, 0] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.0]]
+    a[0, :, 1], a[1, :, 3] = [0.3, -0.2, 0.1], [0.1, 0.2, -0.1]
+    loop = Loop(T, a, np.roll(a, 1, axis=0), sys)
+    assert np.abs(loop.cos_modes[:, :, 0].mean(axis=1)).max() > 0.1
+    ratio = cloud_ratio(loop)
+    assert abs(verify_loop(loop, italian(3, 3)).planarity - ratio) <= 1e-12 * ratio
+
+
+def test_planarity_is_zero_in_the_plane_and_on_the_line():
+    rng = np.random.default_rng(18)
+    for d in (1, 2):
+        a, b = 0.1 * rng.standard_normal((2, d, 3, 5))
+        a[0, :, 0] = [-2.0, 0.0, 2.0]
+        assert verify_loop(Loop(T, a, b, MassSystem([1.0, 2.0, 3.0])), italian(3, d)).planarity == 0.0
 
 
 def test_tetra_events_stable_under_last_bit_perturbations():

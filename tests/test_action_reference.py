@@ -3,12 +3,15 @@ replaced.
 
 Each reference below is the earlier implementation, kept verbatim as the
 oracle: the scan for local minima, the shape distance to one pattern at a
-time, the node evaluation by a stack of derivative spectra and the
+time (and, in oracles.py, verify_loop's four-body events on a scan in the
+row layout), the node evaluation by a stack of derivative spectra and the
 minimizer's bookkeeping (block splits at every evaluation, correction
 pairs in two lists).  The array forms must agree with them bit for bit.
 The action's node pass, whose kinetic part is a sum over the modes, is
 held to the node sums of oracles.py to rounding.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -28,7 +31,13 @@ from nbodyred.action import (
 )
 from nbodyred.errors import CollisionAtNode, CollisionApproach, NoConvergence
 from nbodyred.geometry import MassSystem, squared_distances
-from oracles import closure_invariant_basis, node_sum_action_value_and_gradient
+from oracles import (
+    closure_invariant_basis,
+    node_sum_action_value_and_gradient,
+    shape_distance_rows,
+    square_tetra_events_rows,
+    with_params,
+)
 
 SYS4 = MassSystem([1.0] * 4)
 T = 2.0 * np.pi
@@ -87,11 +96,47 @@ def test_shape_distance_of_a_pattern_stack_matches_each_pattern():
     rng = np.random.default_rng(4)
     s = squared_distances(rng.standard_normal((300, 3, 4)), SYS4)
     patterns = np.stack([SQUARE_PATTERN, TETRA_PATTERN])
-    both = shape_distance(s, patterns[:, None])
+    both = shape_distance(s.T, patterns[:, None])
     for p, got in zip(patterns, both):
         ref = shape_distance_reference(s, p)
         assert got.tobytes() == ref.tobytes()
-        assert shape_distance(s, p).tobytes() == ref.tobytes()
+        assert shape_distance(s.T, p).tobytes() == ref.tobytes()
+
+
+def test_shape_distance_sorts_every_order_of_six_distances():
+    # the sorting network against np.sort: a pattern equal to the sorted
+    # distances reads exactly 0 for each of the 720 orders of six distinct
+    # values, and orders with ties repeat the row layout's bits
+    patterns = np.stack([SQUARE_PATTERN, TETRA_PATTERN])
+    for values in ([0.3, 0.7, 1.0, 1.1, 1.9, 2.5], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0],
+                   [1.0, 1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0)], [1.0] * 6, [0.0, 0.0, 1.0, 1.0, 1.0, 2.0]):
+        values = np.array(values)
+        s = np.array(list(itertools.permutations(values ** 2))).T   # (6, 720)
+        assert shape_distance(s, np.sort(values)).tobytes() == bytes(8 * s.shape[1])
+        ref = shape_distance_rows(s.T, patterns[:, None])
+        assert shape_distance(s, patterns).tobytes() == ref.tobytes()
+
+
+def test_verify_events_match_the_row_layout_scan():
+    # the benchmark's five minimized loops, z2z4 at K = 8 and at K = 200 (a
+    # loop whose tetrahedral approaches tie with their mirror images), and
+    # three 1e-15 relative perturbations of each
+    cases = [("z2z4", 16), ("z2z4", 32), ("z2z4", 64), ("italian", 16), ("z3", 16), ("z2z4", 8), ("z2z4", 200)]
+    rng = np.random.default_rng(16)
+    squares = 0
+    for label, K in cases:
+        sym = nbodyred.action.symmetry_by_label(label)
+        out = minimize_action(square_relative_equilibrium_loop(T, SYS4, K, vertical_kick=0.3), sym,
+                              MinimizeOptions(gtol=1e-6))
+        p = out.params()
+        for loop in [out] + [with_params(out, p * (1.0 + 1e-15 * rng.standard_normal(p.size))) for _ in range(3)]:
+            n_scan = max(2048, 8 * K)
+            s = squared_distances(loop.at_nodes(n_scan, 0)[0], SYS4)   # (q, 6)
+            ref = square_tetra_events_rows(loop.nodes(n_scan), s, 1e-2)
+            rep = verify_loop(loop, sym)
+            assert (rep.square_events, rep.tetra_events) == ref
+            squares += len(ref[0])
+    assert squares >= 2 * 4 * 4   # the z2z4 loops and their perturbations pass the square twice
 
 
 # ---------------------------------------------------------------------------
