@@ -27,7 +27,6 @@ from .geometry import (
     gram_form,
     inertia,
     potential_and_gradient,
-    wintner_conley,
 )
 
 __version__ = "0.1.0"

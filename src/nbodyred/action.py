@@ -511,9 +511,9 @@ def verify_loop(loop, sym):
     Four bodies only are scanned, at max(2048, n_quad) nodes, node axis last:
     square passages (local minima of the square shape distance below 1e-2)
     and each tetrahedral visit between consecutive squares, at its closest
-    approach.  Planarity is read from the modes: the centred node cloud's
-    d x d table is a0c a0c^T + 1/2 sum_{k>0} (a_k a_k^T + b_k b_k^T), a0c
-    the constant modes less their plain mean (Parseval).  The symmetry
+    approach.  Planarity is read from the modes: the centred node cloud has
+    the singular values of [a0c, a_k / sqrt 2, b_k / sqrt 2] (Parseval), a0c
+    the constant modes less their plain mean, d x (n + 2 n K).  The symmetry
     defect is the largest coefficient change under project_symmetry.
     """
     sys = loop.sys
@@ -531,11 +531,11 @@ def verify_loop(loop, sym):
         diff = sys.D @ loop.at_nodes(n_scan, 0)[0].transpose(1, 2, 0)   # (d, P, q)
         s_scan = np.add.reduce(np.multiply(diff, diff, out=diff), axis=0)
         squares, tetras = _square_tetra_events(loop.nodes(n_scan), s_scan, 1e-2)
-    if loop.d > 2:   # the cloud's squared singular values from its d x d table
+    if loop.d > 2:   # the cloud's singular values, without squaring them
         a0c = loop.cos_modes[:, :, 0] - loop.cos_modes[:, :, 0].mean(axis=1, keepdims=True)
-        ak = np.moveaxis(loop.ab[..., 1:], 1, 0).reshape(loop.d, -1)
-        ev = np.linalg.eigvalsh(a0c @ a0c.T + 0.5 * (ak @ ak.T))
-        planarity = math.sqrt(max(ev[0], 0.0) / ev[-1])
+        ak = np.moveaxis(loop.ab[..., 1:], 1, 0).reshape(loop.d, -1) * math.sqrt(0.5)
+        sv = np.linalg.svd(np.concatenate([a0c, ak], axis=1), compute_uv=False)
+        planarity = float(sv[-1] / sv[0]) if sv.size == loop.d else 0.0
 
     return LoopReport(S, float(eom), min_dist, defect, squares, tetras, planarity)
 

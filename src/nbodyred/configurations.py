@@ -5,7 +5,8 @@ positions (critical point of U at fixed moment of inertia), balanced when
 the interaction matrix commutes with the intrinsic inertia table (critical
 point of U at fixed inertia spectrum).  Besides residual classification,
 this module finds both kinds numerically.  The searches are numpy only (no
-scipy).
+scipy).  The balanced search sums U and its gradient over the pair rows
+D Q_m of the mass frame x_hat = x M Q_m (geometry.hyperplane_basis).
 """
 
 from dataclasses import dataclass
@@ -20,13 +21,11 @@ from .errors import (
     ValidationError,
     log_info,
 )
+from . import geometry
 from .geometry import (
     Configuration,
-    beta_to_distances,
-    gram_form,
     hyperplane_basis,
     inertia,
-    interaction_matrix_from_s,
     mass_dot,
     pair_kernel,
     potential_and_gradient,
@@ -56,7 +55,8 @@ def _residuals(x, sys):
     s = accelerations(x.r, grad := np.empty((x.d, x.n)))
     U = float(potential_from_s(s, sys))
     I, B = inertia(x, sys)
-    A = interaction_matrix_from_s(s, sys, pair_c)
+    # through the module, where bench/tracer.py's geometry.interaction_matrix counts it
+    A = geometry.interaction_matrix_from_s(s, sys, pair_c)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = grad / U
         c = a - (2.0 * sys.kappa / I) * x.r
@@ -143,46 +143,40 @@ def find_central(sys, d, seed=None, x0=None):
 # balanced configurations
 
 
-def _beta_from_rotation(Q, W, spec_full, sqm):
-    b_sym = (W @ Q * spec_full) @ (W @ Q).T
-    return b_sym / np.outer(sqm, sqm)
-
-
 def _hat(xi, k):
     w = np.zeros((k, k))
     w[np.triu_indices(k, 1)] = xi
     return w - w.T
 
 
-def _orbit_cost_grad(Q, W, spec_full, sqm, sys):
-    """U on the fixed-spectrum orbit and its gradient in the rotation
-    generators E_ab - E_ba (exact at the base point Q)."""
-    beta = _beta_from_rotation(Q, W, spec_full, sqm)
-    s = beta_to_distances(beta)[sys.pairs]
+def _orbit_cost_grad(Q, E, spec_full, sys, c):
+    """U on the orbit of Gram tables Q L Q^T, L = diag(spec_full), and its
+    gradient Y L - L Y in the rotation generators E_ab - E_ba (exact at Q),
+    Y = V^T diag(c(s)) V on the pair rows V = E Q, s = (V o V) spec_full."""
+    V = E @ Q
+    s = (V * V) @ spec_full
     if s.min() <= 0.0:
         return np.inf, None
     U = float(potential_from_s(s, sys))
-    # dU = <X, dbeta>; the distances are positive, so no collision floor
-    X = interaction_matrix_from_s(s, sys, pair_kernel(sys, 0.0)[0]) * sys.m
-    WQ = W @ Q
-    Y = WQ.T @ ((X / np.outer(sqm, sqm)) @ WQ)
-    M = Y * spec_full[None, :] - spec_full[:, None] * Y  # Y L - L Y
-    return U, 2.0 * M[np.triu_indices(Q.shape[0], 1)]
+    Y = V.T @ (c(s)[:, None] * V)
+    G = Y * spec_full - spec_full[:, None] * Y
+    return U, G[np.triu_indices(Q.shape[0], 1)]
 
 
-def minimize(Q, W, spec_full, sqm, sys):
+def minimize(Q, E, spec_full, sys):
     """The shared quasi-Newton search for U on the orbit Q -> Q cay(hat(xi)),
     cay(V) = (I - V/2)^-1 (I + V/2), re-centred at every iterate, where the
     gradient of _orbit_cost_grad is exact.  Stops at |g| <= 1e-13 (1 + |U|);
     returns the optimize.Search, whose x is the rotation."""
     eye = np.eye(Q.shape[0])
+    c = pair_kernel(sys, 0.0)[0]   # the distances are positive: no collision floor
 
     def cayley(Q, p, t):
         V = _hat(0.5 * t * p, eye.shape[0])
         return Q @ np.linalg.solve(eye - V, eye + V)
 
     def fun(Q):
-        return _orbit_cost_grad(Q, W, spec_full, sqm, sys)
+        return _orbit_cost_grad(Q, E, spec_full, sys, c)
 
     U, g = fun(Q)
     if not (np.isfinite(U) and np.isfinite(g).all()):
@@ -206,23 +200,22 @@ def find_balanced(sys, spectrum, seed=None, x0=None):
         raise ValidationError("spectrum must be finite and nonnegative with a positive leading entry")
 
     spec_full = np.concatenate([spec, np.zeros(sys.n - 1 - spec.size)])
-    sqm = np.sqrt(sys.m)
-    W = hyperplane_basis(sys)
+    Q_m = hyperplane_basis(sys)
     if x0 is not None:
-        b_sym = np.outer(sqm, sqm) * gram_form(Configuration(x0.r, sys))
-        w, V = np.linalg.eigh(W.T @ b_sym @ W)
+        x_hat = (x0.r * sys.m) @ Q_m
+        _, V = np.linalg.eigh(x_hat.T @ x_hat)
         Q = V[:, ::-1]  # descending, aligned with spec_full
     else:
         Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(sys.n - 1, sys.n - 1)))
     # at distances near 1e150 and beyond s^(3/2) overflows, which gives
     # Phi' = 0, its limit; the forces vanish and the residual is NaN
     with np.errstate(over="ignore"):
-        run = minimize(Q, W, spec_full, sqm, sys)
+        run = minimize(Q, sys.D @ Q_m, spec_full, sys)
         log_info("find_balanced: %d evaluations, %d iterations, |g| %.3e, %s",
                  run.nfev + 1, run.nit, run.gnorm, run.guard)
 
-        beta = _beta_from_rotation(run.x, W, spec_full, sqm)
-        w, V = np.linalg.eigh(beta)
+        axes = Q_m @ run.x   # beta = axes L axes^T
+        w, V = np.linalg.eigh((axes * spec_full) @ axes.T)
         keep = w > 1e-12 * w.max()
         r = (V[:, keep] * np.sqrt(w[keep])).T
         out = Configuration(r[::-1], sys)  # leading eigendirection first

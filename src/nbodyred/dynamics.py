@@ -3,7 +3,7 @@
 The absolute equations x_dot = y, y_dot = 2 x A are integrated on
 coordinates, with the accelerations summed over the pair list.  The reduced
 system is integrated on D*, the mean-zero hyperplane: with x_hat = x M Q
-(Q = M^{-1/2} V, V from `hyperplane_basis`, k = n - 1 columns) the state is
+(Q = M^{-1/2} V from `hyperplane_basis`, k = n - 1 columns) the state is
 the upper triangle of the 2k x 2k Gram table G = [[b, g - r], [g + r, e]]
 of (x_hat, y_hat), the forms (beta, gamma, delta, rho) on D*, and
 
@@ -222,7 +222,7 @@ class _GramTable:
     def __init__(self, sys):
         self.sys, self.k = sys, sys.n - 1
         k = self.k
-        Q = hyperplane_basis(sys) / np.sqrt(sys.m)[:, None]
+        Q = hyperplane_basis(sys)
         # x_hat = x M Q and x = x_hat Q^T, for positions and velocities alike
         self.Q, self.MQ2 = Q, np.kron(np.eye(2), sys.m[:, None] * Q)
         iu = np.triu_indices(2 * k)

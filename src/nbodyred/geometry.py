@@ -9,7 +9,8 @@ Angular momenta are exactly antisymmetric d x d arrays.
 Pair quantities go through the pair list sys.pairs (P = n(n-1)/2 pairs i < j)
 and its incidence sys.D only: (..., P) squared distances, Phi and Phi' once
 per pair, forces as the scatter (x D^T * c) D (D^T (D x * c), node axis
-last), and the n x n table A built from the same c.  The per-system
+last), and A = 1/2 D^T diag(c) D M^{-1} (2 A_hat = W^T diag(c) W on the
+pair rows W = D Q of the mass frame x M Q) from the same c.  The per-system
 constants live on MassSystem: the pair factor 2 m_i m_j G kappa (c_p =
 pair_factor s_p^(kappa-1)), and, built on first use beside D, a contiguous
 D^T and the acceleration scatter D M^{-1}.
@@ -102,10 +103,6 @@ class MassSystem:
     def DMinv(self):
         """D M^{-1}: the scatter of pair forces onto accelerations."""
         return _readonly(self.D / self.m)
-
-    def phi(self, s):
-        """Pair potential profile Phi(s) = G s^kappa (s = squared distance)."""
-        return self.G * np.power(s, self.kappa)
 
     def __repr__(self):
         return f"MassSystem(n={self.n}, G={self.G}, kappa={self.kappa})"
@@ -279,13 +276,12 @@ def beta_to_distances(beta, tol=1e-9):
 
 
 def hyperplane_basis(sys):
-    """Orthonormal basis V (n x (n-1)) of the hyperplane orthogonal to sqrt(m).
-
-    With Q = M^{-1/2} V, x_hat = x M Q are coordinates of a mass-centred
+    """Q = M^{-1/2} V (n x (n-1)), V an orthonormal basis of the hyperplane
+    orthogonal to sqrt(m): x_hat = x M Q are coordinates of a mass-centred
     configuration x on the mean-zero hyperplane D* (x = x_hat Q^T), in which
     the mass metric is the euclidean one."""
     u, _, _ = np.linalg.svd(np.sqrt(sys.m)[:, None], full_matrices=True)
-    return u[:, 1:]
+    return u[:, 1:] / np.sqrt(sys.m)[:, None]
 
 
 def _rows_product(a, b):
@@ -373,7 +369,7 @@ def pair_forces(x, sys, c):
 def potential_from_s(s, sys):
     """Force function U = sum_p m_i m_j Phi(s_p) of (..., P) squared
     distances on the pair list (no collision check)."""
-    return (sys.pair_masses * sys.phi(s)).sum(axis=-1)
+    return (sys.pair_masses * (sys.G * np.power(s, sys.kappa))).sum(axis=-1)
 
 
 def potential_and_gradient(x, sys):
@@ -383,25 +379,14 @@ def potential_and_gradient(x, sys):
 
 
 def interaction_matrix_from_s(s, sys, c):
-    """The interaction table A of (..., P) squared distances; c is a pair_kernel's.
+    """The interaction table A = 1/2 D^T diag(c) D M^{-1} of (..., P) squared
+    distances, c a pair_kernel's; Newton's equations read x_ddot = 2 x A.
 
     A_ij = -m_i Phi'(s_ij) = -c_p / (2 m_j) off the diagonal (Newtonian:
     m_i / (2 r_ij^3)), and A_ii = sum_{l!=i} m_l Phi'(s_il), so that every
     column sums to zero and A annihilates the mass vector.
     """
-    i, j = sys.pairs
-    half_c = 0.5 * c(s)
-    A = np.zeros(s.shape[:-1] + (sys.n, sys.n))
-    A[..., i, j] = -half_c / sys.m[j]
-    A[..., j, i] = -half_c / sys.m[i]
-    np.einsum("...ii->...i", A)[...] = -A.sum(axis=-2)
-    return A
-
-
-def wintner_conley(x, sys):
-    """Interaction matrix A of a configuration; Newton's equations read
-    x_ddot = 2 x A."""
-    return interaction_matrix_from_s(squared_distances(x.r, sys), sys, pair_kernel(sys)[0])
+    return 0.5 * (sys.DT * c(s)[..., None, :]) @ sys.DMinv
 
 
 def mass_dot(u, v, m):

@@ -20,8 +20,9 @@ from .geometry import (
     centred,
     gram_form,
     inertia,
+    pair_kernel,
     potential_and_gradient,
-    wintner_conley,
+    squared_distances,
 )
 
 
@@ -224,13 +225,10 @@ def relative_equilibrium(x0, sys):
             f"commutation residual {cls.balanced_residual:.3e} above {CLASSIFY_TOL:.1e}"
         )
     sqm = np.sqrt(sys.m)
-    beta = gram_form(x0)
-    A = wintner_conley(x0, sys)
-    b_sym = beta * np.outer(sqm, sqm)
-    a_sym = (A / sqm[:, None]) * sqm[None, :]
-    a_sym = 0.5 * (a_sym + a_sym.T)
-
-    wb, wa, V = _simultaneous_eigh(b_sym, a_sym)
+    b_sym = gram_form(x0) * np.outer(sqm, sqm)
+    # M^{-1/2} A M^{1/2} = -1/2 F^T F (c < 0 as kappa < 0), exactly symmetric
+    F = np.sqrt(-pair_kernel(sys)[0](squared_distances(x0.r, sys)))[:, None] * (sys.D / sqm)
+    wb, wa, V = _simultaneous_eigh(b_sym, -0.5 * (F.T @ F))
     keep = wb > 1e-12 * wb.max()
     if np.any(wa[keep] >= 0.0):
         raise NotAttractive("interaction matrix not negative on the image")

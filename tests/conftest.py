@@ -16,11 +16,11 @@ from nbodyred.geometry import (
     MassSystem,
     State,
     gram_form,
-    hyperplane_basis,
 )
 from nbodyred.dynamics import scalar_invariants
-from nbodyred.configurations import _beta_from_rotation, _hat, _orbit_cost_grad, _residuals
+from nbodyred.configurations import _hat, _residuals
 from nbodyred.errors import InfeasibleSpectrum, NoConvergence, ValidationError
+from oracles import _beta_from_rotation, _orbit_cost_grad, orthonormal_hyperplane_basis
 
 
 def min_distance(xr):
@@ -148,7 +148,8 @@ def dense_basis(blocks, n_modes):
 def find_balanced_oracle(sys, spectrum, seed=None, x0=None, tol=1e-8, max_rounds=40):
     """The balanced finder as it was before the package had its own BFGS:
     rounds of scipy's BFGS in the exponential coordinates xi -> Q0 expm(hat(xi)),
-    re-centred after each round (the gradient is exact at xi = 0 only)."""
+    re-centred after each round (the gradient is exact at xi = 0 only), on
+    the cost of the n x n beta table."""
     spec = np.sort(np.asarray(spectrum, dtype=float))[::-1]
     if spec.size > sys.n - 1:
         raise InfeasibleSpectrum(f"spectrum rank {spec.size} exceeds n-1 = {sys.n - 1}")
@@ -160,7 +161,7 @@ def find_balanced_oracle(sys, spectrum, seed=None, x0=None, tol=1e-8, max_rounds
 
     spec_full = np.concatenate([spec, np.zeros(sys.n - 1 - spec.size)])
     sqm = np.sqrt(sys.m)
-    W = hyperplane_basis(sys)
+    W = orthonormal_hyperplane_basis(sys)
     k = sys.n - 1
 
     if x0 is not None:

@@ -10,7 +10,9 @@ side on tables, a loop by its cosine and sine tables, the loop of a flat
 parameter vector, the pair forces, the shape distance and the four-body
 events in the row layout, the action summed at the nodes, the reader of
 loop.json, the antisymmetric part rebuilt from its upper triangle, the
-symmetry class as the group average over the closure of its generators).
+symmetry class as the group average over the closure of its generators,
+the interaction table of a configuration and its similarity transform, the
+balanced search's cost on the n x n beta table).
 """
 
 import itertools
@@ -42,6 +44,8 @@ from nbodyred.geometry import (
     _readonly,
     _rows_product,
     angular_momentum_tables,
+    beta_to_distances,
+    gram_form,
     inertia,
     interaction_matrix_from_s,
     mass_dot,
@@ -49,6 +53,7 @@ from nbodyred.geometry import (
     potential_from_s,
     squared_distances,
 )
+from nbodyred.motions import _simultaneous_eigh
 from nbodyred.serialize import _floats, _mass_system, _number
 
 STRUCTURE_TOL = 1e-10   # defect of a degenerate hermitian structure that still counts as one
@@ -407,6 +412,66 @@ def balanced_residuals_pijk(s, sys):
     _, comm, _ = _residuals(x, sys)
 
     return BalancedResiduals(p_ijk, nabla, Y, P, err, comm)
+
+
+# ---------------------------------------------------------------------------
+# the interaction table and the balanced search on the n x n beta table
+
+
+def wintner_conley(x, sys):
+    """Interaction matrix A of a configuration; Newton's equations read
+    x_ddot = 2 x A."""
+    return interaction_matrix_from_s(squared_distances(x.r, sys), sys, pair_kernel(sys)[0])
+
+
+def _beta_from_rotation(Q, W, spec_full, sqm):
+    b_sym = (W @ Q * spec_full) @ (W @ Q).T
+    return b_sym / np.outer(sqm, sqm)
+
+
+def _orbit_cost_grad(Q, W, spec_full, sqm, sys):
+    """U on the fixed-spectrum orbit and its gradient in the rotation
+    generators E_ab - E_ba (exact at the base point Q)."""
+    beta = _beta_from_rotation(Q, W, spec_full, sqm)
+    s = beta_to_distances(beta)[sys.pairs]
+    if s.min() <= 0.0:
+        return np.inf, None
+    U = float(potential_from_s(s, sys))
+    # dU = <X, dbeta>; the distances are positive, so no collision floor
+    X = interaction_matrix_from_s(s, sys, pair_kernel(sys, 0.0)[0]) * sys.m
+    WQ = W @ Q
+    Y = WQ.T @ ((X / np.outer(sqm, sqm)) @ WQ)
+    M = Y * spec_full[None, :] - spec_full[:, None] * Y  # Y L - L Y
+    return U, 2.0 * M[np.triu_indices(Q.shape[0], 1)]
+
+
+def orthonormal_hyperplane_basis(sys):
+    """V (n x (n-1)), the orthonormal basis of the hyperplane orthogonal to
+    sqrt(m) that hyperplane_basis divides by sqrt(m)."""
+    return np.linalg.svd(np.sqrt(sys.m)[:, None], full_matrices=True)[0][:, 1:]
+
+
+def similarity_interaction_table(x, sys):
+    """M^{-1/2} A M^{1/2} by the similarity transform of A, symmetrized."""
+    sqm = np.sqrt(sys.m)
+    a_sym = (wintner_conley(x, sys) / sqm[:, None]) * sqm[None, :]
+    return 0.5 * (a_sym + a_sym.T)
+
+
+def relative_equilibrium_by_similarity(x0, sys):
+    """(frequencies, embedded x0 rows) of the relative equilibrium of a
+    balanced x0 from the similarity-transformed interaction table."""
+    sqm = np.sqrt(sys.m)
+    b_sym = gram_form(x0) * np.outer(sqm, sqm)
+    wb, wa, V = _simultaneous_eigh(b_sym, similarity_interaction_table(x0, sys))
+    keep = wb > 1e-12 * wb.max()
+    b, a, modes = wb[keep], wa[keep], V[:, keep]
+    omega = np.sqrt(-2.0 * a)
+    order = np.argsort(-omega)
+    b, omega, modes = b[order], omega[order], modes[:, order]
+    x0_emb = np.zeros((2 * b.size, sys.n))
+    x0_emb[0::2] = np.sqrt(b)[:, None] * (modes / sqm[:, None]).T
+    return omega, x0_emb
 
 
 # ---------------------------------------------------------------------------

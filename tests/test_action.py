@@ -240,7 +240,7 @@ def test_action_scaling_identity():
     diff = x[:, :, :, None] - x[:, :, None, :]
     s = np.einsum("qcij,qcij->qij", diff, diff)
     iu = np.triu_indices(4, 1)
-    U = (np.outer(SYS4.m, SYS4.m)[iu][None, :] * SYS4.phi(s[:, iu[0], iu[1]])).sum(axis=1)
+    U = (np.outer(SYS4.m, SYS4.m)[iu][None, :] * SYS4.G * s[:, iu[0], iu[1]] ** SYS4.kappa).sum(axis=1)
     S_kin, S_pot = w * (0.5 * K).sum(), w * U.sum()
     for lam in (0.5, 1.9):
         scaled = Loop(loop.T, lam * loop.cos_modes, lam * loop.sin_modes, SYS4)
@@ -597,7 +597,7 @@ def test_hiphop_minimizer_full_properties():
 
 
 def test_planarity_is_the_singular_value_ratio_of_the_scan():
-    # the eigenvalues of the 3 x 3 table give the SVD's ratio of the scanned cloud
+    # the singular values of the modes give the SVD's ratio of the scanned cloud
     out = minimize_action(square_relative_equilibrium_loop(T, SYS4, 32, 0.3), hiphop_z2z4(),
                           MinimizeOptions(gtol=1e-6))
     flat = out.at_nodes(2048, 0)[0].transpose(1, 0, 2).reshape(3, -1)
@@ -643,12 +643,31 @@ def test_planarity_takes_the_plain_mean_of_unequal_masses():
     assert abs(verify_loop(loop, italian(3, 3)).planarity - ratio) <= 1e-12 * ratio
 
 
+@pytest.mark.parametrize("eps", [5.4e-4, 1e-5, 1e-7, 1e-10])
+def test_planarity_of_a_nearly_planar_loop_is_not_squared(eps):
+    # x = +-(cos t, sin t, eps) under 50 random rotations: the cloud's
+    # singular values are 1, 1 and sqrt(2) eps, whose ratio a d x d table
+    # of squares resolves only to about 1e-16 / eps^2
+    rng = np.random.default_rng(19)
+    a, b = np.zeros((2, 3, 2, 2))
+    a[2, :, 0], a[0, :, 1], b[1, :, 1] = [eps, -eps], [1.0, -1.0], [1.0, -1.0]
+    for _ in range(50):
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        loop = Loop(T, np.tensordot(R, a, 1), np.tensordot(R, b, 1), SYS2)
+        planarity = verify_loop(loop, italian(2, 3)).planarity
+        assert abs(planarity / (np.sqrt(2.0) * eps) - 1.0) <= 1e-15 / eps
+
+
 def test_planarity_is_zero_in_the_plane_and_on_the_line():
     rng = np.random.default_rng(18)
     for d in (1, 2):
         a, b = 0.1 * rng.standard_normal((2, d, 3, 5))
         a[0, :, 0] = [-2.0, 0.0, 2.0]
         assert verify_loop(Loop(T, a, b, MassSystem([1.0, 2.0, 3.0])), italian(3, d)).planarity == 0.0
+    # three bodies at rest in R^4: fewer coefficient columns than axes
+    a = rng.standard_normal((4, 3, 1))
+    loop = Loop(T, a, np.zeros_like(a), MassSystem([1.0, 2.0, 3.0]))
+    assert verify_loop(loop, italian(3, 4)).planarity == 0.0
 
 
 def test_tetra_events_stable_under_last_bit_perturbations():

@@ -123,7 +123,7 @@ def test_the_census_names_a_member_without_a_reader(tmp_path):
     # a method nothing calls, and a self. attribute nothing reads
     path = checkout_copy(tmp_path) / "geometry.py"
     text = path.read_text()
-    anchor = "    def phi(self, s):\n"
+    anchor = "    def __repr__(self):\n        return f\"MassSystem("
     assert text.count(anchor) == 1
     path.write_text(text.replace(anchor, "    def orphan(self):\n        self.orphan_count = 1\n\n" + anchor))
     assert [(module, name) for module, _, name in unread_members(tmp_path)] == [

@@ -18,16 +18,26 @@ from nbodyred.geometry import (
     Configuration,
     MassSystem,
     gram_form,
+    hyperplane_basis,
     inertia,
+    pair_kernel,
     potential_and_gradient,
 )
 from nbodyred.configurations import (
+    _hat,
+    _orbit_cost_grad,
     classify,
     find_balanced,
     find_central,
     shape_sphere,
 )
-from oracles import NotEmbeddable, balanced_residuals_pijk, p_matrix
+from oracles import (
+    NotEmbeddable,
+    _orbit_cost_grad as orbit_cost_grad_reference,
+    balanced_residuals_pijk,
+    orthonormal_hyperplane_basis,
+    p_matrix,
+)
 
 SYS_EQ = MassSystem([1.0, 1.0, 1.0])
 
@@ -341,6 +351,70 @@ def test_find_balanced_matches_scipy_bfgs_oracle(case):
     U, U_ref = potential_and_gradient(x, sys)[0], potential_and_gradient(ref, sys)[0]
     assert abs(U - U_ref) <= 1e-12 * U_ref
     assert classify(x, sys).balanced_residual <= 1e-12
+
+
+def orbit_cases(rng, per_rank):
+    """(sys, Q, spec_full) draws on the fixed-spectrum orbits: random masses,
+    n = 3..6, every rank 1..n-1, kappa -1/2, -1 and -0.3, and squared
+    distances within a factor 1e3 of each other."""
+    for n in range(3, 7):
+        for kappa in (-0.5, -1.0, -0.3):
+            sys = MassSystem(rng.uniform(0.3, 3.0, n), G=rng.uniform(0.5, 2.0), kappa=kappa)
+            E = sys.D @ hyperplane_basis(sys)
+            for rank in range(1, n):
+                found = 0
+                while found < per_rank:
+                    spec_full = np.zeros(n - 1)
+                    spec_full[:rank] = np.sort(rng.uniform(0.1, 2.0, rank))[::-1]
+                    Q = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+                    s = (E @ Q) ** 2 @ spec_full
+                    if s.min() >= 1e-3 * s.max():
+                        found += 1
+                        yield sys, Q, spec_full
+
+
+def test_orbit_cost_matches_the_beta_table_reference():
+    # the pair-row cost against the n x n beta table it replaced
+    cases = 0
+    for sys, Q, spec_full in orbit_cases(np.random.default_rng(38), 15):
+        U, g = _orbit_cost_grad(Q, sys.D @ hyperplane_basis(sys), spec_full, sys,
+                                pair_kernel(sys, 0.0)[0])
+        U_ref, g_ref = orbit_cost_grad_reference(Q, orthonormal_hyperplane_basis(sys), spec_full,
+                                                 np.sqrt(sys.m), sys)
+        assert abs(U - U_ref) <= 1e-12 * abs(U_ref)
+        assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        cases += 1
+    assert cases == 15 * 14 * 3
+
+
+def test_orbit_gradient_matches_central_differences_along_cayley_curves():
+    rng = np.random.default_rng(39)
+    h = 1e-5
+    for sys, Q, spec_full in orbit_cases(rng, 2):
+        E, c, eye = sys.D @ hyperplane_basis(sys), pair_kernel(sys, 0.0)[0], np.eye(sys.n - 1)
+        _, g = _orbit_cost_grad(Q, E, spec_full, sys, c)
+        xi = rng.standard_normal(g.size)
+        V = _hat(0.5 * h * xi, sys.n - 1)   # Q cay(+-h hat(xi)) at first order Q (I +- h hat(xi))
+        U_plus, U_minus = (_orbit_cost_grad(Q @ np.linalg.solve(eye - W, eye + W), E, spec_full, sys, c)[0]
+                           for W in (V, -V))
+        fd = (U_plus - U_minus) / (2.0 * h)   # off by O(h^2): 3e-8 relative at most here
+        assert abs(fd - g @ xi) <= 1e-6 * np.linalg.norm(g) * np.linalg.norm(xi)
+
+
+@pytest.mark.parametrize("masses, spectrum, seed, evaluations", [
+    ([1.0] * 3, [0.7, 0.3], 3, 6),
+    ([1.0, 2.0, 3.0], [2.0, 1.0], 1, 9),
+    ([1.0, 2.0, 3.0, 4.0], [0.5, 0.3, 0.2], 5, 14),
+    ([1.0] * 4, [0.6, 0.4], 2, 14),
+    ([1.0] * 3, [0.6, 0.4], 42, 7),
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [0.4, 0.3, 0.2, 0.1], 0, 20),
+])
+def test_balanced_search_keeps_its_evaluation_counts(caplog, masses, spectrum, seed, evaluations):
+    # the counts the search took on the n x n beta table
+    with caplog.at_level(logging.INFO, logger="nbodyred"):
+        find_balanced(MassSystem(masses), spectrum, seed=seed)
+    (record,) = [r for r in caplog.records if r.name == "nbodyred"]
+    assert record.args[0] == evaluations
 
 
 # ---------------------------------------------------------------------------

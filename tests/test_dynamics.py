@@ -37,7 +37,6 @@ from nbodyred.geometry import (
     pair_kernel,
     reduced_tables,
     squared_distances,
-    wintner_conley,
 )
 from nbodyred.motions import relative_equilibrium
 from nbodyred.dynamics import (
@@ -60,6 +59,7 @@ from oracles import (
     saari_decomposition,
     sundman_function,
     sundman_gap,
+    wintner_conley,
 )
 
 SYS2 = MassSystem([1.0, 1.0])

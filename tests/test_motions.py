@@ -10,7 +10,6 @@ from nbodyred.geometry import (
     MassSystem,
     State,
     gram_form,
-    wintner_conley,
 )
 from nbodyred.dynamics import audit_invariants, integrate_absolute, scalar_invariants
 from nbodyred.configurations import classify, find_balanced, find_central
@@ -21,7 +20,13 @@ from nbodyred.motions import (
     kepler_state,
     relative_equilibrium,
 )
-from oracles import kepler_radius_true_anomaly, sundman_gap
+from oracles import (
+    kepler_radius_true_anomaly,
+    relative_equilibrium_by_similarity,
+    similarity_interaction_table,
+    sundman_gap,
+    wintner_conley,
+)
 
 SYS_EQ = MassSystem([1.0, 1.0, 1.0])
 
@@ -364,6 +369,40 @@ def test_one_rotation_table_turns_both_motions():
         J = HomographicMotion(Configuration(r, s), s, e=0.3).quarter_turn
         assert J.shape == (dim, dim)
         assert np.array_equal(J @ J, -np.eye(dim))
+
+
+BALANCED_OUTPUTS = {   # find_balanced's (masses, spectrum, seed)
+    "123": ([1.0, 2.0, 3.0], [2.0, 1.0], 1),
+    "1234": ([1.0, 2.0, 3.0, 4.0], [0.5, 0.3, 0.2], 5),
+    "four-equal": ([1.0] * 4, [0.6, 0.4], 2),
+}
+
+
+@pytest.mark.parametrize("case", BALANCED_OUTPUTS)
+def test_relative_equilibrium_reads_the_interaction_table_as_one_product(monkeypatch, case):
+    # M^{-1/2} A M^{1/2} = -1/2 F^T F is exactly symmetric and equals the
+    # symmetrized similarity transform of A; the frequencies and x0 are those
+    # of the similarity transform
+    import nbodyred.motions
+
+    masses, spectrum, seed = BALANCED_OUTPUTS[case]
+    sys = MassSystem(masses)
+    x = find_balanced(sys, spectrum, seed=seed)
+    exact, tables = nbodyred.motions._simultaneous_eigh, []
+
+    def recorded(B, A):
+        tables.append(A)
+        return exact(B, A)
+
+    monkeypatch.setattr(nbodyred.motions, "_simultaneous_eigh", recorded)
+    re = relative_equilibrium(x, sys)
+    (a_sym,) = tables
+    assert np.array_equal(a_sym, a_sym.T)
+    ref = similarity_interaction_table(x, sys)
+    assert np.abs(a_sym - ref).max() <= 1e-14 * np.abs(ref).max()
+    omega, x0 = relative_equilibrium_by_similarity(x, sys)
+    assert np.abs(np.array(re.frequencies) - omega).max() <= 1e-13 * omega.max()
+    assert np.abs(re.x0.r - x0).max() <= 1e-13 * np.abs(x0).max()
 
 
 def test_relative_equilibrium_rigid_under_integration():
