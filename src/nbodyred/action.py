@@ -62,8 +62,8 @@ class Loop:
     x_ci(t) = sum_k cos_modes[c,i,k] cos(k w t) + sin_modes[c,i,k] sin(k w t)
     with w = 2 pi / T: Re sum_k c_k e^{i k w t}, c_k = a_k - i b_k, read at
     the nodes by one inverse FFT and at arbitrary times by one exponential
-    table (_spectrum).  The constant sine coefficient is zeroed and the
-    mass-weighted centroid removed mode by mode.
+    table (_spectrum).  Loop() checks its input; _set then zeroes the constant
+    sine coefficient and removes the mass-weighted centroid mode by mode.
     """
 
     def __init__(self, T, cos_modes, sin_modes, sys):
@@ -76,12 +76,17 @@ class Loop:
         ab = np.array((cos_modes, sin_modes))
         if not (0.0 < T < np.inf and np.isfinite(ab).all()):
             raise ValidationError("period and coefficients must be finite, the period positive")
+        self._set(T, ab, sys)
+
+    def _set(self, T, ab, sys):
+        """Take ab, (2, d, n, K + 1), unchecked: zero its constant sine mode, remove its centroid."""
         ab[1, :, :, 0] = 0.0
         ab -= (ab * sys.m[:, None]).sum(axis=2, keepdims=True) / sys.M
         self.T = float(T)
         self.cos_modes, self.sin_modes = self.ab = ab
         self.sys = sys
-        self.d, self.n, self.n_modes = cos_modes.shape[0], cos_modes.shape[1], cos_modes.shape[2] - 1
+        self.d, self.n, self.n_modes = ab.shape[1], ab.shape[2], ab.shape[3] - 1
+        return self
 
     # -- evaluation ---------------------------------------------------------
 
@@ -352,7 +357,8 @@ def minimize_action(seed_loop, sym, opts):
     residue class with coefficients U Xi, to |g| <= gtol on them, with the
     action on max(256, 4 K) quadrature nodes; its metric is the kinetic
     part, max(k, 1)^2 on each coordinate of mode k (the H^1 metric on
-    loops), so the iteration count does not grow with K.  Steps
+    loops), so the iteration count does not grow with K; each evaluation's
+    loop, finite by construction, is built unchecked by Loop._set.  Steps
     whose minimal node distance falls below 1e-3 of the seed's mean node
     distance are rejected.  A stalled search is restarted from a jittered
     iterate (deterministically, at most 3 times); raises NoConvergence when
@@ -371,17 +377,21 @@ def minimize_action(seed_loop, sym, opts):
     s = squared_distances(seed_loop.at_nodes(n_quad, 0)[0], sys)
     floor = 1e-3 * float(np.sqrt(s).mean())
     shape = (2, seed_loop.d, seed_loop.n, K + 1)   # Loop.params() as (cos/sin, d, n, k)
+    live = [(slice(r, None, sym.L) if r else slice(0, 1), U, sl)   # blocks with columns, modes as slices
+            for r, ((_, U), sl) in enumerate(zip(blocks, slices)) if U.shape[1]]
 
     def loop_at(xi_vec):
         c = np.zeros(shape)
         flat = c.reshape(-1, K + 1)
-        for (modes, U), sl in zip(blocks, slices):
-            flat[:, modes] = U @ xi_vec[sl].reshape(U.shape[1], modes.size)
-        return Loop(seed_loop.T, c[0], c[1], sys)
+        for cols, U, sl in live:
+            flat[:, cols] = U @ xi_vec[sl].reshape(U.shape[1], -1)
+        return Loop.__new__(Loop)._set(seed_loop.T, c, sys)
 
     def coordinates(params):
-        c = params.reshape(-1, K + 1)
-        return np.concatenate([(U.T @ c[:, modes]).ravel() for modes, U in blocks])
+        c, xi_vec = params.reshape(-1, K + 1), np.zeros(ends[-1])
+        for cols, U, sl in live:   # F-ordered, as fancy indexing made: @ on a strided view moves bits
+            xi_vec[sl] = (U.T @ np.asfortranarray(c[:, cols])).ravel()
+        return xi_vec
 
     nfev = 0
 

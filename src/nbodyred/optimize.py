@@ -8,6 +8,7 @@ import numpy as np
 
 MAX_ITER = 4000   # accepted steps of one call before the "budget" guard fires
 MEMORY = 12       # correction pairs of the two-loop recursion
+STEPS = tuple(0.5 ** i for i in range(40))   # the line search's trial steps, Python floats
 
 # the end point, its value and |g|, accepted steps, calls of fun, and the guard
 # that stopped the search: "converged", "stalled" (no step accepted) or "budget"
@@ -41,27 +42,27 @@ def quasi_newton(fun, x, f, g, gtol, rtol=0.0, step=None, metric=None):
         while True:   # once more, without the pairs, if their direction stalls
             q, alphas = g.copy(), []
             for s_k, y_k, sy_k in reversed(hist):
-                a_k = (s_k @ q) / sy_k
+                a_k = s_k.dot(q) / sy_k
                 q -= a_k * y_k
                 alphas.append(a_k)
             if hist:
                 _, y_k, sy_k = hist[-1]
-                q *= sy_k / (y_k @ (y_k / w2)) / w2
+                q *= sy_k / y_k.dot(y_k / w2) / w2
             else:
                 q *= 1.0 / (w2 * max(gnorm, 1.0))
             for (s_k, y_k, sy_k), a_k in zip(hist, reversed(alphas)):
-                b_k = (y_k @ q) / sy_k
+                b_k = y_k.dot(q) / sy_k
                 q += (a_k - b_k) * s_k
             direction = -q
-            if direction @ g >= 0:
+            if direction.dot(g) >= 0:
                 direction, hist = -g, []
-            slope = direction @ g
+            slope = direction.dot(g)
 
-            for t in 0.5 ** np.arange(40):
+            for t in STEPS:
                 x_new = step(x, direction, t)
                 f_new, g_new = fun(x_new)
                 nfev += 1
-                if np.isfinite(f_new) and np.isfinite(g_new).all() and (
+                if math.isfinite(f_new) and np.isfinite(g_new).all() and (
                         f_new <= f + 1e-4 * t * slope
                         or (f_new <= f + 4e-16 * abs(f) and math.sqrt(g_new.dot(g_new)) < gnorm)):
                     break
@@ -73,7 +74,7 @@ def quasi_newton(fun, x, f, g, gtol, rtol=0.0, step=None, metric=None):
             break
 
         s_k, y_k = t * direction, g_new - g
-        sy_k = s_k @ y_k
+        sy_k = s_k.dot(y_k)
         if sy_k > 1e-12 * math.sqrt(s_k.dot(s_k)) * math.sqrt(y_k.dot(y_k)):
             hist = hist[-(MEMORY - 1):] + [(s_k, y_k, sy_k)]
         x, f, g = x_new, f_new, g_new

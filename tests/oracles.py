@@ -12,10 +12,12 @@ events in the row layout, the action summed at the nodes, the reader of
 loop.json, the antisymmetric part rebuilt from its upper triangle, the
 symmetry class as the group average over the closure of its generators,
 the interaction table of a configuration and its similarity transform, the
-balanced search's cost on the n x n beta table).
+balanced search's cost on the n x n beta table, the quasi-Newton routine
+with matmul products and numpy trial steps).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +56,7 @@ from nbodyred.geometry import (
     squared_distances,
 )
 from nbodyred.motions import _simultaneous_eigh
+from nbodyred.optimize import MAX_ITER, MEMORY, Search
 from nbodyred.serialize import _floats, _mass_system, _number
 
 STRUCTURE_TOL = 1e-10   # defect of a degenerate hermitian structure that still counts as one
@@ -725,3 +728,75 @@ def closure_invariant_basis(sym, sys, n_modes):
     L = sym.L
     return [(np.arange(r, n_modes + 1, L) if r else np.array([0]), closure_mode_basis(sym, sys, r))
             for r in range(min(L, n_modes) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the shared quasi-Newton routine with matmul products and numpy steps: the
+# earlier optimize.quasi_newton, verbatim
+
+
+def quasi_newton(fun, x, f, g, gtol, rtol=0.0, step=None, metric=None):
+    """Minimize fun, fun(x) = (f, 1-D gradient g), from x where fun is (f, g).
+
+    L-BFGS over the last MEMORY pairs (s, y) with s.y > 1e-12 |s| |y|; the
+    initial inverse Hessian is 1 / metric (default 1) scaled by s.y / y.(y /
+    metric), or by 1 / max(|g|, 1) while no pair is stored, and a direction
+    p that does not descend is replaced by -g, dropping the pairs.  The
+    trial point step(x, p, t) (default x + t p) is tried at t = 1, 1/2, ...
+    (40 times) and taken at the first t where f and g are finite and either
+    f_new <= f + 1e-4 t p.g (Armijo) or f_new <= f + 4e-16 |f| and |g_new|
+    < |g| (f flat to rounding).  When no t passes along a direction built
+    from stored pairs, the pairs are dropped and the search is made once
+    more along the first-step direction, -g scaled as above; a search
+    without pairs that fails ends the run "stalled".  Stops at |g| <= gtol
+    + rtol |f|.
+    """
+    step = step or (lambda x, p, t: x + t * p)
+    w2 = 1.0 if metric is None else metric
+    hist, nfev = [], 0   # correction pairs (s, y, s.y), oldest first; calls of fun
+    for nit in range(MAX_ITER):
+        gnorm = math.sqrt(g.dot(g))   # np.linalg.norm's own product form
+        if gnorm <= gtol + rtol * abs(f):
+            return Search(x, f, float(gnorm), nit, nfev, "converged")
+
+        while True:   # once more, without the pairs, if their direction stalls
+            q, alphas = g.copy(), []
+            for s_k, y_k, sy_k in reversed(hist):
+                a_k = (s_k @ q) / sy_k
+                q -= a_k * y_k
+                alphas.append(a_k)
+            if hist:
+                _, y_k, sy_k = hist[-1]
+                q *= sy_k / (y_k @ (y_k / w2)) / w2
+            else:
+                q *= 1.0 / (w2 * max(gnorm, 1.0))
+            for (s_k, y_k, sy_k), a_k in zip(hist, reversed(alphas)):
+                b_k = (y_k @ q) / sy_k
+                q += (a_k - b_k) * s_k
+            direction = -q
+            if direction @ g >= 0:
+                direction, hist = -g, []
+            slope = direction @ g
+
+            for t in 0.5 ** np.arange(40):
+                x_new = step(x, direction, t)
+                f_new, g_new = fun(x_new)
+                nfev += 1
+                if np.isfinite(f_new) and np.isfinite(g_new).all() and (
+                        f_new <= f + 1e-4 * t * slope
+                        or (f_new <= f + 4e-16 * abs(f) and math.sqrt(g_new.dot(g_new)) < gnorm)):
+                    break
+            else:
+                if hist:
+                    hist = []
+                    continue
+                return Search(x, f, float(gnorm), nit, nfev, "stalled")
+            break
+
+        s_k, y_k = t * direction, g_new - g
+        sy_k = s_k @ y_k
+        if sy_k > 1e-12 * math.sqrt(s_k.dot(s_k)) * math.sqrt(y_k.dot(y_k)):
+            hist = hist[-(MEMORY - 1):] + [(s_k, y_k, sy_k)]
+        x, f, g = x_new, f_new, g_new
+
+    return Search(x, f, math.sqrt(g.dot(g)), MAX_ITER, nfev, "budget")

@@ -6,7 +6,7 @@ import pytest
 
 import nbodyred.action
 from conftest import dense_basis
-from nbodyred.errors import CollisionAtNode, ValidationError
+from nbodyred.errors import CollisionApproach, CollisionAtNode, ValidationError
 from nbodyred.geometry import MassSystem, squared_distances
 from nbodyred.action import (
     SYMMETRY_LABELS,
@@ -196,6 +196,31 @@ def test_loop_keeps_its_coefficients_when_the_callers_arrays_change():
     b[:] = 2.0
     assert loop.ab.tobytes() == before.tobytes()
     assert np.shares_memory(loop.cos_modes, loop.ab) and np.shares_memory(loop.sin_modes, loop.ab)
+
+
+def test_loop_taken_in_place_equals_the_checked_constructor_bitwise():
+    # the minimizer hands its own fresh array to Loop._set, skipping the
+    # checks and the copy; the loop must be the one Loop() builds, on arrays
+    # with centroids, a nonzero constant sine mode and zeros of both signs
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        n, d, K = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(0, 12))
+        sys = MassSystem(rng.uniform(0.5, 2.0, n))
+        ab = rng.standard_normal((2, d, n, K + 1)) + rng.standard_normal((2, d, 1, 1))
+        ab[rng.random(ab.shape) < 0.2] = 0.0
+        ab[rng.random(ab.shape) < 0.2] = -0.0
+        period = rng.uniform(0.1, 10.0)
+        ref = Loop(period, ab[0], ab[1], sys)
+        own = ab.copy()
+        got = Loop.__new__(Loop)._set(period, own, sys)
+        assert got.ab is own and ref.ab is not ab
+        assert got.ab.tobytes() == ref.ab.tobytes()
+        assert got.cos_modes.tobytes() == ref.cos_modes.tobytes()
+        assert got.sin_modes.tobytes() == ref.sin_modes.tobytes()
+        assert np.shares_memory(got.cos_modes, own) and np.shares_memory(got.sin_modes, own)
+        assert (got.T, got.sys, got.d, got.n, got.n_modes) == (ref.T, ref.sys, d, n, K)
+        assert type(got.T) is float and repr(got) == repr(ref)
+    # Loop() keeps the checks: test_loop_rejects_a_period_or_coefficient_outside_the_reals
 
 
 def test_seed_loops_need_a_first_harmonic():
@@ -758,6 +783,17 @@ def test_minimizer_builds_no_generator_without_a_restart(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     seed = square_relative_equilibrium_loop(T, SYS4, 16, vertical_kick=0.3)
     minimize_action(seed, hiphop_z2z4(), MinimizeOptions(gtol=1e-6, seed=7))
+
+
+def test_a_class_without_coordinates_is_a_collision():
+    # x(t + T/2) = x(t) and = -x(t): every block is empty, so the class
+    # holds only the loop with all bodies at the origin
+    sym = SymmetryAction(4, 3, [((0, 1, 2, 3), -np.eye(3), Fraction(1, 2)),
+                                ((0, 1, 2, 3), np.eye(3), Fraction(1, 2))])
+    seed = square_relative_equilibrium_loop(T, SYS4, 8, vertical_kick=0.3)
+    assert all(U.shape[1] == 0 for _, U in invariant_basis(sym, SYS4, 8))
+    with pytest.raises(CollisionApproach):
+        minimize_action(seed, sym, MinimizeOptions())
 
 
 def test_minimizer_logs_its_work(monkeypatch, caplog):

@@ -12,6 +12,7 @@ held to the node sums of oracles.py to rounding.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nbodyred.action import (
     SQUARE_PATTERN,
     TETRA_PATTERN,
     MinimizeOptions,
+    SymmetryAction,
     _local_minima_below,
     action_value_and_gradient,
     minimize_action,
@@ -296,10 +298,24 @@ def minimize_action_reference(seed_loop, sym, opts):
     raise NoConvergence(f"gradient norm {np.linalg.norm(g):.3e} after 4000 iterations")
 
 
+def group_by_name(name):
+    """A shipped label's group, or one whose constant block or several
+    residue blocks have columns: every shipped label leaves only the odd
+    block live.  z3-rotation is hiphop_z3's rotation generator alone (L = 1,
+    a live constant block); choreography is x_{i-1}(t + T/4) = x_i(t) (L = 4,
+    three live residue blocks, the fourth and the constant one empty)."""
+    if name == "z3-rotation":
+        return SymmetryAction(4, 3, [nbodyred.action.hiphop_z3().generators[0]])
+    if name == "choreography":
+        return SymmetryAction(4, 3, [((3, 0, 1, 2), np.eye(3), Fraction(1, 4))])
+    return nbodyred.action.symmetry_by_label(name)
+
+
 @pytest.mark.parametrize("label, K, gtol", [("z2z4", 16, 1e-6), ("z2z4", 16, 1e-9),
-                                            ("italian", 8, 1e-6), ("z3", 12, 1e-6)])
+                                            ("italian", 8, 1e-6), ("z3", 12, 1e-6),
+                                            ("z3-rotation", 12, 1e-6), ("choreography", 12, 1e-6)])
 def test_minimizer_repeats_the_reference_bitwise(monkeypatch, label, K, gtol):
-    sym = nbodyred.action.symmetry_by_label(label)
+    sym = group_by_name(label)
     seed = square_relative_equilibrium_loop(T, SYS4, K, vertical_kick=0.3)
     opts = MinimizeOptions(gtol=gtol)
     ref, ref_nfev = minimize_action_reference(seed, sym, opts)
