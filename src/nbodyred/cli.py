@@ -38,7 +38,6 @@ from .action import (
 
 
 def _outpath(args, name, suffix=""):
-    os.makedirs(args.out, exist_ok=True)
     stem, ext = name.rsplit(".", 1)
     return os.path.join(args.out, f"{stem}{suffix}.{ext}")
 
@@ -262,6 +261,10 @@ def build_parser():
 # LinAlgError (a ValueError) and Python's own numerical failures are not bad input
 _NUMERICAL = (NumericalError, np.linalg.LinAlgError, MemoryError, FloatingPointError, OverflowError)
 _FAILURES = _NUMERICAL + (ValidationError, ValueError)
+# a command runs with numpy's overflow, division by zero and invalid operation
+# raising FloatingPointError, not warning ahead of its JSON line; a search whose
+# overflow has a meaning ignores it locally (find_balanced)
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def _failure(exc):
@@ -274,7 +277,8 @@ def _run_job(payload):
     """One config run to its own end: (exit code, JSON error line or None)."""
     args, config, suffix = payload
     try:
-        return _CONFIG_COMMANDS[args.command](args, config, suffix), None
+        with np.errstate(**_RAISE):   # in a pool worker too
+            return _CONFIG_COMMANDS[args.command](args, config, suffix), None
     except _FAILURES as exc:
         return _failure(exc)
 
@@ -330,7 +334,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _configure_logging()
-        return _dispatch(args)
+        with np.errstate(**_RAISE):
+            return _dispatch(args)
     except _FAILURES as exc:
         code, error = _failure(exc)
         _sys.stderr.write(error + "\n")

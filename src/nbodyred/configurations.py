@@ -111,6 +111,8 @@ def find_central(sys, d, seed=None, x0=None):
 
     sqm = np.sqrt(sys.m)
     U0 = potential_and_gradient(x, sys)[0]
+    if not U0 >= np.finfo(float).tiny:   # the search divides by U0
+        raise ValidationError("masses, G and kappa underflow the potential U at I = 1")
     accelerations = pair_kernel(sys)[1]
 
     def fun(y):
@@ -208,8 +210,10 @@ def find_balanced(sys, spectrum, seed=None, x0=None):
     else:
         Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(sys.n - 1, sys.n - 1)))
     # at distances near 1e150 and beyond s^(3/2) overflows, which gives
-    # Phi' = 0, its limit; the forces vanish and the residual is NaN
-    with np.errstate(over="ignore"):
+    # Phi' = 0, its limit; the forces vanish and the residual is NaN, which
+    # the search's own checks turn into NoConvergence (the command line
+    # raises on invalid operations elsewhere)
+    with np.errstate(over="ignore", invalid="ignore"):
         run = minimize(Q, sys.D @ Q_m, spec_full, sys)
         log_info("find_balanced: %d evaluations, %d iterations, |g| %.3e, %s",
                  run.nfev + 1, run.nit, run.gnorm, run.guard)

@@ -68,16 +68,20 @@ Solution = namedtuple("Solution", "y nfev status t_event accepted rejected t_las
 
 def _dense(F, y_old, x):
     """Rows y(t_old + x h) of the dense output over a step, x of shape (k, 1)."""
-    y = np.zeros((x.shape[0], y_old.size))
+    y, factors = np.zeros((x.shape[0], y_old.size)), (x, 1 - x)
     for i, f in enumerate(F[::-1]):
         y += f
-        y *= x if i % 2 == 0 else 1 - x
+        y *= factors[i % 2]
     return y + y_old
 
 
 def solve_ivp(fun, ts, y0, tol, event, budget):
     """Solution of y' = fun(t, y), y(ts[0]) = y0, at the increasing times ts,
     with relative and absolute tolerance tol.
+
+    fun(t, y, out) writes y' into out: a row of the stage table, or a new
+    array, never memory that y shares.  The stage arguments are built in
+    one buffer of their own, in the operations of y + (K^T a_s) h.
 
     The run stops at the first step over which event(t, y) crosses zero
     downwards, the crossing bisected on the dense output to a few ulps, when
@@ -88,18 +92,30 @@ def solve_ivp(fun, ts, y0, tol, event, budget):
     times = ts.tolist()   # the step bookkeeping runs on Python floats
     t, t_end = times[0], times[-1]
     y = np.asarray(y0, dtype=float)
-    f = fun(t, y)
-    scale, root_n = atol + np.abs(y) * rtol, y.size ** 0.5   # first step by Hairer's rule
+    K, arg = np.empty((16, y.size)), np.empty(y.size)
+    KT = [K[:s].T for s in range(16)]   # the stage views: KT[s].dot(w) is np.dot(K[:s].T, w)
+    stage = list(zip(KT, A_ROWS, C, K))   # per stage s: K[:s].T, its weights, c_s, the row K[s]
+    step_stages, dense_stages = stage[1:12], stage[13:]   # a step's 1-11, the dense output's 13-15
+
+    def stages(plan, t, y, h):   # the rows of the stages in plan, over the step h from (t, y)
+        for KTs, weights, c, row in plan:
+            a = KTs.dot(weights, arg)
+            a *= h
+            a += y
+            fun(t + c * h, a, row)
+
+    fun(t, y, f := np.empty(y.size))
+    abs_y, root_n = np.abs(y), y.size ** 0.5   # first step by Hairer's rule
+    scale = atol + abs_y * rtol
     d0, d1 = np.linalg.norm(y / scale) / root_n, np.linalg.norm(f / scale) / root_n
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    d2 = np.linalg.norm((fun(t + h0, y + h0 * f) - f) / scale) / root_n / h0
+    fun(t + h0, y + h0 * f, K[1])
+    d2 = np.linalg.norm((K[1] - f) / scale) / root_n / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = float(min(100 * h0, h1, t_end - t))
 
     nfev, accepted, rejected, filled, status, t_event = 2, 0, 0, 0, None, None
-    K = np.empty((16, y.size))
-    KT = [K[:s].T for s in range(16)]   # the stage views: KT[s].dot(w) is np.dot(K[:s].T, w)
-    out = np.empty((len(ts), y.size))
+    out, F = np.empty((len(ts), y.size)), np.empty((7, y.size))
     g = event(t, y)
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -111,15 +127,14 @@ def solve_ivp(fun, ts, y0, tol, event, budget):
             t_new = min(t + h_abs, t_end)
             h_abs = abs(h := t_new - t)
             K[0] = f
-            for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + KT[s].dot(A_ROWS[s]) * h)
+            stages(step_stages, t, y, h)
             y_new = y + h * KT[12].dot(B)
-            K[12] = f_new = fun(t + h, y_new)
+            fun(t + h, y_new, K[12])
             nfev += 12
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = atol + np.maximum(abs_y, abs_new := np.abs(y_new)) * rtol
             err5, err3 = KT[13].dot(E5) / scale, KT[13].dot(E3) / scale
             # squared norms formed as np.linalg.norm forms a 1-D norm, to the bit
-            e5, e3 = float(np.sqrt(err5.dot(err5))) ** 2, float(np.sqrt(err3.dot(err3))) ** 2
+            e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
             error = 0.0 if e5 == e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
@@ -128,7 +143,7 @@ def solve_ivp(fun, ts, y0, tol, event, budget):
                 break
             h_abs *= max(0.2, 0.9 * error ** -0.125)
             rejected += 1
-        t_old, y_old, f_old, t, y, f = t, y, f, t_new, y_new, f_new
+        t_old, y_old, f_old, t, y, f, abs_y = t, y, f, t_new, y_new, K[12].copy(), abs_new
         status = 0 if t - t_end >= 0 else None
         g_old, g = g, event(t, y)
         crossing = g_old >= 0 >= g
@@ -136,11 +151,12 @@ def solve_ivp(fun, ts, y0, tol, event, budget):
         if crossing or stop > filled:   # the dense output over the step
             if nfev + 3 > budget:
                 return Solution(out[:filled], nfev, -2, None, accepted, rejected, t, y)
-            for s in range(13, 16):
-                K[s] = fun(t_old + C[s] * h, y_old + KT[s].dot(A_ROWS[s]) * h)
+            stages(dense_stages, t_old, y_old, h)
             nfev += 3
-            dy = y - y_old
-            F = np.vstack([dy, h * f_old - dy, 2 * dy - h * (f + f_old), h * D.dot(K)])
+            dy = np.subtract(y, y_old, F[0])   # F = [dy, h f_old - dy, 2 dy - h (f + f_old), h D K]
+            np.subtract(h * f_old, dy, F[1])
+            np.subtract(2 * dy, h * (f + f_old), F[2])
+            np.multiply(D.dot(K), h, F[3:])
         if crossing:   # bisected with event >= 0 at lo, <= 0 at hi
             lo, hi = t_old, t
             while hi - lo > 4 * EPS * (1.0 + abs(hi)):

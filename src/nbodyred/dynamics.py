@@ -10,7 +10,9 @@ of (x_hat, y_hat), the forms (beta, gamma, delta, rho) on D*, and
     G_dot = L^T G + G L,   L = [[0, 2 A_hat], [I, 0]],   2 A_hat = W^T diag(c) W,
 
 with W = D Q, c_p = 2 m_i m_j Phi'(s_p) and s_p = w_p^T b w_p.  Samples are
-stored as double-centred n x n tables.  The right-hand sides and the
+stored as double-centred n x n tables.  A right-hand side rhs(t, u, out)
+writes u' into out, the stepper's stage row (dop853.solve_ivp), and
+returns it; rhs(t, u) returns a new array.  The right-hand sides and the
 leapfrog kicks call a `pair_kernel` bound per run; the reduced one names a
 collapse where a pair is under 1e3 sqrt(4 eps (1/m_i + 1/m_j) tr b), 1e3
 times what its table tells from rounding, or the collision floor.  The
@@ -135,17 +137,17 @@ def integrate_absolute(z0, sys, horizon, tol=1e-10, method="rk8", samples=513, d
         accelerations = pair_kernel(sys)[1]
         seen = [None, None]   # the state rhs last saw and its squared distances
 
-        def rhs(t, u):
-            du = np.empty(2 * dn)
-            du[:dn] = u[dn:]
-            seen[:] = u, accelerations(u[:dn].reshape(d, n), du[dn:].reshape(d, n))
-            return du
+        def rhs(t, u, out=None):
+            out = np.empty(2 * dn) if out is None else out
+            out[:dn] = u[dn:]
+            seen[:] = u, accelerations(u[:dn].reshape(d, n), out[dn:].reshape(d, n))
+            return out
 
         def min_distance(u):
             # the event after an accepted step sees the state of the step's
             # FSAL slope, whose distances the kernel has just computed
             s = seen[1] if u is seen[0] else squared_distances(u[:dn].reshape(d, n), sys)
-            return float(np.sqrt(s.min()))
+            return math.sqrt(s.min())
 
         us, work = _drive(rhs, u0, ts, tol, min_distance)
     elif method == "leapfrog":
@@ -180,13 +182,14 @@ def _leapfrog(z0, sys, ts, dt):
     accelerations = pair_kernel(sys)[1]
     x, v = z0.x.r.copy(), z0.y.r.copy()
     out = np.empty((ts.size, 2) + x.shape)
-    t = ts[0]
+    times = ts.tolist()   # the step bookkeeping runs on Python floats, as in solve_ivp
+    t = times[0]
     s = accelerations(x, a := np.empty_like(x))
     K0, U0, H0 = _energy(v, s, sys)
     h_scale = relative_scale(H0, 0.5 * K0 + U0)
     scale_name = "|H|" if h_scale == abs(H0) else "K0/2 + U0"
     evals = 1
-    for k, target in enumerate(ts):
+    for k, target in enumerate(times):
         slack = math.ulp(target) * (1.0 + (target - t) / dt)
         while target - t > slack:
             if evals >= MAX_RHS_EVALS:
@@ -269,38 +272,38 @@ class _GramTable:
         return out.reshape(u.shape[:-1] + out.shape[1:])
 
     def min_distance(self, u):
-        return float(np.sqrt(max((self.WW @ u[self.left[:self.k ** 2]]).min(), 0.0)))
-
-    def floor2(self, tr):
-        """Squared floors of the pairs at tr b = tr: rounding2 tr b, raised to
-        the squared collision floor (geometry.COLLISION_FLOOR, read here)."""
-        cf2 = geometry.COLLISION_FLOOR * geometry.COLLISION_FLOOR
-        floor2 = self.rounding2 * tr
-        # no rounding floor is below cf2 unless the least one is
-        return np.maximum(floor2, cf2) if tr * self.rounding2_min < cf2 else floor2
+        return math.sqrt(max((self.WW @ u[self.left[:self.k ** 2]]).min(), 0.0))
 
     def rhs(self):
-        """rhs(t, u), the packed X + X^T with X = G L, its index maps bound;
-        raises CollisionError, a collapse at the stage time t, where a squared
-        distance is below its floor2.  _drive's event and stall rule still
-        act on the route: a total collapse, whose floor2 shrinks with tr b,
-        ends at the stall rule (the symmetric kappa = -1 equilateral start)."""
+        """rhs(t, u, out=None), the packed X + X^T with X = G L, its index maps
+        bound; raises CollisionError, a collapse at the stage time t, where a
+        squared distance is below its floor: rounding2 tr b, raised to the
+        squared collision floor (geometry.COLLISION_FLOOR, read when rhs is
+        built).  _drive's event and stall rule still act on the route: a
+        total collapse, whose floor shrinks with tr b, ends at the stall rule
+        (the symmetric kappa = -1 equilateral start)."""
         k, kk, (upper0, upper1), left_of = self.k, self.k ** 2, self.upper, self.left
+        s_rows, WW = self.s_rows, self.WW
         pair_c, z = pair_kernel(self.sys)[0], np.empty(k * (2 * k + 1) + 2 * kk)
         z_u, Y = z[:-2 * kk], z[-2 * kk:].reshape(2 * k, k)   # z = (u, Y.ravel()) as above
+        rounding2, rounding2_min = self.rounding2, self.rounding2_min
+        cf2 = geometry.COLLISION_FLOOR * geometry.COLLISION_FLOOR
 
-        def rhs(t, u):
+        def rhs(t, u, out=None):
             left = u[left_of]
-            s_tr = self.s_rows.dot(left[:kk])
+            s_tr = s_rows.dot(left[:kk])
+            floor2 = rounding2 * (tr := s_tr[-1])
+            if tr * rounding2_min < cf2:   # else no rounding floor is below cf2
+                floor2 = np.maximum(floor2, cf2)
             try:
-                c = pair_c(s_tr[:-1], self.floor2(s_tr[-1]))
+                c = pair_c(s_tr[:-1], floor2)
             except CollisionError:
                 beta_to_distances(self.unpack(u)[0], tol=1e-6)   # a non-Gram b raises
                 raise CollisionError(f"collapse at t = {t:.6g} "
                                      f"(min distance {self.min_distance(u):.3e})") from None
             z_u[:] = u
-            left.reshape(2 * k, k).dot(c.dot(self.WW).reshape(k, k), out=Y)
-            return z[upper0] + z[upper1]
+            left.reshape(2 * k, k).dot(c.dot(WW).reshape(k, k), Y)
+            return np.add(z[upper0], z[upper1], out)
 
         return rhs
 
@@ -308,7 +311,7 @@ class _GramTable:
 def integrate_reduced(rel0, sys, horizon, tol=1e-10, samples=513):
     """Integrate the reduced system on the packed Gram table; same contract
     as integrate_absolute, with double-centred (beta, gamma, delta, rho)
-    samples, and a collapse raised where a pair meets the table's floor2 or
+    samples, and a collapse raised where a pair meets the table's floor or
     by _drive's rules."""
     ts = _sample_times(horizon, samples, tol)
     gram = _GramTable(sys)

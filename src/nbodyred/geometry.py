@@ -329,8 +329,9 @@ def pair_kernel(sys, floor=None):
     built, unless given) bound once.  c(s, floor2) = 2 m_i m_j Phi'(s) of
     (..., P) squared distances raises CollisionError below floor2 (the squared
     floor, or one value per pair); accelerations(r, out) writes (r D^T * c) D
-    M^{-1} of d x n coordinates r to out and returns their s.  The products
-    are ndarray.dot calls: @ to the bit, and cheaper at few bodies."""
+    M^{-1} of d x n coordinates r to out, as a right-hand side writes its
+    stage row (dop853.solve_ivp), and returns their s.  The products are
+    ndarray.dot calls: @ to the bit, and cheaper at few bodies."""
     floor = COLLISION_FLOOR if floor is None else floor
     DT, DMinv, factor, newton = sys.DT, sys.DMinv, sys.pair_factor, sys.kappa == -0.5
     power, squared_floor = sys.kappa - 1.0, np.full(factor.size, floor * floor)

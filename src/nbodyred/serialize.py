@@ -1,6 +1,7 @@
 """Deterministic file formats (see FORMATS.md), every one written here: the
 CLI hands over arrays and records, and _encode alone turns arrays and numpy
-scalars into JSON.
+scalars into JSON.  A number that is not finite is never written: the
+writers refuse it with NumericalError before they open the file.
 
 Floats are written with 17 significant digits so every value round-trips
 exactly; identical inputs therefore produce byte-identical files.  CSV uses
@@ -10,16 +11,27 @@ written to a temporary beside it, renamed onto it only once complete.
 
 import contextlib
 import json
+import math
 import os
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .geometry import Configuration, MassSystem, State
 
 
 def fmt(x):
     return format(float(x), ".17g")
+
+
+_NOT_FINITE = "refusing to write a number that is not finite (NaN or inf)"
+
+
+def _finite(*arrays):
+    """Raise NumericalError unless every number of the arrays is finite: no
+    file holds NaN or inf (a JSON number is checked as _encode meets it)."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(_NOT_FINITE)
 
 
 def _encode(obj):
@@ -36,6 +48,8 @@ def _encode(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NumericalError(_NOT_FINITE)
         return fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -49,7 +63,9 @@ def dumps(obj):
 
 @contextlib.contextmanager
 def _replacing(path):
-    """Text handle on a temporary beside path: renamed onto it on success, else removed."""
+    """Text handle on a temporary beside path: renamed onto it on success, else
+    removed.  The folder of path is made here, by the first file written into it."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -61,8 +77,9 @@ def _replacing(path):
 
 
 def write_json(path, obj):
+    text = dumps(obj)   # a non-finite number fails here, before the file is opened
     with _replacing(path) as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def _system(sys):
@@ -164,18 +181,21 @@ def trajectory_to_csv(path, traj):
     row is built as it is written, with no second copy of the samples."""
     header = ["t[time]"] + [f"{prefix}{i}_{j}[{unit}]" for prefix, unit in _BLOCKS[traj.kind]
                             for i, j in np.ndindex(traj.samples.shape[-2:])]
+    _finite(traj.times, traj.samples)
     rows = traj.samples.reshape(traj.times.size, -1)
     write_csv(path, header, (np.concatenate(([t], row)) for t, row in zip(traj.times, rows)))
 
 
 def kepler_to_csv(path, ts, zeta, zdot):
     """Rows (t, xi, eta, xidot, etadot) of (2, q) Kepler positions and velocities."""
+    _finite(ts, zeta, zdot)
     write_csv(path, ["t[time]", "xi[length]", "eta[length]", "xidot[length/time]",
                      "etadot[length/time]"], np.column_stack([ts, zeta.T, zdot.T]))
 
 
 def shape_points_to_csv(path, points):
     """Rows (longitude[rad], latitude[rad], I)."""
+    _finite(points)
     write_csv(path, ["longitude[rad]", "latitude[rad]", "I[mass*length^2]"], points)
 
 

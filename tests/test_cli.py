@@ -838,6 +838,95 @@ def test_fresh_process_underflowing_masses_print_one_line(tmp_path):
     assert not out.exists()
 
 
+def assert_one_json_line(proc, code, error, out):
+    """proc exited with code, wrote one JSON line naming error on stderr and
+    nothing else, no RuntimeWarning ahead of it, and left no output folder."""
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == error
+    assert not out.exists()
+
+
+def test_fresh_process_find_central_rejects_a_potential_that_underflows(tmp_path):
+    # U at I = 1 underflows to 0 for these masses, G and kappa: the search,
+    # which divides by it, raised a bare ZeroDivisionError (exit 1)
+    out = tmp_path / "out"
+    proc = run_cli(["find-central", "--masses", "3,1e-300", "--seed", "7", "--G", "2", "--kappa",
+                    "-1", "--dim", "7", "--out", str(out)])
+    assert_one_json_line(proc, 2, "ValidationError", out)
+    assert "underflow the potential" in json.loads(proc.stderr)["message"]
+
+
+def test_fresh_process_relequil_far_out_writes_no_nan(tmp_path):
+    # a body 1e150 away made Sundman's gap NaN: relequil.json held
+    # "sundman_gap": NaN and the command exited 0
+    out = tmp_path / "out"
+    scenario = {"masses": [1, 1, 1], "positions": [[0, 1, 0.5], [0, 1e150, 0.8660254037844386]]}
+    proc = run_cli(["relequil", "--out", str(out)] + config_args(tmp_path, scenario))
+    assert_one_json_line(proc, 3, "FloatingPointError", out)
+
+
+def test_fresh_process_find_balanced_overflow_prints_no_warning(tmp_path):
+    # the forces overflow and the start's cost is NaN: numpy printed three
+    # RuntimeWarnings ahead of the JSON line
+    out = tmp_path / "out"
+    proc = run_cli(["find-balanced", "--masses", "3,0.001,1,1e300", "--seed", "1", "--G", "1e6",
+                    "--kappa", "-1", "--spectrum", "1e-300,1", "--out", str(out)])
+    assert_one_json_line(proc, 3, "NoConvergence", out)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("writer", ["json", "trajectory", "kepler", "shape"])
+def test_writers_refuse_a_non_finite_number_before_opening_the_file(tmp_path, writer, value):
+    from nbodyred import serialize
+    from nbodyred.geometry import Trajectory
+
+    rows = np.arange(6.0).reshape(2, 3)
+    rows[1, 2] = value
+    samples = np.zeros((2, 2, 1, 2))
+    samples[1, 1, 0, 1] = value
+    path = str(tmp_path / "out" / "file")
+    write = {"json": lambda: serialize.write_json(path, {"x": [1.0, {"y": rows[1, 2]}]}),
+             "trajectory": lambda: serialize.trajectory_to_csv(
+                 path, Trajectory(np.array([0.0, 1.0]), samples, "absolute", {})),
+             "kepler": lambda: serialize.kepler_to_csv(path, rows[0, :2], rows[:, :2], rows[:, 1:]),
+             "shape": lambda: serialize.shape_points_to_csv(path, rows)}[writer]
+    with pytest.raises(NumericalError, match="not finite"):
+        write()
+    assert list(tmp_path.iterdir()) == []   # not even the output folder
+
+
+SIX = {
+    "masses": [1, 1.3, 0.8, 1.1, 0.9, 1.2],
+    "positions": [[1, 0.525, -0.475, -1.02, -0.49, 0.5],
+                  [0, 0.866025, 0.866025, 0, -0.866025, -0.866025]],
+    "velocities": [[0, -0.902628, -0.952628, -0.05, 0.952628, 0.952628],
+                   [1.1, 0.55, -0.52, -1.1, -0.58, 0.55]],
+}
+
+
+def test_fresh_processes_integrate_to_the_same_bytes_under_two_hash_seeds(tmp_path):
+    # two fresh processes whose string hashing differs write the same bytes
+    # through both rk8 routes; 700 reduced samples expand as ten full blocks
+    # of 64 and one partial block
+    eight, six = str(tmp_path / "eight.json"), str(tmp_path / "six.json")
+    for path, scenario in ((eight, EIGHT), (six, SIX)):
+        with open(path, "w") as fh:
+            json.dump(scenario, fh)
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"hashseed{seed}"
+        for argv in (["simulate", "--config", eight, "--horizon", "1", "--out", str(out)],
+                     ["reduce", "--config", eight, "--horizon", "1", "--out", str(out)],
+                     ["reduce", "--config", six, "--horizon", "1", "--samples", "700",
+                      "--out", str(out / "six")]):
+            proc = run_cli(argv, PYTHONHASHSEED=seed)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        written.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert sorted(written[0]) == ["audit.json", "reduced.csv", "six/reduced.csv", "trajectory.csv"]
+    assert written[0] == written[1]
+
+
 def test_fresh_process_parser_exit(tmp_path):
     # argparse's own exit keeps the normal path: usage on stderr, code 2
     proc = run_cli(["simulate", "--out", str(tmp_path)])

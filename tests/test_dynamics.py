@@ -494,10 +494,24 @@ def test_reduced_floor_lies_1e3_rounding_levels_deep(monkeypatch):
     gram, rel = dynamics._GramTable(sys), RelativeState.from_state(z0)
     tr = np.trace(rel.beta)
     w2 = 2.0   # |w_p|^2 = 1/m_i + 1/m_j of every pair
-    floor = np.sqrt(gram.floor2(tr))
-    assert np.allclose(floor, 1e3 * np.sqrt(4.0 * np.finfo(float).eps * w2 * tr), rtol=1e-12)
+    floors = []
+
+    def recorded(sys, *args):   # the kernel of the right-hand side, its floors recorded
+        c, accelerations = pair_kernel(sys, *args)
+
+        def recording(s, floor2):
+            floors.append(floor2)
+            return c(s, floor2)
+        return recording, accelerations
+
+    def floor():   # the floor of a right-hand side built now, at the state rel
+        gram.rhs()(0.0, gram.pack(rel))
+        return np.sqrt(floors[-1])
+
+    monkeypatch.setattr(dynamics, "pair_kernel", recorded)
+    assert np.allclose(floor(), 1e3 * np.sqrt(4.0 * np.finfo(float).eps * w2 * tr), rtol=1e-12)
     monkeypatch.setattr(geometry, "COLLISION_FLOOR", 1e-3)
-    assert np.array_equal(np.sqrt(gram.floor2(tr)), np.full(3, 1e-3))
+    assert np.array_equal(floor(), np.full(3, 1e-3))
 
 
 @pytest.mark.parametrize("route", ["rk8", "reduced"])
@@ -637,10 +651,14 @@ def test_solution_carries_the_last_accepted_step():
     # y' = -y from 1: a run to its end stops on its last time, and a run that
     # an event stops keeps the accepted step over which the event crossed
     ts = np.linspace(0.0, 2.0, 5)
-    full = dop853.solve_ivp(lambda t, y: -y, ts, [1.0], 1e-10, lambda t, y: 1.0, 1000)
+
+    def decay(t, y, out):
+        return np.negative(y, out=out)
+
+    full = dop853.solve_ivp(decay, ts, [1.0], 1e-10, lambda t, y: 1.0, 1000)
     assert full.status == 0 and full.t_last == 2.0
     assert abs(full.y_last[0] - np.exp(-2.0)) <= 1e-9
-    half = dop853.solve_ivp(lambda t, y: -y, ts, [1.0], 1e-10, lambda t, y: y[0] - 0.5, 1000)
+    half = dop853.solve_ivp(decay, ts, [1.0], 1e-10, lambda t, y: y[0] - 0.5, 1000)
     assert half.status == 1 and abs(half.t_event - np.log(2.0)) <= 1e-9
     assert half.t_last > half.t_event and half.y_last[0] < 0.5
     assert abs(half.y_last[0] - np.exp(-half.t_last)) <= 1e-9

@@ -344,6 +344,40 @@ def test_packed_reduced_rhs_matches_the_method(n, d, kappa):
         assert np.array_equal(reduced_rhs(tables, sys), ref)
 
 
+@pytest.mark.parametrize("route", ["absolute", "reduced"])
+def test_stepper_never_hands_out_memory_of_the_state(monkeypatch, route):
+    # fun(t, y, out) writes into out: the stepper's rows and buffers must
+    # never share memory with the y of the same call, and a run through
+    # the shipped right-hand side repeats the reference stepper, which
+    # took a new array from every call, bit for bit
+    sys, z0 = spread_state(np.random.default_rng(7), 4, 3, -0.5, speed=1.0)
+    funs = []
+
+    def capture(fun, ts, y0, tol, event, budget):
+        funs.append((fun, y0))
+        return dop853.solve_ivp(fun, ts, y0, tol, event, budget)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", capture)
+    if route == "absolute":
+        integrate_absolute(z0, sys, 1e-3, samples=2)
+    else:
+        integrate_reduced(RelativeState.from_state(z0), sys, 1e-3, samples=2)
+    (fun, u0), = funs
+    calls = []   # per call: whether out is an array apart from y
+
+    def recording(t, y, out):
+        calls.append(isinstance(out, np.ndarray) and not np.shares_memory(out, y))
+        return fun(t, y, out)
+
+    ts, event = np.linspace(0.0, 1.5, 17), lambda t, u: 1.0
+    got = dop853.solve_ivp(recording, ts, u0, 1e-10, event, 10 ** 6)
+    ref = solve_ivp_reference(lambda t, u: fun(t, u), ts, u0, 1e-10, event)
+    assert len(calls) == got.nfev > 100 and all(calls)
+    assert (got.status, got.nfev, got.accepted, got.rejected) == (ref.status, ref.nfev,
+                                                                  ref.accepted, ref.rejected)
+    assert np.array_equal(got.y, ref.y) and np.array_equal(got.y_last, ref.y_last)
+
+
 # the cases whose reference reduced run at horizon 1.2 crawls into a collapse
 # until its budget runs out; the absolute route stalls there with a collapse
 BUDGET_COLLAPSES = {(3, 1, -0.3), (4, 1, -0.5), (5, 3, -1.0), (5, 4, -1.0), (6, 1, -0.5),
@@ -440,9 +474,9 @@ def test_rounding_collisions_repeat_the_reference():
 def counting(calls):
     """dop853.solve_ivp with each call of fun counted in calls[0]."""
     def solve(fun, ts, y0, tol, event, budget):
-        def counted(t, u):
+        def counted(t, u, out):
             calls[0] += 1
-            return fun(t, u)
+            return fun(t, u, out)
         return dop853.solve_ivp(counted, ts, y0, tol, event, budget)
     return solve
 
