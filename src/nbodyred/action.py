@@ -187,17 +187,39 @@ class SymmetryAction:
         return U
 
 
+def _class_maps(sym, loop):
+    """Coordinates Xi = U^T ab of the coefficients of loops shaped like loop,
+    one block per residue class with columns U of invariant_basis (looked up
+    at the call), back to the unchecked loop of ab = U Xi; max(k, 1)^2 per Xi."""
+    K, live, w2 = loop.n_modes, [], np.zeros(0)   # blocks with columns, modes as basic slices
+    for r, (modes, U) in enumerate(invariant_basis(sym, loop.sys, K)):
+        if U.shape[1]:
+            k2 = np.tile(modes, U.shape[1]).clip(1) ** 2.0   # in the order of Xi.ravel()
+            live.append((slice(r, None, sym.L) if r else slice(0, 1), U, slice(w2.size, w2.size + k2.size)))
+            w2 = np.append(w2, k2)
+
+    def coordinates(ab):
+        c, xi = ab.reshape(-1, K + 1), np.zeros(w2.size)
+        for cols, U, sl in live:   # F-ordered, as fancy indexing made: @ on a strided view moves bits
+            xi[sl] = (U.T @ np.asfortranarray(c[:, cols])).ravel()
+        return xi
+
+    def loop_at(xi):
+        ab = np.zeros(loop.ab.shape)
+        for cols, U, sl in live:
+            ab.reshape(-1, K + 1)[:, cols] = U @ xi[sl].reshape(U.shape[1], -1)
+        return Loop.__new__(Loop)._set(loop.T, ab, loop.sys)
+
+    return coordinates, loop_at, w2
+
+
 def project_symmetry(loop, sym):
     """Orthogonal projection of a loop onto its symmetry class, U U^T on
     each block of invariant_basis (idempotent)."""
     if (sym.n, sym.d) != (loop.n, loop.d):
         raise ValidationError("symmetry and loop shapes differ")
-    K = loop.n_modes
-    c = loop.ab.reshape(-1, K + 1)
-    out = np.zeros_like(c)
-    for modes, U in invariant_basis(sym, loop.sys, K):
-        out[:, modes] = U @ (U.T @ c[:, modes])
-    return Loop(loop.T, *out.reshape(loop.ab.shape), loop.sys)
+    coordinates, loop_at, _ = _class_maps(sym, loop)
+    return loop_at(coordinates(loop.ab))
 
 
 @functools.cache
@@ -366,33 +388,11 @@ def minimize_action(seed_loop, sym, opts):
     step.  Logs one INFO line on the nbodyred logger: evaluations,
     iterations, restarts and the final |g|.
     """
-    sys, K = seed_loop.sys, seed_loop.n_modes
-    n_quad = max(256, 4 * K)
-    blocks = invariant_basis(sym, sys, K)
-    ends = np.cumsum([U.shape[1] * modes.size for modes, U in blocks]).tolist()
-    slices = [slice(a, b) for a, b in zip([0] + ends, ends)]   # each block's coordinates
-    # mode weights of the kinetic Hessian m (k w)^2 T / 2 (the H^1 metric),
-    # one per coordinate; the constant m w^2 T / 2 is left to the scaling
-    w2 = np.concatenate([np.tile(modes, U.shape[1]) for modes, U in blocks]).clip(1) ** 2.0
+    sys, n_quad = seed_loop.sys, max(256, 4 * seed_loop.n_modes)
+    # w2, the H^1 metric: the kinetic Hessian m (k w)^2 T / 2 less the constant m w^2 T / 2
+    coordinates, loop_at, w2 = _class_maps(sym, seed_loop)
     s = squared_distances(seed_loop.at_nodes(n_quad, 0)[0], sys)
     floor = 1e-3 * float(np.sqrt(s).mean())
-    shape = (2, seed_loop.d, seed_loop.n, K + 1)   # Loop.params() as (cos/sin, d, n, k)
-    live = [(slice(r, None, sym.L) if r else slice(0, 1), U, sl)   # blocks with columns, modes as slices
-            for r, ((_, U), sl) in enumerate(zip(blocks, slices)) if U.shape[1]]
-
-    def loop_at(xi_vec):
-        c = np.zeros(shape)
-        flat = c.reshape(-1, K + 1)
-        for cols, U, sl in live:
-            flat[:, cols] = U @ xi_vec[sl].reshape(U.shape[1], -1)
-        return Loop.__new__(Loop)._set(seed_loop.T, c, sys)
-
-    def coordinates(params):
-        c, xi_vec = params.reshape(-1, K + 1), np.zeros(ends[-1])
-        for cols, U, sl in live:   # F-ordered, as fancy indexing made: @ on a strided view moves bits
-            xi_vec[sl] = (U.T @ np.asfortranarray(c[:, cols])).ravel()
-        return xi_vec
-
     nfev = 0
 
     def evaluate(xi_vec):

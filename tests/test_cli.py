@@ -1,9 +1,13 @@
+import importlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,14 @@ ISOSCELES_MOVING = dict(ISOSCELES, velocities=[[0.0, 0.0, 0.0], [-0.4, 0.4, 0.0]
 SQUARE = {
     "masses": [1.0, 1.0, 1.0, 1.0],
     "positions": [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]],
+}
+
+# the kappa = -1 collapse from rest, on a height of 7 digits
+COLLAPSE = {
+    "masses": [1.0, 1.0, 1.0],
+    "kappa": -1.0,
+    "positions": [[0.0, 1.0, 0.5], [0.0, 0.0, 0.8660254]],
+    "velocities": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
 }
 
 
@@ -283,14 +295,9 @@ def test_numerical_error_exit_code(tmp_path, capsys):
 def test_leapfrog_audit_of_a_collapse_exits_3(tmp_path, capsys):
     # the leapfrog used to step through the kappa = -1 collapse and write an
     # audit with energy drift 2.8e5
-    collapse = {"masses": [1.0, 1.0, 1.0], "kappa": -1.0,
-                "positions": [[0.0, 1.0, 0.5], [0.0, 0.0, 0.8660254]],
-                "velocities": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
-    path = tmp_path / "collapse.json"
-    path.write_text(json.dumps(collapse))
     out = tmp_path / "out"
-    rc = main(["audit", "--integrator", "leapfrog", "--config", str(path), "--horizon", "5",
-               "--out", str(out)])
+    rc = main(["audit", "--integrator", "leapfrog", "--horizon", "5", "--out", str(out)]
+              + config_args(tmp_path, COLLAPSE))
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "CollisionError"
@@ -339,7 +346,7 @@ def test_audit_of_a_release_from_rest(tmp_path, integrator):
     rc = main(["audit", "--integrator", integrator, "--horizon", "0.3", "--out", str(tmp_path)]
               + config_args(tmp_path, rest))
     assert rc == 0
-    assert json.loads((tmp_path / "audit.json").read_text())["momentum_drift"] <= 1e-12
+    assert json.loads((tmp_path / "audit.json").read_text())["momentum_drift"] < 1e-12
 
 def test_rhs_budget_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("nbodyred.dynamics.MAX_RHS_EVALS", 100)
@@ -354,11 +361,13 @@ def test_rhs_budget_exit_code(tmp_path, capsys, monkeypatch):
 def test_reduce_names_the_collapse_of_the_stronger_eight(tmp_path, capsys):
     # the figure-eight under kappa = -1, G = 1.7 falls into a collapse, which
     # the reduced right-hand side meets at its floor, at the shipped budget:
-    # the run ends as the absolute route does, in a CollisionError
+    # the run ends as the absolute route does, in a CollisionError, well
+    # within 20 s (it used to crawl into the collapse)
     out = tmp_path / "out"
+    start = time.perf_counter()
     rc = main(["reduce", "--horizon", "2", "--out", str(out)]
               + config_args(tmp_path, {**EIGHT, "kappa": -1, "G": 1.7}))
-    assert rc == 3
+    assert rc == 3 and time.perf_counter() - start < 20.0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "CollisionError"
     assert json.loads(err[0])["message"].startswith("collapse at t = 0.345668 (min distance ")
@@ -661,30 +670,42 @@ def test_find_central_converges_where_its_start_is_far_above_the_minimum(tmp_pat
     assert data["kind"] == "central" and data["central_residual"] <= 1e-12
 
 
-def masses_123(search):
-    """The scenario of masses (1, 2, 3) at the configuration search(sys)."""
-    return {"masses": [1.0, 2.0, 3.0], "positions": search(MassSystem([1.0, 2.0, 3.0])).r.tolist()}
+def masses_123(tmp_path, search):
+    """--config of masses (1, 2, 3) at the configuration search(sys)."""
+    return config_args(tmp_path, {"masses": [1.0, 2.0, 3.0],
+                                  "positions": search(MassSystem([1.0, 2.0, 3.0])).r.tolist()})
 
 
-RELEQUIL_INPUTS = {
-    "equilateral": lambda: EQUILATERAL,
-    "square": lambda: SQUARE,
-    "central-123": lambda: masses_123(lambda sys: find_central(sys, 2, seed=1)),
-    "isosceles": lambda: ISOSCELES,
-    "balanced-123": lambda: masses_123(lambda sys: find_balanced(sys, [2.0, 1.0], seed=1)),
+def written_by(tmp_path, argv, name):
+    """--config of the file name that the search command argv writes."""
+    assert main(argv + ["--out", str(tmp_path / "search")]) == 0
+    return ["--config", str(tmp_path / "search" / name)]
+
+
+RELEQUIL_INPUTS = {   # each a function of tmp_path giving the --config arguments
+    "equilateral": lambda tmp: config_args(tmp, EQUILATERAL),
+    "square": lambda tmp: config_args(tmp, SQUARE),
+    "central-123": lambda tmp: masses_123(tmp, lambda sys: find_central(sys, 2, seed=1)),
+    "central-search": lambda tmp: written_by(tmp, ["find-central", "--masses", "1,2,3", "--seed", "7"],
+                                             "central.json"),
+    "isosceles": lambda tmp: config_args(tmp, ISOSCELES),
+    "balanced-123": lambda tmp: masses_123(tmp, lambda sys: find_balanced(sys, [2.0, 1.0], seed=1)),
+    "balanced-search": lambda tmp: written_by(tmp, ["find-balanced", "--masses", "1,2,3", "--spectrum",
+                                                    "2,1", "--seed", "1"], "balanced.json"),
 }
 
 
 @pytest.mark.parametrize("name, gap", [
-    ("equilateral", None), ("square", None), ("central-123", None),
-    ("isosceles", 2.388e-3), ("balanced-123", 5.693e-6),
+    ("equilateral", None), ("square", None), ("central-123", None), ("central-search", None),
+    ("isosceles", 2.388e-3), ("balanced-123", 5.693e-6), ("balanced-search", 5.693e-6),
 ])
 def test_relequil_tells_the_kepler_type_of_central_configurations(tmp_path, name, gap):
     # the relative equilibria of a central configuration are of Kepler type,
     # the absolute minimum of Sundman's inequality; those of a balanced one
-    # are not (gap None: central)
-    scenario = RELEQUIL_INPUTS[name]()
-    assert main(["relequil"] + config_args(tmp_path, scenario) + ["--out", str(tmp_path)]) == 0
+    # are not, and turn their two planes at distinct frequencies (gap None:
+    # central); the searches' own files chain into relequil
+    config = RELEQUIL_INPUTS[name](tmp_path)
+    assert main(["relequil"] + config + ["--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "relequil.json").read_text())
     if gap is None:
         assert data["kepler_type"] is True
@@ -692,9 +713,12 @@ def test_relequil_tells_the_kepler_type_of_central_configurations(tmp_path, name
     else:
         assert data["kepler_type"] is False
         assert data["sundman_gap"] == pytest.approx(gap, rel=1e-3)
+        w = data["frequencies"]
+        assert len(w) == 2 and w[0] - w[1] > 1e-6 * w[0]
     # the complex Schwarz gap with Omega_C reaches equality in the same cases,
     # and both motions are rigid: Saari's deformation part is zero
-    sys, x0 = scenario_from_dict(scenario)
+    with open(config[1]) as fh:
+        sys, x0 = scenario_from_dict(json.load(fh))
     z = relative_equilibrium(x0, sys).state(0.0)
     omega_c = Bivector(hermitian_from_bivector(angular_momentum(z, sys))[0])
     assert complex_schwarz_gap(z, omega_c, sys).equality is data["kepler_type"]
@@ -747,6 +771,8 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert {"audit.json", "reduced.csv", "shape.csv", "trajectory.csv"} <= {
+        p.name for p in (tmp_path / "out").iterdir()}
 
 
 # ---------------------------------------------------------------------------
@@ -762,10 +788,10 @@ def fresh_env(**extra):
     return dict(env, **extra)
 
 
-def run_cli(argv, **env):
+def run_cli(argv, timeout=120, **env):
     """A `python -m nbodyred.cli` process with stdout and stderr on pipes."""
     return subprocess.run([sys.executable, "-m", "nbodyred.cli", *argv], env=fresh_env(**env),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_fresh_process_writes_its_files(tmp_path, circ_config):
@@ -782,6 +808,7 @@ def test_fresh_process_writes_its_files(tmp_path, circ_config):
 @pytest.mark.parametrize("scenario, code, error", [
     (dict(CIRCULAR, masses=[1.0, -1.0]), 2, "ValidationError"),
     (dict(EQUILATERAL, velocities=[[0.0] * 3] * 2), 3, "CollisionError"),
+    (COLLAPSE, 3, "CollisionError"),
 ])
 def test_fresh_process_failure_line_is_complete(tmp_path, scenario, code, error):
     out = tmp_path / "out"
@@ -789,7 +816,8 @@ def test_fresh_process_failure_line_is_complete(tmp_path, scenario, code, error)
                    + config_args(tmp_path, scenario))
     assert proc.returncode == code and proc.stdout == ""
     assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
-    assert json.loads(proc.stderr)["error"] == error
+    line = json.loads(proc.stderr)
+    assert list(line) == ["error", "message"] and line["error"] == error
     assert not out.exists()
 
 
@@ -819,7 +847,7 @@ def test_fresh_process_overflowing_masses_print_one_line(tmp_path, argv, scenari
     # evaluation budget (simulate), end in LinAlgError (relequil) or blame
     # the loop's coefficients (hiphop), after numpy's RuntimeWarnings
     out = tmp_path / "out"
-    proc = run_cli(argv + config_args(tmp_path, scenario) + ["--out", str(out)])
+    proc = run_cli(argv + config_args(tmp_path, scenario) + ["--out", str(out)], timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
     assert json.loads(proc.stderr)["error"] == "ValidationError"
@@ -831,7 +859,8 @@ def test_fresh_process_underflowing_masses_print_one_line(tmp_path):
     # exited 0 with every audit drift exactly 0
     out = tmp_path / "out"
     scenario = dict(CIRCULAR, masses=[1e-200, 1e-200])
-    proc = run_cli(["simulate", "--horizon", "1"] + config_args(tmp_path, scenario) + ["--out", str(out)])
+    proc = run_cli(["simulate", "--horizon", "1"] + config_args(tmp_path, scenario) + ["--out", str(out)],
+                   timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
     assert json.loads(proc.stderr)["error"] == "ValidationError"
@@ -864,6 +893,30 @@ def test_fresh_process_relequil_far_out_writes_no_nan(tmp_path):
     scenario = {"masses": [1, 1, 1], "positions": [[0, 1, 0.5], [0, 1e150, 0.8660254037844386]]}
     proc = run_cli(["relequil", "--out", str(out)] + config_args(tmp_path, scenario))
     assert_one_json_line(proc, 3, "FloatingPointError", out)
+
+
+@pytest.mark.parametrize("argv, scenario, error", [
+    (["audit", "--integrator", "leapfrog", "--horizon", "2"], dict(EIGHT, kappa=-1.0, G=1.7),
+     "CollisionError"),
+    (["find-balanced", "--masses", "1,1,1", "--spectrum", "1e300,1", "--seed", "0"], None,
+     "NoConvergence"),
+    (["shape-sphere"], dict(EIGHT, positions=[[1e300] + EIGHT["positions"][0][1:], EIGHT["positions"][1]]),
+     None),
+    (["hiphop", "--seed", "0", "--period", "5e-324"], None, None),
+], ids=["leapfrog-stronger-eight", "find-balanced-spectrum-1e300", "shape-sphere-1e300",
+        "hiphop-period-5e-324"])
+def test_fresh_process_fault_prints_one_json_line(tmp_path, argv, scenario, error):
+    # the leapfrog stops at the collapse of the stronger eight; a spectrum
+    # whose forces overflow ends the balanced search; the shape sphere of a
+    # body at 1e300 wrote the row nan,-0,inf, and a subnormal period printed
+    # numpy's RuntimeWarnings (error None: any, a boundary check may take it)
+    out = tmp_path / "out"
+    proc = run_cli(argv + config_args(tmp_path, scenario) + ["--out", str(out)], timeout=20)
+    assert proc.returncode in (2, 3) and proc.stdout == ""
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    line = json.loads(proc.stderr)
+    assert list(line) == ["error", "message"] and error in (None, line["error"])
+    assert not out.exists()
 
 
 def test_fresh_process_find_balanced_overflow_prints_no_warning(tmp_path):
@@ -905,26 +958,76 @@ SIX = {
 }
 
 
-def test_fresh_processes_integrate_to_the_same_bytes_under_two_hash_seeds(tmp_path):
-    # two fresh processes whose string hashing differs write the same bytes
-    # through both rk8 routes; 700 reduced samples expand as ten full blocks
-    # of 64 and one partial block
-    eight, six = str(tmp_path / "eight.json"), str(tmp_path / "six.json")
-    for path, scenario in ((eight, EIGHT), (six, SIX)):
-        with open(path, "w") as fh:
-            json.dump(scenario, fh)
-    written = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"hashseed{seed}"
-        for argv in (["simulate", "--config", eight, "--horizon", "1", "--out", str(out)],
-                     ["reduce", "--config", eight, "--horizon", "1", "--out", str(out)],
-                     ["reduce", "--config", six, "--horizon", "1", "--samples", "700",
-                      "--out", str(out / "six")]):
-            proc = run_cli(argv, PYTHONHASHSEED=seed)
-            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-        written.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()})
-    assert sorted(written[0]) == ["audit.json", "reduced.csv", "six/reduced.csv", "trajectory.csv"]
+@pytest.fixture(scope="module")
+def hash_seed_outputs(tmp_path_factory):
+    """The folders {seed: out} that every writer fills, one fresh process per
+    command and PYTHONHASHSEED 1 or 2, the two seeds' processes side by side."""
+    tmp = tmp_path_factory.mktemp("hashseed")
+    eight, six, equilateral, isosceles = config_args(tmp, [EIGHT, SIX, EQUILATERAL, ISOSCELES])[1::2]
+    outs = {seed: tmp / f"hashseed{seed}" for seed in ("1", "2")}
+    for argv, folder in [
+        (["simulate", "--config", eight, "--horizon", "1"], ""),
+        (["reduce", "--config", eight, "--horizon", "1"], ""),
+        # 700 reduced samples expand as ten full blocks of 64 and one partial block
+        (["reduce", "--config", six, "--horizon", "1", "--samples", "700"], "six"),
+        (["find-central", "--masses", "1,2,3", "--seed", "7"], ""),
+        # a line search that ends far below its starting potential
+        (["find-central", "--masses", "1,2,3", "--dim", "1", "--seed", "140"], "line"),
+        (["find-balanced", "--masses", "1,1,1", "--spectrum", "0.7,0.3", "--seed", "3"], ""),
+        # every shipped group's block layout
+        (["hiphop", "--modes", "8", "--seed", "0"], ""),
+        (["hiphop", "--symmetry", "italian", "--modes", "8", "--seed", "0"], "italian"),
+        (["hiphop", "--symmetry", "z3", "--modes", "8", "--seed", "0"], "z3"),
+        (["kepler", "--e", "0.5"], ""),
+        (["homographic", "--config", equilateral, "--e", "0.5"], ""),
+        (["relequil", "--config", isosceles, "--samples", "65"], ""),
+        (["relequil", "--config", equilateral], "central"),
+        (["shape-sphere", "--config", eight, "--horizon", "1"], ""),
+    ]:
+        procs = [subprocess.Popen([sys.executable, "-m", "nbodyred.cli", *argv, "--out", str(out / folder)],
+                                  env=fresh_env(PYTHONHASHSEED=seed), text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for seed, out in outs.items()]
+        for proc in procs:
+            assert (*proc.communicate(timeout=120), proc.returncode) == ("", "", 0), argv
+    return outs
+
+
+def test_fresh_processes_integrate_to_the_same_bytes_under_two_hash_seeds(hash_seed_outputs):
+    # two fresh processes whose string hashing differs write the same bytes,
+    # through every writer
+    written = [{str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+               for out in hash_seed_outputs.values()]
+    assert sorted(written[0]) == [
+        "audit.json", "balanced.json", "central.json", "central/relequil.json", "hiphop.csv",
+        "hiphop_report.json", "homographic.csv", "italian/hiphop.csv", "italian/hiphop_report.json",
+        "italian/loop.json", "kepler.csv", "line/central.json", "loop.json", "reduced.csv",
+        "relequil.csv", "relequil.json", "shape.csv", "six/reduced.csv", "trajectory.csv",
+        "z3/hiphop.csv", "z3/hiphop_report.json", "z3/loop.json"]
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("group", ["", "italian", "z3"], ids=["z2z4", "italian", "z3"])
+def test_hiphop_csv_samples_the_reported_loop(hash_seed_outputs, group):
+    out = hash_seed_outputs["2"] / group
+    x = np.loadtxt(out / "hiphop.csv", delimiter=",", skiprows=1)
+    report = json.loads((out / "hiphop_report.json").read_text())
+    # Loop.at_times samples from t = 0 to t = T: the first and last rows are one state
+    assert np.abs(x[-1, 1:] - x[0, 1:]).max() <= 1e-12 * np.abs(x[:, 1:]).max()
+    # the kinetic part of the action is Parseval's sum over the modes: at
+    # --modes 8 the first 256 of the 257 rows are verify_loop's nodes, and
+    # their rectangle rule T/256 sum (|v|^2 / 2 + sum 1/r_ij) (unit masses,
+    # G = 1) gives the reported action
+    r, v = x[:256, 1:13].reshape(-1, 3, 4), x[:256, 13:].reshape(-1, 3, 4)
+    i, j = np.triu_indices(4, 1)
+    U = (1.0 / np.linalg.norm(r[:, :, i] - r[:, :, j], axis=1)).sum()
+    S = x[-1, 0] / 256 * (0.5 * (v * v).sum() + U)
+    assert abs(S - report["action"]) <= 1e-12 * report["action"]
+    # the planarity is read from the modes by Parseval: the same rows'
+    # positions make the centred node cloud whose singular value ratio it is
+    cloud = r.transpose(1, 0, 2).reshape(3, -1)
+    sv = np.linalg.svd(cloud - cloud.mean(axis=1, keepdims=True), compute_uv=False)
+    assert abs(sv[-1] / sv[0] - report["planarity"]) <= 1e-12 * report["planarity"]
 
 
 def test_fresh_process_parser_exit(tmp_path):
@@ -993,3 +1096,18 @@ def test_fresh_process_log_level_in_any_case(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr.startswith("INFO:nbodyred:minimize_action: ")
     assert (tmp_path / "hiphop_report.json").exists()
+    # the central search says what it did: evaluations, iterations, |g|, guard
+    proc = run_cli(["find-central", "--masses", "1,2,3", "--seed", "7", "--out", str(tmp_path)],
+                   NBODY_LOG="info")
+    assert proc.returncode == 0
+    assert re.search(r"^INFO:nbodyred:find_central: .*, converged$", proc.stderr, re.M)
+
+
+def test_console_script_ends_through_cli_run():
+    # the installed nbodyred command is cli.run; pyproject.toml is read as
+    # text, since tomllib is new in Python 3.11
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n")[1].split("\n[")[0]
+    [(command, module, name)] = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', scripts, re.M)
+    assert (command, module, name) == ("nbodyred", "nbodyred.cli", "run")
+    assert callable(getattr(importlib.import_module(module), name))
