@@ -7,13 +7,15 @@ n_quad > 2K equispaced nodes (spectrally accurate for smooth loops) with an
 analytic gradient in the Fourier coefficients.  Every evaluation reads one
 complex spectrum c_k (i k w)^j, c_k = a_k - i b_k (Loop._spectrum).  At the
 nodes, of the minimizer and of verify_loop alike, one inverse real FFT gives
-positions (and derivatives), node axis last up to the one real FFT of the
-gradient's force sums; with n_quad > 2K no mode aliases, so these are the
-rectangle-rule sums, the kinetic part is Parseval's sum over the modes and
+positions, node axis last up to the one real FFT of the gradient's force
+sums; with n_quad > 2K no mode aliases, so these are the rectangle-rule
+sums, the kinetic part is Parseval's sum over the modes and
 U = sum_p c_p s_p / (2 kappa) takes the pair kernel's c_p = 2 m_i m_j Phi'.
-verify_loop's 2048-node scan serves only the four-body events, in place
-with the pair axis leading; its planarity, too, is Parseval's sum over the
-modes.  Arbitrary times sum the spectrum against one table of e^{i k w t}.
+verify_loop takes the accelerations by one more inverse FFT; its 2048-node
+scan serves only the four-body events and is built one coordinate at a
+time, so its temporaries hold one coordinate's nodes and pairs; its
+planarity, too, is Parseval's sum over the modes.  Arbitrary times sum the
+spectrum against one table of e^{i k w t}.
 
 Symmetry classes (the antipodal "italian" constraint, the square/
 tetrahedron oscillation class of four bodies, a triangle-plus-axis variant)
@@ -47,10 +49,10 @@ from .geometry import (
     Trajectory,
     _readonly,
     centred,
+    pair_differences,
     pair_forces,
     pair_kernel,
     relative_scale,
-    squared_distances,
 )
 from .optimize import quasi_newton
 
@@ -90,17 +92,19 @@ class Loop:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _spectrum(self, order):
-        """c_k (i k w)^j for j = 0..order, (order + 1, d, n, K + 1): the j-th
-        derivative of the path is Re sum_k of row j times e^{i k w t}."""
-        factors = _mode_factors(self.T, self.sys, self.n_modes)[0]
-        return (self.cos_modes - 1j * self.sin_modes) * factors[:order + 1]
+    def _spectrum(self, rows, halved=False):
+        """c_k (i k w)^j for the orders j that rows picks (an order: (d, n,
+        K + 1); a slice: (j, d, n, K + 1)): the j-th derivative of the path is
+        Re sum_k of row j times e^{i k w t}; halved, modes k >= 1 are halved,
+        as the inverse real FFT reads them."""
+        factors = _mode_factors(self.T, self.sys, self.n_modes)[1 if halved else 0]
+        return (self.cos_modes - 1j * self.sin_modes) * factors[rows]
 
     def at_times(self, ts):
         """Positions and velocities at the times ts, (2, q, d, n), from one table
         of e^{i k w t}, its phases taken mod one turn (t = T reads as t = 0)."""
         turns = np.outer(np.arange(self.n_modes + 1), np.asarray(ts) / self.T) % 1.0
-        return np.moveaxis((self._spectrum(1) @ np.exp(2j * np.pi * turns)).real, -1, 1)
+        return np.moveaxis((self._spectrum(slice(2)) @ np.exp(2j * np.pi * turns)).real, -1, 1)
 
     def at_nodes(self, n_quad, order=1):
         """The path and its time derivatives up to order at the n_quad
@@ -112,8 +116,7 @@ class Loop:
         K = self.n_modes
         if n_quad <= 2 * K:
             raise ValidationError(f"n_quad = {n_quad} must exceed 2 K = {2 * K}")
-        derivs = self._spectrum(order)
-        derivs[..., 1:] *= 0.5   # irfft doubles every mode above the constant one
+        derivs = self._spectrum(slice(order + 1), halved=True)
         return np.fft.irfft(derivs, n_quad, norm="forward").transpose(0, 3, 1, 2)
 
     def sample(self, ts):
@@ -191,12 +194,13 @@ def _class_maps(sym, loop):
     """Coordinates Xi = U^T ab of the coefficients of loops shaped like loop,
     one block per residue class with columns U of invariant_basis (looked up
     at the call), back to the unchecked loop of ab = U Xi; max(k, 1)^2 per Xi."""
-    K, live, w2 = loop.n_modes, [], np.zeros(0)   # blocks with columns, modes as basic slices
+    K, live, ks, size = loop.n_modes, [], [np.zeros(0)], 0   # blocks with columns, modes as basic slices
     for r, (modes, U) in enumerate(invariant_basis(sym, loop.sys, K)):
         if U.shape[1]:
-            k2 = np.tile(modes, U.shape[1]).clip(1) ** 2.0   # in the order of Xi.ravel()
-            live.append((slice(r, None, sym.L) if r else slice(0, 1), U, slice(w2.size, w2.size + k2.size)))
-            w2 = np.append(w2, k2)
+            ks.append(np.tile(modes, U.shape[1]))   # in the order of Xi.ravel()
+            live.append((slice(r, None, sym.L) if r else slice(0, 1), U, slice(size, size + ks[-1].size)))
+            size += ks[-1].size
+    w2 = np.concatenate(ks).clip(1) ** 2.0
 
     def coordinates(ab):
         c, xi = ab.reshape(-1, K + 1), np.zeros(w2.size)
@@ -317,10 +321,14 @@ _floored_kernel = functools.lru_cache(maxsize=64)(pair_kernel)
 
 @functools.lru_cache(maxsize=64)
 def _mode_factors(T, sys, n_modes):
-    """(i k w)^j, j = 0, 1, 2, (3, 1, 1, K + 1), and T/2 m_i (k w)^2, (n, K + 1); read-only."""
+    """(i k w)^j, j = 0, 1, 2, (3, 1, 1, K + 1), the same with modes k >= 1
+    halved (irfft doubles every mode above the constant one; exact, as x 0.5
+    is), and T/2 m_i (k w)^2, (n, K + 1); read-only."""
     powers = (1j * np.arange(n_modes + 1) * (2.0 * np.pi / T)) ** np.arange(3)[:, None, None, None]
-    powers.flags.writeable = False
-    return powers, _readonly((0.5 * T) * sys.m[:, None] * (np.arange(n_modes + 1) * (2.0 * np.pi / T)) ** 2)
+    halved = powers.copy()
+    halved[..., 1:] *= 0.5
+    powers.flags.writeable = halved.flags.writeable = False
+    return powers, halved, _readonly((0.5 * T) * sys.m[:, None] * (np.arange(n_modes + 1) * (2.0 * np.pi / T)) ** 2)
 
 
 def _node_action(loop, n_quad, c, order=1):
@@ -335,7 +343,7 @@ def _node_action(loop, n_quad, c, order=1):
         s, cs, f = pair_forces(xv[0], sys, c)
     except CollisionError as exc:
         raise CollisionAtNode(f"{exc} at a quadrature node") from None
-    kinetic = _mode_factors(loop.T, sys, loop.n_modes)[1] * loop.ab
+    kinetic = _mode_factors(loop.T, sys, loop.n_modes)[2] * loop.ab
     S = float(loop.T / n_quad * (cs * s).sum() / (2.0 * sys.kappa) + 0.5 * (kinetic * loop.ab).sum())
     return xv, s, f, S, kinetic
 
@@ -391,8 +399,8 @@ def minimize_action(seed_loop, sym, opts):
     sys, n_quad = seed_loop.sys, max(256, 4 * seed_loop.n_modes)
     # w2, the H^1 metric: the kinetic Hessian m (k w)^2 T / 2 less the constant m w^2 T / 2
     coordinates, loop_at, w2 = _class_maps(sym, seed_loop)
-    s = squared_distances(seed_loop.at_nodes(n_quad, 0)[0], sys)
-    floor = 1e-3 * float(np.sqrt(s).mean())
+    s = pair_differences(seed_loop.at_nodes(n_quad, 0)[0].transpose(1, 2, 0), sys)[1]   # the irfft's (d, n, q)
+    floor = 1e-3 * float(np.sqrt(s.T, order="C").mean())   # summed in (q, P) order
     nfev = 0
 
     def evaluate(xi_vec):
@@ -476,7 +484,8 @@ class LoopReport:
 
 def _local_minima_below(vals, tol):
     """Nodes of a circular scan below tol, at most their predecessor and below their successor."""
-    below = (vals < tol) & (vals <= np.roll(vals, 1)) & (vals < np.roll(vals, -1))
+    ring = np.concatenate((vals[-1:], vals, vals[:1]))   # ring[q] and ring[q + 2] flank vals[q]
+    below = (vals < tol) & (vals <= ring[:-2]) & (vals < ring[2:])
     return np.flatnonzero(below).tolist()
 
 
@@ -512,23 +521,39 @@ def _square_tetra_events(ts, s, tol):
     return squares, tetras
 
 
+def _scan_distances(loop, n_scan):
+    """Squared distances (P, q) at n_scan equispaced nodes, one coordinate at
+    a time: its halved modes through one inverse FFT to (n, q), then D @ that
+    squared in place and added, so each temporary holds one coordinate's
+    nodes; bit for bit pair_differences' sum over the coordinates."""
+    D = loop.sys.D
+    s = np.zeros((D.shape[0], n_scan))
+    for c in loop._spectrum(0, halved=True):   # (n, K + 1)
+        diff = D @ np.fft.irfft(c, n_scan, norm="forward")
+        s += np.multiply(diff, diff, out=diff)
+    return s
+
+
 def verify_loop(loop, sym):
     """Residual report for a loop and the symmetry class it should lie in.
 
     EOM residual compares the spectral second derivative with 2 x A at the
     max(256, 8 K) quadrature nodes, relative to relative_scale(max |acc|,
     max |2 x A|): a loop at rest reads 1.
-    Four bodies only are scanned, at max(2048, n_quad) nodes, node axis last:
-    square passages (local minima of the square shape distance below 1e-2)
-    and each tetrahedral visit between consecutive squares, at its closest
-    approach.  Planarity is read from the modes: the centred node cloud has
+    The node pass reads positions and forces; the accelerations come by
+    their own inverse FFT.  Four bodies only are scanned, at max(2048,
+    n_quad) nodes, node axis last and one coordinate at a time (see
+    _scan_distances): square passages (local minima of the square shape
+    distance below 1e-2) and each tetrahedral visit between consecutive
+    squares, at its closest approach.  Planarity is read from the modes: the centred node cloud has
     the singular values of [a0c, a_k / sqrt 2, b_k / sqrt 2] (Parseval), a0c
     the constant modes less their plain mean, d x (n + 2 n K).  The symmetry
     defect is the largest coefficient change under project_symmetry.
     """
     sys = loop.sys
     n_quad = max(256, 8 * loop.n_modes)
-    (_, _, acc), s, f, S, _ = _node_action(loop, n_quad, pair_kernel(sys)[0], order=2)
+    _, s, f, S, _ = _node_action(loop, n_quad, pair_kernel(sys)[0], order=0)
+    acc = np.fft.irfft(loop._spectrum(2, halved=True), n_quad, norm="forward")   # (d, n, q)
     pulled = f / sys.m[:, None]
     eom = np.abs(acc - pulled).max() / relative_scale(np.abs(acc).max(), np.abs(pulled).max())
     min_dist = float(np.sqrt(s.min()))
@@ -538,9 +563,7 @@ def verify_loop(loop, sym):
     squares, tetras, planarity = [], [], 0.0
     if loop.n == 4:
         n_scan = max(2048, n_quad)
-        diff = sys.D @ loop.at_nodes(n_scan, 0)[0].transpose(1, 2, 0)   # (d, P, q)
-        s_scan = np.add.reduce(np.multiply(diff, diff, out=diff), axis=0)
-        squares, tetras = _square_tetra_events(loop.nodes(n_scan), s_scan, 1e-2)
+        squares, tetras = _square_tetra_events(loop.nodes(n_scan), _scan_distances(loop, n_scan), 1e-2)
     if loop.d > 2:   # the cloud's singular values, without squaring them
         a0c = loop.cos_modes[:, :, 0] - loop.cos_modes[:, :, 0].mean(axis=1, keepdims=True)
         ak = np.moveaxis(loop.ab[..., 1:], 1, 0).reshape(loop.d, -1) * math.sqrt(0.5)

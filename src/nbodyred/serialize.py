@@ -24,6 +24,12 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
+def fmt_floats(values, sep):
+    """A row of Python floats, each as fmt writes it, joined by sep: one
+    %.17g template formats the whole row."""
+    return sep.join(["%.17g"] * len(values)) % tuple(values)
+
+
 _NOT_FINITE = "refusing to write a number that is not finite (NaN or inf)"
 
 
@@ -40,6 +46,11 @@ def _encode(obj):
         return "{" + items + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if seq and set(map(type, seq)) == {float}:
+            text = fmt_floats(seq, ", ")
+            if "n" in text:   # inf, -inf or nan: no finite %.17g has an n
+                raise NumericalError(_NOT_FINITE)
+            return "[" + text + "]"
         return "[" + ", ".join(_encode(v) for v in seq) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -163,10 +174,11 @@ def loop_to_dict(loop):
 
 
 def write_csv(path, header, rows):
+    """A header line, then one line per row, a 1-D float array, by fmt_floats."""
     with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+            fh.write(fmt_floats(row.tolist(), ",") + "\n")
 
 
 # column prefix and unit of each sample block of a trajectory, by its kind

@@ -616,6 +616,22 @@ def square_tetra_events_rows(ts, s, tol):
     return squares, tetras
 
 
+# verify_loop's four-body scan before it went one coordinate at a time, kept
+# verbatim: Loop.at_nodes(n_scan, 0) by the unhalved spectrum halved in
+# place, then the (d, P, q) pair differences of the whole (d, n, q) inverse
+# FFT, squared in place and summed over the leading axis.
+
+
+def whole_stack_scan(loop, n_scan):
+    """Squared distances (P, q) of a loop at n_scan equispaced nodes."""
+    factors = (1j * np.arange(loop.n_modes + 1) * (2.0 * np.pi / loop.T)) ** np.arange(1)[:, None, None, None]
+    derivs = (loop.cos_modes - 1j * loop.sin_modes) * factors
+    derivs[..., 1:] *= 0.5   # irfft doubles every mode above the constant one
+    x = np.fft.irfft(derivs, n_scan, norm="forward").transpose(0, 3, 1, 2)[0]   # (q, d, n)
+    diff = loop.sys.D @ x.transpose(1, 2, 0)   # (d, P, q)
+    return np.add.reduce(np.multiply(diff, diff, out=diff), axis=0)
+
+
 def loop_from_dict(data):
     """Loop of a serialize.loop_to_dict mapping; a wrong JSON type is a
     ValidationError naming the field."""

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -619,6 +620,23 @@ def test_hiphop_minimizer_full_properties():
     S_hip, _ = action_value_and_gradient(out)
     S_sq, _ = action_value_and_gradient(square_relative_equilibrium_loop(T, SYS4, 16))
     assert S_hip < S_sq - 1e-3
+
+
+def test_verify_loop_peak_memory_follows_one_coordinate():
+    # the 2,048-node scan holds one coordinate's nodes and pair differences
+    # at a time, 64 and 96 KiB; the whole (d, n, q) and (d, P, q) stacks,
+    # 192 and 288 KiB, took a call at K = 64 to 967 KiB
+    sym = hiphop_z2z4()
+    loop = minimize_action(square_relative_equilibrium_loop(T, SYS4, 64, vertical_kick=0.3), sym,
+                           MinimizeOptions(gtol=1e-6))
+    verify_loop(loop, sym)   # the caches of the period, masses and residues
+    tracemalloc.start()
+    try:
+        verify_loop(loop, sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800 * 1024
 
 
 def test_planarity_is_the_singular_value_ratio_of_the_scan():

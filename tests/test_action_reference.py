@@ -4,9 +4,9 @@ replaced.
 Each reference below is the earlier implementation, kept verbatim as the
 oracle: the scan for local minima, the shape distance to one pattern at a
 time (and, in oracles.py, verify_loop's four-body events on a scan in the
-row layout), the node evaluation by a stack of derivative spectra and the
-minimizer's bookkeeping (block splits at every evaluation, correction
-pairs in two lists).  The array forms must agree with them bit for bit.
+row layout and its scan of the whole (d, P, q) stack), the node evaluation
+by a stack of derivative spectra and the minimizer's bookkeeping (block
+splits at every evaluation, correction pairs in two lists).  The array forms must agree with them bit for bit.
 The action's node pass, whose kinetic part is a sum over the modes, is
 held to the node sums of oracles.py to rounding.
 """
@@ -25,6 +25,8 @@ from nbodyred.action import (
     MinimizeOptions,
     SymmetryAction,
     _local_minima_below,
+    _scan_distances,
+    _square_tetra_events,
     action_value_and_gradient,
     minimize_action,
     shape_distance,
@@ -32,12 +34,13 @@ from nbodyred.action import (
     verify_loop,
 )
 from nbodyred.errors import CollisionAtNode, CollisionApproach, NoConvergence
-from nbodyred.geometry import MassSystem, squared_distances
+from nbodyred.geometry import MassSystem, pair_forces, pair_kernel, relative_scale, squared_distances
 from oracles import (
     closure_invariant_basis,
     node_sum_action_value_and_gradient,
     shape_distance_rows,
     square_tetra_events_rows,
+    whole_stack_scan,
     with_params,
 )
 
@@ -139,6 +142,56 @@ def test_verify_events_match_the_row_layout_scan():
             assert (rep.square_events, rep.tetra_events) == ref
             squares += len(ref[0])
     assert squares >= 2 * 4 * 4   # the z2z4 loops and their perturbations pass the square twice
+
+
+def scan_cases():
+    """(group, loop) of every shipped group minimized at K = 8-128 from the
+    benchmark's seed (its five cases among them), each with one loop
+    perturbed by 5 % noise in every coefficient."""
+    rng = np.random.default_rng(43)
+    for label, K in itertools.product(("z2z4", "italian", "z3"), (8, 16, 32, 64, 128)):
+        sym = nbodyred.action.symmetry_by_label(label)
+        out = minimize_action(square_relative_equilibrium_loop(T, SYS4, K, vertical_kick=0.3), sym,
+                              MinimizeOptions(gtol=1e-6))
+        yield sym, out
+        yield sym, Loop(T, *(out.ab + 0.05 * rng.standard_normal(out.ab.shape)), SYS4)
+
+
+def test_scan_repeats_the_whole_stack_scan_bitwise():
+    # the coordinate-at-a-time scan against the whole (d, P, q) stack, its
+    # squared distances and verify_loop's events on them, byte for byte
+    events = 0
+    for sym, loop in scan_cases():
+        n_scan = max(2048, 8 * loop.n_modes)
+        ref = whole_stack_scan(loop, n_scan)
+        assert _scan_distances(loop, n_scan).tobytes() == ref.tobytes()
+        rep = verify_loop(loop, sym)
+        assert (rep.square_events, rep.tetra_events) == _square_tetra_events(loop.nodes(n_scan), ref, 1e-2)
+        events += len(rep.square_events) + len(rep.tetra_events)
+    assert events >= 4 * 5   # the minimized z2z4 loops pass the square and the tetrahedron twice
+
+
+def test_scan_of_random_four_body_loops_repeats_the_whole_stack_scan_bitwise():
+    # unequal masses, R^1 to R^4, zeros of both signs, and scans at any node count above 2 K
+    rng = np.random.default_rng(44)
+    for d, K in itertools.product((1, 2, 3, 4), (1, 7, 40)):
+        a, b = rng.standard_normal((2, d, 4, K + 1))
+        a[rng.random(a.shape) < 0.2] = 0.0
+        b[rng.random(b.shape) < 0.2] = -0.0
+        loop = Loop(rng.uniform(1.0, 10.0), a, b, MassSystem(rng.uniform(0.5, 2.0, 4)))
+        for n_scan in (2 * K + 1, 2048, 2051):
+            assert _scan_distances(loop, n_scan).tobytes() == whole_stack_scan(loop, n_scan).tobytes()
+
+
+def test_eom_residual_repeats_the_stacked_node_pass():
+    # the accelerations by their own inverse FFT give the residual that the
+    # order-2 stack of positions, velocities and accelerations gave
+    for sym, loop in itertools.islice(scan_cases(), 0, None, 3):
+        n_quad = max(256, 8 * loop.n_modes)
+        x, _, acc = loop.at_nodes(n_quad, 2).transpose(0, 2, 3, 1)
+        f = pair_forces(x, SYS4, pair_kernel(SYS4)[0])[2]
+        eom = np.abs(acc - f).max() / relative_scale(np.abs(acc).max(), np.abs(f).max())
+        assert verify_loop(loop, sym).eom_residual == eom
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +387,26 @@ def test_minimizer_repeats_the_reference_bitwise(monkeypatch, label, K, gtol):
     out = minimize_action(seed, sym, opts)
     assert len(calls) == ref_nfev
     assert out.params().tobytes() == ref.params().tobytes()
+
+
+def test_distance_floor_repeats_the_reference_bitwise(monkeypatch):
+    # the floor read on the inverse FFT's (d, n, q) layout is the mean the
+    # reference takes over its (q, P) table, on seeds of every shape
+    class Floor(Exception):
+        pass
+
+    def first_evaluation(loop, n_quad, collision_floor):
+        raise Floor(collision_floor)
+
+    monkeypatch.setattr(nbodyred.action, "action_value_and_gradient", first_evaluation)
+    rng = np.random.default_rng(46)
+    for d, n, K in itertools.product((1, 2, 3), (3, 4, 5), (1, 16, 64, 100)):
+        a, b = rng.standard_normal((2, d, n, K + 1))
+        seed = Loop(rng.uniform(1.0, 10.0), a, b, MassSystem(rng.uniform(0.5, 2.0, n)))
+        s = squared_distances(seed.at_nodes(max(256, 4 * K), 0)[0], seed.sys)
+        with pytest.raises(Floor) as caught:
+            minimize_action(seed, SymmetryAction(n, d, [(range(n), np.eye(d), 0)]), MinimizeOptions())
+        assert caught.value.args[0] == 1e-3 * float(np.sqrt(s).mean())
 
 
 @pytest.mark.parametrize("gtol", [1e-11, 1e-12])

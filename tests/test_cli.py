@@ -455,15 +455,15 @@ def test_failed_write_leaves_neither_file_nor_temporary(tmp_path, monkeypatch, w
     kept, fresh = tmp_path / "kept", tmp_path / "fresh"
     write(str(kept))
     before = kept.read_bytes()
-    exact, calls = serialize.fmt, []
+    exact, calls = serialize.fmt_floats, []
 
-    def failing(x):
-        calls.append(x)
-        if len(calls) == 25:
+    def failing(values, sep):
+        calls.append(values)
+        if len(calls) == 9:   # each row is one call
             raise ValueError("injected formatter failure")
-        return exact(x)
+        return exact(values, sep)
 
-    monkeypatch.setattr(serialize, "fmt", failing)
+    monkeypatch.setattr(serialize, "fmt_floats", failing)
     for path in (kept, fresh):
         calls.clear()
         with pytest.raises(ValueError, match="injected"):
@@ -628,6 +628,26 @@ def test_seventeen_digit_floats():
     x = 0.1234567890123456789
     text = dumps({"x": x})
     assert json.loads(text)["x"] == x
+
+
+def test_row_template_writes_the_bytes_of_the_per_value_formatter(tmp_path):
+    # one %.17g template per row against fmt value by value: signed zeros,
+    # the smallest subnormal, 1e+-300, 0.1, integral floats and random bit patterns
+    from nbodyred import serialize
+
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 0.1, -0.1, 1.0, -3.0, 64.0,
+               2.0 ** 53, 2.0 ** 53 + 2.0, 1e16, 1e17, 123456789.0]
+    bits = np.random.default_rng(45).integers(0, 2 ** 63, 200, dtype=np.uint64).view(float)
+    rows = np.concatenate([special * 4, bits[np.isfinite(bits)][:164]]).reshape(-1, 8)
+    serialize.write_csv(str(tmp_path / "rows.csv"), list("abcdefgh"), rows)
+    expected = "a,b,c,d,e,f,g,h\n" + "".join(",".join(serialize.fmt(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "rows.csv").read_text() == expected
+    for seq in (special, tuple(special), np.array(special)):
+        assert dumps(seq) == "[" + ", ".join(serialize.fmt(v) for v in special) + "]\n"
+    assert dumps(rows) == "[" + ", ".join("[" + ", ".join(serialize.fmt(v) for v in row) + "]"
+                                          for row in rows) + "]\n"
+    with pytest.raises(NumericalError):
+        dumps([0.5, np.inf])
 
 
 def test_audit_leapfrog(tmp_path, circ_config):
